@@ -2,7 +2,7 @@
 # Markdown dead-link check for the top-level docs (CI job `doc-links`).
 #
 # Validates every inline link target in README.md / DESIGN.md /
-# EXPERIMENTS.md without touching the network:
+# EXPERIMENTS.md / ROADMAP.md / CLAUDE.md without touching the network:
 #
 #   * relative file links must name an existing file or directory;
 #   * `#anchor` fragments (same-file or cross-file) must match a heading
@@ -18,7 +18,7 @@
 set -u
 cd "$(dirname "$0")/.."
 
-FILES=(README.md DESIGN.md EXPERIMENTS.md)
+FILES=(README.md DESIGN.md EXPERIMENTS.md ROADMAP.md CLAUDE.md)
 fail=0
 
 # GitHub-style heading slug: lowercase, drop markdown emphasis, drop

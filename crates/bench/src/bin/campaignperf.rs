@@ -131,7 +131,6 @@ fn main() {
     let path = report::json_path().unwrap_or_else(|| "BENCH_campaign.json".into());
 
     talft_obs::set_enabled(true);
-    talft_logic::set_entail_cache(true);
     let ks = kernels(Scale::Tiny);
 
     // Phase 1: checker with the entailment cache on. Compile outside the

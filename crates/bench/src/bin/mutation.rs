@@ -16,14 +16,10 @@
 //!
 //! Usage: `cargo run --release -p talft-bench --bin mutation
 //!          [-- --kernels N] [--cap N] [--stride N] [--seed N]
-//!          [--mutations N] [--threads N] [--json <path>]
-//!          [--solver-cache <path>]`
+//!          [--mutations N] [--threads N] [--json <path>]`
 //!
 //! `--kernels N` limits the sweep to the first N suite kernels (CI smoke);
 //! `--cap N` bounds mutants per operator per kernel (0 = exhaustive).
-//! `--solver-cache <path>` persists entailment verdicts across runs — the
-//! sweep re-checks near-identical mutants, so a warm cache skips most
-//! Fourier–Motzkin work (E21 measures the speedup).
 //! `TALFT_STRIDE_SCALE` scales the campaign stride as everywhere else.
 
 use talft_bench::report::{self, arg, mutation_json, Report};
@@ -34,11 +30,6 @@ use talft_oracle::OracleConfig;
 use talft_suite::{kernels, Scale};
 
 fn main() {
-    let pcache = report::arg_str("--solver-cache");
-    if let Some(p) = &pcache {
-        let n = talft_logic::load_solver_cache(p);
-        println!("# solver cache: loaded {n} entries from {p}");
-    }
     let cap = arg("--cap").unwrap_or(0) as usize;
     let stride = arg("--stride").unwrap_or(17);
     let seed = arg("--seed").unwrap_or(0x0E14_0E14);
@@ -80,20 +71,6 @@ fn main() {
     };
     print!("{}", render_mutation(&summary));
     println!();
-    // All solver work is done; persist before the gate checks can exit.
-    if pcache.is_some() {
-        match talft_logic::save_solver_cache() {
-            Ok(Some(p)) => {
-                let (h, m, entries) = talft_logic::solver_cache_stats().unwrap_or((0, 0, 0));
-                println!(
-                    "# solver cache: saved {entries} entries to {} ({h} hits / {m} misses this run)",
-                    p.display()
-                );
-            }
-            Ok(None) => {}
-            Err(e) => eprintln!("warning: cannot save solver cache: {e}"),
-        }
-    }
     report::emit(|| {
         Report::new("talft.mutation.v1")
             .field("kernels", Json::U64(ks.len() as u64))

@@ -52,20 +52,13 @@
 //!                     rate after checking and campaign plans/sec
 //!   --json=PATH       with --profile: also write the metric snapshot as
 //!                     JSON (schema talft.profile.v1) to PATH
-//!   --solver-cache=PATH
-//!                     persist entailment verdicts across runs: load PATH
-//!                     before any solver work and save it back on exit
-//!                     (atomic tmp+rename). A missing or corrupt file is a
-//!                     cold start — never an error. Verdicts are keyed on
-//!                     an arena-independent normal form, so the cache is
-//!                     shared across inputs and re-runs
 //! ```
 //!
 //! Exit codes (each failure class is distinct and stable):
 //!
 //! ```text
 //!   0  success
-//!   1  usage / I/O / other errors
+//!   1  usage (unknown flag, unparsable flag value) / I/O / other errors
 //!   2  parse, assembly, or compile error
 //!   3  type error (talft_core::check_program rejected the program)
 //!   4  error-severity lint fired under --lint
@@ -100,6 +93,8 @@ use talft_sim::{simulate, MachineModel};
 /// can be continued, as opposed to having failed.
 const EXIT_INTERRUPTED: u8 = 6;
 
+/// The parsed command line (see the module docs for each flag).
+#[derive(Default)]
 struct Flags {
     emit_asm: bool,
     disasm: bool,
@@ -122,7 +117,61 @@ struct Flags {
     baseline: bool,
     time: bool,
     profile: bool,
-    solver_cache: Option<String>,
+    json: Option<String>,
+}
+
+/// Campaign stride of a bare `--campaign`.
+const DEFAULT_STRIDE: u64 = 11;
+
+impl Flags {
+    /// Parse the arguments after the input path. An unknown flag or a value
+    /// that does not parse is a usage error: a typo must not silently skip
+    /// or reshape a campaign.
+    fn parse(args: &[String]) -> Result<Flags, String> {
+        fn number<T: std::str::FromStr>(arg: &str, v: &str) -> Result<T, String> {
+            v.parse()
+                .map_err(|_| format!("cannot parse the value of `{arg}`"))
+        }
+        let mut f = Flags {
+            check: true,
+            batch: true,
+            campaign_k: 1,
+            ..Flags::default()
+        };
+        for arg in args {
+            let (name, value) = match arg.split_once('=') {
+                Some((n, v)) => (n, Some(v)),
+                None => (arg.as_str(), None),
+            };
+            match (name, value) {
+                ("--emit-asm", None) => f.emit_asm = true,
+                ("--disasm", None) => f.disasm = true,
+                ("--lint", None) => f.lint = true,
+                ("--no-check", None) => f.check = false,
+                ("--run", None) => f.run = true,
+                ("--no-batch", None) => f.batch = false,
+                ("--resume", None) => f.resume = true,
+                ("--baseline", None) => f.baseline = true,
+                ("--time", None) => f.time = true,
+                ("--profile", None) => f.profile = true,
+                ("--campaign", None) => f.campaign = Some(DEFAULT_STRIDE),
+                ("--campaign", Some(v)) => f.campaign = Some(number(arg, v)?),
+                ("--campaign-k", Some(v)) => f.campaign_k = number(arg, v)?,
+                ("--seed", Some(v)) => f.seed = Some(number(arg, v)?),
+                ("--threads", Some(v)) => f.threads = Some(number(arg, v)?),
+                ("--checkpoint-stride", Some(v)) => f.checkpoint_stride = Some(number(arg, v)?),
+                ("--max-steps", Some(v)) => f.max_steps = Some(number(arg, v)?),
+                ("--shards", Some(v)) => f.shards = Some(number(arg, v)?),
+                ("--shard", Some(v)) => f.shard = Some(number(arg, v)?),
+                ("--checkpoint-every", Some(v)) => f.checkpoint_every = Some(number(arg, v)?),
+                ("--zap-report", Some(v)) => f.zap_report = Some(v.to_owned()),
+                ("--checkpoint-dir", Some(v)) => f.checkpoint_dir = Some(v.to_owned()),
+                ("--json", Some(v)) => f.json = Some(v.to_owned()),
+                _ => return Err(format!("unrecognized argument `{arg}`")),
+            }
+        }
+        Ok(f)
+    }
 }
 
 /// Set by the SIGTERM/SIGINT handler; polled at shard chunk boundaries so
@@ -151,25 +200,33 @@ fn install_interrupt_handlers() {
 fn install_interrupt_handlers() {}
 
 fn main() -> ExitCode {
-    let code = real_main();
-    // Save through every exit path (type errors and lint failures warm the
-    // cache for the next run too).
-    if std::env::args().any(|a| a.starts_with("--solver-cache=")) {
-        match talft_logic::save_solver_cache() {
-            Ok(Some(p)) => eprintln!("talftc: solver cache saved to {}", p.display()),
-            Ok(None) => {}
-            Err(e) => eprintln!("talftc: cannot save solver cache: {e}"),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let parsed = match args.split_first() {
+        Some((path, rest)) if !path.starts_with("--") => Flags::parse(rest).map(|f| (path, f)),
+        _ => Err("missing input file".to_owned()),
+    };
+    let (path, flags) = match parsed {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("talftc: {e}");
+            eprintln!(
+                "usage: talftc <file.wile|file.talft> [--emit-asm] [--disasm] [--lint] \
+                 [--zap-report=PATH] [--no-check] \
+                 [--run] [--campaign[=N]] [--campaign-k=K] [--seed=N] [--threads=N] \
+                 [--checkpoint-stride=N] [--no-batch] [--max-steps=N] [--shards=N] [--shard=I] \
+                 [--resume] [--checkpoint-dir=D] [--checkpoint-every=M] [--baseline] [--time] \
+                 [--profile] [--json=PATH]"
+            );
+            return ExitCode::FAILURE;
         }
-    }
+    };
+    let code = real_main(path, &flags);
     if talft_obs::enabled() {
         let snap = talft_obs::snapshot();
         eprint!("{}", snap.render_text());
         // Under --lint the --json destination carries the lint report
         // (written in real_main), not the profile snapshot.
-        if let Some(path) = std::env::args()
-            .find_map(|a| a.strip_prefix("--json=").map(str::to_owned))
-            .filter(|_| !std::env::args().any(|a| a == "--lint"))
-        {
+        if let Some(path) = flags.json.as_ref().filter(|_| !flags.lint) {
             let json = talft_obs::Json::Object(vec![
                 (
                     "schema".to_owned(),
@@ -177,7 +234,7 @@ fn main() -> ExitCode {
                 ),
                 ("obs".to_owned(), snap.to_json()),
             ]);
-            if let Err(e) = std::fs::write(&path, format!("{json}\n")) {
+            if let Err(e) = std::fs::write(path, format!("{json}\n")) {
                 eprintln!("talftc: cannot write {path}: {e}");
                 return ExitCode::FAILURE;
             }
@@ -187,85 +244,12 @@ fn main() -> ExitCode {
     code
 }
 
-fn real_main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")).cloned() else {
-        eprintln!(
-            "usage: talftc <file.wile|file.talft> [--emit-asm] [--disasm] [--lint] \
-             [--zap-report=PATH] [--no-check] \
-             [--run] [--campaign[=N]] [--campaign-k=K] [--seed=N] [--threads=N] \
-             [--checkpoint-stride=N] [--no-batch] [--max-steps=N] [--shards=N] [--shard=I] \
-             [--resume] [--checkpoint-dir=D] [--checkpoint-every=M] [--baseline] [--time] \
-             [--profile] [--json=PATH] [--solver-cache=PATH]"
-        );
-        return ExitCode::FAILURE;
-    };
-    let flags = Flags {
-        emit_asm: args.iter().any(|a| a == "--emit-asm"),
-        disasm: args.iter().any(|a| a == "--disasm"),
-        lint: args.iter().any(|a| a == "--lint"),
-        zap_report: args
-            .iter()
-            .find_map(|a| a.strip_prefix("--zap-report=").map(str::to_owned)),
-        check: !args.iter().any(|a| a == "--no-check"),
-        run: args.iter().any(|a| a == "--run"),
-        campaign: args.iter().find_map(|a| {
-            a.strip_prefix("--campaign")
-                .filter(|rest| rest.is_empty() || rest.starts_with('='))
-                .map(|rest| {
-                    rest.strip_prefix('=')
-                        .and_then(|n| n.parse().ok())
-                        .unwrap_or(11)
-                })
-        }),
-        campaign_k: args
-            .iter()
-            .find_map(|a| a.strip_prefix("--campaign-k=").and_then(|n| n.parse().ok()))
-            .unwrap_or(1),
-        seed: args
-            .iter()
-            .find_map(|a| a.strip_prefix("--seed=").and_then(|n| n.parse().ok())),
-        threads: args
-            .iter()
-            .find_map(|a| a.strip_prefix("--threads=").and_then(|n| n.parse().ok())),
-        checkpoint_stride: args.iter().find_map(|a| {
-            a.strip_prefix("--checkpoint-stride=")
-                .and_then(|n| n.parse().ok())
-        }),
-        batch: !args.iter().any(|a| a == "--no-batch"),
-        max_steps: args
-            .iter()
-            .find_map(|a| a.strip_prefix("--max-steps=").and_then(|n| n.parse().ok())),
-        shards: args
-            .iter()
-            .find_map(|a| a.strip_prefix("--shards=").and_then(|n| n.parse().ok())),
-        shard: args
-            .iter()
-            .find_map(|a| a.strip_prefix("--shard=").and_then(|n| n.parse().ok())),
-        resume: args.iter().any(|a| a == "--resume"),
-        checkpoint_dir: args
-            .iter()
-            .find_map(|a| a.strip_prefix("--checkpoint-dir=").map(str::to_owned)),
-        checkpoint_every: args.iter().find_map(|a| {
-            a.strip_prefix("--checkpoint-every=")
-                .and_then(|n| n.parse().ok())
-        }),
-        baseline: args.iter().any(|a| a == "--baseline"),
-        time: args.iter().any(|a| a == "--time"),
-        profile: args.iter().any(|a| a == "--profile"),
-        solver_cache: args
-            .iter()
-            .find_map(|a| a.strip_prefix("--solver-cache=").map(str::to_owned)),
-    };
+fn real_main(path: &str, flags: &Flags) -> ExitCode {
     if flags.profile {
         talft_obs::set_enabled(true);
     }
-    if let Some(p) = &flags.solver_cache {
-        let n = talft_logic::load_solver_cache(p);
-        eprintln!("talftc: solver cache: loaded {n} entries from {p}");
-    }
 
-    let src = match std::fs::read_to_string(&path) {
+    let src = match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("talftc: cannot read {path}: {e}");
@@ -311,12 +295,18 @@ fn real_main() -> ExitCode {
         print!("{}", talft_isa::disassemble(&program));
     }
     if flags.lint {
-        if let Some(code) = run_lint(&path, &program, &mut arena, line_table.as_deref()) {
+        if let Some(code) = run_lint(
+            path,
+            flags.json.as_deref(),
+            &program,
+            &mut arena,
+            line_table.as_deref(),
+        ) {
             return code;
         }
     }
     if let Some(out) = &flags.zap_report {
-        if let Err(e) = write_zap_report(out, &path, &program) {
+        if let Err(e) = write_zap_report(out, path, &program) {
             eprintln!("talftc: {e}");
             return ExitCode::FAILURE;
         }
@@ -358,7 +348,7 @@ fn real_main() -> ExitCode {
     // --campaign-k=K alone implies a campaign at the default stride.
     let campaign_stride = flags
         .campaign
-        .or_else(|| (flags.campaign_k > 1).then_some(11));
+        .or_else(|| (flags.campaign_k > 1).then_some(DEFAULT_STRIDE));
     if let Some(stride) = campaign_stride {
         let mut cfg = CampaignConfig {
             stride,
@@ -379,7 +369,7 @@ fn real_main() -> ExitCode {
         cfg.batch = flags.batch;
         let k = flags.campaign_k.max(1);
         if flags.shards.is_some() || flags.shard.is_some() {
-            return run_sharded(&program, &cfg, k, &flags, &path);
+            return run_sharded(&program, &cfg, k, flags, path);
         }
         let t0 = std::time::Instant::now();
         let rep = match run_multi_campaign(&program, &cfg, k) {
@@ -660,10 +650,6 @@ fn load_part(
     Ok(part)
 }
 
-/// Run the TF0xx lints (including the solver-backed `TF007`) and print
-/// rustc-style diagnostics. Returns the exit code (4) when an
-/// error-severity lint fired, `None` when lint passes. With `--json=PATH`
-/// the diagnostics are also mirrored as a `talft.lint.v1` report.
 /// `--zap-report=PATH`: dump the per-cell k=1 classification and the
 /// compositional k=2 pair summary as a `talft.zap.v1` document.
 fn write_zap_report(out: &str, input: &str, program: &Arc<Program>) -> Result<(), String> {
@@ -752,8 +738,13 @@ fn write_zap_report(out: &str, input: &str, program: &Arc<Program>) -> Result<()
     std::fs::write(out, format!("{json}\n")).map_err(|e| format!("cannot write {out}: {e}"))
 }
 
+/// Run the TF0xx lints (including the solver-backed `TF007`) and print
+/// rustc-style diagnostics. Returns the exit code (4) when an
+/// error-severity lint fired, `None` when lint passes. With `--json=PATH`
+/// the diagnostics are also mirrored as a `talft.lint.v1` report.
 fn run_lint(
     path: &str,
+    json: Option<&str>,
     program: &Arc<Program>,
     arena: &mut ExprArena,
     lines: Option<&[u32]>,
@@ -771,9 +762,7 @@ fn run_lint(
     let errors = talft_analysis::error_count(&diags);
     let warnings = diags.len() - errors;
     eprintln!("talftc: lint: {errors} error(s), {warnings} warning(s)");
-    if let Some(json_path) =
-        std::env::args().find_map(|a| a.strip_prefix("--json=").map(str::to_owned))
-    {
+    if let Some(json_path) = json {
         let json = talft_obs::Json::Object(vec![
             ("schema".to_owned(), talft_obs::Json::str("talft.lint.v1")),
             ("file".to_owned(), talft_obs::Json::str(path)),
@@ -784,7 +773,7 @@ fn run_lint(
                 talft_obs::Json::Array(diags.iter().map(talft_core::Diagnostic::to_json).collect()),
             ),
         ]);
-        if let Err(e) = std::fs::write(&json_path, format!("{json}\n")) {
+        if let Err(e) = std::fs::write(json_path, format!("{json}\n")) {
             eprintln!("talftc: cannot write {json_path}: {e}");
             return Some(ExitCode::FAILURE);
         }

@@ -58,6 +58,20 @@ fn exit_0_on_well_typed_program() {
 fn exit_1_on_usage_error() {
     let out = talftc(&["--run"]); // no input file
     assert_eq!(out.status.code(), Some(1), "{out:?}");
+    // An unknown flag or an unparsable value must not be silently ignored:
+    // each of these would otherwise skip or reshape the campaign.
+    let p = write_temp("usage.wile", OK_WILE);
+    for flag in [
+        "--campaing=7",
+        "--campaign=abc",
+        "--threads=x",
+        "--solver-cache=stale.cache",
+    ] {
+        let out = talftc(&[p.to_str().unwrap(), flag]);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: talftc"), "{flag}: {stderr}");
+    }
 }
 
 #[test]

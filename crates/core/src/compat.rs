@@ -235,7 +235,8 @@ pub fn prove_mem_eq(arena: &mut ExprArena, facts: &Facts, e1: ExprId, e2: ExprId
         .iter()
         .zip(n2.writes.iter())
         .all(|((a1, v1), (a2, v2))| {
-            facts.poly_provably_zero(&a1.sub(a2)) && facts.poly_provably_zero(&v1.sub(v2))
+            facts.poly_provably_zero(arena, &a1.sub(a2))
+                && facts.poly_provably_zero(arena, &v1.sub(v2))
         })
 }
 

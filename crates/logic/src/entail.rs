@@ -18,11 +18,10 @@
 //! checked program.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use talft_obs::LazyCounter;
 
-use crate::cachefile::{self, QueryTag};
 use crate::expr::{BinOp, ExprArena, ExprId, ExprNode};
 use crate::interval::{self, IntervalEnv};
 use crate::norm::{norm_int, Monomial, Poly};
@@ -34,64 +33,11 @@ static Q_NEQ: LazyCounter = LazyCounter::new("logic.query.neq");
 static Q_GE: LazyCounter = LazyCounter::new("logic.query.ge");
 static FM_RUNS: LazyCounter = LazyCounter::new("logic.fm.runs");
 static FM_GIVEUPS: LazyCounter = LazyCounter::new("logic.fm.giveups");
-static Q_REPEATS: LazyCounter = LazyCounter::new("logic.query.repeat_candidates");
 static CACHE_HIT: LazyCounter = LazyCounter::new("logic.cache.hit");
 static CACHE_MISS: LazyCounter = LazyCounter::new("logic.cache.miss");
 static CACHE_EVICT: LazyCounter = LazyCounter::new("logic.cache.evict");
 
-/// Count equality queries whose `(e1, e2)` id pair was seen before — an
-/// estimate of how much a memoizing query cache would save. A fixed-size
-/// direct-mapped table of packed id pairs: collisions overwrite, so the
-/// count is a lower bound, which is the honest direction for a
-/// "candidates" metric.
-///
-/// Overhead policy: both call sites gate on `talft_obs::enabled()` already;
-/// the guard here makes the invariant local, so a future call site cannot
-/// reintroduce an unconditional 4096-slot atomic swap on the disabled path.
-fn note_query_pair(e1: ExprId, e2: ExprId) {
-    if !talft_obs::enabled() {
-        return;
-    }
-    const SLOTS: usize = 4096;
-    static SEEN: [AtomicU64; SLOTS] = [const { AtomicU64::new(0) }; SLOTS];
-    // Pack both ids, +1 so the empty slot value 0 is never a valid key.
-    let key = (u64::from(e1.0) + 1) << 32 | (u64::from(e2.0) + 1);
-    let slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 52) as usize % SLOTS;
-    if SEEN[slot].swap(key, Ordering::Relaxed) == key {
-        Q_REPEATS.inc();
-    }
-}
-
 // ---- memoizing entailment query cache -------------------------------------
-
-/// Runtime switch for the entailment cache: 0 = unset (consult the
-/// `TALFT_ENTAIL_CACHE` environment variable on first query), 1 = on,
-/// 2 = off.
-static CACHE_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether equality-query memoization is active. Defaults to **on**; the
-/// `TALFT_ENTAIL_CACHE` environment variable (`0`/`off`/`false` disables)
-/// sets the initial state, and [`set_entail_cache`] overrides it at runtime.
-#[must_use]
-pub fn entail_cache_enabled() -> bool {
-    match CACHE_MODE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = std::env::var("TALFT_ENTAIL_CACHE")
-                .map_or(true, |v| !matches!(v.trim(), "0" | "off" | "false"));
-            CACHE_MODE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Force the entailment cache on or off process-wide (overrides
-/// `TALFT_ENTAIL_CACHE`). The cache is semantically transparent — this knob
-/// exists for differential testing and perf measurement, not correctness.
-pub fn set_entail_cache(on: bool) {
-    CACHE_MODE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
 
 /// Monotone source of [`Facts`] generation tags. Starts at 1 so generation 0
 /// uniquely means "never mutated", i.e. the empty hypothesis set — every
@@ -276,8 +222,7 @@ impl Facts {
     }
 
     /// Read-only views of the hypothesis vectors, in `(solved, eqs, neqs,
-    /// ges)` order — the persistent-cache fingerprint and the witness
-    /// builders read them.
+    /// ges)` order — the witness builders read them.
     pub(crate) fn hyp_views(&self) -> HypViews<'_> {
         (&self.solved, &self.eqs, &self.neqs, &self.ges)
     }
@@ -388,62 +333,53 @@ impl Facts {
     /// normalization and Fourier–Motzkin entirely. The query is symmetric;
     /// the key is id-ordered so both orientations share one slot.
     pub fn prove_eq(&self, arena: &mut ExprArena, e1: ExprId, e2: ExprId) -> bool {
-        if talft_obs::enabled() {
-            Q_EQ.inc();
-            note_query_pair(e1, e2);
-        }
+        Q_EQ.inc();
         if e1 == e2 {
             return true;
         }
-        let (a, b) = if e1.0 <= e2.0 { (e1, e2) } else { (e2, e1) };
-        let caching = entail_cache_enabled();
-        if caching {
-            if let Some(v) = arena.entail_cache.lookup(a.0, b.0, self.generation) {
-                CACHE_HIT.inc();
-                return v;
-            }
-            CACHE_MISS.inc();
-        }
-        let verdict = match self.interval_eq(arena, e1, e2) {
+        let key = if e1.0 <= e2.0 {
+            (e1.0, e2.0)
+        } else {
+            (e2.0, e1.0)
+        };
+        self.memoized(arena, key, |arena| match self.interval_eq(arena, e1, e2) {
             Some(v) => v,
             None => {
                 let p1 = norm_int(arena, self, e1);
                 let p2 = norm_int(arena, self, e2);
-                let d = p1.sub(&p2);
-                self.pcached(arena, QueryTag::Eq, &d, |s| s.poly_provably_zero(&d))
+                self.poly_provably_zero(arena, &p1.sub(&p2))
             }
-        };
-        if caching {
-            arena.entail_cache.store(a.0, b.0, self.generation, verdict);
+        })
+    }
+
+    /// Answer an equality query from the arena's memo table when
+    /// [`ExprArena::solver_memo`] is on, running `decide` and recording its
+    /// verdict on a miss.
+    fn memoized(
+        &self,
+        arena: &mut ExprArena,
+        (e1, e2): (u32, u32),
+        decide: impl FnOnce(&mut ExprArena) -> bool,
+    ) -> bool {
+        if !arena.solver_memo {
+            return decide(arena);
         }
+        if let Some(v) = arena.entail_cache.lookup(e1, e2, self.generation) {
+            CACHE_HIT.inc();
+            return v;
+        }
+        CACHE_MISS.inc();
+        let verdict = decide(arena);
+        arena.entail_cache.store(e1, e2, self.generation, verdict);
         verdict
     }
 
-    /// Route a post-normalization query through the persistent cross-run
-    /// cache (tier 3, DESIGN.md §13) when one is loaded. Constant residues
-    /// are never cached — they are cheaper to re-decide than to hash.
-    fn pcached(
-        &self,
-        arena: &ExprArena,
-        tag: QueryTag,
-        d: &Poly,
-        run: impl FnOnce(&Self) -> bool,
-    ) -> bool {
-        if d.as_constant().is_some() || !cachefile::pcache_enabled() {
-            return run(self);
-        }
-        let key = cachefile::query_key(arena, tag, d, self);
-        if let Some(v) = cachefile::pcache_lookup(key) {
-            return v;
-        }
-        let v = run(self);
-        cachefile::pcache_record(key, v);
-        v
-    }
-
     /// Prove a normalized polynomial equals zero under the hypotheses.
+    /// Shape bounds are deliberately not used here (see
+    /// [`Facts::poly_nonzero_with`]); the arena only supplies the
+    /// [`ExprArena::solver_interval`] switch for the box front.
     #[must_use]
-    pub fn poly_provably_zero(&self, d: &Poly) -> bool {
+    pub fn poly_provably_zero(&self, arena: &ExprArena, d: &Poly) -> bool {
         if d.is_zero() {
             return true;
         }
@@ -451,7 +387,7 @@ impl Facts {
             return true;
         }
         // d ≥ 0 and -d ≥ 0
-        self.fm_proves_ge0(None, d) && self.fm_proves_ge0(None, &d.neg())
+        self.fm_proves_ge0(arena, false, d) && self.fm_proves_ge0(arena, false, &d.neg())
     }
 
     /// Prove `e1 ≠ e2`.
@@ -462,9 +398,7 @@ impl Facts {
         }
         let p1 = norm_int(arena, self, e1);
         let p2 = norm_int(arena, self, e2);
-        let d = p1.sub(&p2);
-        let ar: &ExprArena = arena;
-        self.pcached(ar, QueryTag::Neq, &d, |s| s.poly_nonzero_with(ar, &d))
+        self.poly_nonzero_with(arena, &p1.sub(&p2))
     }
 
     /// Prove `e ≠ 0`.
@@ -474,39 +408,23 @@ impl Facts {
             return v;
         }
         let p = norm_int(arena, self, e);
-        let ar: &ExprArena = arena;
-        self.pcached(ar, QueryTag::Neq, &p, |s| s.poly_nonzero_with(ar, &p))
+        self.poly_nonzero_with(arena, &p)
     }
 
     /// Prove `e = 0`. Memoized like [`Facts::prove_eq`], under the sentinel
     /// pair `(e, CACHE_ZERO)`.
     pub fn prove_eq_zero(&self, arena: &mut ExprArena, e: ExprId) -> bool {
-        if talft_obs::enabled() {
-            Q_EQ.inc();
-            note_query_pair(e, ExprId(u32::MAX));
-        }
-        let caching = entail_cache_enabled();
-        if caching {
-            if let Some(v) = arena.entail_cache.lookup(e.0, CACHE_ZERO, self.generation) {
-                CACHE_HIT.inc();
-                return v;
+        Q_EQ.inc();
+        self.memoized(arena, (e.0, CACHE_ZERO), |arena| {
+            let zero = arena.int(0);
+            match self.interval_eq(arena, e, zero) {
+                Some(v) => v,
+                None => {
+                    let p = norm_int(arena, self, e);
+                    self.poly_provably_zero(arena, &p)
+                }
             }
-            CACHE_MISS.inc();
-        }
-        let zero = arena.int(0);
-        let verdict = match self.interval_eq(arena, e, zero) {
-            Some(v) => v,
-            None => {
-                let p = norm_int(arena, self, e);
-                self.pcached(arena, QueryTag::Eq, &p, |s| s.poly_provably_zero(&p))
-            }
-        };
-        if caching {
-            arena
-                .entail_cache
-                .store(e.0, CACHE_ZERO, self.generation, verdict);
-        }
-        verdict
+        })
     }
 
     /// Prove `e ≥ 0`.
@@ -519,8 +437,7 @@ impl Facts {
         if let Some(c) = p.as_constant() {
             return c >= 0;
         }
-        let ar: &ExprArena = arena;
-        self.pcached(ar, QueryTag::Ge0, &p, |s| s.fm_proves_ge0(Some(ar), &p))
+        self.fm_proves_ge0(arena, true, &p)
     }
 
     /// Prove `lo ≤ e < hi`.
@@ -535,21 +452,11 @@ impl Facts {
         self.prove_ge0(arena, le)
     }
 
-    /// Prove a normalized polynomial is non-zero under the hypotheses.
+    /// Prove a normalized polynomial is non-zero under the hypotheses,
+    /// using the implicit atom bounds (`0 ≤ slt(·,·) ≤ 1`, `0 ≤ x & m ≤ m`).
     /// This drives the array-aliasing decisions in the normalizer.
     #[must_use]
-    pub fn poly_provably_nonzero(&self, d: &Poly) -> bool {
-        self.poly_nonzero_inner(None, d)
-    }
-
-    /// Like [`Facts::poly_provably_nonzero`] but with arena access, enabling
-    /// the implicit atom bounds (`0 ≤ slt(·,·) ≤ 1`, `0 ≤ x & m ≤ m`).
-    #[must_use]
     pub fn poly_nonzero_with(&self, arena: &ExprArena, d: &Poly) -> bool {
-        self.poly_nonzero_inner(Some(arena), d)
-    }
-
-    fn poly_nonzero_inner(&self, arena: Option<&ExprArena>, d: &Poly) -> bool {
         if let Some(c) = d.as_constant() {
             return c != 0;
         }
@@ -558,10 +465,11 @@ impl Facts {
         }
         // d ≥ 1  or  d ≤ -1
         let one = Poly::constant(1);
-        self.fm_proves_ge0(arena, &d.sub(&one)) || self.fm_proves_ge0(arena, &d.neg().sub(&one))
+        self.fm_proves_ge0(arena, true, &d.sub(&one))
+            || self.fm_proves_ge0(arena, true, &d.neg().sub(&one))
     }
 
-    // ---- interval pre-solver (tier 1, DESIGN.md §13) ----------------------
+    // ---- interval pre-solver (DESIGN.md §13) -------------------------------
 
     /// Build the per-atom interval environment for the tree walk: constant
     /// solved equalities become rigid points, non-constant ones force ⊤,
@@ -607,11 +515,11 @@ impl Facts {
         env
     }
 
-    /// Tier-1 answer for `e ≥ 0`: decisive for rigid constants (mirroring
+    /// Interval answer for `e ≥ 0`: decisive for rigid constants (mirroring
     /// the fallback's own constant fold), otherwise TRUE-only from a
     /// non-negative lower bound. `None` falls through to normalization+FM.
     fn interval_ge0(&self, arena: &ExprArena, e: ExprId) -> Option<bool> {
-        if !interval::entail_interval_enabled() {
+        if !arena.solver_interval {
             return None;
         }
         let env = self.interval_env();
@@ -631,14 +539,14 @@ impl Facts {
         verdict
     }
 
-    /// Tier-1 answer for `e1 = e2`. TRUE when both sides evaluate to the
+    /// Interval answer for `e1 = e2`. TRUE when both sides evaluate to the
     /// same point (the FM path proves it from the same unit facts); FALSE
     /// only for distinct rigid constants under an empty `ges`/`eqs` set,
     /// where the fallback's constant arithmetic is the whole procedure.
-    /// Shape bounds are excluded: the equality path runs FM without arena
-    /// access (see [`Facts::poly_provably_zero`]).
+    /// Shape bounds are excluded: the equality path runs FM without them
+    /// (see [`Facts::poly_provably_zero`]).
     fn interval_eq(&self, arena: &ExprArena, e1: ExprId, e2: ExprId) -> Option<bool> {
-        if !interval::entail_interval_enabled() {
+        if !arena.solver_interval {
             return None;
         }
         let env = self.interval_env();
@@ -661,12 +569,12 @@ impl Facts {
         verdict
     }
 
-    /// Tier-1 answer for `e1 ≠ e2` / `e ≠ 0` given both side intervals:
+    /// Interval answer for `e1 ≠ e2` / `e ≠ 0` given both side intervals:
     /// TRUE on disjointness (an integer gap is ≥ 1, so FM proves
     /// `d - 1 ≥ 0` or `-d - 1 ≥ 0` from the same facts), FALSE only for
     /// equal rigid constants (the fallback's constant check).
     fn interval_neq(&self, arena: &ExprArena, e1: ExprId, e2: Option<ExprId>) -> Option<bool> {
-        if !interval::entail_interval_enabled() {
+        if !arena.solver_interval {
             return None;
         }
         let env = self.interval_env();
@@ -708,11 +616,11 @@ impl Facts {
 
     /// Fourier–Motzkin refutation: do the hypotheses entail `q ≥ 0`?
     ///
-    /// With arena access, atoms of known shape contribute implicit bounds:
-    /// `slt` results lie in `[0,1]` and `x & m` (constant `m ≥ 0`) lies in
-    /// `[0,m]` — the masked-index discipline the compiler relies on for
-    /// array-bounds obligations (DESIGN.md).
-    fn fm_proves_ge0(&self, arena: Option<&ExprArena>, q: &Poly) -> bool {
+    /// With `shape_bounds`, atoms of known shape contribute implicit
+    /// bounds: `slt` results lie in `[0,1]` and `x & m` (constant `m ≥ 0`)
+    /// lies in `[0,m]` — the masked-index discipline the compiler relies on
+    /// for array-bounds obligations (DESIGN.md).
+    fn fm_proves_ge0(&self, arena: &ExprArena, shape_bounds: bool, q: &Poly) -> bool {
         let mut cons: Vec<LinCon> = Vec::new();
         for g in &self.ges {
             cons.push(LinCon::from_poly(g));
@@ -725,16 +633,16 @@ impl Facts {
         let negq_idx = cons.len();
         let negq = q.neg().sub(&Poly::constant(1));
         cons.push(LinCon::from_poly(&negq));
-        if let Some(arena) = arena {
+        if shape_bounds {
             add_implicit_bounds(arena, &mut cons);
         }
         if cons.len() <= 1 && q.as_constant().is_none() {
             return false; // nothing to refute with
         }
-        // Tier-2 box front (DESIGN.md §13): an exact rational box over the
+        // Box front (DESIGN.md §13): an exact rational box over the
         // single-monomial constraints often decides the refutation without
         // running elimination at all.
-        if interval::entail_interval_enabled() {
+        if arena.solver_interval {
             let (verdict, narrowed) = box_front(&cons, negq_idx, q);
             interval::note_consult(verdict.is_some(), narrowed);
             if let Some(v) = verdict {
@@ -1157,42 +1065,6 @@ fn combine(l: &LinCon, u: &LinCon, wl: i128, wu: i128, var: &Monomial) -> Option
     Some(LinCon { coeffs, k })
 }
 
-/// Serialize tests that toggle the process-global solver knobs (memo cache
-/// and interval layer), restoring both modes on drop. `None` leaves a knob
-/// at its ambient setting while still holding the lock.
-#[cfg(test)]
-pub(crate) fn solver_knob_guard(cache: Option<bool>, iv: Option<bool>) -> impl Drop {
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    struct Guard {
-        prev_cache: u8,
-        prev_interval: u8,
-        _lock: MutexGuard<'static, ()>,
-    }
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            CACHE_MODE.store(self.prev_cache, Ordering::Relaxed);
-            interval::restore_mode(self.prev_interval);
-        }
-    }
-    let lock = LOCK
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let guard = Guard {
-        prev_cache: CACHE_MODE.load(Ordering::Relaxed),
-        prev_interval: interval::mode_raw(),
-        _lock: lock,
-    };
-    if let Some(on) = cache {
-        set_entail_cache(on);
-    }
-    if let Some(on) = iv {
-        interval::set_entail_interval(on);
-    }
-    guard
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1397,15 +1269,8 @@ mod tests {
 mod cache_tests {
     use super::*;
 
-    /// Serialize tests that toggle the process-global cache mode, restoring
-    /// the previous mode on drop.
-    fn cache_guard(on: bool) -> impl Drop {
-        solver_knob_guard(Some(on), None)
-    }
-
     #[test]
     fn repeat_queries_hit_in_both_orientations() {
-        let _g = cache_guard(true);
         let mut a = ExprArena::new();
         let f = Facts::new();
         let x = a.var("x");
@@ -1425,7 +1290,6 @@ mod cache_tests {
 
     #[test]
     fn prove_eq_zero_is_cached_under_the_sentinel_pair() {
-        let _g = cache_guard(true);
         let mut a = ExprArena::new();
         let f = Facts::new();
         let x = a.var("x");
@@ -1438,7 +1302,6 @@ mod cache_tests {
 
     #[test]
     fn facts_mutation_invalidates_by_generation() {
-        let _g = cache_guard(true);
         let mut a = ExprArena::new();
         let mut f = Facts::new();
         let x = a.var("x");
@@ -1456,7 +1319,6 @@ mod cache_tests {
 
     #[test]
     fn empty_fact_sets_share_cached_verdicts() {
-        let _g = cache_guard(true);
         let mut a = ExprArena::new();
         let x = a.var("x");
         let y = a.var("y");
@@ -1472,7 +1334,6 @@ mod cache_tests {
 
     #[test]
     fn clones_share_generation_until_their_own_mutation() {
-        let _g = cache_guard(true);
         let mut a = ExprArena::new();
         let mut f = Facts::new();
         let x = a.var("x");
@@ -1489,9 +1350,8 @@ mod cache_tests {
 
     #[test]
     fn disabled_cache_touches_nothing() {
-        let _g = cache_guard(false);
-        assert!(!entail_cache_enabled());
         let mut a = ExprArena::new();
+        a.solver_memo = false;
         let f = Facts::new();
         let x = a.var("x");
         let y = a.var("y");
@@ -1504,11 +1364,10 @@ mod cache_tests {
 
     #[test]
     fn cached_and_uncached_verdicts_agree() {
-        let _g = cache_guard(true);
         let mut warm = ExprArena::new();
         let mut cold = ExprArena::new();
         for (arena, on) in [(&mut warm, true), (&mut cold, false)] {
-            set_entail_cache(on);
+            arena.solver_memo = on;
             let mut f = Facts::new();
             let i = arena.var("i");
             let n = arena.var("n");
@@ -1540,8 +1399,9 @@ mod interval_tests {
     fn assert_mode_identical(build: impl Fn(&mut ExprArena, &mut Facts) -> Vec<bool>) {
         let mut verdicts: Vec<Vec<bool>> = Vec::new();
         for on in [true, false] {
-            let _g = solver_knob_guard(Some(false), Some(on));
             let mut arena = ExprArena::new();
+            arena.solver_memo = false;
+            arena.solver_interval = on;
             let mut facts = Facts::new();
             verdicts.push(build(&mut arena, &mut facts));
         }
@@ -1678,7 +1538,6 @@ mod interval_tests {
 
     #[test]
     fn eviction_counter_is_observable() {
-        let _g = solver_knob_guard(Some(true), None);
         let mut a = ExprArena::new();
         let f = Facts::new();
         assert_eq!(a.entail_cache_evictions(), 0);

@@ -164,7 +164,7 @@ pub enum ExprNode {
 ///
 /// All expression construction, inspection, and normalization is relative to
 /// an arena. Mixing [`ExprId`]s across arenas is a logic error (unchecked).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ExprArena {
     nodes: Vec<ExprNode>,
     dedup: HashMap<ExprNode, ExprId>,
@@ -173,10 +173,34 @@ pub struct ExprArena {
     /// Memoized entailment verdicts (ids are arena-relative, so the cache
     /// must live and die with the arena; see `entail::EntailCache`).
     pub(crate) entail_cache: crate::entail::EntailCache,
+    /// Solver switch (DESIGN.md §13, default on): `prove_eq` and
+    /// `prove_eq_zero` answer repeat queries from the memo table above.
+    /// Verdict-transparent — it exists for differential tests and
+    /// ablations, like [`ExprArena::solver_interval`].
+    pub solver_memo: bool,
+    /// Solver switch (DESIGN.md §13, default on): queries consult the
+    /// interval pre-solver and the box front before normalization and
+    /// Fourier–Motzkin. Verdict-transparent, like
+    /// [`ExprArena::solver_memo`].
+    pub solver_interval: bool,
+}
+
+impl Default for ExprArena {
+    fn default() -> Self {
+        ExprArena {
+            nodes: Vec::new(),
+            dedup: HashMap::new(),
+            var_names: Vec::new(),
+            var_dedup: HashMap::new(),
+            entail_cache: crate::entail::EntailCache::default(),
+            solver_memo: true,
+            solver_interval: true,
+        }
+    }
 }
 
 impl ExprArena {
-    /// Create an empty arena.
+    /// Create an empty arena with both solver switches on.
     #[must_use]
     pub fn new() -> Self {
         Self::default()

@@ -32,11 +32,9 @@
 //! * An inconsistent environment (some atom's `lo > hi`) declines rather
 //!   than answering ex falso; FM finds the contradiction itself.
 //!
-//! The env/runtime knob (`TALFT_ENTAIL_INTERVAL`, [`set_entail_interval`])
-//! mirrors the entailment-cache knob so differential tests can prove the
+//! The layer is switched per arena (`ExprArena::solver_interval`, default
+//! on), next to the memo-table switch, so differential tests can prove the
 //! on/off verdict identity (`tests/interval_prop.rs`).
-
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use talft_obs::LazyCounter;
 
@@ -48,48 +46,6 @@ static IV_QUERIES: LazyCounter = LazyCounter::new("logic.interval.queries");
 static IV_HIT: LazyCounter = LazyCounter::new("logic.interval.hit");
 static IV_MISS: LazyCounter = LazyCounter::new("logic.interval.miss");
 static IV_NARROWED: LazyCounter = LazyCounter::new("logic.interval.narrowed");
-
-/// Runtime switch for the interval layer: 0 = unset (consult the
-/// `TALFT_ENTAIL_INTERVAL` environment variable on first query), 1 = on,
-/// 2 = off.
-static INTERVAL_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the interval pre-solver is active. Defaults to **on**; the
-/// `TALFT_ENTAIL_INTERVAL` environment variable (`0`/`off`/`false`
-/// disables) sets the initial state, and [`set_entail_interval`] overrides
-/// it at runtime.
-#[must_use]
-pub fn entail_interval_enabled() -> bool {
-    match INTERVAL_MODE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = std::env::var("TALFT_ENTAIL_INTERVAL")
-                .map_or(true, |v| !matches!(v.trim(), "0" | "off" | "false"));
-            INTERVAL_MODE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Force the interval pre-solver on or off process-wide (overrides
-/// `TALFT_ENTAIL_INTERVAL`). The layer is verdict-transparent — this knob
-/// exists for differential testing and perf measurement, not correctness.
-pub fn set_entail_interval(on: bool) {
-    INTERVAL_MODE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Raw mode byte, for test guards that must restore ambient state.
-#[cfg(test)]
-pub(crate) fn mode_raw() -> u8 {
-    INTERVAL_MODE.load(Ordering::Relaxed)
-}
-
-/// Restore a previously read raw mode byte (test guards only).
-#[cfg(test)]
-pub(crate) fn restore_mode(m: u8) {
-    INTERVAL_MODE.store(m, Ordering::Relaxed);
-}
 
 /// Record one interval-layer consultation. `narrowed` marks near-misses:
 /// the abstract value gained at least one finite endpoint yet did not

@@ -1,26 +1,19 @@
-//! Interval pre-solver observability tests (own binary: these enable the
-//! process-global obs switch and assert exact counter relationships, which
-//! must not interleave with the lib tests).
+//! Interval pre-solver observability test. It enables the process-global
+//! obs registry and asserts exact counter relationships, so the whole
+//! check is one test: a second test in this binary would race on the
+//! registry.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-use talft_logic::{set_entail_interval, BinOp, ExprArena, Facts};
-
-fn guard() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use talft_logic::{BinOp, ExprArena, Facts};
 
 fn counter(snap: &talft_obs::Snapshot, name: &str) -> u64 {
     snap.counters.get(name).copied().unwrap_or(0)
 }
 
 /// A checker-shaped workload: array-bounds and branch-condition queries over
-/// range facts, mixing tier-1-answerable queries with FM-bound ones.
-fn workload() -> Vec<bool> {
+/// range facts, mixing interval-answerable queries with FM-bound ones.
+fn workload(interval: bool) -> Vec<bool> {
     let mut a = ExprArena::new();
+    a.solver_interval = interval;
     let mut f = Facts::new();
     let i = a.var("i");
     let n = a.var("n");
@@ -39,10 +32,10 @@ fn workload() -> Vec<bool> {
     let sixty_three = a.int(63);
     let hi_gap = a.sub(sixty_three, i);
     vec![
-        f.prove_ge0(&mut a, i),                  // tier-1: i ∈ [0, 63]
-        f.prove_ge0(&mut a, hi_gap),             // tier-1/2: 63 - i ≥ 0
-        f.prove_in_range(&mut a, masked, 0, 16), // tier-1: And-mask shape
-        f.prove_neq(&mut a, i, neg1),            // tier-1: box excludes -1
+        f.prove_ge0(&mut a, i),                  // tree walk: i ∈ [0, 63]
+        f.prove_ge0(&mut a, hi_gap),             // tree walk/box: 63 - i ≥ 0
+        f.prove_in_range(&mut a, masked, 0, 16), // tree walk: And-mask shape
+        f.prove_neq(&mut a, i, neg1),            // tree walk: box excludes -1
         f.prove_eq(&mut a, cond, one),           // solved branch condition
         f.prove_ge0(&mut a, d),                  // FM: two-monomial fact
         f.prove_in_range(&mut a, i, 0, 32),      // false: 32-bound unprovable
@@ -53,20 +46,16 @@ fn workload() -> Vec<bool> {
 
 #[test]
 fn hit_miss_invariant_and_fm_reduction() {
-    let _g = guard();
     talft_obs::set_enabled(true);
 
-    set_entail_interval(true);
     talft_obs::reset_all();
-    let verdicts_on = workload();
+    let verdicts_on = workload(true);
     let on = talft_obs::snapshot();
 
-    set_entail_interval(false);
     talft_obs::reset_all();
-    let verdicts_off = workload();
+    let verdicts_off = workload(false);
     let off = talft_obs::snapshot();
 
-    set_entail_interval(true);
     talft_obs::set_enabled(false);
 
     // Transparency: the interval front must never change a verdict.
@@ -89,15 +78,7 @@ fn hit_miss_invariant_and_fm_reduction() {
         fm_on < fm_off,
         "interval layer must shed FM work (on: {fm_on}, off: {fm_off})"
     );
-}
-
-#[test]
-fn no_fm_giveups_on_interval_workload() {
-    let _g = guard();
-    talft_obs::set_enabled(true);
-    talft_obs::reset_all();
-    let _ = workload();
-    let snap = talft_obs::snapshot();
-    talft_obs::set_enabled(false);
-    assert_eq!(counter(&snap, "logic.fm.giveups"), 0);
+    for snap in [&on, &off] {
+        assert_eq!(counter(snap, "logic.fm.giveups"), 0);
+    }
 }

@@ -1,45 +1,46 @@
-//! Entailment-cache transparency over whole compiled programs (E16
-//! satellite): the memoizing cache in `talft_logic::entail` must be
-//! *semantically invisible* — for any well-typed program the checker reaches
-//! the same verdict with the cache forced on and forced off.
+//! Entailment-cache transparency on a shared arena (E16): the memo table in
+//! `talft_logic::entail` must be *semantically invisible* — for any
+//! well-typed program the checker reaches the same verdict with the table
+//! off, on and cold, and on with entries left over from an earlier check.
 //!
-//! The in-crate unit tests (`talft_logic` `cache_tests`) cover the cache's
-//! mechanics — hit/miss accounting, generation invalidation, sentinel keys —
-//! on hand-built queries. This test drives the *real* query distribution:
-//! fixed kernels plus generatively fuzzed Wile sources from
-//! `talft_testutil::wile`, compiled through the full reliability
-//! transformation, then checked twice. Any divergence (accept vs reject, or
-//! a different error) is a cache unsoundness, not a conservativity issue.
+//! `tests/interval_prop.rs` holds the full {memo off, on} × {interval off,
+//! on} verdict-and-diagnostic matrix, with a fresh compile per mode. This
+//! test instead checks every program three times against *one* arena,
+//! flipping [`ExprArena::solver_memo`] between checks, so the last check
+//! runs against a table the one before it filled. Any divergence (accept
+//! vs reject, or a different error) is a cache unsoundness, not a
+//! conservativity issue. The Facts generation tags that keep an entry from
+//! answering under other hypotheses are pinned by the `talft_logic`
+//! `cache_tests` unit tests.
 //!
-//! The runs are serialized within this test (cached first, then uncached)
-//! and the process-global switch is flipped with `set_entail_cache`, which
-//! overrides `TALFT_ENTAIL_CACHE`; each check gets a fresh compile so the
-//! two runs never share an arena.
+//! [`ExprArena::solver_memo`]: talft::logic::ExprArena::solver_memo
 
 use talft::compiler::{compile, CompileOptions};
 use talft::core::check_program;
-use talft::logic::set_entail_cache;
 use talft_testutil::wile::{random_stmts, render_program};
 use talft_testutil::SplitMix64;
 
 const GEN_SEED: u64 = 0xCAC4_E5EE;
 
-/// Check a source once with the cache forced to `on`, returning the verdict
-/// as `Ok(())`/`Err(message)` so verdicts compare structurally, plus the
-/// arena's (hits, misses). Straight-line programs may legitimately record
-/// zero queries (syntactic fast paths answer before the cache is consulted),
-/// so wiring is asserted over the whole corpus, not per source.
-fn check_with_cache(src: &str, on: bool) -> (Result<(), String>, (u64, u64)) {
-    set_entail_cache(on);
+/// Compile a source once and check it memo off, memo on (cold table), then
+/// memo on again (table already filled), all on the same arena. Returns the
+/// three verdicts as `Ok(())`/`Err(message)` so they compare structurally,
+/// plus the arena's final (hits, misses). Straight-line programs may
+/// legitimately record zero queries (syntactic fast paths answer before the
+/// table is consulted), so wiring is asserted over the whole corpus.
+fn check_three_ways(src: &str) -> ([Result<(), String>; 3], (u64, u64)) {
     let mut c = compile(src, &CompileOptions::default()).expect("fuzzed source compiles");
-    let result = check_program(&c.protected.program, &mut c.protected.arena)
-        .map(|_| ())
-        .map_err(|e| e.to_string());
+    let mut check = |memo: bool| {
+        c.protected.arena.solver_memo = memo;
+        check_program(&c.protected.program, &mut c.protected.arena)
+            .map(|_| ())
+            .map_err(|e| e.to_string())
+    };
+    let off = check(false);
+    let cold = check(true);
+    let warm = check(true);
     let stats = c.protected.arena.entail_cache_stats();
-    if !on {
-        assert_eq!(stats, (0, 0), "cache-off check must not touch the cache");
-    }
-    (result, stats)
+    ([off, cold, warm], stats)
 }
 
 #[test]
@@ -61,25 +62,36 @@ fn checker_verdicts_are_cache_invariant() {
         })
         .collect();
 
-    let prev = talft::logic::entail_cache_enabled();
+    // A memo-off check must leave the table untouched.
+    let mut c = compile(&fixed[1], &CompileOptions::default()).expect("fixed source compiles");
+    c.protected.arena.solver_memo = false;
+    check_program(&c.protected.program, &mut c.protected.arena).expect("fixed source checks");
+    assert_eq!(
+        c.protected.arena.entail_cache_stats(),
+        (0, 0),
+        "cache-off check must not touch the cache"
+    );
+
     let (mut total_hits, mut total_misses) = (0u64, 0u64);
     for (i, src) in fixed.iter().chain(&generated).enumerate() {
-        let (cached, (hits, misses)) = check_with_cache(src, true);
-        let (uncached, _) = check_with_cache(src, false);
+        let ([off, cold, warm], (hits, misses)) = check_three_ways(src);
         total_hits += hits;
         total_misses += misses;
         assert_eq!(
-            cached, uncached,
+            cold, off,
             "source {i}: cache changed the checker verdict\n--- source ---\n{src}"
+        );
+        assert_eq!(
+            warm, off,
+            "source {i}: a filled cache changed the checker verdict\n--- source ---\n{src}"
         );
         // Compiler output is always well typed (the repo's core invariant) —
         // so this doubles as a compile-soundness spot check under both modes.
-        assert_eq!(cached, Ok(()), "source {i}: compiled program must check");
+        assert_eq!(off, Ok(()), "source {i}: compiled program must check");
     }
     assert!(
         total_hits + total_misses > 0,
         "no source exercised the cache — the cache is not wired into the checker"
     );
     assert!(total_hits > 0, "the corpus must produce at least one hit");
-    set_entail_cache(prev);
 }

@@ -5,27 +5,25 @@
 //! type errors on previously fine programs. This pins `logic.fm.giveups`
 //! to zero across every suite kernel — the caps' first test witness.
 //!
-//! The interval pre-solver is forced OFF for the measured run: with it on,
-//! the Tiny suite's FM-bound queries are all answered upstream (see the
-//! `checkperf` matrix in BENCH_perf.json) and the regression would vacuously
-//! pass with zero FM runs. The knob and the obs registry are process-global,
-//! hence the dedicated integration-test binary.
+//! The interval pre-solver is switched OFF on every checked arena: with it
+//! on, the Tiny suite's FM-bound queries are all answered upstream (see the
+//! `checkperf` table in BENCH_perf.json) and the regression would vacuously
+//! pass with zero FM runs. The obs registry is process-global, hence the
+//! dedicated integration-test binary.
 
 use talft::compiler::{compile, CompileOptions};
 use talft::core::check_program;
-use talft::logic::set_entail_interval;
 use talft::suite::{kernels, Scale};
 
 #[test]
 fn fm_never_gives_up_on_suite_kernels() {
-    let ambient = talft::logic::entail_interval_enabled();
-    set_entail_interval(false);
     talft::obs::set_enabled(true);
     talft::obs::reset_all();
 
     for k in kernels(Scale::Tiny) {
         let mut c = compile(&k.source, &CompileOptions::default())
             .unwrap_or_else(|e| panic!("{}: {e}", k.name));
+        c.protected.arena.solver_interval = false;
         check_program(&c.protected.program, &mut c.protected.arena)
             .unwrap_or_else(|e| panic!("{} failed the checker: {e}", k.name));
     }
@@ -34,7 +32,6 @@ fn fm_never_gives_up_on_suite_kernels() {
     let n = |key: &str| snap.counters.get(key).copied().unwrap_or(0);
     let (runs, giveups) = (n("logic.fm.runs"), n("logic.fm.giveups"));
     talft::obs::set_enabled(false);
-    set_entail_interval(ambient);
 
     assert!(
         runs > 0,

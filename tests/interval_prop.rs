@@ -1,30 +1,24 @@
-//! Interval/pcache transparency over whole compiled programs (E21
-//! satellite, mirroring `entail_cache_prop.rs`): the interval pre-solver
-//! and the persistent cross-run verdict cache in `talft_logic` must both
-//! be *semantically invisible* — for any program the checker reaches a
+//! Solver-tier transparency over whole compiled programs (E16/E21): the
+//! memo table and the interval pre-solver in `talft_logic` must both be
+//! *semantically invisible* — for any program the checker reaches a
 //! bit-identical verdict, and renders identical diagnostics (including the
-//! solver failure-witness notes), across all four combinations of
-//! {interval off, on} × {pcache disabled, enabled}.
+//! solver failure-witness notes), under all four combinations of
+//! {memo off, on} × {interval off, on}.
 //!
-//! The in-crate unit tests cover each layer's mechanics in isolation
-//! (`talft_logic` `interval_tests`, `crates/logic/tests/pcache.rs`); this
-//! test drives the *real* query distribution: fixed kernels plus
-//! generatively fuzzed Wile sources compiled through the full reliability
-//! transformation, and hand-written ill-typed `.talft` programs whose
-//! rejection diagnostics carry entailment witnesses. The pcache-enabled
-//! combinations share ONE backing file across both interval modes — keys
-//! are canonical-normal-form based and mode-independent, so a verdict
-//! recorded with the interval layer off must replay bit-identically with
-//! it on (and vice versa). Any divergence is a solver unsoundness.
+//! The in-crate unit tests cover each tier's mechanics in isolation
+//! (`talft_logic` `cache_tests` and `interval_tests`); this test drives the
+//! *real* query distribution: fixed kernels plus generatively fuzzed Wile
+//! sources compiled through the full reliability transformation, and
+//! hand-written ill-typed `.talft` programs whose rejection diagnostics
+//! carry entailment witnesses. Any divergence is a solver unsoundness.
 //!
-//! Both knobs are process-global, which is why this lives in its own
-//! integration-test binary: the combinations run serially and the ambient
-//! state is restored at the end.
+//! Both switches are fields of the `ExprArena` a check runs against, and
+//! every check gets a fresh compile, so the combinations share no state.
 
 use talft::compiler::{compile, CompileOptions};
 use talft::core::check_program;
 use talft::isa::assemble;
-use talft::logic::{clear_solver_cache, load_solver_cache, save_solver_cache, set_entail_interval};
+use talft::logic::ExprArena;
 use talft_testutil::wile::{random_stmts, render_program};
 use talft_testutil::SplitMix64;
 
@@ -65,23 +59,40 @@ main:
 "#,
 ];
 
-/// One full pass over the corpus under the ambient (knob-set) solver mode:
-/// compile-and-check every Wile source, assemble-and-check every rejection
-/// fixture. Returns everything the modes must agree on.
-fn run_corpus(wile: &[String]) -> (Vec<Result<(), String>>, Vec<String>) {
+/// What one pass over the corpus produced under one solver mode.
+struct Pass {
+    verdicts: Vec<Result<(), String>>,
+    diags: Vec<String>,
+    /// Memo-table `(hits, misses)` summed over the Wile sources.
+    memo: (u64, u64),
+}
+
+/// One full pass over the corpus with the given switches: compile-and-check
+/// every Wile source, assemble-and-check every rejection fixture.
+fn run_corpus(wile: &[String], memo: bool, interval: bool) -> Pass {
+    let set = |arena: &mut ExprArena| {
+        arena.solver_memo = memo;
+        arena.solver_interval = interval;
+    };
+    let mut stats = (0, 0);
     let verdicts = wile
         .iter()
         .map(|src| {
             let mut c = compile(src, &CompileOptions::default()).expect("fuzzed source compiles");
-            check_program(&c.protected.program, &mut c.protected.arena)
+            set(&mut c.protected.arena);
+            let verdict = check_program(&c.protected.program, &mut c.protected.arena)
                 .map(|_| ())
-                .map_err(|e| e.to_string())
+                .map_err(|e| e.to_string());
+            let (h, m) = c.protected.arena.entail_cache_stats();
+            stats = (stats.0 + h, stats.1 + m);
+            verdict
         })
         .collect();
     let diags = REJECTED
         .iter()
         .map(|src| {
             let mut asm = assemble(src).expect("fixture assembles");
+            set(&mut asm.arena);
             let e = check_program(&asm.program, &mut asm.arena).expect_err("fixture is ill-typed");
             assert!(
                 !e.notes.is_empty(),
@@ -90,7 +101,11 @@ fn run_corpus(wile: &[String]) -> (Vec<Result<(), String>>, Vec<String>) {
             e.to_diagnostic().render()
         })
         .collect();
-    (verdicts, diags)
+    Pass {
+        verdicts,
+        diags,
+        memo: stats,
+    }
 }
 
 #[test]
@@ -113,35 +128,16 @@ fn solver_modes_are_verdict_and_diagnostic_identical() {
         .collect();
     let wile: Vec<String> = fixed.iter().chain(&generated).cloned().collect();
 
-    let cache_file = std::env::temp_dir().join(format!(
-        "talft-interval-prop-{}.solvercache",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&cache_file);
+    // The default mode (both tiers on) first: it is the baseline.
+    let modes = [(true, true), (true, false), (false, true), (false, false)];
+    let passes: Vec<Pass> = modes
+        .iter()
+        .map(|&(memo, interval)| run_corpus(&wile, memo, interval))
+        .collect();
 
-    let ambient = talft::logic::entail_interval_enabled();
-    // Order matters for coverage: the first pcache pass (interval OFF)
-    // records FM verdicts cold; the second (interval ON) replays them warm
-    // across the mode boundary.
-    let combos = [(false, false), (true, false), (false, true), (true, true)];
-    let mut results = Vec::new();
-    for (interval, pcache) in combos {
-        set_entail_interval(interval);
-        clear_solver_cache();
-        if pcache {
-            load_solver_cache(&cache_file);
-        }
-        results.push(run_corpus(&wile));
-        if pcache {
-            save_solver_cache().expect("cache file writes");
-        }
-    }
-    clear_solver_cache();
-    set_entail_interval(ambient);
-    let _ = std::fs::remove_file(&cache_file);
-
-    let (baseline_verdicts, baseline_diags) = &results[0];
-    for (src_i, v) in baseline_verdicts.iter().enumerate() {
+    let baseline = &passes[0];
+    for (src_i, v) in baseline.verdicts.iter().enumerate() {
+        // Compiler output is always well typed (the repo's core invariant).
         assert_eq!(
             v,
             &Ok(()),
@@ -149,21 +145,38 @@ fn solver_modes_are_verdict_and_diagnostic_identical() {
             wile[src_i]
         );
     }
-    for ((interval, pcache), (verdicts, diags)) in combos.iter().zip(&results).skip(1) {
+    for ((memo, interval), pass) in modes.iter().zip(&passes) {
         assert_eq!(
-            verdicts, baseline_verdicts,
-            "interval={interval} pcache={pcache} changed a checker verdict"
+            pass.verdicts, baseline.verdicts,
+            "memo={memo} interval={interval} changed a checker verdict"
         );
         assert_eq!(
-            diags, baseline_diags,
-            "interval={interval} pcache={pcache} changed a rendered diagnostic"
+            pass.diags, baseline.diags,
+            "memo={memo} interval={interval} changed a rendered diagnostic"
         );
+        if *memo {
+            // Straight-line programs may record zero queries (syntactic fast
+            // paths answer first), so wiring is asserted over the corpus.
+            assert!(
+                pass.memo.0 > 0,
+                "interval={interval}: the corpus produced no memo hit — the memo \
+                 table is not wired into the checker"
+            );
+        } else {
+            assert_eq!(
+                pass.memo,
+                (0, 0),
+                "interval={interval}: memo-off checks must not touch the table"
+            );
+        }
     }
     // The witness notes themselves are part of the cross-mode contract.
     assert!(
-        baseline_diags
+        baseline
+            .diags
             .iter()
             .any(|d| d.contains("= note: cannot prove")),
-        "no rejection diagnostic rendered a solver witness:\n{baseline_diags:?}"
+        "no rejection diagnostic rendered a solver witness:\n{:?}",
+        baseline.diags
     );
 }
