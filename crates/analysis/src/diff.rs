@@ -228,8 +228,8 @@ pub fn prioritize_pairs(
             if p.order() != 2 {
                 return true;
             }
-            let a = map_strike(trace, &p.strikes[0]);
-            let b = map_strike(trace, &p.strikes[1]);
+            let a = map_strike(trace, &p.strikes()[0]);
+            let b = map_strike(trace, &p.strikes()[1]);
             match (a, b) {
                 (Some(a), Some(b)) => match analyzer.classify_pair(a, b) {
                     Some(v) => v.class == ZapClass::Vulnerable,

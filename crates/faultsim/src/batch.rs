@@ -59,6 +59,11 @@
 //!   scalar engine's convergence exit. The settle scan is event-driven
 //!   (dirty lanes plus holders of just-died registers), so wide groups
 //!   cost O(events), not O(lanes), per step;
+//! * **quiet steps are walked, not executed** — a step with no strike
+//!   due, no dirty lane, no diverged register dying, and a pending action
+//!   that touches no diverged register (nor `d` or the queue while a lane
+//!   shadows them) provably changes no lane, so `Shadow::skip_quiet`
+//!   only steps the replay across it (DESIGN.md §12 has the argument);
 //! * only a divergence the packed form cannot express **demotes**: the
 //!   lane's exact faulty state is reconstructed — clone the replay (CoW),
 //!   re-apply the packed payloads under golden's color tags, the `d`
@@ -112,7 +117,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use talft_isa::{CVal, Color, Gpr, Instr, OpSrc, Program, Reg};
-use talft_machine::{step, FaultSite, Machine, OobLoadPolicy, Status};
+use talft_machine::{action_gpr_masks, step, FaultSite, Machine, OobLoadPolicy, Status};
 use talft_obs::{LazyCounter, LazyHistogram};
 
 use crate::{
@@ -126,6 +131,8 @@ static BATCH_MULTI_LANES: LazyCounter = LazyCounter::new("faultsim.batch.multi_l
 static BATCH_DEMOTIONS: LazyCounter = LazyCounter::new("faultsim.batch.demotions");
 static BATCH_SCALAR_ROUTED: LazyCounter = LazyCounter::new("faultsim.batch.scalar_routed");
 static BATCH_RATE: LazyHistogram = LazyHistogram::new("faultsim.batch.plans_per_sec");
+static BATCH_REPLAY_STEPS: LazyCounter = LazyCounter::new("faultsim.batch.replay_steps");
+static BATCH_QUIET_STEPS: LazyCounter = LazyCounter::new("faultsim.batch.quiet_steps");
 
 /// Why a lane left the packed representation for the scalar continuation.
 /// Indexes [`DEMOTE_COUNTERS`]; the taxonomy is documented in the module
@@ -167,11 +174,12 @@ static DEMOTE_COUNTERS: [LazyCounter; DEMOTE_CAUSES] = [
     LazyCounter::new("faultsim.batch.demote.terminal"),
 ];
 
-/// Packed words per lockstep group. Wider groups amortize the shared
-/// replay's *tail walk* — the stretch past the last strike where straggler
-/// lanes (say, a struck loop counter reread every iteration) stay in
-/// flight — over proportionally more plans, at constant per-step cost
-/// (the settle scan is event-driven, not a full sweep).
+/// Packed words per lockstep group: how many plans share one replay walk
+/// from the group's first strike to its last classification. Most of a
+/// walk is quiet steps (`Shadow::skip_quiet`), whose cost does not depend
+/// on the width; the full steps sweep `LANE_WORDS`-word sets. 8 and 32
+/// words did not measure better on both campaign workloads (DESIGN.md
+/// §12).
 const LANE_WORDS: usize = 16;
 /// Lanes per lockstep group.
 const LANES_PER_GROUP: usize = 64 * LANE_WORDS;
@@ -225,8 +233,8 @@ struct Outcome {
 /// which the lockstep walk cannot express. The golden-run preconditions
 /// (`Halted`, liveness present) are checked once by the caller.
 fn admissible(plan: &FaultPlan, golden: &Golden, num_gprs: u16) -> bool {
-    !plan.strikes.is_empty()
-        && plan.strikes.iter().all(|s| {
+    !plan.strikes().is_empty()
+        && plan.strikes().iter().all(|s| {
             s.at_step <= golden.steps
                 && match s.site {
                     FaultSite::Reg(Reg::Gpr(g)) => g.0 < num_gprs && g.0 < 64,
@@ -305,7 +313,7 @@ pub fn run_plan_campaign_batched(
                         let plan = &plans[idx];
                         if admissible(plan, golden, num_gprs) {
                             let l = group.len() as u32;
-                            for (k, s) in plan.strikes.iter().enumerate() {
+                            for (k, s) in plan.strikes().iter().enumerate() {
                                 events.push(Ev {
                                     at: s.at_step,
                                     l,
@@ -391,6 +399,8 @@ pub fn run_plan_campaign_batched(
                         c.add(n);
                     }
                     BATCH_SCALAR_ROUTED.add(scalar_n);
+                    BATCH_REPLAY_STEPS.add(sh.replay_steps);
+                    BATCH_QUIET_STEPS.add(sh.quiet_steps);
                     let secs = start.elapsed().as_secs_f64();
                     if secs > 0.0 {
                         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -442,6 +452,11 @@ struct Shadow {
     by_reg: [LaneSet; 64],
     /// Bit `g` of `by_lane[l]`: the same relation, transposed.
     by_lane: [u64; LANES_PER_GROUP],
+    /// Lanes diverged in GPR `g`: the population of `by_reg[g]`.
+    reg_lanes: [u32; 64],
+    /// Bit `g` set iff some lane diverges in GPR `g` (`reg_lanes[g] > 0`),
+    /// the register set the quiet-step test checks against.
+    div_regs: u64,
     /// Faulty payload of lane `l` in GPR `g` at `l * 64 + g` (meaningful
     /// where the `by_lane` bit is set).
     vals: Vec<i64>,
@@ -482,6 +497,11 @@ struct Shadow {
     /// the only lanes (beyond those holding a register that just went
     /// dead) whose settle condition can newly hold.
     dirty: LaneSet,
+    /// Replay steps taken with lanes in flight, on either path — the
+    /// worker's `faultsim.batch.replay_steps` tally.
+    replay_steps: u64,
+    /// The share of `replay_steps` taken by [`Shadow::skip_quiet`].
+    quiet_steps: u64,
     /// Live mask at the previous settle scan, for dead-transition
     /// detection. `u64::MAX` conservatively marks every register as
     /// possibly-just-died.
@@ -493,6 +513,8 @@ impl Shadow {
         Self {
             by_reg: [EMPTY_SET; 64],
             by_lane: [0; LANES_PER_GROUP],
+            reg_lanes: [0; 64],
+            div_regs: 0,
             vals: vec![0; LANES_PER_GROUP * 64],
             ddiv: EMPTY_SET,
             dvals: vec![CVal::green(0); LANES_PER_GROUP],
@@ -506,6 +528,8 @@ impl Shadow {
             cause: vec![DemoteCause::Terminal; LANES_PER_GROUP],
             tracking: EMPTY_SET,
             dirty: EMPTY_SET,
+            replay_steps: 0,
+            quiet_steps: 0,
             prev_live: u64::MAX,
         }
     }
@@ -604,6 +628,7 @@ impl Shadow {
             let g = gs.trailing_zeros() as usize;
             gs &= gs - 1;
             self.by_reg[g][w] &= !b;
+            self.leave_reg(g);
         }
         self.by_lane[l] = 0;
         self.ddiv[w] &= !b;
@@ -629,16 +654,82 @@ impl Shadow {
     ) {
         let gi = g as usize;
         let (w, b) = (l >> 6, 1u64 << (l & 63));
+        let held = self.by_lane[l] >> gi & 1 == 1;
         self.dirty[w] |= b;
         if diverged {
+            if !held {
+                self.reg_lanes[gi] += 1;
+                self.div_regs |= 1 << gi;
+            }
             self.by_reg[gi][w] |= b;
             self.by_lane[l] |= 1 << gi;
             self.vals[l * 64 + gi] = v;
             self.tracking[w] |= b;
         } else {
+            if held {
+                self.leave_reg(gi);
+            }
             self.by_reg[gi][w] &= !b;
             self.by_lane[l] &= !(1 << gi);
             self.resolve(l, lanes, golden, out);
+        }
+    }
+
+    /// Count one lane out of GPR `g`'s diverged set.
+    fn leave_reg(&mut self, g: usize) {
+        self.reg_lanes[g] -= 1;
+        if self.reg_lanes[g] == 0 {
+            self.div_regs &= !(1 << g);
+        }
+    }
+
+    /// The quiet-step fast path: step the replay over every step, up to
+    /// (not including) `until`, on which the full step — strike firing,
+    /// settle scan, [`Shadow::advance`] — provably changes no lane, and
+    /// return at the first step where it might. A step is quiet when no
+    /// lane is dirty (the caller checks) and:
+    ///
+    /// * no register any lane diverges in dies here, so the settle scan
+    ///   has no candidate;
+    /// * the pending action neither reads nor writes such a register, so
+    ///   every GPR-driven affected set in `advance` is empty;
+    /// * it is no `jmp`/`bz` while a lane holds a `d` shadow, and no `st`
+    ///   or green `ld` while a lane holds a queue shadow, so the `d` and
+    ///   queue-driven affected sets are empty too.
+    ///
+    /// Such a step only moves `prev_live`, the replay, and on a blue store
+    /// `qbase` — exactly what the full step would do to them.
+    fn skip_quiet(&mut self, replay: &mut Machine, golden: &Golden, until: u64) {
+        let div = self.div_regs;
+        let d_held = lane_set_any(&self.ddiv);
+        let q_held = lane_set_any(&self.qdiv);
+        while replay.steps() < until && replay.status().is_running() {
+            let s = usize::try_from(replay.steps()).unwrap_or(usize::MAX);
+            let live = golden.reg_liveness.get(s).map_or(0, |&(live, _)| live);
+            let ins = replay.ir();
+            let (reads, writes) = action_gpr_masks(ins);
+            if ((self.prev_live & !live) | reads | writes) & div != 0 {
+                return;
+            }
+            let pops = match ins {
+                Some(Instr::Jmp { .. } | Instr::Bz { .. }) if d_held => return,
+                Some(
+                    Instr::St { .. }
+                    | Instr::Ld {
+                        color: Color::Green,
+                        ..
+                    },
+                ) if q_held => return,
+                Some(Instr::St { color, .. }) => *color == Color::Blue,
+                _ => false,
+            };
+            self.prev_live = live;
+            step(replay);
+            self.replay_steps += 1;
+            self.quiet_steps += 1;
+            if pops {
+                self.qbase += 1;
+            }
         }
     }
 
@@ -1353,6 +1444,11 @@ fn run_lockstep(
             sh.qbase = 0;
         }
         let replay = frontier.as_mut().expect("advance_frontier populates");
+        if lane_set_any(&sh.tracking) && !lane_set_any(&sh.dirty) {
+            // Lanes in flight and nothing changed last step: walk the
+            // replay across the quiet stretch before the next strike.
+            sh.skip_quiet(replay, golden, events.get(i).map_or(u64::MAX, |e| e.at));
+        }
         // Fire strikes due now — before the pending action executes,
         // exactly where the scalar loop injects them.
         while i < events.len() && events[i].at <= replay.steps() {
@@ -1362,7 +1458,7 @@ fn run_lockstep(
             if sh.is_done(l) {
                 continue;
             }
-            let s = &plans[lanes[l].idx].strikes[ev.strike as usize];
+            let s = &plans[lanes[l].idx].strikes()[ev.strike as usize];
             sh.apply_event(l, s.site, s.value, replay, lanes, golden, out);
         }
         if lane_set_any(&sh.tracking) {
@@ -1467,7 +1563,7 @@ fn run_lockstep(
                             })
                         ));
                     let consumed = plan.order() - sh.pending[l] as usize;
-                    for s in &plan.strikes[consumed..] {
+                    for s in &plan.strikes()[consumed..] {
                         if s.at_step > end_steps {
                             break;
                         }
@@ -1511,6 +1607,7 @@ fn run_lockstep(
             }
         }
         step(replay);
+        sh.replay_steps += 1;
         if matches!(
             ins,
             Some(Instr::St {

@@ -173,7 +173,7 @@ pub fn plan_fault_grid_against(
         let (verdict, _steps, applied) =
             execute_plan(&mut run, plan, golden, Some(&golden.checkpoints));
         outcomes[i] = Some(PlanOutcome {
-            strikes: plan.strikes.clone(),
+            strikes: plan.strikes().to_vec(),
             verdict,
             applied,
         });
@@ -222,7 +222,7 @@ pub fn single_fault_grid_against(
         let mut run = frontier.clone();
         let (verdict, _steps, _applied) =
             execute_plan(&mut run, plan, golden, Some(&golden.checkpoints));
-        let lead = plan.strikes.first().expect("k=1 plans have one strike");
+        let lead = plan.strikes().first().expect("k=1 plans have one strike");
         outcomes.push(GridOutcome {
             at_step: lead.at_step,
             site: lead.site,

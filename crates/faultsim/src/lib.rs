@@ -722,7 +722,7 @@ const CONVERGENCE_CHECK_EVERY: u64 = 64;
 
 /// The lead strike of a plan, reified for reporting.
 fn lead_injection(plan: &FaultPlan, verdict: Verdict) -> Injection {
-    let lead = plan.strikes.first().copied().unwrap_or(Strike {
+    let lead = plan.strikes().first().copied().unwrap_or(Strike {
         at_step: 0,
         site: FaultSite::QueueAddr(usize::MAX),
         value: 0,
@@ -731,7 +731,7 @@ fn lead_injection(plan: &FaultPlan, verdict: Verdict) -> Injection {
         at_step: lead.at_step,
         site: lead.site,
         value: lead.value,
-        followups: plan.strikes.get(1..).unwrap_or(&[]).to_vec(),
+        followups: plan.strikes().get(1..).unwrap_or(&[]).to_vec(),
         verdict,
     }
 }
@@ -1224,9 +1224,10 @@ pub(crate) fn resume_plan(
             .saturating_mul((CONVERGENCE_CHECK_EVERY / r.stride()).max(1))
     });
     let mut next_check = if checkpoints.is_some() { 0 } else { u64::MAX };
+    let strikes = plan.strikes();
     loop {
-        while next < plan.strikes.len() && plan.strikes[next].at_step <= m.steps() {
-            if inject(m, plan.strikes[next].site, plan.strikes[next].value) {
+        while next < strikes.len() && strikes[next].at_step <= m.steps() {
+            if inject(m, strikes[next].site, strikes[next].value) {
                 applied += 1;
             }
             next += 1;
@@ -1243,7 +1244,7 @@ pub(crate) fn resume_plan(
         }
         if m.steps() >= next_check {
             next_check = (m.steps() / check_grid + 1).saturating_mul(check_grid);
-            if next == plan.strikes.len() && m.status().is_running() {
+            if next == strikes.len() && m.status().is_running() {
                 if let Some(cp) = checkpoints.and_then(|r| r.at_step(m.steps())) {
                     if let Some(verdict) = convergence_verdict(m, cp, golden) {
                         if talft_obs::enabled() {
@@ -1492,8 +1493,9 @@ main:
         assert_eq!(one, many);
     }
 
-    /// The pre-refactor single-fault sweep, kept verbatim as a reference
-    /// implementation: batch (non-streaming) classification, single thread.
+    /// The pre-refactor single-fault sweep, kept as a reference
+    /// implementation: batch (non-streaming) classification, single thread,
+    /// over the same strided strike walk the plan generators use.
     fn reference_sweep(program: &Arc<Program>, cfg: &CampaignConfig) -> CampaignReport {
         fn classify_batch(
             faulty: &mut Machine,
@@ -1526,46 +1528,27 @@ main:
                 }
             }
         }
-        use talft_machine::{mutations, read_site, sites};
         let golden = golden_run(program, cfg).expect("golden halts");
-        let n = golden.steps;
         let mut rep = CampaignReport {
             fault_order: 1,
             ..CampaignReport::default()
         };
-        let mut frontier = Machine::boot(Arc::clone(program)).with_oob_policy(cfg.oob);
-        let mut at = frontier.steps();
-        loop {
-            if at.is_multiple_of(cfg.effective_stride()) {
-                for site in sites(&frontier) {
-                    let Some(old) = read_site(&frontier, site) else {
-                        continue;
-                    };
-                    for value in mutations(old).into_iter().take(cfg.mutations_per_site) {
-                        let mut faulty = frontier.clone();
-                        assert!(inject(&mut faulty, site, value));
-                        let verdict =
-                            classify_batch(&mut faulty, &golden.trace, n, &golden.machine);
-                        if verdict == Verdict::Detected {
-                            rep.detection_latency
-                                .record(faulty.steps().saturating_sub(at));
-                        }
-                        rep.absorb(Injection {
-                            at_step: at,
-                            site,
-                            value,
-                            followups: Vec::new(),
-                            verdict,
-                        });
-                    }
-                }
+        plan::for_each_strided_strike(program, cfg, &golden, |frontier, s| {
+            let mut faulty = frontier.clone();
+            assert!(inject(&mut faulty, s.site, s.value));
+            let verdict = classify_batch(&mut faulty, &golden.trace, golden.steps, &golden.machine);
+            if verdict == Verdict::Detected {
+                rep.detection_latency
+                    .record(faulty.steps().saturating_sub(s.at_step));
             }
-            if at >= n || !frontier.status().is_running() {
-                break;
-            }
-            step(&mut frontier);
-            at = frontier.steps();
-        }
+            rep.absorb(Injection {
+                at_step: s.at_step,
+                site: s.site,
+                value: s.value,
+                followups: Vec::new(),
+                verdict,
+            });
+        });
         rep
     }
 

@@ -42,10 +42,19 @@ pub struct Strike {
 
 /// An ordered multi-fault injection schedule (strikes sorted by `at_step`;
 /// ties = same-state coordinated strikes).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultPlan {
-    /// The strikes, sorted by `at_step`.
-    pub strikes: Vec<Strike>,
+///
+/// A one-strike plan — every plan of an exhaustive `k = 1` campaign — holds
+/// its strike inline, so building millions of them allocates nothing per
+/// plan; other plans keep a `Vec`. Every constructor picks the inline form
+/// for exactly one strike, so equal strike lists give equal plans.
+#[derive(Clone, PartialEq, Eq)]
+pub struct FaultPlan(Strikes);
+
+/// Storage of a [`FaultPlan`]: `One` iff there is exactly one strike.
+#[derive(Clone, PartialEq, Eq)]
+enum Strikes {
+    One(Strike),
+    Many(Vec<Strike>),
 }
 
 impl FaultPlan {
@@ -53,32 +62,93 @@ impl FaultPlan {
     /// strikes keep their given order).
     #[must_use]
     pub fn new(mut strikes: Vec<Strike>) -> Self {
+        if let [s] = strikes[..] {
+            return FaultPlan(Strikes::One(s));
+        }
         strikes.sort_by_key(|s| s.at_step);
-        FaultPlan { strikes }
+        FaultPlan(Strikes::Many(strikes))
     }
 
     /// The classic single-fault plan.
     #[must_use]
     pub fn single(at_step: u64, site: FaultSite, value: i64) -> Self {
-        FaultPlan {
-            strikes: vec![Strike {
-                at_step,
-                site,
-                value,
-            }],
+        FaultPlan(Strikes::One(Strike {
+            at_step,
+            site,
+            value,
+        }))
+    }
+
+    /// The strikes, sorted by `at_step`.
+    #[must_use]
+    pub fn strikes(&self) -> &[Strike] {
+        match &self.0 {
+            Strikes::One(s) => std::slice::from_ref(s),
+            Strikes::Many(v) => v,
         }
     }
 
     /// Step of the earliest strike (0 for an empty plan).
     #[must_use]
     pub fn first_step(&self) -> u64 {
-        self.strikes.first().map_or(0, |s| s.at_step)
+        self.strikes().first().map_or(0, |s| s.at_step)
     }
 
     /// The fault multiplicity `k`.
     #[must_use]
     pub fn order(&self) -> usize {
-        self.strikes.len()
+        self.strikes().len()
+    }
+}
+
+impl std::fmt::Debug for FaultPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FaultPlan")
+            .field("strikes", &self.strikes())
+            .finish()
+    }
+}
+
+/// Walk the strided strike universe of a golden run: for every dynamic
+/// step `≡ 0 (mod stride)` (including the final, halted state), every fault
+/// site of that state, and up to `cfg.mutations_per_site` corrupted values,
+/// call `f` with the golden state at that step and the strike — in step
+/// order, then site order, then value order. The one walk behind
+/// [`single_fault_plans`] and [`exhaustive_pair_plans`]; it allocates
+/// nothing per step or site.
+pub(crate) fn for_each_strided_strike(
+    program: &Arc<Program>,
+    cfg: &CampaignConfig,
+    golden: &Golden,
+    mut f: impl FnMut(&Machine, Strike),
+) {
+    let stride = cfg.effective_stride();
+    let n = golden.steps;
+    let mut frontier = Machine::boot(Arc::clone(program)).with_oob_policy(cfg.oob);
+    let mut at = frontier.steps();
+    loop {
+        if at.is_multiple_of(stride) {
+            for site in sites(&frontier) {
+                let Some(old) = read_site(&frontier, site) else {
+                    continue;
+                };
+                for value in mutations(old).into_iter().take(cfg.mutations_per_site) {
+                    f(
+                        &frontier,
+                        Strike {
+                            at_step: at,
+                            site,
+                            value,
+                        },
+                    );
+                }
+            }
+        }
+        if at >= n || !frontier.status().is_running() {
+            break;
+        }
+        step(&mut frontier);
+        at = frontier.steps();
     }
 }
 
@@ -93,28 +163,10 @@ pub fn single_fault_plans(
     cfg: &CampaignConfig,
     golden: &Golden,
 ) -> Vec<FaultPlan> {
-    let stride = cfg.effective_stride();
-    let n = golden.steps;
     let mut plans = Vec::new();
-    let mut frontier = Machine::boot(Arc::clone(program)).with_oob_policy(cfg.oob);
-    let mut at = frontier.steps();
-    loop {
-        if at.is_multiple_of(stride) {
-            for site in sites(&frontier) {
-                let Some(old) = read_site(&frontier, site) else {
-                    continue;
-                };
-                for value in mutations(old).into_iter().take(cfg.mutations_per_site) {
-                    plans.push(FaultPlan::single(at, site, value));
-                }
-            }
-        }
-        if at >= n || !frontier.status().is_running() {
-            break;
-        }
-        step(&mut frontier);
-        at = frontier.steps();
-    }
+    for_each_strided_strike(program, cfg, golden, |_, s| {
+        plans.push(FaultPlan(Strikes::One(s)));
+    });
     plans
 }
 
@@ -131,32 +183,8 @@ pub fn exhaustive_pair_plans(
     cfg: &CampaignConfig,
     golden: &Golden,
 ) -> Vec<FaultPlan> {
-    let stride = cfg.effective_stride();
-    let n = golden.steps;
     let mut strikes = Vec::new();
-    let mut frontier = Machine::boot(Arc::clone(program)).with_oob_policy(cfg.oob);
-    let mut at = frontier.steps();
-    loop {
-        if at.is_multiple_of(stride) {
-            for site in sites(&frontier) {
-                let Some(old) = read_site(&frontier, site) else {
-                    continue;
-                };
-                for value in mutations(old).into_iter().take(cfg.mutations_per_site) {
-                    strikes.push(Strike {
-                        at_step: at,
-                        site,
-                        value,
-                    });
-                }
-            }
-        }
-        if at >= n || !frontier.status().is_running() {
-            break;
-        }
-        step(&mut frontier);
-        at = frontier.steps();
-    }
+    for_each_strided_strike(program, cfg, golden, |_, s| strikes.push(s));
     let mut plans = Vec::with_capacity(strikes.len() * (strikes.len().saturating_sub(1)) / 2);
     for (i, &a) in strikes.iter().enumerate() {
         for &b in &strikes[i + 1..] {
@@ -248,9 +276,11 @@ pub fn multi_fault_plans(
     while m.status().is_running() && m.steps() < n {
         let s = m.steps();
         // Uniform candidates at this step.
-        let all_sites = sites(&m);
         for _ in 0..CANDIDATES_PER_STEP {
-            let site = *rng.pick(&all_sites);
+            let mut all_sites = sites(&m);
+            let site = all_sites
+                .nth(rng.index(all_sites.len()))
+                .expect("every state has register sites");
             if let Some(old) = read_site(&m, site) {
                 let muts = mutations(old);
                 let value = *rng.pick(&muts);
@@ -353,7 +383,7 @@ pub fn multi_fault_plans(
             .collect();
         if !nonempty.is_empty() {
             for plan in &mut plans {
-                let mut strikes = std::mem::take(&mut plan.strikes);
+                let mut strikes = plan.strikes().to_vec();
                 for _ in 2..k {
                     let bin = nonempty[rng.index(nonempty.len())];
                     strikes.push(*rng.pick(&bins[bin].items));
@@ -406,6 +436,30 @@ done:
 "#;
 
     #[test]
+    fn one_strike_vectors_build_the_inline_plan() {
+        let site = FaultSite::Reg(talft_isa::Reg::r(3));
+        let s = Strike {
+            at_step: 7,
+            site,
+            value: -2,
+        };
+        let inline = FaultPlan::single(7, site, -2);
+        assert_eq!(FaultPlan::new(vec![s]), inline);
+        assert_eq!(inline.order(), 1);
+        assert_eq!(inline.strikes(), [s]);
+        assert_eq!(inline.first_step(), 7);
+        let later = Strike { at_step: 9, ..s };
+        let pair = FaultPlan::new(vec![later, s]);
+        assert_eq!(pair.order(), 2);
+        assert_eq!(pair.strikes(), [s, later], "sorted by step");
+        assert_ne!(pair, inline);
+        let empty = FaultPlan::new(Vec::new());
+        assert_eq!((empty.order(), empty.first_step()), (0, 0));
+        // Debug keeps the field-struct shape of the old public `strikes`.
+        assert!(format!("{inline:?}").starts_with("FaultPlan { strikes: [Strike {"));
+    }
+
+    #[test]
     fn single_plans_cover_all_strided_steps() {
         let p = arc(LOOPY);
         let cfg = CampaignConfig {
@@ -441,8 +495,8 @@ done:
         assert!(!a.is_empty());
         for plan in &a {
             assert_eq!(plan.order(), 2);
-            assert!(plan.strikes[0].at_step <= plan.strikes[1].at_step);
-            assert!(plan.strikes[1].at_step <= golden.steps);
+            assert!(plan.strikes()[0].at_step <= plan.strikes()[1].at_step);
+            assert!(plan.strikes()[1].at_step <= golden.steps);
         }
         let other = multi_fault_plans(
             &p,
@@ -468,7 +522,7 @@ done:
         // the correlated stratum writes the same value at both strikes
         let correlated = plans
             .iter()
-            .filter(|pl| pl.strikes[0].value == pl.strikes[1].value)
+            .filter(|pl| pl.strikes()[0].value == pl.strikes()[1].value)
             .count();
         assert!(correlated > 0, "correlated stratum must be populated");
     }
@@ -485,7 +539,10 @@ done:
         assert!(!plans.is_empty());
         assert!(plans.iter().all(|pl| pl.order() == 3));
         for pl in &plans {
-            assert!(pl.strikes.windows(2).all(|w| w[0].at_step <= w[1].at_step));
+            assert!(pl
+                .strikes()
+                .windows(2)
+                .all(|w| w[0].at_step <= w[1].at_step));
         }
     }
 }

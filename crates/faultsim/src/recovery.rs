@@ -56,7 +56,7 @@ pub struct PlannedFault {
 /// supervisor-level stress tests.
 #[must_use]
 pub fn storm_from_plan(plan: &FaultPlan, attempt: u32) -> Vec<PlannedFault> {
-    plan.strikes
+    plan.strikes()
         .iter()
         .map(|s| PlannedFault {
             attempt,

@@ -142,8 +142,8 @@ pub fn grid_fingerprint(golden: &Golden, plans: &[FaultPlan]) -> u64 {
     }
     h.u64(plans.len() as u64);
     for p in plans {
-        h.u64(p.strikes.len() as u64);
-        for s in &p.strikes {
+        h.u64(p.order() as u64);
+        for s in p.strikes() {
             h.u64(s.at_step);
             h.site(s.site);
             h.i64(s.value);

@@ -16,6 +16,8 @@
 //! process-global, and the `== 0` assertions below are only meaningful
 //! when no concurrent campaign is recording.
 
+mod common;
+
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use talft_faultsim::{
@@ -426,5 +428,81 @@ fn demotion_counters_advance() {
     assert_eq!(
         d2("faultsim.batch.lanes") + d2("faultsim.batch.scalar_routed"),
         batched2.total
+    );
+}
+
+/// One quiet-stretch case from `tests/common`: its program and plan.
+fn quiet_case(name: &str) -> (Arc<talft_isa::Program>, FaultPlan) {
+    common::quiet_fixtures()
+        .into_iter()
+        .find_map(|f| {
+            let program = f.program;
+            f.plans
+                .into_iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, plan)| (Arc::clone(&program), plan))
+        })
+        .expect("quiet case exists")
+}
+
+/// Quiet-step fast path (a): a corrupted blue store operand stays live,
+/// and untouched, across the whole loop. The lane rides the fast path for
+/// the loop's ~3000 steps and is still caught at the `stB`, with the
+/// scalar engine's detection latency.
+#[test]
+fn live_untouched_register_rides_the_fast_path_to_its_compare() {
+    let (p, plan) = quiet_case("live_untouched");
+    let (verdict, before, after) = with_obs(|| agreed_verdict(&p, plan));
+    assert_eq!(verdict, Verdict::Detected);
+    assert_eq!(delta(&before, &after, "faultsim.batch.demotions"), 0);
+    assert!(
+        delta(&before, &after, "faultsim.batch.quiet_steps") >= 2500,
+        "the loop must be walked on the fast path"
+    );
+}
+
+/// Quiet-step fast path (b): the corrupted register's last read is the
+/// untaken `bzG`, and the steps after it are quiet. Its death must stop
+/// the fast path so the settle fires right there — a lost settle would
+/// carry the lane through the loop to a terminal demotion at halt.
+#[test]
+fn settle_fires_at_the_death_step_before_a_quiet_stretch() {
+    let (p, plan) = quiet_case("death_then_quiet");
+    let (verdict, before, after) = with_obs(|| agreed_verdict(&p, plan));
+    assert_eq!(verdict, Verdict::Masked);
+    assert_eq!(delta(&before, &after, "faultsim.batch.demotions"), 0);
+    assert!(
+        delta(&before, &after, "faultsim.batch.replay_steps") <= 4,
+        "the lane settles within steps of its strike, not at halt"
+    );
+}
+
+/// Quiet-step fast path (c): a `d` shadow rides straight-line code that
+/// holds a whole store pair, so the fast path pops a queue entry; the
+/// same lane's later queue-value strike must land on the right entry and
+/// be caught at its `stB`.
+#[test]
+fn d_shadow_survives_a_skipped_store_pop() {
+    let (p, plan) = quiet_case("d_shadow_across_pop");
+    let (verdict, before, after) = with_obs(|| agreed_verdict(&p, plan));
+    assert_eq!(verdict, Verdict::Detected);
+    assert_eq!(delta(&before, &after, "faultsim.batch.multi_lanes"), 1);
+    assert_eq!(delta(&before, &after, "faultsim.batch.demotions"), 0);
+    assert!(delta(&before, &after, "faultsim.batch.quiet_steps") > 0);
+}
+
+/// Quiet-step fast path (d): a k=2 lane walks the loop quietly after its
+/// first strike; the fast path must stop at the second strike's step so it
+/// fires exactly where the scalar loop injects it.
+#[test]
+fn second_strike_inside_a_quiet_stretch_fires_on_time() {
+    let (p, plan) = quiet_case("second_strike_in_stretch");
+    let (verdict, before, after) = with_obs(|| agreed_verdict(&p, plan));
+    assert_eq!(verdict, Verdict::Detected);
+    assert_eq!(delta(&before, &after, "faultsim.batch.multi_lanes"), 1);
+    assert_eq!(delta(&before, &after, "faultsim.batch.demotions"), 0);
+    assert!(
+        delta(&before, &after, "faultsim.batch.quiet_steps") >= 1000,
+        "the loop before the second strike must be walked on the fast path"
     );
 }

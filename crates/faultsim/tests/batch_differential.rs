@@ -7,6 +7,8 @@
 //! engine ships with (ISSUE 7): verdict-exactness is a tested theorem,
 //! not a benchmark footnote. Failures shrink to a minimal Wile witness.
 
+mod common;
+
 use std::sync::Arc;
 
 use talft_compiler::{compile, CompileOptions};
@@ -125,8 +127,9 @@ fn fuzzed_programs_run_bit_identically_on_all_three_engines() {
 /// at golden termination, strikes past it (incomplete plans), equal-payload
 /// strikes, out-of-file GPR indices (harness panic → EngineError), `d` and
 /// queue value/address strikes (packed since ISSUE 8), pc strikes (the one
-/// remaining scalar route), and multi-strike packed/mixed plans — each
-/// must take the same route to the same report.
+/// remaining scalar route), multi-strike packed/mixed plans, and the
+/// quiet-step fast path's corner cases — each must take the same route to
+/// the same report.
 #[test]
 fn adversarial_plan_shapes_agree_across_engines() {
     use talft_faultsim::Strike;
@@ -258,4 +261,14 @@ fn adversarial_plan_shapes_agree_across_engines() {
     // The past-termination strike and the queue-value strike on a drained
     // queue both fail to apply.
     assert_eq!(report.incomplete_plans, 2);
+    // The quiet-step fast path's corner cases (`tests/common`): lanes that
+    // walk long stretches of untouched replay steps, all of one program's
+    // plans sharing a lockstep group.
+    for fixture in common::quiet_fixtures() {
+        let golden = golden_run(&fixture.program, &base_cfg()).expect("halts");
+        let plans: Vec<FaultPlan> = fixture.plans.into_iter().map(|(_, plan)| plan).collect();
+        let report = three_way(&fixture.program, &plans, &golden).expect("engines agree");
+        assert_eq!(report.total, plans.len() as u64);
+        assert_eq!(report.sdc, 0);
+    }
 }

@@ -115,12 +115,12 @@ fn exhaustive_pair_plans_cover_the_strike_square() {
     assert!(!plans.is_empty());
     for pl in &plans {
         assert_eq!(pl.order(), 2);
-        assert!(pl.strikes[0].at_step <= pl.strikes[1].at_step);
+        assert!(pl.strikes()[0].at_step <= pl.strikes()[1].at_step);
     }
     // Quadratic by construction: n strikes → n·(n−1)/2 unordered pairs.
     let strikes: std::collections::HashSet<_> = plans
         .iter()
-        .flat_map(|pl| pl.strikes.iter().map(|s| (s.at_step, s.site, s.value)))
+        .flat_map(|pl| pl.strikes().iter().map(|s| (s.at_step, s.site, s.value)))
         .collect();
     let n = strikes.len();
     assert_eq!(plans.len(), n * (n - 1) / 2);
@@ -144,7 +144,7 @@ fn plan_grid_verdicts_match_the_campaign() {
     );
     // Outcomes stay in caller order with their strikes attached.
     for (pl, o) in plans.iter().zip(&grid.outcomes) {
-        assert_eq!(pl.strikes, o.strikes);
+        assert_eq!(pl.strikes(), o.strikes);
         assert!(o.applied <= pl.order());
     }
     let rep = run_plan_campaign(&p, &cfg, &golden, &plans);

@@ -11,34 +11,40 @@
 //! operational semantics, and make no precondition on the two machines
 //! beyond sharing a program shape.
 
-use talft_isa::{Color, Instr, Reg};
+use talft_isa::{Color, Gpr, Instr, OpSrc, Reg};
 
 use crate::state::Machine;
 
 /// GPR `(reads, writes)` bitmasks of a machine's pending action: the
 /// instruction in `ir`, or nothing for a fetch (fetches read only the pcs).
 ///
-/// `uses()` over-approximates the dynamic GPR reads of every operational
-/// rule for the instruction (including its failure rules), and `def()` is
-/// exactly the GPR written on the non-faulting rule — the contract the
-/// golden-run liveness scan and the batched engine's read-demotion check
-/// both rely on. Registers at index ≥ 64 cannot be represented and are
-/// dropped from the masks; callers gate on `num_gprs ≤ 64`.
+/// `reads` is the mask of `Instr::uses`, which over-approximates the
+/// dynamic GPR reads of every operational rule for the instruction
+/// (including its failure rules), and `writes` is `def()`, exactly the GPR
+/// written on the non-faulting rule — the contract the golden-run liveness
+/// scan and the batched engine's quiet-step test both rely on. Computed
+/// without allocating: both run once per replayed step. Registers at index
+/// ≥ 64 cannot be represented and are dropped from the masks; callers gate
+/// on `num_gprs ≤ 64`.
 #[must_use]
 pub fn action_gpr_masks(ir: Option<&Instr>) -> (u64, u64) {
-    match ir {
-        None => (0, 0),
-        Some(i) => {
-            let mut reads = 0u64;
-            for g in i.uses() {
-                if g.0 < 64 {
-                    reads |= 1 << g.0;
-                }
-            }
-            let writes = i.def().map_or(0, |g| if g.0 < 64 { 1 << g.0 } else { 0 });
-            (reads, writes)
-        }
-    }
+    let bit = |g: Gpr| if g.0 < 64 { 1u64 << g.0 } else { 0 };
+    let Some(&i) = ir else {
+        return (0, 0);
+    };
+    let reads = match i {
+        Instr::Op {
+            rs,
+            src2: OpSrc::Reg(rt),
+            ..
+        } => bit(rs) | bit(rt),
+        Instr::Op { rs, .. } | Instr::Ld { rs, .. } => bit(rs),
+        Instr::St { rd, rs, .. } => bit(rd) | bit(rs),
+        Instr::Bz { rz, rd, .. } => bit(rz) | bit(rd),
+        Instr::Jmp { rd, .. } => bit(rd),
+        Instr::Mov { .. } | Instr::Halt => 0,
+    };
+    (reads, i.def().map_or(0, bit))
 }
 
 impl Machine {
@@ -208,5 +214,65 @@ mod tests {
         let (reads, writes) = action_gpr_masks(m.ir());
         assert_eq!(reads, (1 << 1) | (1 << 2));
         assert_eq!(writes, 0);
+    }
+
+    /// The masks are `uses()`/`def()` as bitmasks, for every instruction
+    /// shape, with registers ≥ 64 dropped.
+    #[test]
+    fn action_masks_agree_with_uses_and_def() {
+        use talft_isa::CVal;
+        use talft_logic::BinOp;
+        let mask = |gs: &[Gpr]| {
+            gs.iter()
+                .filter(|g| g.0 < 64)
+                .fold(0u64, |m, g| m | 1 << g.0)
+        };
+        let (a, b, c, hi) = (Gpr(3), Gpr(7), Gpr(63), Gpr(64));
+        let mut shapes = vec![Instr::Halt];
+        for (x, y) in [(a, b), (b, c), (hi, a), (a, hi), (a, a)] {
+            shapes.push(Instr::Op {
+                op: BinOp::Add,
+                rd: x,
+                rs: y,
+                src2: OpSrc::Reg(x),
+            });
+            shapes.push(Instr::Op {
+                op: BinOp::Sub,
+                rd: y,
+                rs: x,
+                src2: OpSrc::Imm(CVal::blue(1)),
+            });
+            shapes.push(Instr::Mov {
+                rd: x,
+                v: CVal::green(2),
+            });
+            for color in [Color::Green, Color::Blue] {
+                shapes.push(Instr::Ld {
+                    color,
+                    rd: x,
+                    rs: y,
+                });
+                shapes.push(Instr::St {
+                    color,
+                    rd: x,
+                    rs: y,
+                });
+                shapes.push(Instr::Bz {
+                    color,
+                    rz: x,
+                    rd: y,
+                });
+                shapes.push(Instr::Jmp { color, rd: y });
+            }
+        }
+        for i in &shapes {
+            let (reads, writes) = action_gpr_masks(Some(i));
+            assert_eq!(reads, mask(&i.uses()), "reads of {i:?}");
+            assert_eq!(
+                writes,
+                mask(&i.def().into_iter().collect::<Vec<_>>()),
+                "writes of {i:?}"
+            );
+        }
     }
 }

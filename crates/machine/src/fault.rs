@@ -11,7 +11,7 @@
 //! and [`sites`] enumerates every site of a given machine state — the fan-out
 //! used by exhaustive campaigns.
 
-use talft_isa::Reg;
+use talft_isa::{Color, Reg};
 
 use crate::state::Machine;
 
@@ -37,16 +37,70 @@ impl std::fmt::Display for FaultSite {
     }
 }
 
-/// Enumerate every fault site of the current state.
+/// Enumerate every fault site of the current state: every register (GPRs,
+/// then `d`, `pcG`, `pcB`), then each queue entry's address and value,
+/// front (newest) first. The iterator borrows nothing and allocates
+/// nothing; its exact length is known up front (`len()`).
 #[must_use]
-pub fn sites(m: &Machine) -> Vec<FaultSite> {
-    let mut out: Vec<FaultSite> = Reg::all(m.num_gprs()).map(FaultSite::Reg).collect();
-    for i in 0..m.queue().len() {
-        out.push(FaultSite::QueueAddr(i));
-        out.push(FaultSite::QueueVal(i));
+pub fn sites(m: &Machine) -> Sites {
+    Sites {
+        num_gprs: usize::from(m.num_gprs()),
+        end: usize::from(m.num_gprs()) + 3 + 2 * m.queue().len(),
+        next: 0,
     }
-    out
 }
+
+/// The fault sites of one machine state, in [`sites`] order.
+#[derive(Debug, Clone)]
+pub struct Sites {
+    num_gprs: usize,
+    end: usize,
+    next: usize,
+}
+
+impl Sites {
+    fn site(&self, i: usize) -> FaultSite {
+        let n = self.num_gprs;
+        match i.checked_sub(n) {
+            #[allow(clippy::cast_possible_truncation)]
+            None => FaultSite::Reg(Reg::r(i as u16)),
+            Some(0) => FaultSite::Reg(Reg::Dst),
+            Some(1) => FaultSite::Reg(Reg::Pc(Color::Green)),
+            Some(2) => FaultSite::Reg(Reg::Pc(Color::Blue)),
+            Some(j) => {
+                let q = j - 3;
+                if q.is_multiple_of(2) {
+                    FaultSite::QueueAddr(q / 2)
+                } else {
+                    FaultSite::QueueVal(q / 2)
+                }
+            }
+        }
+    }
+}
+
+impl Iterator for Sites {
+    type Item = FaultSite;
+
+    fn next(&mut self) -> Option<FaultSite> {
+        (self.next < self.end).then(|| {
+            self.next += 1;
+            self.site(self.next - 1)
+        })
+    }
+
+    fn nth(&mut self, k: usize) -> Option<FaultSite> {
+        self.next = self.next.saturating_add(k).min(self.end);
+        self.next()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.end - self.next;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Sites {}
 
 /// Enumerate the *register* fault sites together with their color tag and
 /// payload — the basis for constructing **correlated** multi-fault plans
@@ -54,7 +108,7 @@ pub fn sites(m: &Machine) -> Vec<FaultSite> {
 /// coordinated pattern that probes the boundary of the single-event-upset
 /// model). Queue entries carry no color tag and are not listed.
 #[must_use]
-pub fn colored_reg_sites(m: &Machine) -> Vec<(FaultSite, talft_isa::Color, i64)> {
+pub fn colored_reg_sites(m: &Machine) -> Vec<(FaultSite, Color, i64)> {
     Reg::all(m.num_gprs())
         .map(|r| (FaultSite::Reg(r), m.rcol(r), m.rval(r)))
         .collect()
@@ -100,11 +154,15 @@ pub fn inject(m: &mut Machine, site: FaultSite, new_val: i64) -> bool {
     }
 }
 
+/// Most corrupted values [`mutations`] proposes for one site.
+const MAX_MUTATIONS: usize = 10;
+
 /// Representative corrupted values to try at a site holding `old`:
 /// single-bit flips of low/high/sign bits, small offsets, zero, and a
-/// large-magnitude constant. All distinct from `old`.
+/// large-magnitude constant. All distinct from `old` and from each other,
+/// in that order, held inline (no allocation).
 #[must_use]
-pub fn mutations(old: i64) -> Vec<i64> {
+pub fn mutations(old: i64) -> Mutations {
     let candidates = [
         old ^ 1,
         old ^ (1 << 7),
@@ -117,20 +175,49 @@ pub fn mutations(old: i64) -> Vec<i64> {
         0x7fff_ffff,
         old.wrapping_neg(),
     ];
-    let mut out = Vec::new();
+    let mut out = Mutations {
+        vals: [0; MAX_MUTATIONS],
+        len: 0,
+    };
     for c in candidates {
         if c != old && !out.contains(&c) {
-            out.push(c);
+            out.vals[out.len] = c;
+            out.len += 1;
         }
     }
     out
+}
+
+/// The corrupted values of one site ([`mutations`]): a fixed-capacity
+/// list that derefs to a slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mutations {
+    vals: [i64; MAX_MUTATIONS],
+    len: usize,
+}
+
+impl std::ops::Deref for Mutations {
+    type Target = [i64];
+
+    fn deref(&self) -> &[i64] {
+        &self.vals[..self.len]
+    }
+}
+
+impl IntoIterator for Mutations {
+    type Item = i64;
+    type IntoIter = std::iter::Take<std::array::IntoIter<i64, MAX_MUTATIONS>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.vals.into_iter().take(self.len)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use talft_isa::{assemble, CVal, Color};
+    use talft_isa::{assemble, CVal};
 
     fn boot() -> Machine {
         let src = "\n.code\nmain:\n  .pre { forall m:mem; mem: m; }\n  halt\n";
@@ -140,12 +227,32 @@ mod tests {
     #[test]
     fn sites_cover_registers_and_queue() {
         let mut m = boot();
-        let base = sites(&m);
+        let base: Vec<FaultSite> = sites(&m).collect();
         assert_eq!(base.len(), usize::from(m.num_gprs()) + 3); // + d, pcG, pcB
+        let regs: Vec<FaultSite> = Reg::all(m.num_gprs()).map(FaultSite::Reg).collect();
+        assert_eq!(base, regs, "registers in `Reg::all` order");
         m.queue_mut().push_front((1, 2));
         m.queue_mut().push_front((3, 4));
-        let with_q = sites(&m);
-        assert_eq!(with_q.len(), base.len() + 4);
+        let it = sites(&m);
+        assert_eq!(it.len(), base.len() + 4);
+        let with_q: Vec<FaultSite> = it.collect();
+        assert_eq!(
+            with_q[base.len()..],
+            [
+                FaultSite::QueueAddr(0),
+                FaultSite::QueueVal(0),
+                FaultSite::QueueAddr(1),
+                FaultSite::QueueVal(1)
+            ]
+        );
+        // `nth` indexes the same sequence `next` walks.
+        for k in 0..with_q.len() + 2 {
+            assert_eq!(sites(&m).nth(k), with_q.get(k).copied());
+        }
+        let mut tail = sites(&m);
+        tail.nth(2);
+        assert_eq!(tail.len(), with_q.len() - 3);
+        assert_eq!(tail.collect::<Vec<_>>(), with_q[3..]);
     }
 
     #[test]
@@ -184,9 +291,10 @@ mod tests {
             let ms = mutations(old);
             assert!(!ms.is_empty());
             assert!(ms.iter().all(|&v| v != old));
-            let mut dedup = ms.clone();
-            dedup.dedup();
-            assert_eq!(dedup.len(), ms.len());
+            for (i, v) in ms.iter().enumerate() {
+                assert!(!ms[..i].contains(v), "{v} repeats for {old}");
+            }
+            assert_eq!(ms.into_iter().collect::<Vec<_>>(), ms.to_vec());
         }
     }
 }
