@@ -24,14 +24,14 @@ fn ix(addr: i64) -> usize {
     (addr - 1) as usize
 }
 
-fn uses_mask(i: &Instr) -> RegMask {
+pub(crate) fn uses_mask(i: &Instr) -> RegMask {
     i.uses().iter().fold(RegMask::EMPTY, |mut m, g| {
         m.set(g.0);
         m
     })
 }
 
-fn def_mask(i: &Instr) -> RegMask {
+pub(crate) fn def_mask(i: &Instr) -> RegMask {
     i.def().map_or(RegMask::EMPTY, |g| RegMask::bit(g.0))
 }
 

@@ -4,12 +4,14 @@
 //!
 //! # Two phases
 //!
-//! **Phase 1 — per-cell taint-reach summaries.** For each fault cell the
-//! k=1 may-taint pass ([`crate::zap`]) is run once more in recording mode,
-//! producing a [`Touch`] set (which dual-compares the cell's taint can
-//! reach, and on which side — green compare state or blue register
+//! **Phase 1 — per-cell taint-reach summaries.** For each k=1-Detected
+//! cell the may-taint pass ([`crate::zap`]) is run once more in recording
+//! mode, producing a [`Touch`] set (which dual-compares the cell's taint
+//! can reach, and on which side — green compare state or blue register
 //! operands — after all sanitizing pass-edges) plus the full *entry-state
-//! reach map*: the joined taint surviving at entry to every address.
+//! reach map*: the joined taint surviving at entry to every address. A
+//! k=1-Benign cell's solo run met no compare, so its touch set is empty
+//! and no pair ever composes with it: it gets no summary run.
 //!
 //! **Phase 2 — pairwise composition.** The zap transfer is *linear* in the
 //! taint, so two corruptions propagate independently except at the compare
@@ -58,14 +60,17 @@ use std::rc::Rc;
 
 use talft_core::Diagnostic;
 use talft_isa::Program;
+use talft_obs::LazyCounter;
 
 use crate::cfg::Cfg;
 use crate::lint::LINT_PAIR_HOTSPOT;
 use crate::live::liveness;
 use crate::zap::{
-    analyze_zaps_with, queue_pessimism, run_lanes, Ctx, Record, Side, Taint, Touch, Vuln, VulnKind,
-    ZapClass, ZapReport,
+    analyze_zaps_with, queue_pessimism, run_lanes, too_wide, Ctx, Record, Side, Taint, Touch, Vuln,
+    VulnKind, ZapClass, ZapReport,
 };
+
+static SUMMARY_RUNS: LazyCounter = LazyCounter::new("analysis.pair.summary_runs");
 
 /// Pair verdicts reuse the per-cell scale: a pair is `Vulnerable` when the
 /// two corruptions may cooperate into an SDC, `Detected`/`Benign`
@@ -222,10 +227,7 @@ impl<'a> PairAnalyzer<'a> {
         let cfg = Cfg::build(program);
         let k1 = match liveness(program, &cfg) {
             Some(live) => analyze_zaps_with(program, &cfg, &live),
-            None => ZapReport {
-                bailed: Some(format!("{} GPRs exceed the taint mask", program.num_gprs)),
-                ..ZapReport::default()
-            },
+            None => too_wide(program),
         };
         let pessimistic = queue_pessimism(&cfg);
         PairAnalyzer {
@@ -320,6 +322,7 @@ impl<'a> PairAnalyzer<'a> {
             return Rc::clone(s);
         }
         let seed = Self::seed(cell).expect("summaries only for data cells");
+        SUMMARY_RUNS.inc();
         let run = run_lanes::<1>(
             &self.ctx(),
             cell.addr(),
@@ -417,8 +420,6 @@ impl<'a> PairAnalyzer<'a> {
                 rule: Some(PairRule::SingleVulnerable),
             });
         }
-        let sa = self.summary(a);
-        let sb = self.summary(b);
         let safe = PairVerdict {
             class: if ca == ZapClass::Detected || cb == ZapClass::Detected {
                 PairClass::Detected
@@ -427,22 +428,32 @@ impl<'a> PairAnalyzer<'a> {
             },
             rule: None,
         };
+        // A Benign member's solo run met no compare: its touch set is
+        // empty, so the screen below could not pass.
+        if ca == ZapClass::Benign || cb == ZapClass::Benign {
+            return Some(safe);
+        }
+        let sa = self.summary(a);
+        let sb = self.summary(b);
         if !opposite_overlap(&sa.touches, &sb.touches) {
             return Some(safe);
         }
+        Some(match self.cooperate(a, b) {
+            Some(rule) => PairVerdict {
+                class: PairClass::Vulnerable,
+                rule: Some(rule),
+            },
+            None => safe,
+        })
+    }
+
+    /// Compose a screen-passing pair in both strike orders, `a` first
+    /// then `b` first; the first defeat found names the rule.
+    fn cooperate(&mut self, a: Cell, b: Cell) -> Option<PairRule> {
         if let Some(v) = self.compose(a, b) {
-            return Some(PairVerdict {
-                class: PairClass::Vulnerable,
-                rule: Some(Self::rule_of(v, a, b)),
-            });
+            return Some(Self::rule_of(v, a, b));
         }
-        if let Some(v) = self.compose(b, a) {
-            return Some(PairVerdict {
-                class: PairClass::Vulnerable,
-                rule: Some(Self::rule_of(v, b, a)),
-            });
-        }
-        Some(safe)
+        self.compose(b, a).map(|v| Self::rule_of(v, b, a))
     }
 
     /// Enumerate and classify **every** unordered cell pair (same-cell
@@ -469,11 +480,15 @@ impl<'a> PairAnalyzer<'a> {
                 continue;
             }
             let class = self.k1_class(c).expect("enumerated cells are classified");
-            if class == ZapClass::Vulnerable {
-                vuln_cells += 1;
-                continue;
-            }
-            let sig: Vec<Touch> = self.summary(c).touches.iter().copied().collect();
+            let sig: Vec<Touch> = match class {
+                ZapClass::Vulnerable => {
+                    vuln_cells += 1;
+                    continue;
+                }
+                // No compare met, so no touch: no summary needed.
+                ZapClass::Benign => Vec::new(),
+                ZapClass::Detected => self.summary(c).touches.iter().copied().collect(),
+            };
             groups.entry((class, sig)).or_default().push(c);
         }
         report.cells = cells.len();
@@ -510,24 +525,21 @@ impl<'a> PairAnalyzer<'a> {
                     report.tally_safe(safe_class, count);
                     continue;
                 }
-                // Candidates: compose each pair individually.
-                let (gi, gj) = (gi.clone(), gj.clone());
+                // Candidates: the group keys already fix both classes,
+                // pc-ness and the screen, so compose each pair directly.
                 for (x, &a) in gi.iter().enumerate() {
                     let from = if ki == kj { x } else { 0 };
                     for &b in &gj[from..] {
-                        match self.classify_pair(a, b).expect("covered cells") {
-                            PairVerdict {
-                                class: ZapClass::Vulnerable,
-                                rule,
-                            } => {
+                        match self.cooperate(a, b) {
+                            Some(rule) => {
                                 report.vulnerable += 1;
                                 report.cooperative += 1;
-                                if let Some(at) = rule.and_then(PairRule::compare_addr) {
+                                if let Some(at) = rule.compare_addr() {
                                     *report.per_compare.entry(at).or_insert(0) += 1;
                                     report.witness.entry(at).or_insert((a, b));
                                 }
                             }
-                            _ => report.tally_safe(safe_class, 1),
+                            None => report.tally_safe(safe_class, 1),
                         }
                     }
                 }
@@ -605,11 +617,10 @@ impl PairReport {
 /// twice the per-compare mean (with at least two defeatable compares to
 /// compare against). Opt-in: every dual-modular compare is defeatable by
 /// *some* coordinated double strike — Theorem 4 only covers k=1 — so this
-/// warns about outliers, not existence.
+/// warns about outliers, not existence. `report` is `program`'s
+/// [`PairAnalyzer::pair_report`]; the program supplies the spans.
 #[must_use]
-pub fn lint_pairs(program: &Program) -> Vec<Diagnostic> {
-    let mut analyzer = PairAnalyzer::new(program);
-    let report = analyzer.pair_report();
+pub fn lint_pairs(program: &Program, report: &PairReport) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let compares = report.per_compare.len() as u64;
     let total: u64 = report.per_compare.values().sum();
@@ -645,7 +656,9 @@ pub fn lint_pairs(program: &Program) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use talft_compiler::{compile, CompileOptions};
     use talft_isa::assemble;
+    use talft_suite::{kernels, Scale};
 
     /// An unprotected-feeling but k=1-safe block: r1 feeds the green
     /// side, r3 the blue side of one store pair.
@@ -759,11 +772,224 @@ main:
         );
     }
 
+    /// Exactness of skipping phase 1 for Benign cells: their own summary
+    /// run never touches a compare.
+    #[test]
+    fn benign_cells_touch_no_compare() {
+        for k in kernels(Scale::Tiny).iter().take(3) {
+            let c = compile(&k.source, &CompileOptions::default()).expect("kernels compile");
+            for p in [&c.protected.program, &c.baseline.program] {
+                let mut pa = PairAnalyzer::new(p);
+                let mut benign = 0;
+                for cell in pa.cells() {
+                    if pa.k1_class(cell) == Some(ZapClass::Benign) {
+                        assert!(pa.summary(cell).touches.is_empty(), "{}: {cell}", k.name);
+                        benign += 1;
+                    }
+                }
+                assert!(benign > 0, "{} has Benign cells", k.name);
+            }
+        }
+    }
+
+    /// The `PairReport` fields a pair-analysis change must not move.
+    struct Pin {
+        cells: usize,
+        pairs: u64,
+        detected: u64,
+        benign: u64,
+        vulnerable: u64,
+        single_vulnerable: u64,
+        cooperative: u64,
+        fixpoints: u64,
+        per_compare: &'static [(i64, u64)],
+        witness: &'static [(i64, &'static str, &'static str)],
+    }
+
+    fn assert_pinned(r: &PairReport, pin: &Pin, side: &str) {
+        assert!(r.bailed.is_none(), "{side}");
+        let got = (
+            r.cells,
+            r.pairs,
+            r.detected,
+            r.benign,
+            r.vulnerable,
+            r.single_vulnerable,
+            r.cooperative,
+            r.fixpoints,
+        );
+        let want = (
+            pin.cells,
+            pin.pairs,
+            pin.detected,
+            pin.benign,
+            pin.vulnerable,
+            pin.single_vulnerable,
+            pin.cooperative,
+            pin.fixpoints,
+        );
+        assert_eq!(got, want, "{side}: counts");
+        let per_compare: Vec<(i64, u64)> = r.per_compare.iter().map(|(&a, &n)| (a, n)).collect();
+        assert_eq!(per_compare, pin.per_compare, "{side}: per_compare");
+        let witness: Vec<(i64, String, String)> = r
+            .witness
+            .iter()
+            .map(|(&at, (a, b))| (at, a.to_string(), b.to_string()))
+            .collect();
+        let want: Vec<(i64, String, String)> = pin
+            .witness
+            .iter()
+            .map(|&(at, a, b)| (at, a.to_owned(), b.to_owned()))
+            .collect();
+        assert_eq!(witness, want, "{side}: witness");
+    }
+
+    /// spec_gzip@Tiny's pair reports, computed before the analyzer learnt
+    /// to skip fixpoints with a known answer.
+    #[test]
+    fn spec_gzip_pair_reports_are_pinned() {
+        const PROTECTED: Pin = Pin {
+            cells: 13673,
+            pairs: 93482301,
+            detected: 27658021,
+            benign: 65419641,
+            vulnerable: 404639,
+            single_vulnerable: 0,
+            cooperative: 383111,
+            fixpoints: 4706,
+            per_compare: &[
+                (14, 1077),
+                (31, 5170),
+                (36, 12),
+                (50, 5212),
+                (64, 16768),
+                (98, 73235),
+                (110, 4918),
+                (144, 34851),
+                (152, 10),
+                (156, 6),
+                (160, 6),
+                (166, 36932),
+                (172, 10),
+                (180, 10),
+                (191, 99496),
+                (198, 16),
+                (206, 105382),
+            ],
+            witness: &[
+                (14, "d@14", "r6@12"),
+                (31, "r2@4", "r2@12"),
+                (36, "d@36", "r6@35"),
+                (50, "d@50", "r7@48"),
+                (64, "d@64", "r10@62"),
+                (98, "r2@40", "r2@65"),
+                (110, "r2@40", "r2@99"),
+                (144, "r2@40", "r2@111"),
+                (152, "d@152", "r1@151"),
+                (156, "d@156", "r13@155"),
+                (160, "d@160", "r1@159"),
+                (166, "d@166", "r14@164"),
+                (172, "d@172", "r9@171"),
+                (180, "d@180", "r12@179"),
+                (191, "r2@40", "r2@48"),
+                (198, "d@198", "r7@197"),
+                (206, "r3@52", "r9@167"),
+            ],
+        };
+        const BASELINE: Pin = Pin {
+            cells: 7994,
+            pairs: 31956015,
+            detected: 2049290,
+            benign: 25959615,
+            vulnerable: 3947110,
+            single_vulnerable: 3939660,
+            cooperative: 69,
+            fixpoints: 45,
+            per_compare: &[
+                (8, 2),
+                (18, 18),
+                (21, 1),
+                (29, 2),
+                (37, 2),
+                (55, 2),
+                (62, 2),
+                (80, 2),
+                (85, 1),
+                (88, 1),
+                (91, 1),
+                (95, 2),
+                (99, 1),
+                (104, 1),
+                (111, 28),
+                (115, 1),
+                (120, 2),
+            ],
+            witness: &[
+                (8, "d@8", "r1@8"),
+                (18, "queue[0]@16", "r2@16"),
+                (21, "d@21", "r4@21"),
+                (29, "d@29", "r0@29"),
+                (37, "d@37", "r1@37"),
+                (55, "d@55", "r1@55"),
+                (62, "d@62", "r5@62"),
+                (80, "d@80", "r5@80"),
+                (85, "d@85", "r5@85"),
+                (88, "d@88", "r5@88"),
+                (91, "d@91", "r5@91"),
+                (95, "d@95", "r5@95"),
+                (99, "d@99", "r6@99"),
+                (104, "d@104", "r7@104"),
+                (111, "queue[0]@108", "r6@108"),
+                (115, "d@115", "r5@115"),
+                (120, "queue[0]@120", "r3@120"),
+            ],
+        };
+        let k = kernels(Scale::Tiny)
+            .into_iter()
+            .find(|k| k.name == "spec_gzip")
+            .expect("suite kernel");
+        let c = compile(&k.source, &CompileOptions::default()).expect("kernels compile");
+        let protected = PairAnalyzer::new(&c.protected.program).pair_report();
+        assert_pinned(&protected, &PROTECTED, "protected");
+        let baseline = PairAnalyzer::new(&c.baseline.program).pair_report();
+        assert_pinned(&baseline, &BASELINE, "baseline");
+    }
+
+    /// `pair_report` composes candidates without `classify_pair`; the two
+    /// must still agree on every unordered pair.
+    #[test]
+    fn classify_pair_agrees_with_pair_report() {
+        let asm = assemble(STORE).expect("assembles");
+        let mut pa = PairAnalyzer::new(&asm.program);
+        let report = pa.pair_report();
+        let cells = pa.cells();
+        let mut tally = PairReport::default();
+        for (i, &a) in cells.iter().enumerate() {
+            for &b in &cells[i..] {
+                let v = pa.classify_pair(a, b).expect("covered");
+                match v.class {
+                    ZapClass::Detected => tally.detected += 1,
+                    ZapClass::Benign => tally.benign += 1,
+                    ZapClass::Vulnerable => tally.vulnerable += 1,
+                }
+                if let Some(at) = v.rule.and_then(PairRule::compare_addr) {
+                    *tally.per_compare.entry(at).or_insert(0) += 1;
+                }
+            }
+        }
+        assert_eq!(
+            (tally.detected, tally.benign, tally.vulnerable),
+            (report.detected, report.benign, report.vulnerable)
+        );
+        assert_eq!(tally.per_compare, report.per_compare);
+    }
+
     #[test]
     fn single_compare_programs_get_no_tf008() {
         // TF008 flags *disproportionate* compares; with one defeatable
         // compare there is no distribution to stand out from.
         let asm = assemble(STORE).expect("assembles");
-        assert!(lint_pairs(&asm.program).is_empty());
+        let report = PairAnalyzer::new(&asm.program).pair_report();
+        assert!(lint_pairs(&asm.program, &report).is_empty());
     }
 }

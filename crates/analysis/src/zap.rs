@@ -36,6 +36,17 @@
 //!   zap faults at the first consumer — `Detected` when a `jmp`/`bz` is
 //!   reachable, `Benign` otherwise.
 //!
+//! Most live GPR cells need no fixpoint either. **Pass-through chaining:**
+//! when the instruction at `a` neither reads nor writes `r` and its only
+//! successor is the fall-through `a + 1` (anything but `jmpB`, `bzB`,
+//! `halt`, or the last instruction), cell `(a, r)` takes the class of
+//! `(a + 1, r)`. The transfer maps `{r}` at `a` to exactly `{r}` at
+//! `a + 1` with no compare event, and it is distributive, so the least
+//! fixpoint seeded at `a` is the one seeded at `a + 1` plus `r` at `a`;
+//! every check is monotone in the state, so both runs see the same
+//! compare events whatever the worklist order. Walking addresses from
+//! high to low makes `(a + 1, r)` known when `(a, r)` is asked.
+//!
 //! The transfer function is **lane-generic**: the same may-taint semantics
 //! propagate `L` independently-seeded taints in lockstep, with every
 //! compare check taken over the lane *union*. `L = 1` is the classic k=1
@@ -47,10 +58,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use talft_isa::{Color, Gpr, Instr, OpSrc, Program};
+use talft_obs::LazyCounter;
 
 use crate::cfg::Cfg;
-use crate::live::{liveness, Liveness};
+use crate::live::{def_mask, liveness, uses_mask, Liveness};
 use crate::mask::{RegMask, MAX_GPRS};
+
+static ZAP_RUNS: LazyCounter = LazyCounter::new("analysis.zap.runs");
+static ZAP_CHAINED: LazyCounter = LazyCounter::new("analysis.zap.chained");
 
 /// Static verdict for one (address, site) cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -246,15 +261,20 @@ pub(crate) struct Vuln {
 pub fn analyze_zaps(program: &Program) -> ZapReport {
     let cfg = Cfg::build(program);
     let Some(live) = liveness(program, &cfg) else {
-        return ZapReport {
-            bailed: Some(format!(
-                "{} GPRs exceed the {MAX_GPRS}-register taint mask",
-                program.num_gprs
-            )),
-            ..ZapReport::default()
-        };
+        return too_wide(program);
     };
     analyze_zaps_with(program, &cfg, &live)
+}
+
+/// The bailed report of a program wider than the taint mask.
+pub(crate) fn too_wide(program: &Program) -> ZapReport {
+    ZapReport {
+        bailed: Some(format!(
+            "{} GPRs exceed the {MAX_GPRS}-register taint mask",
+            program.num_gprs
+        )),
+        ..ZapReport::default()
+    }
 }
 
 /// Per-address queue pessimism: `true` exactly at addresses reachable from
@@ -285,24 +305,23 @@ pub(crate) fn queue_pessimism(cfg: &Cfg) -> Vec<bool> {
 /// Classify every reachable cell against a prebuilt CFG and liveness.
 #[must_use]
 pub fn analyze_zaps_with(program: &Program, cfg: &Cfg, live: &Liveness) -> ZapReport {
-    let mut report = ZapReport::default();
     if program.num_gprs > MAX_GPRS {
-        report.bailed = Some(format!(
-            "{} GPRs exceed the {MAX_GPRS}-register taint mask",
-            program.num_gprs
-        ));
-        return report;
+        return too_wide(program);
     }
+    let mut report = ZapReport::default();
     let cx = Ctx {
         program,
         cfg,
         pessimistic: &queue_pessimism(cfg),
     };
     let reaches_check = reaches_check(program, cfg);
-    for a in 1..=cfg.n as i64 {
+    let (mut runs, mut chained) = (0u64, 0u64);
+    // High to low, so a pass-through cell finds its successor classified.
+    for a in (1..=cfg.n as i64).rev() {
         if !cfg.reachable[ix(a)] {
             continue;
         }
+        let chain = pass_through(program, a);
         report.pc.insert(a, ZapClass::Detected);
         report.dst.insert(
             a,
@@ -317,7 +336,12 @@ pub fn analyze_zaps_with(program: &Program, cfg: &Cfg, live: &Liveness) -> ZapRe
                 // Dead registers are never read again: at worst a
                 // dissimilar (non-output) final state.
                 ZapClass::Benign
+            } else if chain.test(g) {
+                // `a + 1` is reachable from `a`, so already classified.
+                chained += 1;
+                report.gpr[&(a + 1, g)]
             } else {
+                runs += 1;
                 run_seed(
                     &cx,
                     a,
@@ -334,6 +358,7 @@ pub fn analyze_zaps_with(program: &Program, cfg: &Cfg, live: &Liveness) -> ZapRe
                 let class = if slot >= 64 {
                     ZapClass::Vulnerable
                 } else {
+                    runs += 1;
                     run_seed(
                         &cx,
                         a,
@@ -347,7 +372,33 @@ pub fn analyze_zaps_with(program: &Program, cfg: &Cfg, live: &Liveness) -> ZapRe
             }
         }
     }
+    ZAP_RUNS.add(runs);
+    ZAP_CHAINED.add(chained);
     report
+}
+
+/// The registers whose cell at `a` takes the class of the same register at
+/// `a + 1` (pass-through chaining, module docs): those the instruction
+/// neither reads nor writes, when its only successor is the fall-through.
+fn pass_through(program: &Program, a: i64) -> RegMask {
+    let instr = &program.instrs[ix(a)];
+    let falls_only = !matches!(
+        instr,
+        Instr::Halt
+            | Instr::Jmp {
+                color: Color::Blue,
+                ..
+            }
+            | Instr::Bz {
+                color: Color::Blue,
+                ..
+            }
+    );
+    if falls_only && program.is_code_addr(a + 1) {
+        !(uses_mask(instr) | def_mask(instr))
+    } else {
+        RegMask::EMPTY
+    }
 }
 
 /// Per-address: can execution starting here reach any `jmp`/`bz` (all of
@@ -755,7 +806,168 @@ fn transfer<const L: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use talft_compiler::{compile, CompileOptions};
     use talft_isa::assemble;
+    use talft_suite::{kernels, Scale};
+    use talft_testutil::{wile, SplitMix64};
+
+    /// Brute-force oracle for pass-through chaining: every live GPR cell's
+    /// class must be the one its own fixpoint gives. Returns how many of
+    /// those cells the report answered by chaining.
+    fn assert_matches_own_runs(program: &Program, what: &str) -> usize {
+        let cfg = Cfg::build(program);
+        let live = liveness(program, &cfg).expect("fits the taint mask");
+        let report = analyze_zaps_with(program, &cfg, &live);
+        let pessimistic = queue_pessimism(&cfg);
+        let cx = Ctx {
+            program,
+            cfg: &cfg,
+            pessimistic: &pessimistic,
+        };
+        let mut chained = 0;
+        for (&(a, g), &class) in &report.gpr {
+            if !live.live_in[ix(a)].test(g) {
+                continue;
+            }
+            let seed = Taint {
+                regs: RegMask::bit(g),
+                ..Taint::default()
+            };
+            assert_eq!(class, run_seed(&cx, a, seed), "{what}: r{g}@{a}");
+            chained += usize::from(pass_through(program, a).test(g));
+        }
+        chained
+    }
+
+    #[test]
+    fn chained_cells_match_their_own_fixpoints() {
+        let mut chained = 0;
+        for k in kernels(Scale::Tiny) {
+            let c = compile(&k.source, &CompileOptions::default()).expect("kernels compile");
+            for (side, p) in [
+                ("protected", &c.protected.program),
+                ("baseline", &c.baseline.program),
+            ] {
+                chained += assert_matches_own_runs(p, &format!("{} ({side})", k.name));
+            }
+        }
+        assert!(chained > 0, "the suite exercises chaining");
+        let mut rng = SplitMix64::new(0x0C4A_12E5);
+        let mut fuzzed = 0;
+        for round in 0..6 {
+            let src = wile::render_program(&wile::random_stmts(&mut rng, 2, 1, 5));
+            let Ok(c) = compile(&src, &CompileOptions::default()) else {
+                continue;
+            };
+            fuzzed += 1;
+            for (side, p) in [
+                ("protected", &c.protected.program),
+                ("baseline", &c.baseline.program),
+            ] {
+                assert_matches_own_runs(p, &format!("wile round {round} ({side})\n{src}"));
+            }
+        }
+        assert!(fuzzed > 0, "some fuzzed program compiles");
+    }
+
+    /// r9/r10 are set before a counted loop and stored after it; the loop
+    /// body never touches them, so their chain runs through the loop head
+    /// (entered both from `main` and by the back edge).
+    const LOOP_PASS_THROUGH: &str = r#"
+.gprs 12
+.data
+region out at 4096 len 8 : int output
+.code
+main:
+  .pre { forall m:mem; mem: m; }
+  mov r9, G 42
+  mov r10, B 42
+  mov r1, G 5
+  mov r2, B 5
+loop:
+  .pre { forall x:int, m:mem; r1: (G, int, x); r2: (B, int, x); mem: m; }
+  sub r1, r1, G 1
+  sub r2, r2, B 1
+  mov r3, G @done
+  mov r4, B @done
+  bzG r1, r3
+  bzB r2, r4
+  mov r7, G @loop
+  mov r8, B @loop
+  jmpG r7
+  jmpB r8
+done:
+  .pre { forall m:mem; mem: m; }
+  mov r5, G 4096
+  mov r6, B 4096
+  stG r5, r9
+  stB r6, r10
+  halt
+"#;
+
+    #[test]
+    fn chains_run_through_a_loop_head() {
+        let asm = assemble(LOOP_PASS_THROUGH).expect("assembles");
+        let p = &asm.program;
+        let head = p.labels["loop"];
+        let report = analyze_zaps(p);
+        for g in [9, 10] {
+            for a in [head - 1, head] {
+                assert!(pass_through(p, a).test(g), "r{g}@{a} chains");
+                assert_eq!(report.gpr[&(a, g)], ZapClass::Detected, "r{g}@{a}");
+            }
+        }
+        assert!(assert_matches_own_runs(p, "loop fixture") > 0);
+    }
+
+    /// r9 is stored only on the taken side of a `bzB`; the fall-through
+    /// halts with r9 dead. Chaining across the branch would copy the
+    /// fall-through's Benign onto the branch's Detected cell.
+    const BRANCH_STOP: &str = r#"
+.gprs 12
+.data
+region out at 4096 len 1 : int output
+.code
+main:
+  .pre { forall m:mem; mem: m; }
+  mov r9, G 7
+  mov r10, B 7
+  mov r1, G 0
+  mov r2, B 0
+  mov r3, G @store
+  mov r4, B @store
+  bzG r1, r3
+  bzB r2, r4
+  halt
+store:
+  .pre { forall m:mem; mem: m; }
+  mov r5, G 4096
+  mov r6, B 4096
+  stG r5, r9
+  stB r6, r10
+  halt
+"#;
+
+    #[test]
+    fn chains_stop_at_a_blue_branch() {
+        let asm = assemble(BRANCH_STOP).expect("assembles");
+        let p = &asm.program;
+        let bz = p.labels["store"] - 2;
+        assert!(matches!(
+            p.instrs[ix(bz)],
+            Instr::Bz {
+                color: Color::Blue,
+                ..
+            }
+        ));
+        assert!(pass_through(p, bz).is_empty(), "the chain stops at bzB");
+        assert!(pass_through(p, bz - 1).test(9), "bzG falls through");
+        let report = analyze_zaps(p);
+        assert_eq!(report.gpr[&(bz, 9)], ZapClass::Detected);
+        assert_eq!(report.gpr[&(bz + 1, 9)], ZapClass::Benign);
+        assert_eq!(report.gpr[&(bz - 1, 9)], ZapClass::Detected);
+        assert_matches_own_runs(p, "branch fixture");
+    }
 
     const STORE: &str = r#"
 .data

@@ -236,7 +236,7 @@ fn analyze_side(program: &Arc<Program>, cfg: &CampaignConfig) -> Result<Side, St
         return Err(format!("pair analyzer bailed: {why}"));
     }
     let pairs = analyzer.pair_report();
-    let tf008 = lint_pairs(program).len() as u64;
+    let tf008 = lint_pairs(program, &pairs).len() as u64;
     let golden = golden_run(program, cfg).map_err(|e| format!("golden run: {e}"))?;
     let plans = multi_fault_plans(program, cfg, &golden, 2);
     let trace = golden_trace(program, cfg, &golden);

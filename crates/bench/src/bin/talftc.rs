@@ -654,9 +654,9 @@ fn load_part(
 /// compositional k=2 pair summary as a `talft.zap.v1` document.
 fn write_zap_report(out: &str, input: &str, program: &Arc<Program>) -> Result<(), String> {
     use talft_obs::Json;
-    let zap = talft_analysis::analyze_zaps(program);
     let mut analyzer = talft_analysis::PairAnalyzer::new(program);
     let pairs = analyzer.pair_report();
+    let zap = analyzer.k1();
     let cell = |kind: &str, addr: i64, index: Option<u64>, class: &talft_analysis::ZapClass| {
         let mut fields = vec![
             ("kind".to_owned(), Json::str(kind)),

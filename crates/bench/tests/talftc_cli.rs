@@ -170,6 +170,27 @@ fn zap_report_writes_k1_cells_and_k2_pair_summary() {
 }
 
 #[test]
+fn zap_report_bails_past_the_taint_mask_with_the_analyzer_wording() {
+    let wide = UNPAIRED_TALFT.replacen(".data", ".gprs 200\n.data", 1);
+    let p = write_temp("wide.talft", &wide);
+    let json_path =
+        std::env::temp_dir().join(format!("talftc-zap-wide-{}.json", std::process::id()));
+    let out = talftc(&[
+        p.to_str().unwrap(),
+        "--no-check",
+        &format!("--zap-report={}", json_path.display()),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let text = std::fs::read_to_string(&json_path).expect("zap report written");
+    let json = talft_obs::Json::parse(&text).expect("valid JSON");
+    assert_eq!(
+        json.get("bailed").and_then(talft_obs::Json::as_str),
+        Some("200 GPRs exceed the 128-register taint mask")
+    );
+    std::fs::remove_file(&json_path).ok();
+}
+
+#[test]
 fn lint_is_quiet_on_protected_output() {
     let p = write_temp("ok-lint.wile", OK_WILE);
     let out = talftc(&[p.to_str().unwrap(), "--lint"]);

@@ -129,8 +129,11 @@ fn exhaustive_pair_plans_cover_the_strike_square() {
 #[test]
 fn plan_grid_verdicts_match_the_campaign() {
     let p = arc(UNPROTECTED);
+    // Stride 1: the SDC strikes land between `stG` and `stB`, two steps
+    // apart, so a stride scaled up (e.g. by TALFT_STRIDE_SCALE=3 to 9)
+    // from a larger base would skip them all.
     let cfg = CampaignConfig {
-        stride: 3,
+        stride: 1,
         mutations_per_site: 1,
         ..CampaignConfig::default()
     };
