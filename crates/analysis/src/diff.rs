@@ -18,7 +18,7 @@
 //! to map it at all — the analysis is unsound: a hard failure surfaced as
 //! a [`Mismatch`] / [`PairMismatch`].
 
-use talft_faultsim::{FaultGrid, FaultPlan, GoldenTrace, GridOutcome, PlanGrid, Strike, Verdict};
+use talft_faultsim::{GoldenTrace, PlanGrid, Strike, Verdict};
 use talft_isa::Reg;
 use talft_machine::FaultSite;
 
@@ -69,56 +69,46 @@ impl DiffSummary {
     }
 }
 
-/// Look up the static class for one dynamic outcome.
-fn classify(report: &ZapReport, addr: i64, o: &GridOutcome, queue_len: usize) -> Option<ZapClass> {
-    match o.site {
-        FaultSite::Reg(Reg::Gpr(g)) => report.gpr.get(&(addr, g.0)).copied(),
-        FaultSite::Reg(Reg::Dst) => report.dst.get(&addr).copied(),
-        FaultSite::Reg(Reg::Pc(_)) => report.pc.get(&addr).copied(),
-        // Dynamic queue sites index from the front (newest); static slots
-        // from the back (oldest), so site i maps to slot len - 1 - i.
-        FaultSite::QueueAddr(i) | FaultSite::QueueVal(i) => {
-            let slot = queue_len.checked_sub(1 + i)?;
-            report.queue.get(&(addr, slot)).copied()
-        }
-    }
-}
-
-/// Compare every grid outcome against the static report.
+/// Compare every outcome of a k=1 grid against the static report. Each
+/// plan's lead strike is mapped with [`map_strike`] and looked up with
+/// [`ZapReport::class`].
 #[must_use]
-pub fn cross_validate(report: &ZapReport, grid: &FaultGrid) -> DiffSummary {
+pub fn cross_validate(report: &ZapReport, grid: &PlanGrid) -> DiffSummary {
     let mut s = DiffSummary {
         plans: grid.outcomes.len(),
         ..DiffSummary::default()
     };
     for o in &grid.outcomes {
-        if o.at_step >= grid.golden_steps {
+        let strike = *o.plan.strikes().first().expect("plans have a strike");
+        if strike.at_step >= grid.trace.golden_steps {
             // The machine has already halted; the strike has no cell.
             s.skipped_final += 1;
             continue;
         }
-        let addr = grid.pc_by_step[o.at_step as usize];
-        let queue_len = grid.queue_len_by_step[o.at_step as usize];
-        let class = classify(report, addr, o, queue_len);
-        match class {
+        let addr = grid.trace.pc_by_step[strike.at_step as usize];
+        let mismatch = |class| Mismatch {
+            at_step: strike.at_step,
+            addr,
+            site: strike.site,
+            value: strike.value,
+            class,
+        };
+        match map_strike(&grid.trace, &strike).and_then(|cell| report.class(cell)) {
             Some(c) => {
                 s.checked += 1;
                 match (c, o.verdict) {
                     (ZapClass::Vulnerable, Verdict::Sdc) => s.predicted_sdc += 1,
                     (ZapClass::Detected | ZapClass::Benign, Verdict::Sdc) => {
-                        s.mismatches.push(Mismatch {
-                            at_step: o.at_step,
-                            addr,
-                            site: o.site,
-                            value: o.value,
-                            class: Some(c),
-                        });
+                        s.mismatches.push(mismatch(Some(c)));
                     }
                     _ => {}
                 }
             }
             None => {
-                let is_queue = matches!(o.site, FaultSite::QueueAddr(_) | FaultSite::QueueVal(_));
+                let is_queue = matches!(
+                    strike.site,
+                    FaultSite::QueueAddr(_) | FaultSite::QueueVal(_)
+                );
                 if is_queue {
                     s.skipped_depth += 1;
                 } else {
@@ -127,13 +117,7 @@ pub fn cross_validate(report: &ZapReport, grid: &FaultGrid) -> DiffSummary {
                 // An SDC the analysis never even saw is still a soundness
                 // failure: the cell map must cover every executed state.
                 if o.verdict == Verdict::Sdc {
-                    s.mismatches.push(Mismatch {
-                        at_step: o.at_step,
-                        addr,
-                        site: o.site,
-                        value: o.value,
-                        class: None,
-                    });
+                    s.mismatches.push(mismatch(None));
                 }
             }
         }
@@ -210,43 +194,6 @@ pub fn map_strike(trace: &GoldenTrace, s: &Strike) -> Option<Cell> {
     }
 }
 
-/// Hotness mask for static-guided k=2 prioritization: a plan is *hot*
-/// when the analyzer cannot rule it out — its mapped cell pair is
-/// `Vulnerable`, or a strike escapes the cell map entirely. Feeding this
-/// to [`run_plan_campaign_guided`](talft_faultsim::run_plan_campaign_guided)
-/// runs the defeat candidates first; the guided engine is verdict-neutral,
-/// so the report stays bit-identical either way.
-#[must_use]
-pub fn prioritize_pairs(
-    analyzer: &mut PairAnalyzer<'_>,
-    trace: &GoldenTrace,
-    plans: &[FaultPlan],
-) -> Vec<bool> {
-    plans
-        .iter()
-        .map(|p| {
-            if p.order() != 2 {
-                return true;
-            }
-            let a = map_strike(trace, &p.strikes()[0]);
-            let b = map_strike(trace, &p.strikes()[1]);
-            match (a, b) {
-                (Some(a), Some(b)) => match analyzer.classify_pair(a, b) {
-                    Some(v) => v.class == ZapClass::Vulnerable,
-                    None => true,
-                },
-                // A final-state strike degenerates to k=1: hot only if the
-                // surviving member is k=1-vulnerable.
-                (Some(c), None) | (None, Some(c)) => {
-                    analyzer.k1_class(c) != Some(ZapClass::Detected)
-                        && analyzer.k1_class(c) != Some(ZapClass::Benign)
-                }
-                (None, None) => false,
-            }
-        })
-        .collect()
-}
-
 /// Compare every k=2 grid outcome against the compositional pair analyzer.
 ///
 /// Obligations, per plan:
@@ -269,15 +216,12 @@ pub fn cross_validate_pairs(analyzer: &mut PairAnalyzer<'_>, grid: &PlanGrid) ->
         ..PairDiffSummary::default()
     };
     for o in &grid.outcomes {
-        if o.strikes.len() != 2 {
+        let strikes = o.plan.strikes();
+        if strikes.len() != 2 {
             s.skipped_order += 1;
             continue;
         }
-        let cells: Vec<Option<Cell>> = o
-            .strikes
-            .iter()
-            .map(|k| map_strike(&grid.trace, k))
-            .collect();
+        let cells: Vec<Option<Cell>> = strikes.iter().map(|k| map_strike(&grid.trace, k)).collect();
         let sdc = o.verdict == Verdict::Sdc;
         let full = o.applied == 2 && cells.iter().all(Option::is_some);
         if full {
@@ -290,7 +234,7 @@ pub fn cross_validate_pairs(analyzer: &mut PairAnalyzer<'_>, grid: &PlanGrid) ->
                             s.predicted_sdc += 1;
                         } else {
                             s.mismatches.push(PairMismatch {
-                                strikes: o.strikes.clone(),
+                                strikes: strikes.to_vec(),
                                 cells,
                                 class: Some(v.class),
                             });
@@ -301,7 +245,7 @@ pub fn cross_validate_pairs(analyzer: &mut PairAnalyzer<'_>, grid: &PlanGrid) ->
                 // soundness failure: the cell map must cover every
                 // executed state.
                 None if sdc => s.mismatches.push(PairMismatch {
-                    strikes: o.strikes.clone(),
+                    strikes: strikes.to_vec(),
                     cells,
                     class: None,
                 }),
@@ -310,13 +254,10 @@ pub fn cross_validate_pairs(analyzer: &mut PairAnalyzer<'_>, grid: &PlanGrid) ->
             continue;
         }
         s.degenerate += 1;
-        if o.strikes
-            .iter()
-            .any(|k| k.at_step >= grid.trace.golden_steps)
-        {
+        if strikes.iter().any(|k| k.at_step >= grid.trace.golden_steps) {
             s.skipped_final += 1;
         }
-        if o.strikes
+        if strikes
             .iter()
             .zip(&cells)
             .any(|(k, c)| c.is_none() && k.at_step < grid.trace.golden_steps)
@@ -332,7 +273,7 @@ pub fn cross_validate_pairs(analyzer: &mut PairAnalyzer<'_>, grid: &PlanGrid) ->
                 s.predicted_sdc += 1;
             } else {
                 s.mismatches.push(PairMismatch {
-                    strikes: o.strikes.clone(),
+                    strikes: strikes.to_vec(),
                     cells,
                     class: None,
                 });
@@ -347,7 +288,15 @@ mod tests {
     use super::*;
     use crate::zap::analyze_zaps;
     use std::sync::Arc;
-    use talft_faultsim::{single_fault_grid, CampaignConfig};
+    use talft_faultsim::{golden_run, plan_fault_grid, single_fault_plans, CampaignConfig};
+    use talft_isa::Program;
+
+    /// The exhaustive k=1 grid of `program`.
+    fn k1_grid(program: &Arc<Program>, cfg: &CampaignConfig) -> PlanGrid {
+        let golden = golden_run(program, cfg).expect("golden halts");
+        let plans = single_fault_plans(program, cfg, &golden);
+        plan_fault_grid(program, cfg, &golden, &plans)
+    }
     use talft_isa::assemble;
 
     #[test]
@@ -374,7 +323,7 @@ main:
             mutations_per_site: 2,
             ..CampaignConfig::default()
         };
-        let grid = single_fault_grid(&program, &cfg).expect("golden halts");
+        let grid = k1_grid(&program, &cfg);
         assert_eq!(grid.count(Verdict::Sdc), 0, "Theorem 4 on the dynamic side");
         let s = cross_validate(&report, &grid);
         assert!(s.holds());
@@ -405,7 +354,7 @@ main:
             mutations_per_site: 3,
             ..CampaignConfig::default()
         };
-        let grid = single_fault_grid(&program, &cfg).expect("golden halts");
+        let grid = k1_grid(&program, &cfg);
         let s = cross_validate(&report, &grid);
         assert!(
             s.holds(),

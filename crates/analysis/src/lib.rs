@@ -14,7 +14,7 @@
 //!   `Detected`/`Benign`/`Vulnerable` ([`zap`]);
 //! * [`lint_program`] — the `TF001`–`TF006` lints ([`lint`]);
 //! * [`cross_validate`] — differential oracle against the dynamic
-//!   [`FaultGrid`](talft_faultsim::FaultGrid) ([`diff`]).
+//!   [`PlanGrid`](talft_faultsim::PlanGrid) ([`diff`]).
 //!
 //! # Example
 //!
@@ -55,8 +55,8 @@ pub mod zap;
 
 pub use cfg::{Cfg, DepthConflict};
 pub use diff::{
-    cross_validate, cross_validate_pairs, map_strike, prioritize_pairs, DiffSummary, Mismatch,
-    PairDiffSummary, PairMismatch,
+    cross_validate, cross_validate_pairs, map_strike, DiffSummary, Mismatch, PairDiffSummary,
+    PairMismatch,
 };
 pub use lint::{error_count, lint_program, lint_program_solver, lint_program_with, LINT_CODES};
 pub use live::{liveness, Liveness};

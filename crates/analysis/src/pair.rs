@@ -277,12 +277,7 @@ impl<'a> PairAnalyzer<'a> {
     /// The cell's k=1 class, when the static grid covers it.
     #[must_use]
     pub fn k1_class(&self, cell: Cell) -> Option<ZapClass> {
-        match cell {
-            Cell::Gpr { addr, reg } => self.k1.gpr.get(&(addr, reg)).copied(),
-            Cell::Queue { addr, slot } => self.k1.queue.get(&(addr, slot)).copied(),
-            Cell::Pc { addr } => self.k1.pc.get(&addr).copied(),
-            Cell::D { addr } => self.k1.dst.get(&addr).copied(),
-        }
+        self.k1.class(cell)
     }
 
     fn seed(cell: Cell) -> Option<Taint> {

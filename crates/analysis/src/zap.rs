@@ -24,7 +24,7 @@
 //! may-taint transfer *sanitizes* compared registers on pass edges.
 //! `Detected`/`Benign` cells therefore admit no SDC, which is exactly what
 //! [`cross_validate`](crate::diff::cross_validate) checks against the
-//! dynamic [`FaultGrid`](talft_faultsim::FaultGrid).
+//! dynamic [`PlanGrid`](talft_faultsim::PlanGrid).
 //!
 //! Special sites need no fixpoint:
 //!
@@ -63,6 +63,7 @@ use talft_obs::LazyCounter;
 use crate::cfg::Cfg;
 use crate::live::{def_mask, liveness, uses_mask, Liveness};
 use crate::mask::{RegMask, MAX_GPRS};
+use crate::pair::Cell;
 
 static ZAP_RUNS: LazyCounter = LazyCounter::new("analysis.zap.runs");
 static ZAP_CHAINED: LazyCounter = LazyCounter::new("analysis.zap.chained");
@@ -112,6 +113,17 @@ impl ZapReport {
             .chain(self.pc.values())
             .chain(self.dst.values())
             .copied()
+    }
+
+    /// The class of one cell, when the report covers it.
+    #[must_use]
+    pub fn class(&self, cell: Cell) -> Option<ZapClass> {
+        match cell {
+            Cell::Gpr { addr, reg } => self.gpr.get(&(addr, reg)).copied(),
+            Cell::Queue { addr, slot } => self.queue.get(&(addr, slot)).copied(),
+            Cell::Pc { addr } => self.pc.get(&addr).copied(),
+            Cell::D { addr } => self.dst.get(&addr).copied(),
+        }
     }
 
     /// Cell counts as `(detected, benign, vulnerable)`.

@@ -9,9 +9,10 @@ use talft_analysis::{
 };
 use talft_compiler::{compile, CompileOptions};
 use talft_faultsim::{
-    golden_run, multi_fault_plans, plan_fault_grid_against, single_fault_grid, CampaignConfig,
+    golden_run, multi_fault_plans, plan_fault_grid, single_fault_plans, CampaignConfig, PlanGrid,
     Verdict,
 };
+use talft_isa::Program;
 use talft_suite::{kernels, Scale};
 
 fn grid_cfg(stride: u64) -> CampaignConfig {
@@ -20,6 +21,14 @@ fn grid_cfg(stride: u64) -> CampaignConfig {
         mutations_per_site: 1,
         ..CampaignConfig::default()
     }
+}
+
+/// The k=1 grid of `program` at `stride`, one mutation per site.
+fn k1_grid(program: &Arc<Program>, stride: u64) -> PlanGrid {
+    let cfg = grid_cfg(stride);
+    let golden = golden_run(program, &cfg).expect("golden halts");
+    let plans = single_fault_plans(program, &cfg, &golden);
+    plan_fault_grid(program, &cfg, &golden, &plans)
 }
 
 #[test]
@@ -48,7 +57,7 @@ fn static_verdicts_hold_against_sampled_grids() {
         let program = Arc::new(c.protected.program.as_ref().clone());
         let report = analyze_zaps(&program);
         assert!(report.bailed.is_none(), "{}: {:?}", k.name, report.bailed);
-        let grid = single_fault_grid(&program, &grid_cfg(41)).expect("golden halts");
+        let grid = k1_grid(&program, 41);
         assert_eq!(
             grid.count(Verdict::Sdc),
             0,
@@ -80,7 +89,7 @@ fn baseline_sdc_lands_on_vulnerable_cells() {
         "{}: an unduplicated program has vulnerable cells",
         k.name
     );
-    let grid = single_fault_grid(&program, &grid_cfg(17)).expect("golden halts");
+    let grid = k1_grid(&program, 17);
     let s = cross_validate(&report, &grid);
     assert!(s.holds(), "{}: {:?}", k.name, s.mismatches);
     if grid.count(Verdict::Sdc) > 0 {
@@ -109,7 +118,7 @@ fn pair_verdicts_hold_against_sampled_k2_grids() {
             assert!(pa.bailed().is_none(), "{}: {:?}", k.name, pa.bailed());
             let golden = golden_run(&program, &cfg).expect("golden halts");
             let plans = multi_fault_plans(&program, &cfg, &golden, 2);
-            let grid = plan_fault_grid_against(&program, &cfg, &golden, &plans);
+            let grid = plan_fault_grid(&program, &cfg, &golden, &plans);
             let s = cross_validate_pairs(&mut pa, &grid);
             assert!(s.holds(), "{}: {:?}", k.name, s.mismatches);
             assert!(s.checked > 0, "{}: nothing compared", k.name);

@@ -8,12 +8,10 @@
 
 use std::sync::Arc;
 
-use talft_analysis::{
-    cross_validate_pairs, map_strike, prioritize_pairs, Cell, PairAnalyzer, PairClass, PairRule,
-};
+use talft_analysis::{cross_validate_pairs, map_strike, Cell, PairAnalyzer, PairClass, PairRule};
 use talft_faultsim::{
-    exhaustive_pair_plans, golden_run, golden_trace, plan_fault_grid_against, run_plan_campaign,
-    run_plan_campaign_guided, CampaignConfig, PlanGrid,
+    exhaustive_pair_plans, golden_run, plan_fault_grid, run_plan_campaign, CampaignConfig,
+    FaultPlan, PlanGrid, Verdict,
 };
 use talft_isa::{assemble, Program};
 use talft_machine::FaultSite;
@@ -78,7 +76,7 @@ fn grid_of(p: &Arc<Program>) -> PlanGrid {
     let golden = golden_run(p, &cfg).expect("golden halts");
     let plans = exhaustive_pair_plans(p, &cfg, &golden);
     assert!(!plans.is_empty());
-    plan_fault_grid_against(p, &cfg, &golden, &plans)
+    plan_fault_grid(p, &cfg, &golden, &plans)
 }
 
 #[test]
@@ -116,13 +114,15 @@ fn detector_strikes_in_the_grid_are_predicted() {
     // and check the analyzer explains it.
     let queue_sdc = grid.sdc().find(|o| {
         o.applied == 2
-            && o.strikes
+            && o.plan
+                .strikes()
                 .iter()
                 .any(|k| matches!(k.site, FaultSite::QueueAddr(_) | FaultSite::QueueVal(_)))
     });
     let o = queue_sdc.expect("a queue-slot strike participates in some SDC");
     let cells: Vec<Cell> = o
-        .strikes
+        .plan
+        .strikes()
         .iter()
         .map(|k| map_cell(&grid, k).expect("pre-halt strikes map"))
         .collect();
@@ -159,6 +159,9 @@ fn queue_spanning_pairs_validate_across_the_label() {
     assert_eq!(v.class, PairClass::Vulnerable);
 }
 
+/// End to end on the exhaustive pair grid: every SDC plan maps, strike by
+/// strike, to a pair the analyzer calls Vulnerable; the analyzer rules some
+/// pairs out; and the campaign counts the same SDCs as the grid.
 #[test]
 fn static_guidance_is_verdict_neutral_end_to_end() {
     let p = arc(PROTECTED);
@@ -170,15 +173,32 @@ fn static_guidance_is_verdict_neutral_end_to_end() {
     };
     let golden = golden_run(&p, &cfg).expect("golden halts");
     let plans = exhaustive_pair_plans(&p, &cfg, &golden);
-    let trace = golden_trace(&p, &cfg, &golden);
+    let grid = plan_fault_grid(&p, &cfg, &golden, &plans);
     let mut pa = PairAnalyzer::new(&p);
-    let hot = prioritize_pairs(&mut pa, &trace, &plans);
-    assert!(hot.iter().any(|&h| h), "some pairs are defeat candidates");
-    assert!(!hot.iter().all(|&h| h), "guidance rules most pairs out");
-    let baseline = run_plan_campaign(&p, &cfg, &golden, &plans);
-    let guided = run_plan_campaign_guided(&p, &cfg, &golden, &plans, &hot);
-    assert_eq!(guided, baseline, "static guidance must not change verdicts");
-    assert!(baseline.sdc > 0, "the grid does contain defeats to find");
+    let mut class_of = |plan: &FaultPlan| {
+        let [a, b] = plan.strikes() else {
+            panic!("exhaustive pair plans have two strikes");
+        };
+        let (a, b) = (map_cell(&grid, a)?, map_cell(&grid, b)?);
+        pa.classify_pair(a, b).map(|v| v.class)
+    };
+    for o in grid.sdc() {
+        assert_eq!(
+            class_of(&o.plan),
+            Some(PairClass::Vulnerable),
+            "SDC plan {:?} is not a statically Vulnerable pair",
+            o.plan
+        );
+    }
+    assert!(
+        plans
+            .iter()
+            .any(|plan| class_of(plan).is_some_and(|c| c != PairClass::Vulnerable)),
+        "the analyzer rules some pairs out"
+    );
+    let report = run_plan_campaign(&p, &cfg, &golden, &plans);
+    assert!(report.sdc > 0, "the grid does contain defeats to find");
+    assert_eq!(report.sdc, grid.count(Verdict::Sdc) as u64);
 }
 
 #[test]
@@ -196,7 +216,12 @@ fn post_compare_strikes_stay_safe_statically_and_dynamically() {
     let s = cross_validate_pairs(&mut pa, &grid);
     assert!(s.holds(), "{:?}", s.mismatches);
     for o in grid.sdc() {
-        let mut mapped: Vec<Option<Cell>> = o.strikes.iter().map(|k| map_cell(&grid, k)).collect();
+        let mut mapped: Vec<Option<Cell>> = o
+            .plan
+            .strikes()
+            .iter()
+            .map(|k| map_cell(&grid, k))
+            .collect();
         mapped.sort();
         assert_ne!(
             mapped,

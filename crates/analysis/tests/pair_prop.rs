@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use talft_analysis::{cross_validate_pairs, PairAnalyzer};
 use talft_compiler::{compile, CompileOptions};
-use talft_faultsim::{golden_run, multi_fault_plans, plan_fault_grid_against, CampaignConfig};
+use talft_faultsim::{golden_run, multi_fault_plans, plan_fault_grid, CampaignConfig};
 use talft_isa::Program;
 use talft_testutil::wile::{random_stmts, render_program, shrink_candidates, StmtR};
 use talft_testutil::{shrink::minimize, SplitMix64};
@@ -37,7 +37,7 @@ fn check_program(program: &Arc<Program>) -> Result<(), String> {
         return Ok(());
     };
     let plans = multi_fault_plans(program, &cfg, &golden, 2);
-    let grid = plan_fault_grid_against(program, &cfg, &golden, &plans);
+    let grid = plan_fault_grid(program, &cfg, &golden, &plans);
     let s = cross_validate_pairs(&mut pa, &grid);
     if s.holds() {
         Ok(())

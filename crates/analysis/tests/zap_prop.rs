@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use talft_analysis::{analyze_zaps, cross_validate};
 use talft_compiler::{compile, CompileOptions};
-use talft_faultsim::{single_fault_grid, CampaignConfig};
+use talft_faultsim::{golden_run, plan_fault_grid, single_fault_plans, CampaignConfig};
 use talft_isa::Program;
 use talft_testutil::wile::{random_stmts, render_program, shrink_candidates, StmtR};
 use talft_testutil::{shrink::minimize, SplitMix64};
@@ -29,10 +29,13 @@ fn check_program(program: &Arc<Program>) -> Result<(), String> {
         // The analyzer refused to classify: nothing is claimed.
         return Ok(());
     }
-    let Ok(grid) = single_fault_grid(program, &grid_cfg()) else {
+    let cfg = grid_cfg();
+    let Ok(golden) = golden_run(program, &cfg) else {
         // Golden run did not converge; no grid to compare.
         return Ok(());
     };
+    let plans = single_fault_plans(program, &cfg, &golden);
+    let grid = plan_fault_grid(program, &cfg, &golden, &plans);
     let s = cross_validate(&report, &grid);
     if s.holds() {
         Ok(())

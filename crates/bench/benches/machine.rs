@@ -7,7 +7,7 @@
 //! ```
 
 use talft_compiler::{compile, CompileOptions};
-use talft_faultsim::{golden_run, run_campaign_against, CampaignConfig};
+use talft_faultsim::{golden_run, run_plan_campaign, single_fault_plans, CampaignConfig};
 use talft_machine::run_program;
 use talft_suite::{kernels, Scale};
 use talft_testutil::{bench_ns, fmt_bench};
@@ -36,7 +36,9 @@ fn main() {
         fmt_bench(
             "machine/campaign/strided",
             bench_ns(20, || {
-                let _ = run_campaign_against(&compiled.protected.program, &cfg, &golden);
+                let program = &compiled.protected.program;
+                let plans = single_fault_plans(program, &cfg, &golden);
+                let _ = run_plan_campaign(program, &cfg, &golden, &plans);
             })
         )
     );

@@ -1,7 +1,7 @@
 //! **campaignperf** — the E16/E19 engine differential: the bit-parallel
 //! batched campaign engine timed three-way against the scalar checkpointed
-//! work-stealing engine and the pre-checkpoint reference engine on the same
-//! plan sets, plus the entailment-cache hit rate over the suite checker
+//! work-stealing engine and the sequential reference on the same plan
+//! sets, plus the entailment-cache hit rate over the suite checker
 //! workload.
 //!
 //! Two phases, each preceded by a registry reset so its numbers are
@@ -11,12 +11,13 @@
 //!    protected binary with the entailment cache enabled; report
 //!    `logic.cache.hit` / `logic.cache.miss` and the derived hit rate;
 //! 2. **campaign** — per kernel, build the k=1 plan set once, then run
-//!    [`run_plan_campaign_reference`], [`run_plan_campaign_scalar`] and
-//!    [`run_plan_campaign_batched`] on it with the same pinned thread
-//!    count. All three reports must be bit-identical and SDC must be zero
-//!    (Theorem 4); the row records each engine's wall time and plans/sec,
-//!    and the document carries per-engine verdict totals so `--check` can
-//!    re-prove the agreement offline. The `batch` object breaks demotions
+//!    the sequential [`run_plan_campaign_reference`] on it, and
+//!    [`run_plan_campaign_scalar`] and [`run_plan_campaign`] (batched for
+//!    this ungated config) at the pinned thread count. All three reports
+//!    must be bit-identical and SDC must be zero (Theorem 4); the row
+//!    records each engine's wall time and plans/sec, and the document
+//!    carries per-engine verdict totals so `--check` can re-prove the
+//!    agreement offline. The `batch` object breaks demotions
 //!    down by cause (the `faultsim.batch.demote.*` counters) and records
 //!    the multi-strike lane count, so the residual scalar work is
 //!    attributable from the report alone.
@@ -25,9 +26,9 @@
 //!          [--json <path>] [--check <path>] [--threads N] [--stride N]
 //!          [--checkpoint-stride N]`
 //!
-//! `--json` defaults to `BENCH_campaign.json`; `--threads` defaults to 4
-//! (pinned, not `available_parallelism`, so rows are comparable across
-//! machines); `--stride` (campaign time stride) defaults to 3;
+//! `--json` defaults to `BENCH_campaign.json`; `--threads` (the scalar and
+//! batched engines') defaults to 4 (pinned, not `available_parallelism`,
+//! so rows are comparable across machines); `--stride` (campaign time stride) defaults to 3;
 //! `--checkpoint-stride` defaults to 0 (engine auto). `--check <path>`
 //! parses an existing report with the dep-free [`talft_obs::Json`] parser
 //! and gates on the *count* invariants — nonzero checkpoint reuse, nonzero
@@ -42,13 +43,13 @@ use talft_bench::report::{self, campaign_json, Report};
 use talft_compiler::{compile, CompileOptions};
 use talft_core::check_program;
 use talft_faultsim::{
-    golden_run, run_plan_campaign_batched, run_plan_campaign_reference, run_plan_campaign_scalar,
+    golden_run, run_plan_campaign, run_plan_campaign_reference, run_plan_campaign_scalar,
     single_fault_plans, CampaignConfig, CampaignReport,
 };
 use talft_obs::Json;
 use talft_suite::{kernels, Scale};
 
-/// Required top-level keys of a `talft.campaignperf.v3` document.
+/// Required top-level keys of a `talft.campaignperf.v4` document.
 const REQUIRED: &[&str] = &[
     "schema",
     "threads",
@@ -75,14 +76,7 @@ const VERDICT_FIELDS: &[&str] = &[
 
 /// The demotion-cause counters, in taxonomy order; `--check` demands they
 /// sum exactly to `batch.demotions`.
-const DEMOTE_CAUSES: &[&str] = &[
-    "queue_addr",
-    "mem_commit",
-    "gpr_hi",
-    "load_addr",
-    "control_fork",
-    "terminal",
-];
+const DEMOTE_CAUSES: &[&str] = &["mem_commit", "gpr_hi", "control_fork", "terminal"];
 
 /// Summed verdict counts for one engine across every kernel.
 #[derive(Default)]
@@ -189,7 +183,7 @@ fn main() {
         let eng_rep = run_plan_campaign_scalar(&c.protected.program, &cfg, &golden, &plans);
         let eng_ns = ns(t0.elapsed());
         let t0 = Instant::now();
-        let bat_rep = run_plan_campaign_batched(&c.protected.program, &cfg, &golden, &plans);
+        let bat_rep = run_plan_campaign(&c.protected.program, &cfg, &golden, &plans);
         let bat_ns = ns(t0.elapsed());
         if eng_rep != ref_rep {
             eprintln!("error: {name}: scalar engine report diverged from the reference engine");
@@ -238,7 +232,7 @@ fn main() {
     }
     let campaign = talft_obs::snapshot();
 
-    let json = Report::new("talft.campaignperf.v3")
+    let json = Report::new("talft.campaignperf.v4")
         .field("threads", Json::U64(threads as u64))
         .field("stride", Json::U64(stride))
         .field("checkpoint_stride", Json::U64(checkpoint_stride))
@@ -401,7 +395,7 @@ fn check_existing(path: &str) {
             std::process::exit(1);
         }
     }
-    if json.get("schema").and_then(Json::as_str) != Some("talft.campaignperf.v3") {
+    if json.get("schema").and_then(Json::as_str) != Some("talft.campaignperf.v4") {
         eprintln!("campaignperf: {path} has an unexpected schema tag");
         std::process::exit(1);
     }
@@ -511,5 +505,5 @@ fn check_existing(path: &str) {
     {
         fail("protected-suite totals report nonzero SDC");
     }
-    println!("campaignperf: {path} OK (schema talft.campaignperf.v3, engines agree)");
+    println!("campaignperf: {path} OK (schema talft.campaignperf.v4, engines agree)");
 }

@@ -30,7 +30,7 @@ use talft_analysis::{analyze_zaps, cross_validate, lint_program, DiffSummary, Za
 use talft_bench::report::{self, Report};
 use talft_compiler::{compile, CompileOptions};
 use talft_core::Severity;
-use talft_faultsim::{single_fault_grid, CampaignConfig, Verdict};
+use talft_faultsim::{golden_run, plan_fault_grid, single_fault_plans, CampaignConfig, Verdict};
 use talft_isa::Program;
 use talft_obs::Json;
 use talft_suite::{kernels, Scale};
@@ -202,7 +202,9 @@ fn analyze_side(program: &Arc<Program>, cfg: &CampaignConfig) -> Result<Side, St
         return Err(format!("analyzer bailed: {why}"));
     }
     let (detected, benign, vulnerable) = report.tally();
-    let grid = single_fault_grid(program, cfg).map_err(|e| format!("golden run: {e}"))?;
+    let golden = golden_run(program, cfg).map_err(|e| format!("golden run: {e}"))?;
+    let plans = single_fault_plans(program, cfg, &golden);
+    let grid = plan_fault_grid(program, cfg, &golden, &plans);
     let diff = cross_validate(&report, &grid);
     Ok(Side {
         detected: detected as u64,

@@ -1,13 +1,11 @@
 //! E22 / **static pair-fault coverage table**: the compositional k=2
 //! pair analyzer (talft-analysis) cross-validated against k=2 injection
-//! campaigns over every suite kernel. Three hard gates, any failure
-//! exits nonzero:
+//! campaigns over every suite kernel. Two hard gates, any failure exits
+//! nonzero:
 //!
 //! * a **pair-differential mismatch** — a statically Detected/Benign
 //!   cell *pair* that a two-strike plan drove to SDC — contradicts the
 //!   compositional analyzer's soundness claim;
-//! * a **guided/unguided report divergence** — static-guided plan
-//!   prioritization must be verdict-neutral (bit-identical reports);
 //! * an **analyzer bail** on a suite kernel (all kernels fit the
 //!   two-word taint mask).
 //!
@@ -32,21 +30,18 @@
 
 use std::sync::Arc;
 
-use talft_analysis::{
-    cross_validate_pairs, lint_pairs, prioritize_pairs, PairAnalyzer, PairDiffSummary, PairReport,
-};
+use talft_analysis::{cross_validate_pairs, lint_pairs, PairAnalyzer, PairDiffSummary, PairReport};
 use talft_bench::report::{self, Report};
 use talft_compiler::{compile, CompileOptions};
 use talft_faultsim::{
-    exhaustive_pair_plans, golden_run, golden_trace, multi_fault_plans, plan_fault_grid_against,
-    run_plan_campaign, run_plan_campaign_guided, single_fault_plans, CampaignConfig, FaultPlan,
-    Golden, Verdict,
+    exhaustive_pair_plans, golden_run, multi_fault_plans, plan_fault_grid, single_fault_plans,
+    CampaignConfig, FaultPlan, Golden, Verdict,
 };
 use talft_isa::Program;
 use talft_obs::Json;
 use talft_suite::{kernels, Scale};
 
-/// Required top-level keys of a `talft.pairs.v1` document.
+/// Required top-level keys of a `talft.pairs.v2` document.
 const REQUIRED: &[&str] = &[
     "schema",
     "kernels",
@@ -66,7 +61,6 @@ struct Side {
     tf008: u64,
     sampled_sdc: u64,
     diff: PairDiffSummary,
-    guided_identical: bool,
 }
 
 fn main() {
@@ -92,9 +86,9 @@ fn main() {
     );
     println!("# statically Detected/Benign cell pairs must never score SDC in a k=2 campaign");
     println!(
-        "| kernel | side | cells | pairs | detected | benign | vulnerable | coop | k2 cov | grid SDC | predicted | mismatches | guided≡ |"
+        "| kernel | side | cells | pairs | detected | benign | vulnerable | coop | k2 cov | grid SDC | predicted | mismatches |"
     );
-    println!("|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|:---:|");
+    println!("|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|");
 
     let mut failed = false;
     let mut rows = Vec::new();
@@ -125,13 +119,6 @@ fn main() {
                 eprintln!(
                     "PAIR DIFFERENTIAL MISMATCH: {} ({side}): statically-safe SDC pair: {:?}",
                     k.name, s.diff.mismatches
-                );
-                failed = true;
-            }
-            if !s.guided_identical {
-                eprintln!(
-                    "GUIDANCE NOT VERDICT-NEUTRAL: {} ({side}): guided report diverged",
-                    k.name
                 );
                 failed = true;
             }
@@ -179,7 +166,6 @@ fn main() {
             tf008: 0,
             sampled_sdc: 0,
             diff: PairDiffSummary::default(),
-            guided_identical: true,
         };
         for s in totals.iter().filter(|(sd, _)| *sd == which).map(|(_, s)| s) {
             agg.pairs.cells += s.pairs.cells;
@@ -199,7 +185,6 @@ fn main() {
             agg.diff
                 .mismatches
                 .extend(s.diff.mismatches.iter().cloned());
-            agg.guided_identical &= s.guided_identical;
         }
         side_json(&agg)
     };
@@ -208,7 +193,7 @@ fn main() {
         ("baseline", total_for("baseline")),
     ]);
     report::emit(|| {
-        Report::new("talft.pairs.v1")
+        Report::new("talft.pairs.v2")
             .field("kernels", Json::U64(ks.len() as u64))
             .field("stride", Json::U64(cfg.effective_stride()))
             .field("samples", Json::U64(samples as u64))
@@ -223,8 +208,7 @@ fn main() {
         std::process::exit(2);
     }
     println!(
-        "RESULT: pair differential holds on all {} kernels (protected and baseline); \
-         static guidance is verdict-neutral.",
+        "RESULT: pair differential holds on all {} kernels (protected and baseline).",
         ks.len()
     );
 }
@@ -239,18 +223,13 @@ fn analyze_side(program: &Arc<Program>, cfg: &CampaignConfig) -> Result<Side, St
     let tf008 = lint_pairs(program, &pairs).len() as u64;
     let golden = golden_run(program, cfg).map_err(|e| format!("golden run: {e}"))?;
     let plans = multi_fault_plans(program, cfg, &golden, 2);
-    let trace = golden_trace(program, cfg, &golden);
-    let hot = prioritize_pairs(&mut analyzer, &trace, &plans);
-    let baseline = run_plan_campaign(program, cfg, &golden, &plans);
-    let guided = run_plan_campaign_guided(program, cfg, &golden, &plans, &hot);
-    let grid = plan_fault_grid_against(program, cfg, &golden, &plans);
+    let grid = plan_fault_grid(program, cfg, &golden, &plans);
     let diff = cross_validate_pairs(&mut analyzer, &grid);
     Ok(Side {
         pairs,
         tf008,
         sampled_sdc: grid.count(Verdict::Sdc) as u64,
         diff,
-        guided_identical: guided == baseline,
     })
 }
 
@@ -270,7 +249,7 @@ fn exhaustive_side(
         cfg.stride = cfg.stride.saturating_mul(2);
     }
     let plans: Vec<FaultPlan> = exhaustive_pair_plans(program, &cfg, &golden);
-    let grid = plan_fault_grid_against(program, &cfg, &golden, &plans);
+    let grid = plan_fault_grid(program, &cfg, &golden, &plans);
     let mut analyzer = PairAnalyzer::new(program);
     let diff = cross_validate_pairs(&mut analyzer, &grid);
     Ok((
@@ -283,7 +262,7 @@ fn exhaustive_side(
 
 fn print_row(name: &str, side: &str, s: &Side) {
     println!(
-        "| {} | {} | {} | {} | {} | {} | {} | {} | {:.1}% | {} | {} | **{}** | {} |",
+        "| {} | {} | {} | {} | {} | {} | {} | {} | {:.1}% | {} | {} | **{}** |",
         name,
         side,
         s.pairs.cells,
@@ -296,7 +275,6 @@ fn print_row(name: &str, side: &str, s: &Side) {
         s.sampled_sdc,
         s.diff.predicted_sdc,
         s.diff.mismatches.len(),
-        if s.guided_identical { "yes" } else { "NO" },
     );
 }
 
@@ -318,7 +296,6 @@ fn side_json(s: &Side) -> Json {
         ("grid_sdc", Json::U64(s.sampled_sdc)),
         ("predicted_sdc", Json::U64(s.diff.predicted_sdc as u64)),
         ("mismatches", Json::U64(s.diff.mismatches.len() as u64)),
-        ("guided_identical", Json::U64(u64::from(s.guided_identical))),
     ])
 }
 
@@ -345,7 +322,7 @@ fn check_existing(path: &str) {
             std::process::exit(1);
         }
     }
-    if json.get("schema").and_then(Json::as_str) != Some("talft.pairs.v1") {
+    if json.get("schema").and_then(Json::as_str) != Some("talft.pairs.v2") {
         eprintln!("pairs: {path} has an unexpected schema tag");
         std::process::exit(1);
     }
@@ -375,11 +352,6 @@ fn check_existing(path: &str) {
             if n("mismatches") != 0 {
                 fail(&format!(
                     "kernel {name} ({side}) reports a statically-safe SDC pair"
-                ));
-            }
-            if n("guided_identical") != 1 {
-                fail(&format!(
-                    "kernel {name} ({side}): guidance changed the report"
                 ));
             }
             if n("detected") + n("benign") + n("vulnerable") != n("pairs") {
@@ -434,5 +406,5 @@ fn check_existing(path: &str) {
             fail(&format!("totals ({side}): mismatches present"));
         }
     }
-    println!("pairs: {path} OK (schema talft.pairs.v1)");
+    println!("pairs: {path} OK (schema talft.pairs.v2)");
 }

@@ -39,10 +39,6 @@
 //!                     golden checkpoint interval in steps for the campaign
 //!                     engine (default 0 = auto); performance knob only —
 //!                     reports are stride-invariant
-//!   --no-batch        route campaigns through the scalar engine instead of
-//!                     the bit-parallel batched one (default on); A/B knob
-//!                     only — the engines are verdict-exact, reports are
-//!                     bit-identical either way
 //!   --max-steps=N     step budget for the golden run
 //!   --baseline        operate on the unprotected baseline instead
 //!   --time            report Figure 10-style cycles for this program
@@ -81,8 +77,8 @@ use talft_compiler::{compile, CompileOptions};
 use talft_core::check_program;
 use talft_faultsim::{
     golden_run_retrying, grid_fingerprint, merge_shard_reports, multi_fault_plans,
-    run_multi_campaign, run_shard_campaign, CampaignConfig, CampaignReport, GoldenError,
-    ShardControl, ShardOutcome, ShardPart, ShardSpec,
+    run_plan_campaign, run_shard_campaign, CampaignConfig, CampaignReport, FaultPlan, Golden,
+    GoldenError, ShardControl, ShardOutcome, ShardPart, ShardSpec,
 };
 use talft_isa::{assemble, print_program, Program};
 use talft_logic::ExprArena;
@@ -107,7 +103,6 @@ struct Flags {
     seed: Option<u64>,
     threads: Option<usize>,
     checkpoint_stride: Option<u64>,
-    batch: bool,
     max_steps: Option<u64>,
     shards: Option<u32>,
     shard: Option<u32>,
@@ -134,7 +129,6 @@ impl Flags {
         }
         let mut f = Flags {
             check: true,
-            batch: true,
             campaign_k: 1,
             ..Flags::default()
         };
@@ -149,7 +143,6 @@ impl Flags {
                 ("--lint", None) => f.lint = true,
                 ("--no-check", None) => f.check = false,
                 ("--run", None) => f.run = true,
-                ("--no-batch", None) => f.batch = false,
                 ("--resume", None) => f.resume = true,
                 ("--baseline", None) => f.baseline = true,
                 ("--time", None) => f.time = true,
@@ -213,7 +206,7 @@ fn main() -> ExitCode {
                 "usage: talftc <file.wile|file.talft> [--emit-asm] [--disasm] [--lint] \
                  [--zap-report=PATH] [--no-check] \
                  [--run] [--campaign[=N]] [--campaign-k=K] [--seed=N] [--threads=N] \
-                 [--checkpoint-stride=N] [--no-batch] [--max-steps=N] [--shards=N] [--shard=I] \
+                 [--checkpoint-stride=N] [--max-steps=N] [--shards=N] [--shard=I] \
                  [--resume] [--checkpoint-dir=D] [--checkpoint-every=M] [--baseline] [--time] \
                  [--profile] [--json=PATH]"
             );
@@ -366,14 +359,12 @@ fn real_main(path: &str, flags: &Flags) -> ExitCode {
         if let Some(cp) = flags.checkpoint_stride {
             cfg.checkpoint_stride = cp;
         }
-        cfg.batch = flags.batch;
         let k = flags.campaign_k.max(1);
-        if flags.shards.is_some() || flags.shard.is_some() {
-            return run_sharded(&program, &cfg, k, flags, path);
-        }
         let t0 = std::time::Instant::now();
-        let rep = match run_multi_campaign(&program, &cfg, k) {
-            Ok(rep) => rep,
+        // One prologue for both paths: a panicking golden runner is retried,
+        // then exits 1; an exhausted budget exits 6.
+        let golden = match golden_run_retrying(&program, &cfg) {
+            Ok(g) => g,
             Err(e @ GoldenError::BudgetExhausted { .. }) => {
                 // Not a verdict and not an error in the program: the run
                 // was cut short by the step budget. Distinct exit class so
@@ -388,6 +379,11 @@ fn real_main(path: &str, flags: &Flags) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
+        let plans = multi_fault_plans(&program, &cfg, &golden, k);
+        if flags.shards.is_some() || flags.shard.is_some() {
+            return run_sharded(&program, &cfg, &golden, &plans, k, flags, path);
+        }
+        let rep = run_plan_campaign(&program, &cfg, &golden, &plans);
         if flags.profile {
             let secs = t0.elapsed().as_secs_f64();
             if secs > 0.0 {
@@ -451,6 +447,8 @@ fn summarize_campaign(rep: &CampaignReport, k: u32) -> ExitCode {
 fn run_sharded(
     program: &Arc<Program>,
     cfg: &CampaignConfig,
+    golden: &Golden,
+    plans: &[FaultPlan],
     k: u32,
     flags: &Flags,
     input: &str,
@@ -476,20 +474,7 @@ fn run_sharded(
         None => (0..count).collect(),
     };
     install_interrupt_handlers();
-    let golden = match golden_run_retrying(program, cfg) {
-        Ok(g) => g,
-        Err(e @ GoldenError::BudgetExhausted { .. }) => {
-            eprintln!("talftc: campaign interrupted: {e}");
-            eprintln!("talftc: raise --max-steps and re-run");
-            return ExitCode::from(EXIT_INTERRUPTED);
-        }
-        Err(e) => {
-            eprintln!("talftc: campaign aborted: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let plans = multi_fault_plans(program, cfg, &golden, k);
-    let fingerprint = grid_fingerprint(&golden, &plans);
+    let fingerprint = grid_fingerprint(golden, plans);
     for &i in &indices {
         let spec = ShardSpec::new(i, count).expect("index checked above");
         let part_path = dir.join(format!("shard-{i}.json"));
@@ -531,8 +516,8 @@ fn run_sharded(
         let outcome = run_shard_campaign(
             program,
             cfg,
-            &golden,
-            &plans,
+            golden,
+            plans,
             spec,
             every,
             resume_cp.as_ref(),

@@ -19,8 +19,8 @@ pub mod report;
 
 use talft_compiler::{compile, vir::interpret, CompileOptions, Compiled};
 use talft_faultsim::{
-    golden_run, multi_fault_plans, run_campaign, run_plan_campaign_batched,
-    run_plan_campaign_scalar, CampaignConfig, CampaignReport,
+    golden_run, multi_fault_plans, run_campaign, run_plan_campaign, run_plan_campaign_scalar,
+    CampaignConfig, CampaignReport,
 };
 use talft_oracle::{run_oracle, MutantOutcome, MutationOp, OpScore, OracleConfig};
 use talft_sim::{simulate, BlockVisit, MachineModel};
@@ -241,7 +241,7 @@ pub fn multifault_row(
     let golden = golden_run(program, cfg).map_err(|e| format!("{}: {e}", kernel.name))?;
     let plans = multi_fault_plans(program, cfg, &golden, k);
     let t0 = std::time::Instant::now();
-    let batched = run_plan_campaign_batched(program, cfg, &golden, &plans);
+    let batched = run_plan_campaign(program, cfg, &golden, &plans);
     let batched_secs = t0.elapsed().as_secs_f64();
     let t1 = std::time::Instant::now();
     let scalar = run_plan_campaign_scalar(program, cfg, &golden, &plans);

@@ -66,6 +66,7 @@ fn exit_1_on_usage_error() {
         "--campaign=abc",
         "--threads=x",
         "--solver-cache=stale.cache",
+        "--no-batch",
     ] {
         let out = talftc(&[p.to_str().unwrap(), flag]);
         assert_eq!(out.status.code(), Some(1), "{flag}: {out:?}");

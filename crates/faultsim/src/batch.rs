@@ -72,17 +72,10 @@
 //!   escape boundary is exact, never lossy, and every demotion is
 //!   attributed to a `DemoteCause` counter (`faultsim.batch.demote.*`)
 //!   so the residual scalar tail stays observable:
-//!   - `queue_addr` — retired: a diverged address entering the queue at
-//!     `stG` is carried as an address shadow and resolved at the `stB`
-//!     compare or a forwarding load; the counter stays at zero so the
-//!     taxonomy and report schema remain stable;
 //!   - `mem_commit` — an `stB` compare *passes* with a diverged value
 //!     (the divergence escapes into memory and the output trace);
 //!   - `gpr_hi` — a diverged result lands in a GPR ≥ 64, outside the
 //!     packed register window;
-//!   - `load_addr` — retired: diverged load addresses now resolve
-//!     in-lane (see above); the counter stays at zero so the taxonomy
-//!     and report schema remain stable;
 //!   - `control_fork` — a lane's control transfer departs from golden's
 //!     (a `jmpB`/`bzB` committing diverged pc values, or a `bz` taken on
 //!     one side only);
@@ -98,18 +91,19 @@
 //! shared replay walk, so the `k = 2` E13 grids ride the batched path
 //! whenever both strikes hit packed sites. Only plans with a pc-register
 //! strike (a diverged pc forks the action sequence itself) or a strike
-//! past golden termination route to the scalar path whole, as does any
-//! campaign whose golden run did not halt (the scalar engine's
-//! convergence exit is only exact against a halted golden).
-//! Gated (`stop_on_first_violation`) campaigns never reach this module —
-//! [`run_plan_campaign`](crate::run_plan_campaign) dispatches them to the
-//! scalar engine.
+//! past golden termination route to the scalar path whole. Campaigns the
+//! packed form cannot serve at all never reach this module:
+//! [`run_plan_campaign`](crate::run_plan_campaign) runs the scalar engine
+//! for a gated (`stop_on_first_violation`) config (the batched engine has
+//! no deterministic abort order), a golden run that did not halt (the
+//! convergence exit is only exact against a halted golden), or missing
+//! liveness.
 //!
 //! **Verdict exactness is the contract**: the report — counts, retained
 //! violations, latency histogram, incomplete-plan accounting — is
-//! bit-identical to [`run_plan_campaign_scalar`] and to
-//! [`run_plan_campaign_reference`](crate::run_plan_campaign_reference) at
-//! every thread count, and the batched-differential test layer
+//! bit-identical to [`run_plan_campaign_scalar`](crate::run_plan_campaign_scalar)
+//! and to [`run_plan_campaign_reference`](crate::run_plan_campaign_reference)
+//! at every thread count, and the batched-differential test layer
 //! (`tests/batch_differential.rs`, `tests/batch_demotion.rs`) re-proves it
 //! per release rather than assuming it.
 
@@ -117,13 +111,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use talft_isa::{CVal, Color, Gpr, Instr, OpSrc, Program, Reg};
-use talft_machine::{action_gpr_masks, step, FaultSite, Machine, OobLoadPolicy, Status};
+use talft_machine::{action_gpr_masks, step, FaultSite, Machine, OobLoadPolicy};
 use talft_obs::{LazyCounter, LazyHistogram};
 
 use crate::{
-    advance_frontier, lead_injection, note_verdicts, resume_plan, run_isolated,
-    run_plan_campaign_scalar, verdict_slot, CampaignConfig, CampaignReport, FaultPlan, Golden,
-    Injection, Verdict, CAMPAIGN_NS, PLANS, WORKER_RATE,
+    advance_frontier, lead_injection, note_verdicts, resume_plan, run_isolated, verdict_slot,
+    CampaignConfig, CampaignReport, FaultPlan, Golden, Injection, Verdict, CAMPAIGN_NS, PLANS,
+    WORKER_RATE,
 };
 
 static BATCH_LANES: LazyCounter = LazyCounter::new("faultsim.batch.lanes");
@@ -140,36 +134,22 @@ static BATCH_QUIET_STEPS: LazyCounter = LazyCounter::new("faultsim.batch.quiet_s
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 enum DemoteCause {
-    /// Retired: a diverged *address* entering the store queue at `stG` is
-    /// now carried as a per-lane address shadow and resolved at the `stB`
-    /// compare (or a forwarding load) in place. Kept so the taxonomy,
-    /// counter names, and report schema stay stable.
-    #[allow(dead_code)]
-    QueueAddr = 0,
     /// An `stB` compare passed with a diverged value — it escapes into
     /// memory and the output trace.
-    MemCommit = 1,
+    MemCommit = 0,
     /// A diverged result landed in a GPR ≥ 64, outside the packed window.
-    GprHi = 2,
-    /// Retired: loads through diverged addresses resolve in-lane against
-    /// the replay's memory/queue (bit-identical to the lane's while
-    /// packed). Kept so the taxonomy, counter names, and report schema
-    /// stay stable.
-    #[allow(dead_code)]
-    LoadAddr = 3,
+    GprHi = 1,
     /// The lane's control transfer departed from golden's.
-    ControlFork = 4,
+    ControlFork = 2,
     /// The replay halted while the lane still held a `d`/queue shadow.
-    Terminal = 5,
+    Terminal = 3,
 }
 
-const DEMOTE_CAUSES: usize = 6;
+const DEMOTE_CAUSES: usize = 4;
 
 static DEMOTE_COUNTERS: [LazyCounter; DEMOTE_CAUSES] = [
-    LazyCounter::new("faultsim.batch.demote.queue_addr"),
     LazyCounter::new("faultsim.batch.demote.mem_commit"),
     LazyCounter::new("faultsim.batch.demote.gpr_hi"),
-    LazyCounter::new("faultsim.batch.demote.load_addr"),
     LazyCounter::new("faultsim.batch.demote.control_fork"),
     LazyCounter::new("faultsim.batch.demote.terminal"),
 ];
@@ -246,26 +226,20 @@ fn admissible(plan: &FaultPlan, golden: &Golden, num_gprs: u16) -> bool {
 }
 
 /// The bit-parallel batched campaign engine. Same contract as
-/// [`run_plan_campaign_scalar`] — bit-identical reports at every thread
-/// count — at a fraction of the simulated steps: faults on packed sites
-/// (GPRs, `d`, queue values; any strike count) ride one shared golden
-/// replay per worker as packed shadow deltas, classifying at their heal,
-/// blue-compare, or liveness-settle point, and only lanes whose divergence
-/// escapes the packed components pay for a scalar continuation. Gated
-/// configs delegate to the scalar engine.
-#[must_use]
-pub fn run_plan_campaign_batched(
+/// [`run_plan_campaign_scalar`](crate::run_plan_campaign_scalar) —
+/// bit-identical reports at every thread count — at a fraction of the
+/// simulated steps: faults on packed sites (GPRs, `d`, queue values; any
+/// strike count) ride one shared golden replay per worker as packed shadow
+/// deltas, classifying at their heal, blue-compare, or liveness-settle
+/// point, and only lanes whose divergence escapes the packed components pay
+/// for a scalar continuation. The caller guarantees an ungated config and a
+/// `Halted` golden run with liveness.
+pub(crate) fn run_batched(
     program: &Arc<Program>,
     cfg: &CampaignConfig,
     golden: &Golden,
     plans: &[FaultPlan],
 ) -> CampaignReport {
-    if cfg.stop_on_first_violation
-        || golden.status != Status::Halted
-        || golden.reg_liveness.is_empty()
-    {
-        return run_plan_campaign_scalar(program, cfg, golden, plans);
-    }
     let _span = CAMPAIGN_NS.span();
     let num_gprs = program.num_gprs;
     let mut order: Vec<usize> = (0..plans.len()).collect();
@@ -436,7 +410,7 @@ pub fn run_plan_campaign_batched(
 /// to `LANES_PER_GROUP` in-flight faulty machines against the shared golden
 /// replay. The invariant every transition preserves: a tracked lane's
 /// faulty machine equals the replay everywhere — pcs, `ir`, memory, trace,
-/// status, step count, queue *addresses* and depth — except:
+/// status, step count, queue depth — except:
 ///
 /// * the GPRs in `by_lane[l]`, which hold the `vals` payloads under
 ///   golden's color tags (faults and ALU propagation never flip a GPR
@@ -445,8 +419,8 @@ pub fn run_plan_campaign_batched(
 /// * `d`, iff bit `l` of `ddiv` is set, which holds the full `CVal` in
 ///   `dvals[l]` (latches *can* split the color: a `bzG` taken on one side
 ///   only latches a green target against a stale `d`);
-/// * queue entry *values* at the `(seq, value)` pairs in `qsh[l]`
-///   (addresses always agree — a diverged address demotes at `stG`).
+/// * queue entry values and addresses at the `(seq, value)` and
+///   `(seq, address)` pairs in `qsh[l]` and `qash[l]`.
 struct Shadow {
     /// Bit `l` of `by_reg[g]`: lane `l` diverges from golden in GPR `g`.
     by_reg: [LaneSet; 64],

@@ -16,15 +16,24 @@
 //! state (Progress violation), or an over-long run — is a counterexample.
 //!
 //! The engine is *plan-driven*: [`run_plan_campaign`] executes any set of
-//! [`FaultPlan`]s (ordered `{at_step, site, value}` strikes) and classifies
-//! each continuation **as the trace streams out** — the first divergent
-//! committed output condemns the run immediately, instead of simulating to
-//! the `n + k` bound and diffing afterwards. The classic exhaustive
-//! single-fault sweep ([`run_campaign`]) is the `k = 1` instantiation
-//! ([`single_fault_plans`]); [`run_multi_campaign`] samples the `k ≥ 2`
-//! space ([`multi_fault_plans`]), where Theorem 4 makes **no promise** —
-//! its SDC counts quantify the boundary of the single-event-upset model
-//! rather than falsify the theorem ([`CampaignReport::within_fault_model`]).
+//! [`FaultPlan`]s (ordered `{at_step, site, value}` strikes) against a
+//! [`golden_run`] and classifies each continuation **as the trace streams
+//! out** — the first divergent committed output condemns the run
+//! immediately, instead of simulating to the `n + k` bound and diffing
+//! afterwards. The classic exhaustive single-fault sweep ([`run_campaign`])
+//! is the `k = 1` instantiation ([`single_fault_plans`]);
+//! [`multi_fault_plans`] samples the `k ≥ 2` space, where Theorem 4 makes
+//! **no promise** — its SDC counts quantify the boundary of the
+//! single-event-upset model rather than falsify the theorem
+//! ([`CampaignReport::within_fault_model`]).
+//!
+//! Six executors make up the campaign surface. [`run_plan_campaign`]
+//! chooses between two engines from its inputs — the bit-parallel batched
+//! engine ([`mod@batch`]) and the work-stealing scalar engine
+//! ([`run_plan_campaign_scalar`]); [`run_plan_campaign_reference`] is the
+//! sequential oracle both are tested against, and [`plan_fault_grid`]
+//! shares its walk to return every plan's verdict. [`run_campaign`] is the
+//! `k = 1` convenience and [`run_shard_campaign`] the durable shard path.
 //!
 //! The runtime is hardened for long campaigns: each injection runs under
 //! `catch_unwind` so a harness panic becomes a recorded
@@ -51,26 +60,22 @@ pub mod recovery;
 pub mod shard;
 pub mod wire;
 
-pub use batch::run_plan_campaign_batched;
 pub use checkpoint::CheckpointRing;
-pub use grid::{
-    golden_trace, plan_fault_grid, plan_fault_grid_against, single_fault_grid,
-    single_fault_grid_against, FaultGrid, GoldenTrace, GridOutcome, PlanGrid, PlanOutcome,
-};
+pub use grid::{golden_trace, plan_fault_grid, GoldenTrace, PlanGrid, PlanOutcome};
 pub use plan::{exhaustive_pair_plans, multi_fault_plans, single_fault_plans, FaultPlan, Strike};
 pub use recovery::{
     run_supervised, run_with_recovery, storm_from_plan, AttemptRecord, PlannedFault,
     RecoveryResult, SupervisorConfig, SupervisorOutcome, SupervisorReport,
 };
 pub use shard::{
-    grid_fingerprint, merge_shard_reports, merge_surviving_shards, run_shard_campaign,
-    run_sharded_campaign, shard_plans, CampaignCheckpoint, MergeError, ShardControl, ShardError,
-    ShardOutcome, ShardPart, ShardSpec, DEFAULT_CHECKPOINT_EVERY,
+    grid_fingerprint, merge_shard_reports, merge_surviving_shards, run_shard_campaign, shard_plans,
+    CampaignCheckpoint, MergeError, ShardControl, ShardError, ShardOutcome, ShardPart, ShardSpec,
+    DEFAULT_CHECKPOINT_EVERY,
 };
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use talft_isa::Program;
@@ -240,12 +245,6 @@ pub struct CampaignConfig {
     pub checkpoint_stride: u64,
     /// Backoff policy for transient failures (harness/golden panics).
     pub retry: RetryPolicy,
-    /// Route plans through the bit-parallel batched engine
-    /// ([`run_plan_campaign_batched`]) when they qualify. Reports are
-    /// bit-identical either way (the batched-differential test matrix);
-    /// the knob exists for A/B measurement (`campaignperf`, `talftc
-    /// --no-batch`), not because the engines may disagree.
-    pub batch: bool,
 }
 
 impl Default for CampaignConfig {
@@ -262,7 +261,6 @@ impl Default for CampaignConfig {
             stop_on_first_violation: false,
             checkpoint_stride: 0,
             retry: RetryPolicy::default(),
-            batch: true,
         }
     }
 }
@@ -657,7 +655,8 @@ pub fn golden_run_retrying(
 }
 
 /// Run the full exhaustive single-fault campaign (the `k = 1`
-/// instantiation of the plan engine).
+/// instantiation of the plan engine): [`golden_run`], then
+/// [`single_fault_plans`] through [`run_plan_campaign`].
 ///
 /// # Errors
 ///
@@ -667,45 +666,8 @@ pub fn run_campaign(
     cfg: &CampaignConfig,
 ) -> Result<CampaignReport, GoldenError> {
     let golden = golden_run(program, cfg)?;
-    Ok(run_campaign_against(program, cfg, &golden))
-}
-
-/// Run the single-fault campaign against a precomputed golden run.
-#[must_use]
-pub fn run_campaign_against(
-    program: &Arc<Program>,
-    cfg: &CampaignConfig,
-    golden: &Golden,
-) -> CampaignReport {
-    let plans = single_fault_plans(program, cfg, golden);
-    run_plan_campaign(program, cfg, golden, &plans)
-}
-
-/// Run a sampled `k`-fault campaign (`k = 1` delegates to the exhaustive
-/// sweep; `k ≥ 2` uses the stratified + correlated sampler).
-///
-/// # Errors
-///
-/// Propagates [`GoldenError`] from the reference run.
-pub fn run_multi_campaign(
-    program: &Arc<Program>,
-    cfg: &CampaignConfig,
-    k: u32,
-) -> Result<CampaignReport, GoldenError> {
-    let golden = golden_run(program, cfg)?;
-    Ok(run_multi_campaign_against(program, cfg, &golden, k))
-}
-
-/// Run a sampled `k`-fault campaign against a precomputed golden run.
-#[must_use]
-pub fn run_multi_campaign_against(
-    program: &Arc<Program>,
-    cfg: &CampaignConfig,
-    golden: &Golden,
-    k: u32,
-) -> CampaignReport {
-    let plans = multi_fault_plans(program, cfg, golden, k);
-    run_plan_campaign(program, cfg, golden, &plans)
+    let plans = single_fault_plans(program, cfg, &golden);
+    Ok(run_plan_campaign(program, cfg, &golden, &plans))
 }
 
 /// Contiguous positions a worker claims per fetch from the shared cursor.
@@ -780,33 +742,15 @@ fn advance_frontier(
 
 /// Execute an arbitrary set of fault plans and classify every continuation.
 ///
-/// The engine sorts plans by first-strike step (stable) and runs them under
-/// a **work-stealing scheduler**: workers claim contiguous batches of the
-/// sorted order from a shared atomic cursor, so load imbalance (one batch
-/// full of long-running continuations) no longer idles the other workers
-/// the way static chunking did. Each worker keeps a *frontier* machine
-/// seeded from the golden [`CheckpointRing`] and advanced monotonically —
-/// a plan's continuation is a copy-on-write clone of the frontier at its
-/// first strike, so the fault-free prefix is neither re-stepped from boot
-/// nor deep-copied. Continuations that have applied every strike and
-/// converged back onto a golden checkpoint stop immediately (masked by
-/// determinism; see [`Machine::execution_eq`]).
-///
-/// Each continuation runs under `catch_unwind`: a panic in the harness is
-/// recorded as [`Verdict::EngineError`] and the worker carries on.
-///
-/// The report is **bit-identical** to a sequential run for every thread
-/// count: counts and histograms merge commutatively, retained violations
-/// are assembled in sorted-order position, and gated campaigns
-/// ([`CampaignConfig::stop_on_first_violation`]) reduce to the outcome
-/// prefix ending at the globally first violation.
-///
-/// With [`CampaignConfig::batch`] set (the default) this dispatches to the
-/// bit-parallel batched engine ([`run_plan_campaign_batched`]), which
-/// classifies most masked `k = 1` register faults in O(1) against one
-/// shared golden replay and demotes the rest to the scalar path below —
-/// reports are bit-identical either way. Gated campaigns always take the
-/// scalar path (the batched engine has no deterministic abort order).
+/// The engine is chosen from the inputs. The bit-parallel batched engine
+/// ([`mod@batch`]) classifies most masked faults in O(1) against one shared
+/// golden replay and demotes the rest to the scalar continuation; it needs
+/// a `Halted` golden run with register liveness, and it has no
+/// deterministic abort order. So a gated config
+/// ([`CampaignConfig::stop_on_first_violation`]), a golden run that did not
+/// halt, or missing liveness (more than 64 GPRs) runs the scalar engine
+/// ([`run_plan_campaign_scalar`]) instead. Reports are bit-identical either
+/// way, at every thread count, and equal [`run_plan_campaign_reference`]'s.
 #[must_use]
 pub fn run_plan_campaign(
     program: &Arc<Program>,
@@ -814,69 +758,47 @@ pub fn run_plan_campaign(
     golden: &Golden,
     plans: &[FaultPlan],
 ) -> CampaignReport {
-    if cfg.batch && !cfg.stop_on_first_violation {
-        return run_plan_campaign_batched(program, cfg, golden, plans);
+    if cfg.stop_on_first_violation
+        || golden.status != Status::Halted
+        || golden.reg_liveness.is_empty()
+    {
+        return run_plan_campaign_scalar(program, cfg, golden, plans);
     }
-    run_plan_campaign_scalar(program, cfg, golden, plans)
+    batch::run_batched(program, cfg, golden, plans)
 }
 
 /// The E16 checkpointed work-stealing engine: one faulty machine simulated
-/// per plan, frontiers seeded from the golden [`CheckpointRing`], liveness-
-/// aware convergence early-exit. Public so the batched-differential tests
-/// and `campaignperf` can run it head-to-head against
-/// [`run_plan_campaign_batched`]; [`run_plan_campaign`] picks the engine.
+/// per plan.
+///
+/// The engine sorts plans by first-strike step (stable) and runs them under
+/// a **work-stealing scheduler**: workers claim contiguous batches of the
+/// sorted order from a shared atomic cursor, so load imbalance (one batch
+/// full of long-running continuations) does not idle the other workers.
+/// Each worker keeps a *frontier* machine seeded from the golden
+/// [`CheckpointRing`] and advanced monotonically — a plan's continuation is
+/// a copy-on-write clone of the frontier at its first strike, so the
+/// fault-free prefix is neither re-stepped from boot nor deep-copied.
+/// Continuations that have applied every strike and converged back onto a
+/// golden checkpoint stop immediately (masked by determinism; see
+/// [`Machine::execution_eq`]).
+///
+/// Each continuation runs under `catch_unwind`: a panic in the harness is
+/// recorded as [`Verdict::EngineError`] and the worker carries on.
+///
+/// The report is **bit-identical** to the sequential
+/// [`run_plan_campaign_reference`] for every thread count: counts and
+/// histograms merge commutatively, retained violations are assembled in
+/// sorted-order position, and gated campaigns
+/// ([`CampaignConfig::stop_on_first_violation`]) reduce to the outcome
+/// prefix ending at the globally first violation. Public so the
+/// differential tests and `campaignperf` can run it head-to-head with the
+/// batched engine; [`run_plan_campaign`] picks the engine.
 #[must_use]
 pub fn run_plan_campaign_scalar(
     program: &Arc<Program>,
     cfg: &CampaignConfig,
     golden: &Golden,
     plans: &[FaultPlan],
-) -> CampaignReport {
-    run_plan_campaign_scheduled(program, cfg, golden, plans, None)
-}
-
-/// Run the k≥2 plan set with **static-guided prioritization**: plans the
-/// pair-fault analyzer classified Vulnerable (`hot[i]` per plan index) are
-/// *scheduled* first, so a gated campaign — or a human watching the
-/// violation stream — reaches the interesting verdicts sooner.
-///
-/// Guidance is **verdict-neutral by construction**: it only permutes the
-/// order in which workers claim plans. All bookkeeping stays keyed by the
-/// plan's position in the frozen first-strike sort order — counts and
-/// histograms merge commutatively, violations are tagged and reassembled
-/// by canonical position, and gated stops reduce to the canonical-order
-/// prefix (positions at or before the final stop position are never
-/// skipped, whatever order they executed in). The report is therefore
-/// bit-identical to [`run_plan_campaign`] on the same inputs, which the
-/// guided-identity tests assert.
-#[must_use]
-pub fn run_plan_campaign_guided(
-    program: &Arc<Program>,
-    cfg: &CampaignConfig,
-    golden: &Golden,
-    plans: &[FaultPlan],
-    hot: &[bool],
-) -> CampaignReport {
-    assert_eq!(hot.len(), plans.len(), "one hotness flag per plan");
-    // Canonical report order (must match the scheduled engine's sort).
-    let mut order: Vec<usize> = (0..plans.len()).collect();
-    order.sort_by_key(|&i| plans[i].first_step());
-    // Schedule: hot positions first, canonical order within each half.
-    let mut schedule: Vec<usize> = (0..plans.len()).collect();
-    schedule.sort_by_key(|&pos| !hot[order[pos]]);
-    run_plan_campaign_scheduled(program, cfg, golden, plans, Some(&schedule))
-}
-
-/// The scalar engine with an optional **claim schedule**: a permutation of
-/// canonical positions dictating the order workers pick plans up. `None`
-/// means canonical order. The schedule never appears in the report — see
-/// [`run_plan_campaign_guided`] for the neutrality argument.
-fn run_plan_campaign_scheduled(
-    program: &Arc<Program>,
-    cfg: &CampaignConfig,
-    golden: &Golden,
-    plans: &[FaultPlan],
-    schedule: Option<&[usize]>,
 ) -> CampaignReport {
     let _span = CAMPAIGN_NS.span();
     let mut order: Vec<usize> = (0..plans.len()).collect();
@@ -915,8 +837,7 @@ fn run_plan_campaign_scheduled(
                         break;
                     }
                     let hi = (lo + STEAL_BATCH).min(order.len());
-                    for slot in lo..hi {
-                        let pos = schedule.map_or(slot, |s| s[slot]);
+                    for pos in lo..hi {
                         // Past the earliest known violation nothing can be
                         // reported; skipping is safe because positions at or
                         // before the final stop position are never skipped
@@ -1031,14 +952,13 @@ fn run_plan_campaign_scheduled(
     report
 }
 
-/// The pre-checkpoint campaign engine, kept as a **differential baseline**:
-/// static contiguous chunks per worker, frontiers re-stepped from boot, no
-/// checkpoint seeking and no convergence early-exit. `campaignperf` measures
-/// the optimized engine against it, and the differential tests require
-/// bit-identical reports from both on the full matrix. Semantics match
-/// [`run_plan_campaign`] except under `stop_on_first_violation` with
-/// `threads > 1`, where this engine's abort point is scheduling-dependent —
-/// gated differentials pin `threads: 1`.
+/// The sequential **oracle** the engines are tested against: one frontier
+/// stepped from boot, plans in first-strike order, each continuation run
+/// to its end with no checkpoint seeking and no convergence early-exit.
+/// A gated config stops after the first violation. No threads, so the
+/// report is the definition of what [`run_plan_campaign`] and
+/// [`run_plan_campaign_scalar`] must reproduce bit for bit at every thread
+/// count; `campaignperf` times it as the unoptimized baseline.
 #[must_use]
 pub fn run_plan_campaign_reference(
     program: &Arc<Program>,
@@ -1046,67 +966,68 @@ pub fn run_plan_campaign_reference(
     golden: &Golden,
     plans: &[FaultPlan],
 ) -> CampaignReport {
-    let mut order: Vec<usize> = (0..plans.len()).collect();
-    order.sort_by_key(|&i| plans[i].first_step());
-    let threads = cfg.threads.max(1).min(plans.len().max(1));
-    let chunk = plans.len().div_ceil(threads);
-    let stop = AtomicBool::new(false);
     let mut report = CampaignReport {
         fault_order: plans.iter().map(|p| p.order() as u32).max().unwrap_or(0),
         ..CampaignReport::default()
     };
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(plans.len());
-            if lo >= hi {
-                continue;
+    let mut executed = 0usize;
+    walk_plans(
+        program,
+        cfg,
+        golden,
+        plans,
+        None,
+        |i, (verdict, end_steps, applied)| {
+            let plan = &plans[i];
+            executed += 1;
+            if verdict == Verdict::Detected {
+                report
+                    .detection_latency
+                    .record(end_steps.saturating_sub(plan.first_step()));
             }
-            let idxs = &order[lo..hi];
-            let stop = &stop;
-            handles.push(scope.spawn(move || {
-                let mut rep = CampaignReport::default();
-                let mut frontier = Machine::boot(Arc::clone(program)).with_oob_policy(cfg.oob);
-                for &i in idxs {
-                    if cfg.stop_on_first_violation && stop.load(Ordering::Relaxed) {
-                        rep.stopped_early = true;
-                        break;
-                    }
-                    let plan = &plans[i];
-                    let first = plan.first_step();
-                    while frontier.steps() < first && frontier.status().is_running() {
-                        step(&mut frontier);
-                    }
-                    let outcome = run_isolated(cfg.retry, || {
-                        let mut faulty = frontier.clone();
-                        execute_plan(&mut faulty, plan, golden, None)
-                    });
-                    let (verdict, end_steps, applied) =
-                        outcome.unwrap_or((Verdict::EngineError, first, 0));
-                    if verdict == Verdict::Detected {
-                        rep.detection_latency
-                            .record(end_steps.saturating_sub(first));
-                    }
-                    if verdict != Verdict::EngineError && applied < plan.order() {
-                        rep.incomplete_plans += 1;
-                    }
-                    rep.absorb(lead_injection(plan, verdict));
-                    if cfg.stop_on_first_violation && verdict.is_violation() {
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                }
-                rep
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok(rep) => report.merge(rep),
-                Err(_) => report.engine_errors += 1,
+            if verdict != Verdict::EngineError && applied < plan.order() {
+                report.incomplete_plans += 1;
             }
-        }
-    });
+            report.absorb(lead_injection(plan, verdict));
+            !(cfg.stop_on_first_violation && verdict.is_violation())
+        },
+    );
+    report.stopped_early = executed < plans.len();
     report
+}
+
+/// The sequential walk shared by [`run_plan_campaign_reference`] and
+/// [`plan_fault_grid`]: plans in first-strike order (stable), one frontier
+/// stepped monotonically from boot, each continuation a clone of it run
+/// under `catch_unwind` ([`Verdict::EngineError`] once retries are spent).
+/// `visit` gets each plan's index with its `(verdict, end_steps, applied)`
+/// and returns whether to go on. `ring` enables [`execute_plan`]'s
+/// convergence exit.
+pub(crate) fn walk_plans(
+    program: &Arc<Program>,
+    cfg: &CampaignConfig,
+    golden: &Golden,
+    plans: &[FaultPlan],
+    ring: Option<&CheckpointRing>,
+    mut visit: impl FnMut(usize, (Verdict, u64, usize)) -> bool,
+) {
+    let mut order: Vec<usize> = (0..plans.len()).collect();
+    order.sort_by_key(|&i| plans[i].first_step());
+    let mut frontier = Machine::boot(Arc::clone(program)).with_oob_policy(cfg.oob);
+    for i in order {
+        let plan = &plans[i];
+        let first = plan.first_step();
+        while frontier.steps() < first && frontier.status().is_running() {
+            step(&mut frontier);
+        }
+        let outcome = run_isolated(cfg.retry, || {
+            let mut faulty = frontier.clone();
+            execute_plan(&mut faulty, plan, golden, ring)
+        });
+        if !visit(i, outcome.unwrap_or((Verdict::EngineError, first, 0))) {
+            break;
+        }
+    }
 }
 
 /// Decide whether a faulty continuation at golden checkpoint `cp`'s step has
@@ -1572,10 +1493,10 @@ main:
         }
     }
 
-    /// The checkpointed work-stealing engine is verdict-for-verdict identical
-    /// to the pre-checkpoint engine ([`run_plan_campaign_reference`]) on the
-    /// same plan set — bit-identical reports at every thread count, on both
-    /// a fault-tolerant and an SDC-exhibiting program.
+    /// The engines are verdict-for-verdict identical to the sequential
+    /// oracle ([`run_plan_campaign_reference`]) on the same plan set —
+    /// bit-identical reports at every thread count, on both a fault-tolerant
+    /// and an SDC-exhibiting program.
     #[test]
     fn engine_matches_reference_engine_across_threads() {
         for src in [PROTECTED, UNPROTECTED] {
@@ -1601,10 +1522,10 @@ main:
         }
     }
 
-    /// Gated (`stop_on_first_violation`) campaigns are deterministic in the
-    /// new engine: every thread count reproduces the sequential prefix ending
-    /// at the globally first violation, matching the reference engine pinned
-    /// to one thread (where its abort point is well defined).
+    /// Gated (`stop_on_first_violation`) campaigns are deterministic: every
+    /// thread count reproduces the sequential prefix ending at the first
+    /// violation in first-strike order, which is where the sequential
+    /// reference stops.
     #[test]
     fn gated_engine_is_deterministic_across_threads() {
         let p = arc(UNPROTECTED);
@@ -1631,7 +1552,7 @@ main:
     }
 
     /// The k=2 differential: sampled multi-fault plan sets run bit-identically
-    /// on the new engine (any thread count) and the reference engine.
+    /// on the engine (any thread count) and the sequential reference.
     #[test]
     fn k2_engine_matches_reference_engine() {
         let p = arc(PROTECTED);
@@ -1655,7 +1576,7 @@ main:
     }
 
     /// A coarse checkpoint stride changes *performance*, never reports: the
-    /// engine at a non-default stride still equals the reference engine.
+    /// engine at a non-default stride still equals the sequential reference.
     #[test]
     fn checkpoint_stride_does_not_change_reports() {
         let p = arc(PROTECTED);
@@ -1677,8 +1598,8 @@ main:
     /// convergence cadence ever fires. This test compiles a Wile loop long
     /// enough (hundreds of golden steps) that the liveness-aware convergence
     /// early-exit genuinely triggers, then checks two things: the engine
-    /// report is still bit-identical to the reference engine (the early exit
-    /// is verdict-preserving, not just plausible), and the
+    /// report is still bit-identical to the sequential reference (the early
+    /// exit is verdict-preserving, not just plausible), and the
     /// `campaign.converged_early` counter actually advanced (the path is
     /// exercised, not skipped).
     #[test]
@@ -1732,8 +1653,12 @@ main:
             pair_samples: 128,
             ..CampaignConfig::default()
         };
-        let a = run_multi_campaign(&p, &cfg, 2).expect("ok");
-        let b = run_multi_campaign(&p, &cfg, 2).expect("ok");
+        let k2 = || {
+            let golden = golden_run(&p, &cfg).expect("ok");
+            let plans = multi_fault_plans(&p, &cfg, &golden, 2);
+            run_plan_campaign(&p, &cfg, &golden, &plans)
+        };
+        let (a, b) = (k2(), k2());
         assert_eq!(a, b);
         assert!(a.total > 0);
         assert_eq!(a.fault_order, 2);
@@ -1885,7 +1810,8 @@ mod latency_tests {
             ..CampaignConfig::default()
         };
         let golden = golden_run(&p, &cfg).expect("halts");
-        let rep = run_campaign_against(&p, &cfg, &golden);
+        let plans = single_fault_plans(&p, &cfg, &golden);
+        let rep = run_plan_campaign(&p, &cfg, &golden, &plans);
         assert!(rep.detected > 0);
         assert!(rep.detection_latency.max <= golden.steps + 1);
         assert!(rep.detection_latency.mean() > 0.0);

@@ -569,42 +569,6 @@ pub fn merge_surviving_shards(parts: &[ShardPart]) -> Result<(CampaignReport, u6
     Ok((fold_in_shard_order(parts), covered))
 }
 
-/// Convenience: run every shard of an `N`-way partition in-process (no
-/// checkpoints) and return the verified merge. Mostly a differential-test
-/// harness; the real services drive [`run_shard_campaign`] per process.
-///
-/// # Errors
-///
-/// Propagates [`ShardError`]; merge defects are impossible by construction
-/// and reported as `ResumeMismatch` if they somehow occur.
-pub fn run_sharded_campaign(
-    program: &Arc<Program>,
-    cfg: &CampaignConfig,
-    golden: &Golden,
-    plans: &[FaultPlan],
-    count: u32,
-) -> Result<CampaignReport, ShardError> {
-    let fingerprint = grid_fingerprint(golden, plans);
-    let mut parts = Vec::new();
-    for index in 0..count.max(1) {
-        let spec = ShardSpec::new(index, count.max(1)).expect("index < count");
-        let plans_in_shard = spec.range(plans.len()).len() as u64;
-        match run_shard_campaign(program, cfg, golden, plans, spec, 0, None, |_| {
-            ShardControl::Continue
-        })? {
-            ShardOutcome::Complete(report) => parts.push(ShardPart {
-                spec,
-                fingerprint,
-                plans: plans_in_shard,
-                report,
-            }),
-            ShardOutcome::Interrupted(_) => unreachable!("observe never stops"),
-        }
-    }
-    merge_shard_reports(&parts)
-        .map_err(|e| ShardError::ResumeMismatch(format!("internal merge failed: {e}")))
-}
-
 /// How many counterexamples a report retains before counting overflow —
 /// re-exported so external validators can reason about cap-exact merges.
 pub const fn violation_cap() -> usize {
@@ -724,8 +688,28 @@ main:
         let golden = golden_run(&p, &cfg).expect("halts");
         let plans = single_fault_plans(&p, &cfg, &golden);
         let whole = run_plan_campaign(&p, &cfg, &golden, &plans);
+        let fingerprint = grid_fingerprint(&golden, &plans);
         for count in [1u32, 2, 4, 8] {
-            let merged = run_sharded_campaign(&p, &cfg, &golden, &plans, count).expect("runs");
+            let parts: Vec<ShardPart> = (0..count)
+                .map(|index| {
+                    let spec = ShardSpec::new(index, count).expect("index < count");
+                    let outcome =
+                        run_shard_campaign(&p, &cfg, &golden, &plans, spec, 0, None, |_| {
+                            ShardControl::Continue
+                        })
+                        .expect("runs");
+                    let ShardOutcome::Complete(report) = outcome else {
+                        panic!("an unobserved shard runs to completion");
+                    };
+                    ShardPart {
+                        spec,
+                        fingerprint,
+                        plans: spec.range(plans.len()).len() as u64,
+                        report,
+                    }
+                })
+                .collect();
+            let merged = merge_shard_reports(&parts).expect("partition merges");
             assert_eq!(merged, whole, "shard-union != whole grid at N={count}");
         }
     }

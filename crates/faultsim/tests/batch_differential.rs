@@ -1,8 +1,9 @@
 //! The batched-engine differential harness: for fuzzed Wile programs —
 //! protected *and* unprotected baseline, so every verdict class is on the
-//! table — the bit-parallel batched engine, the scalar work-stealing
-//! engine, and the pre-checkpoint reference engine must produce
-//! **bit-identical** [`CampaignReport`]s at threads ∈ {1, 3, 8}. This is
+//! table — the bit-parallel batched engine (what `run_plan_campaign` runs
+//! for these ungated configs), the scalar work-stealing engine, and the
+//! sequential reference must produce **bit-identical**
+//! [`CampaignReport`]s at threads ∈ {1, 3, 8}. This is
 //! the "re-prove the guarantee per execution path" layer the batched
 //! engine ships with (ISSUE 7): verdict-exactness is a tested theorem,
 //! not a benchmark footnote. Failures shrink to a minimal Wile witness.
@@ -13,9 +14,8 @@ use std::sync::Arc;
 
 use talft_compiler::{compile, CompileOptions};
 use talft_faultsim::{
-    golden_run, multi_fault_plans, run_plan_campaign, run_plan_campaign_batched,
-    run_plan_campaign_reference, run_plan_campaign_scalar, single_fault_plans, CampaignConfig,
-    CampaignReport, FaultPlan,
+    golden_run, multi_fault_plans, run_plan_campaign, run_plan_campaign_reference,
+    run_plan_campaign_scalar, single_fault_plans, CampaignConfig, CampaignReport, FaultPlan,
 };
 use talft_isa::Program;
 use talft_testutil::wile::{random_stmts, render_program, shrink_candidates, StmtR};
@@ -50,18 +50,11 @@ fn three_way(
                  scalar:    {scalar:?}\nreference: {reference:?}"
             ));
         }
-        let batched = run_plan_campaign_batched(program, &cfg, golden, plans);
+        let batched = run_plan_campaign(program, &cfg, golden, plans);
         if batched != reference {
             return Err(format!(
                 "batched engine (threads={threads}) diverged from reference:\n\
                  batched:   {batched:?}\nreference: {reference:?}"
-            ));
-        }
-        // The public entry point must dispatch to the same bits.
-        let dispatched = run_plan_campaign(program, &cfg, golden, plans);
-        if dispatched != reference {
-            return Err(format!(
-                "dispatcher (threads={threads}, batch=true) diverged from reference"
             ));
         }
     }

@@ -10,17 +10,18 @@
 //!   successor process would read it off disk — resumes and merges to the
 //!   same bit-identical report, at threads 1 and 8 and fault orders
 //!   `k ∈ {1, 2}`, even when the resumed run uses a *different* chunk size;
-//! * all of the above holds with the bit-parallel batched engine on *and*
-//!   off (`CampaignConfig::batch`, ISSUE 7): whole grid, shard union, and
-//!   interrupt/resume land on one canonical report either way.
+//! * the shard layer ties to both engines: whole grid, shard union, and
+//!   interrupt/resume land on the scalar engine's report as well as the
+//!   batched one.
 
 use std::sync::Arc;
 
 use talft_compiler::{compile, CompileOptions};
 use talft_faultsim::{
     golden_run, grid_fingerprint, merge_shard_reports, multi_fault_plans, run_plan_campaign,
-    run_shard_campaign, single_fault_plans, CampaignCheckpoint, CampaignConfig, CampaignReport,
-    FaultPlan, Golden, ShardControl, ShardOutcome, ShardPart, ShardSpec,
+    run_plan_campaign_scalar, run_shard_campaign, single_fault_plans, CampaignCheckpoint,
+    CampaignConfig, CampaignReport, FaultPlan, Golden, ShardControl, ShardOutcome, ShardPart,
+    ShardSpec,
 };
 use talft_isa::Program;
 use talft_obs::Json;
@@ -234,95 +235,71 @@ fn interrupted_shard_resumes_bit_identically() {
     );
 }
 
-/// ISSUE 7 satellite: the shard layer consumes the batched engine
-/// unchanged. For a protected and an unprotected binary, the whole-grid
-/// report, the 4-way shard union, and an interrupted-then-resumed 2-way
-/// merge must all be bit-identical with `batch` on and off — one canonical
-/// report per binary, six ways of computing it. Since ISSUE 8 the same
+/// The shard layer ties to both engines. For a protected and an
+/// unprotected binary, the whole-grid report (batched, since the config is
+/// ungated), the scalar engine's report, the 4-way shard union, and an
+/// interrupted-then-resumed 2-way merge must all be bit-identical. The same
 /// holds for a sampled k = 2 pair grid: multi-strike shard jobs ride the
-/// batched lane-admission path and still merge to one canonical report.
+/// batched lane-admission path and still merge to the scalar report.
 #[test]
 fn shard_paths_are_bit_identical_with_batching_on_and_off() {
     let k = &kernels(Scale::Tiny)[0];
     let c = compile(&k.source, &CompileOptions::default()).expect("compiles");
     for (p, protected) in [(&c.protected.program, true), (&c.baseline.program, false)] {
-        let mut canonical: Option<CampaignReport> = None;
-        let mut canonical_k2: Option<CampaignReport> = None;
-        for batch in [true, false] {
-            let cfg = CampaignConfig {
-                stride: 127,
-                mutations_per_site: 1,
-                threads: 3,
-                pair_samples: 96,
-                batch,
-                ..CampaignConfig::default()
-            };
-            let golden = golden_run(p, &cfg).expect("golden halts");
-            let plans = single_fault_plans(p, &cfg, &golden);
-            assert!(plans.len() >= 16, "{}: grid too small", k.name);
-            let whole = run_plan_campaign(p, &cfg, &golden, &plans);
-            if protected {
-                assert_eq!(whole.sdc, 0, "{}: Theorem 4 violated", k.name);
-            }
-            match &canonical {
-                None => canonical = Some(whole.clone()),
-                Some(c0) => assert_eq!(
-                    &whole, c0,
-                    "{}: whole-grid report changed with batch={batch}",
-                    k.name
-                ),
-            }
-            let merged = merged_over_shards(p, &cfg, &golden, &plans, 4);
-            assert_eq!(
-                merged, whole,
-                "{}: shard union diverged with batch={batch}",
-                k.name
-            );
-            let (part0, _) = interrupted_then_resumed_part(
-                p,
-                &cfg,
-                &golden,
-                &plans,
-                ShardSpec::new(0, 2).expect("valid"),
-                3,
-                1,
-            );
-            let part1 = complete_part(
-                p,
-                &cfg,
-                &golden,
-                &plans,
-                ShardSpec::new(1, 2).expect("valid"),
-                3,
-            );
-            let resumed = merge_shard_reports(&[part0, part1]).expect("partition merges");
-            assert_eq!(
-                resumed, whole,
-                "{}: interrupt/resume diverged with batch={batch}",
-                k.name
-            );
-            // ISSUE 8: k = 2 shard jobs ride the batched lane-admission
-            // path (per-strike admission, any k) — the sampled pair grid
-            // must land on one canonical report with batch on and off,
-            // whole and through the shard union.
-            let k2 = multi_fault_plans(p, &cfg, &golden, 2);
-            assert!(k2.len() >= 16, "{}: k=2 grid too small", k.name);
-            let whole2 = run_plan_campaign(p, &cfg, &golden, &k2);
-            match &canonical_k2 {
-                None => canonical_k2 = Some(whole2.clone()),
-                Some(c0) => assert_eq!(
-                    &whole2, c0,
-                    "{}: k=2 whole-grid report changed with batch={batch}",
-                    k.name
-                ),
-            }
-            let merged2 = merged_over_shards(p, &cfg, &golden, &k2, 4);
-            assert_eq!(
-                merged2, whole2,
-                "{}: k=2 shard union diverged with batch={batch}",
-                k.name
-            );
+        let cfg = CampaignConfig {
+            stride: 127,
+            mutations_per_site: 1,
+            threads: 3,
+            pair_samples: 96,
+            ..CampaignConfig::default()
+        };
+        let golden = golden_run(p, &cfg).expect("golden halts");
+        let plans = single_fault_plans(p, &cfg, &golden);
+        assert!(plans.len() >= 16, "{}: grid too small", k.name);
+        let whole = run_plan_campaign(p, &cfg, &golden, &plans);
+        if protected {
+            assert_eq!(whole.sdc, 0, "{}: Theorem 4 violated", k.name);
         }
+        assert_eq!(
+            run_plan_campaign_scalar(p, &cfg, &golden, &plans),
+            whole,
+            "{}: scalar engine diverged from the batched whole grid",
+            k.name
+        );
+        let merged = merged_over_shards(p, &cfg, &golden, &plans, 4);
+        assert_eq!(merged, whole, "{}: shard union diverged", k.name);
+        let (part0, _) = interrupted_then_resumed_part(
+            p,
+            &cfg,
+            &golden,
+            &plans,
+            ShardSpec::new(0, 2).expect("valid"),
+            3,
+            1,
+        );
+        let part1 = complete_part(
+            p,
+            &cfg,
+            &golden,
+            &plans,
+            ShardSpec::new(1, 2).expect("valid"),
+            3,
+        );
+        let resumed = merge_shard_reports(&[part0, part1]).expect("partition merges");
+        assert_eq!(resumed, whole, "{}: interrupt/resume diverged", k.name);
+        // k = 2 shard jobs ride the batched lane-admission path
+        // (per-strike admission, any k).
+        let k2 = multi_fault_plans(p, &cfg, &golden, 2);
+        assert!(k2.len() >= 16, "{}: k=2 grid too small", k.name);
+        let whole2 = run_plan_campaign(p, &cfg, &golden, &k2);
+        assert_eq!(
+            run_plan_campaign_scalar(p, &cfg, &golden, &k2),
+            whole2,
+            "{}: k=2 scalar engine diverged from the batched whole grid",
+            k.name
+        );
+        let merged2 = merged_over_shards(p, &cfg, &golden, &k2, 4);
+        assert_eq!(merged2, whole2, "{}: k=2 shard union diverged", k.name);
     }
 }
 

@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use talft_core::check_program;
-use talft_faultsim::{golden_run, run_campaign_against, CampaignConfig};
+use talft_faultsim::{golden_run, run_plan_campaign, single_fault_plans, CampaignConfig};
 use talft_isa::Program;
 use talft_logic::ExprArena;
 use talft_machine::Status;
@@ -146,7 +146,8 @@ pub fn classify(mutant: &Program, arena: &mut ExprArena, cfg: &CampaignConfig) -
                     reason: format!("accepted, but the fault-free run ends {:?}", golden.status),
                 };
             }
-            let rep = run_campaign_against(&prog, cfg, &golden);
+            let plans = single_fault_plans(&prog, cfg, &golden);
+            let rep = run_plan_campaign(&prog, cfg, &golden, &plans);
             if rep.fault_tolerant() {
                 MutantVerdict::Equivalent {
                     note: format!("campaign clean over {} injections", rep.total),

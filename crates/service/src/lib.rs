@@ -270,7 +270,6 @@ pub fn spawn_worker(
         .arg(format!("--pair-samples={}", c.pair_samples))
         .arg(format!("--pair-window={}", c.pair_window))
         .arg(format!("--threads={}", c.threads))
-        .arg(format!("--batch={}", c.batch))
         .arg(format!("--oob={}", oob_arg(c.oob)))
         .stdin(Stdio::null())
         .stdout(Stdio::null())
@@ -350,12 +349,6 @@ fn parse_worker_args(args: &[String]) -> Result<WorkerArgs, String> {
             campaign.pair_window = num::<u64>(&val("--pair-window")?)?;
         } else if a.starts_with("--threads") {
             campaign.threads = num::<usize>(&val("--threads")?)?;
-        } else if a.starts_with("--batch") {
-            campaign.batch = match val("--batch")?.as_str() {
-                "true" | "1" | "on" => true,
-                "false" | "0" | "off" => false,
-                other => return Err(format!("bad --batch value {other:?}")),
-            };
         } else if a.starts_with("--oob") {
             campaign.oob = parse_oob(&val("--oob")?)?;
         } else {
@@ -1415,7 +1408,6 @@ main:
             "--pair-samples=64",
             "--pair-window=12",
             "--threads=1",
-            "--batch=false",
             "--oob=fault",
         ]
         .iter()
@@ -1432,10 +1424,9 @@ main:
         assert_eq!(w.campaign.pair_samples, 64);
         assert_eq!(w.campaign.pair_window, 12);
         assert_eq!(w.campaign.threads, 1);
-        assert!(!w.campaign.batch, "--batch=false must reach the config");
         assert_eq!(w.campaign.oob, OobLoadPolicy::Fault);
         assert_eq!(parse_oob("-17").unwrap(), OobLoadPolicy::Value(-17));
         assert!(parse_worker_args(&["--bogus".to_owned()]).is_err());
-        assert!(parse_worker_args(&["--batch=maybe".to_owned()]).is_err());
+        assert!(parse_worker_args(&["--batch=false".to_owned()]).is_err());
     }
 }

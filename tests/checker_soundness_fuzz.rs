@@ -30,8 +30,7 @@ use talft_testutil::SplitMix64;
 use talft::compiler::{compile, CompileOptions};
 use talft::core::check_program;
 use talft::faultsim::{
-    golden_run, run_campaign_against, run_plan_campaign, CampaignConfig, FaultPlan, Golden,
-    Injection,
+    golden_run, run_plan_campaign, single_fault_plans, CampaignConfig, FaultPlan, Golden, Injection,
 };
 use talft::isa::{CVal, Gpr, Instr, OpSrc, Program};
 use talft::machine::Status;
@@ -187,7 +186,8 @@ fn accepted_mutants_are_never_sdc_vulnerable() {
                             golden.status
                         );
                     }
-                    let rep = run_campaign_against(&mutant, &cfg, &golden);
+                    let plans = single_fault_plans(&mutant, &cfg, &golden);
+                    let rep = run_plan_campaign(&mutant, &cfg, &golden, &plans);
                     if !rep.fault_tolerant() {
                         let witness = rep
                             .violations
@@ -216,7 +216,8 @@ fn accepted_mutants_are_never_sdc_vulnerable() {
                         continue;
                     };
                     if golden.status == Status::Halted {
-                        let rep = run_campaign_against(&mutant, &cfg, &golden);
+                        let plans = single_fault_plans(&mutant, &cfg, &golden);
+                        let rep = run_plan_campaign(&mutant, &cfg, &golden, &plans);
                         if rep.sdc > 0 {
                             rejected_with_real_sdc += 1;
                         }

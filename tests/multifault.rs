@@ -15,11 +15,19 @@ use std::sync::Arc;
 
 use talft::compiler::{compile, CompileOptions};
 use talft::faultsim::{
-    golden_run, run_multi_campaign, run_plan_campaign, CampaignConfig, FaultPlan, Strike, Verdict,
+    golden_run, multi_fault_plans, run_plan_campaign, CampaignConfig, CampaignReport, FaultPlan,
+    Strike, Verdict,
 };
-use talft::isa::{assemble, Reg};
+use talft::isa::{assemble, Program, Reg};
 use talft::machine::FaultSite;
 use talft::suite::{kernels, Scale};
+
+/// A `k`-fault campaign: golden run, sampled plans, the plan engine.
+fn k_campaign(program: &Arc<Program>, cfg: &CampaignConfig, k: u32) -> CampaignReport {
+    let golden = golden_run(program, cfg).expect("golden halts");
+    let plans = multi_fault_plans(program, cfg, &golden, k);
+    run_plan_campaign(program, cfg, &golden, &plans)
+}
 
 fn cfg() -> CampaignConfig {
     CampaignConfig {
@@ -40,7 +48,7 @@ fn k2_campaign_finds_sdc_on_a_protected_kernel() {
     let mut detected = 0u64;
     for k in kernels(Scale::Tiny).into_iter().take(3) {
         let c = compile(&k.source, &CompileOptions::default()).expect("compiles");
-        let rep = run_multi_campaign(&c.protected.program, &cfg(), 2).expect("golden halts");
+        let rep = k_campaign(&c.protected.program, &cfg(), 2);
         assert!(rep.total > 0, "{}: empty k=2 campaign", k.name);
         assert_eq!(rep.fault_order, 2, "{}", k.name);
         assert!(!rep.within_fault_model(), "{}", k.name);
@@ -65,7 +73,7 @@ fn k1_campaign_on_same_kernels_stays_clean() {
         let c = compile(&k.source, &CompileOptions::default()).expect("compiles");
         let mut sampled = cfg();
         sampled.stride = 37; // thin the exhaustive sweep for test time
-        let rep = run_multi_campaign(&c.protected.program, &sampled, 1).expect("golden halts");
+        let rep = k_campaign(&c.protected.program, &sampled, 1);
         assert!(rep.total > 0, "{}: empty campaign", k.name);
         assert!(rep.within_fault_model(), "{}", k.name);
         assert!(
@@ -138,7 +146,7 @@ fn sampler_rediscovers_the_coordinated_pair() {
         pair_samples: 512,
         ..CampaignConfig::default()
     };
-    let rep = run_multi_campaign(&p, &campaign, 2).expect("halts");
+    let rep = k_campaign(&p, &campaign, 2);
     assert!(
         rep.sdc > 0,
         "sampler missed the coordinated pattern: {rep:?}"
