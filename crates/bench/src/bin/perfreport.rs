@@ -8,9 +8,11 @@
 //!
 //! 1. **checker** — compile every Tiny-scale kernel and `check_program` its
 //!    protected binary (per-pass spans, rule-hit counters, solver counters);
-//! 2. **checkperf** — the E21 solver table: re-check every kernel with the
+//! 2. **checkperf** — the E21 solver table: check every kernel with the
 //!    interval pre-solver off and on (the `ExprArena::solver_interval`
-//!    switch) and record wall time plus the interval/FM counters;
+//!    switch), each row on freshly compiled arenas so no memo left by an
+//!    earlier check answers for it, and record wall time plus the
+//!    interval/FM counters;
 //! 3. **machine** — run each protected binary to completion (steps, queue
 //!    high-water mark);
 //! 4. **campaign** — a strided k=1 campaign per kernel with `threads: 1`
@@ -26,7 +28,9 @@
 //! the checkperf table it also gates on the machine-independent solver
 //! invariants: both rows must satisfy `interval hit + miss == queries`
 //! (no silent bypass of the counter discipline) with zero Fourier–Motzkin
-//! give-ups, and the interval-off row must report zero interval queries.
+//! give-ups, the interval-off row must report zero interval queries and
+//! some FM runs, and the interval-on row some interval queries — a row
+//! whose solver was never asked measures nothing.
 
 use std::time::Instant;
 
@@ -61,16 +65,18 @@ fn main() {
     let ks = kernels(Scale::Tiny);
 
     // Phase 1: checker. Compile outside the measured region; check inside.
-    let mut compiled = Vec::new();
-    for k in &ks {
-        match compile(&k.source, &CompileOptions::default()) {
-            Ok(c) => compiled.push((k.name, c)),
-            Err(e) => {
-                eprintln!("error: {}: {e}", k.name);
-                std::process::exit(1);
-            }
-        }
-    }
+    let compile_all = || -> Vec<_> {
+        ks.iter()
+            .map(|k| match compile(&k.source, &CompileOptions::default()) {
+                Ok(c) => (k.name, c),
+                Err(e) => {
+                    eprintln!("error: {}: {e}", k.name);
+                    std::process::exit(1);
+                }
+            })
+            .collect()
+    };
+    let mut compiled = compile_all();
     talft_obs::reset_all();
     let t0 = Instant::now();
     for (name, c) in &mut compiled {
@@ -82,19 +88,21 @@ fn main() {
     let checker_wall = t0.elapsed();
     let checker = talft_obs::snapshot();
 
-    // Phase 2: checkperf — the E21 table. Each row re-checks every kernel
-    // with the interval layer off or on. The layer is verdict-transparent,
-    // so both rows must check identically — only the timings and counters
-    // may differ.
+    // Phase 2: checkperf — the E21 table. Each row checks every kernel with
+    // the interval layer off or on, on arenas compiled for that row (an
+    // arena phase 1 used would answer from its memos). The layer is
+    // verdict-transparent, so both rows must check identically — only the
+    // timings and counters may differ.
     let mut checkperf_rows = Vec::new();
     for interval in [false, true] {
         let mode = if interval { "on" } else { "off" };
-        for (_, c) in &mut compiled {
+        let mut cold = compile_all();
+        for (_, c) in &mut cold {
             c.protected.arena.solver_interval = interval;
         }
         talft_obs::reset_all();
         let t0 = Instant::now();
-        for (name, c) in &mut compiled {
+        for (name, c) in &mut cold {
             if let Err(e) = check_program(&c.protected.program, &mut c.protected.arena) {
                 eprintln!("error: {name} failed the checker (interval {mode}): {e}");
                 std::process::exit(1);
@@ -270,6 +278,16 @@ fn check_checkperf(path: &str, json: &Json) {
         if mode == "off" && n("interval_queries") != 0 {
             fail(&format!(
                 "interval {mode}: interval layer consulted while off"
+            ));
+        }
+        if mode == "off" && n("fm_runs") == 0 {
+            fail(&format!(
+                "interval {mode}: no Fourier–Motzkin runs (the row measured no solver work)"
+            ));
+        }
+        if mode == "on" && n("interval_queries") == 0 {
+            fail(&format!(
+                "interval {mode}: no interval queries (the row measured no solver work)"
             ));
         }
         if n("fm_giveups") != 0 {

@@ -103,6 +103,28 @@ fn exit_2_on_compile_error() {
 }
 
 #[test]
+fn exit_2_on_code_space_overflow() {
+    // Valid Wile whose protected code would reach the data space: the
+    // compiler must refuse it (class 2), never hand the checker a program
+    // it rejects (class 3) — protected output always passes the checker.
+    let depth = 1000;
+    let src = format!(
+        "output out[1];\nfunc main() {{\n  var x = 0;\n{}  out[0] = 1;\n{}}}\n",
+        "  if (x == 0) {\n".repeat(depth),
+        "  }\n".repeat(depth)
+    );
+    let p = write_temp("nested_if.wile", &src);
+    let out = talftc(&[p.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("overflow the code address space"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("TYPE ERROR"), "{stderr}");
+}
+
+#[test]
 fn exit_3_on_type_error() {
     let p = write_temp("unpaired.talft", UNPAIRED_TALFT);
     let out = talftc(&[p.to_str().unwrap()]);

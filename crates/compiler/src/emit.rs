@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use talft_isa::ty::ValTy;
 use talft_isa::{
-    BasicTy, CVal, CodeTy, Color, Gpr, Instr, OpSrc, Program, RegFileTy, RegTy, Region,
+    BasicTy, CVal, CodeTy, Color, Gpr, Instr, OpSrc, Program, RegFileTy, RegTy, Region, DATA_BASE,
 };
 use talft_logic::{ExprArena, Kind};
 
@@ -58,6 +58,14 @@ pub fn emit(
         next_addr += block.instrs.len() as i64;
     }
     addr[nblocks] = next_addr;
+    // Code lives at addresses 1 ..= len, strictly below the data space.
+    let code_len = next_addr - 1;
+    if code_len >= DATA_BASE {
+        return Err(EmitError(format!(
+            "{code_len} instructions overflow the code address space \
+             (code must end below address {DATA_BASE})"
+        )));
+    }
 
     let mut program = Program {
         num_gprs,
@@ -252,4 +260,32 @@ fn precond(
 #[must_use]
 pub fn share(program: Program) -> Arc<Program> {
     Arc::new(program)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{compile, CompileError, CompileOptions};
+
+    /// `depth` nested `if`s around one output store.
+    fn nested_ifs(depth: usize) -> String {
+        format!(
+            "output out[1];\nfunc main() {{\n  var x = 0;\n{}  out[0] = 1;\n{}}}\n",
+            "  if (x == 0) {\n".repeat(depth),
+            "  }\n".repeat(depth)
+        )
+    }
+
+    /// Code that would reach the data space is a compile error, not a
+    /// program the checker has to reject.
+    #[test]
+    fn code_past_the_data_base_is_an_emit_error() {
+        let err = compile(&nested_ifs(200), &CompileOptions::default()).err();
+        match err {
+            Some(CompileError::Emit(e)) => {
+                assert!(e.0.contains("overflow the code address space"), "{e}");
+            }
+            other => panic!("expected an emit error, got {other:?}"),
+        }
+        compile(&nested_ifs(20), &CompileOptions::default()).expect("shallow nesting compiles");
+    }
 }

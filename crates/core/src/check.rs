@@ -7,14 +7,21 @@
 //! void` premise of `C-t`, generalized to compatibility-under-substitution,
 //! i.e. the weakening a jump would be allowed). Finally, every instruction
 //! must have been covered by some block — the paper types *every* address.
+//!
+//! While [`ExprArena::solver_memo`] is on, a block the same arena already
+//! accepted with the same key and the same `Ψ` answers is not walked again
+//! (the accepted-block memo, DESIGN.md §13); validation and the coverage
+//! check run on every call.
 
-use talft_isa::{Color, Program};
+use talft_isa::{CodeTy, Color, Instr, Program};
 use talft_logic::ExprArena;
 use talft_obs::{LazyCounter, LazyHistogram, LazyMaxGauge};
 
 use crate::compat::{check_transfer, DEntry};
 use crate::ctx::Ctx;
 use crate::error::TypeError;
+use crate::memo::BlockMemo;
+use crate::psi::Psi;
 use crate::rules::{check_instr, Outcome};
 
 static CHECK_NS: LazyHistogram = LazyHistogram::new("checker.check_program.ns");
@@ -60,52 +67,49 @@ fn check_program_inner(program: &Program, arena: &mut ExprArena) -> Result<Check
             .validate(arena)
             .map_err(|e| TypeError::at(0, format!("structural error: {e}")))?;
     }
+    if !arena.solver_memo {
+        return check_blocks(program, arena, None);
+    }
+    let mut memo = BlockMemo::take(arena, &program.regions);
+    let result = check_blocks(program, arena, Some(&mut memo));
+    memo.put(arena);
+    result
+}
 
-    let mut covered = vec![false; program.code_len()];
+fn check_blocks(
+    program: &Program,
+    arena: &mut ExprArena,
+    mut memo: Option<&mut BlockMemo>,
+) -> Result<CheckReport, TypeError> {
+    let code_len = program.code_len();
+    let mut covered = vec![false; code_len];
     let mut blocks = 0usize;
     let mut instrs = 0usize;
 
-    for (&start, pre) in &program.preconds {
+    let mut annotated = program.preconds.iter().peekable();
+    while let Some((&start, pre)) = annotated.next() {
         blocks += 1;
         let _bspan = BLOCK_NS.span();
-        let mut ctx = Ctx::from_code_ty(arena, pre);
-        let mut addr = start;
-        loop {
-            if addr != start && program.precond(addr).is_some() {
-                // Fall-through into the next annotated block: check
-                // compatibility with its precondition, pcs at their current
-                // expressions, d carried over.
-                let er_g = ctx.pc_expr(Color::Green).ok_or_else(|| {
-                    TypeError::at(addr, "green pc lost its type before fall-through")
-                })?;
-                let er_b = ctx.pc_expr(Color::Blue).ok_or_else(|| {
-                    TypeError::at(addr, "blue pc lost its type before fall-through")
-                })?;
-                let d = ctx.regs.get(talft_isa::Reg::Dst).clone();
-                check_transfer(arena, program, &ctx, addr, er_g, er_b, &DEntry::Current(d))
-                    .map_err(|e| {
-                        TypeError::at(addr, format!("fall-through: {}", e.reason))
-                            .with_notes(e.notes)
-                    })?;
-                break;
-            }
-            let instr = match program.instr(addr) {
-                Some(i) => *i,
-                None => {
-                    return Err(TypeError::at(
-                        addr,
-                        "control falls off the end of code memory",
-                    ))
+        let next = annotated.peek().map(|(&a, _)| a);
+        let index = |a: i64| usize::try_from(a - 1).expect("valid code address");
+        let first = index(start);
+        let code = &program.instrs[first..next.map_or(code_len, index)];
+        let walked = match memo
+            .as_deref_mut()
+            .and_then(|m| m.lookup(program, start, pre, code))
+        {
+            Some(walked) => walked,
+            None => {
+                let mut psi = Psi::new(program);
+                let walked = walk_block(arena, &mut psi, start, pre, code, next)?;
+                if let Some(m) = memo.as_deref_mut() {
+                    m.store(start, pre, code, psi, walked);
                 }
-            };
-            let idx = usize::try_from(addr - 1).expect("valid code address");
-            covered[idx] = true;
-            instrs += 1;
-            match check_instr(arena, program, &mut ctx, addr, &instr)? {
-                Outcome::Continue => addr += 1,
-                Outcome::Void => break,
+                walked
             }
-        }
+        };
+        covered[first..first + walked].fill(true);
+        instrs += walked;
     }
 
     if let Some(idx) = covered.iter().position(|&c| !c) {
@@ -118,6 +122,46 @@ fn check_program_inner(program: &Program, arena: &mut ExprArena) -> Result<Check
     BLOCKS.add(blocks as u64);
     INSTRS.add(instrs as u64);
     Ok(CheckReport { blocks, instrs })
+}
+
+/// Walk the block at `start` (instructions `code`, next annotated address
+/// `next`) under the rules of Figure 7, reading `Ψ` through `psi`, and
+/// return how many instructions it covered.
+fn walk_block(
+    arena: &mut ExprArena,
+    psi: &mut Psi<'_>,
+    start: i64,
+    pre: &CodeTy,
+    code: &[Instr],
+    next: Option<i64>,
+) -> Result<usize, TypeError> {
+    let mut ctx = Ctx::from_code_ty(arena, pre);
+    for (walked, &instr) in code.iter().enumerate() {
+        let addr = start + walked as i64;
+        if check_instr(arena, psi, &mut ctx, addr, &instr)? == Outcome::Void {
+            return Ok(walked + 1);
+        }
+    }
+    // `code` runs up to the next annotated address, or to the end of code.
+    let Some(addr) = next else {
+        return Err(TypeError::at(
+            start + code.len() as i64,
+            "control falls off the end of code memory",
+        ));
+    };
+    // Fall-through into the next annotated block: check compatibility with
+    // its precondition, pcs at their current expressions, d carried over.
+    let er_g = ctx
+        .pc_expr(Color::Green)
+        .ok_or_else(|| TypeError::at(addr, "green pc lost its type before fall-through"))?;
+    let er_b = ctx
+        .pc_expr(Color::Blue)
+        .ok_or_else(|| TypeError::at(addr, "blue pc lost its type before fall-through"))?;
+    let d = ctx.regs.get(talft_isa::Reg::Dst).clone();
+    check_transfer(arena, psi, &ctx, addr, er_g, er_b, &DEntry::Current(d)).map_err(|e| {
+        TypeError::at(addr, format!("fall-through: {}", e.reason)).with_notes(e.notes)
+    })?;
+    Ok(code.len())
 }
 
 #[cfg(test)]

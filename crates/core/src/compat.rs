@@ -15,12 +15,13 @@
 //! * every fact asserted by `T'` holds under `S` (our `Δ`-facts extension).
 
 use talft_isa::ty::ValTy;
-use talft_isa::{BasicTy, Color, Program, Reg, RegTy};
+use talft_isa::{BasicTy, Color, Reg, RegTy};
 use talft_logic::{norm_mem, ExprArena, ExprId, Facts};
 use talft_obs::LazyHistogram;
 
 use crate::ctx::{prove_fact, Ctx};
 use crate::matching::{goals_for_target, subst_reg_ty, GoalSet};
+use crate::psi::Psi;
 use crate::subty::reg_subtype;
 
 static TRANSFER_NS: LazyHistogram = LazyHistogram::new("checker.pass.transfer.ns");
@@ -75,10 +76,11 @@ impl std::fmt::Display for TransferError {
 ///
 /// `er_green` / `er_blue` are the static expressions the two program
 /// counters will hold on entry (for jumps, the green latched target and the
-/// blue argument; for fall-through, the current pc expressions).
+/// blue argument; for fall-through, the current pc expressions). The
+/// target's precondition is read through `psi`.
 pub fn check_transfer(
     arena: &mut ExprArena,
-    program: &Program,
+    psi: &mut Psi<'_>,
     ctx: &Ctx,
     target_addr: i64,
     er_green: ExprId,
@@ -86,7 +88,7 @@ pub fn check_transfer(
     d_entry: &DEntry,
 ) -> Result<(), TransferError> {
     let _span = TRANSFER_NS.span();
-    let target = program.precond(target_addr).ok_or_else(|| {
+    let target = psi.precond(target_addr).ok_or_else(|| {
         TransferError::new(format!("transfer to unannotated address {target_addr}"))
     })?;
 

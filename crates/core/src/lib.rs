@@ -15,6 +15,7 @@
 //! * [`reg_subtype`] — subtyping and coercions ([`subty`]);
 //! * [`check_transfer`] — jump/fall-through compatibility with substitution
 //!   inference ([`compat`], [`matching`]);
+//! * [`Psi`] — the recording view of `Ψ` those rules read ([`psi`]);
 //! * [`check_boot_state`] — machine-state typing at block boundaries,
 //!   Figure 8 ([`state_check`]).
 //!
@@ -54,6 +55,8 @@ pub mod compat;
 pub mod ctx;
 pub mod error;
 pub mod matching;
+mod memo;
+pub mod psi;
 pub mod rules;
 pub mod state_check;
 pub mod subty;
@@ -62,6 +65,7 @@ pub use check::{check_program, CheckReport};
 pub use compat::{check_transfer, prove_mem_eq, DEntry, TransferError};
 pub use ctx::Ctx;
 pub use error::{Diagnostic, Severity, TypeError, CHECKER_CODE};
+pub use psi::Psi;
 pub use rules::{check_instr, Outcome};
 pub use state_check::check_boot_state;
 pub use subty::{basic_subtype, reg_subtype, val_subtype};

@@ -11,13 +11,14 @@
 //!    singleton types and the Hoare-logic equality obligations.
 
 use talft_isa::ty::ValTy;
-use talft_isa::{BasicTy, CVal, Color, Gpr, Instr, OpSrc, Program, Reg, RegTy};
+use talft_isa::{BasicTy, CVal, Color, Gpr, Instr, OpSrc, Reg, RegTy};
 use talft_logic::{BinOp, ExprArena, ExprId};
 use talft_obs::LazyCounter;
 
 use crate::compat::{check_transfer, DEntry};
 use crate::ctx::Ctx;
 use crate::error::TypeError;
+use crate::psi::Psi;
 use crate::subty::{as_ref, basic_subtype, basic_ty_of_const};
 
 static R_OP: LazyCounter = LazyCounter::new("checker.rule.op");
@@ -80,10 +81,11 @@ pub enum Outcome {
     Void,
 }
 
-/// Type-check one instruction, updating `ctx` in place.
+/// Type-check one instruction, updating `ctx` in place. Every `Ψ` lookup
+/// goes through `psi`.
 pub fn check_instr(
     arena: &mut ExprArena,
-    program: &Program,
+    psi: &mut Psi<'_>,
     ctx: &mut Ctx,
     addr: i64,
     instr: &Instr,
@@ -118,7 +120,7 @@ pub fn check_instr(
         Instr::Mov { rd, v } => {
             // mov-t via val-t: constants get their most specific Ψ type.
             let e = arena.int(v.val);
-            let basic = basic_ty_of_const(program, v.val);
+            let basic = basic_ty_of_const(psi, v.val);
             ctx.bump_pcs(arena);
             ctx.regs
                 .set(rd.into(), RegTy::Val(ValTy::new(v.color, basic, e)));
@@ -132,7 +134,7 @@ pub fn check_instr(
                     vs.color
                 )));
             }
-            let pointee = as_ref(arena, &ctx.facts, program, &vs).ok_or_else(|| {
+            let pointee = as_ref(arena, &ctx.facts, psi.regions(), &vs).ok_or_else(|| {
                 fail(format!(
                     "ld{color} address is not a reference (no region proves {} in bounds)",
                     arena.display(vs.expr)
@@ -163,7 +165,7 @@ pub fn check_instr(
             if va.color != Color::Green || vv.color != Color::Green {
                 return Err(fail("stG operands must both be green".into()));
             }
-            let pointee = as_ref(arena, &ctx.facts, program, &va)
+            let pointee = as_ref(arena, &ctx.facts, psi.regions(), &va)
                 .ok_or_else(|| fail("stG address is not a reference".into()))?;
             if !basic_subtype(&vv.basic, &pointee) {
                 return Err(fail(format!(
@@ -186,7 +188,7 @@ pub fn check_instr(
             if va.color != Color::Blue || vv.color != Color::Blue {
                 return Err(fail("stB operands must both be blue".into()));
             }
-            let pointee = as_ref(arena, &ctx.facts, program, &va)
+            let pointee = as_ref(arena, &ctx.facts, psi.regions(), &va)
                 .ok_or_else(|| fail("stB address is not a reference".into()))?;
             if !basic_subtype(&vv.basic, &pointee) {
                 return Err(fail(format!(
@@ -234,7 +236,7 @@ pub fn check_instr(
                 return Err(fail("jmpG target register must be green".into()));
             }
             let target = code_target(&v).map_err(&fail)?;
-            target_d_is_zero(arena, program, target).map_err(&fail)?;
+            target_d_is_zero(arena, psi, target).map_err(&fail)?;
             ctx.bump_pcs(arena);
             ctx.regs.set(Reg::Dst, RegTy::Val(v));
             Ok(Outcome::Continue)
@@ -277,7 +279,7 @@ pub fn check_instr(
             }
             check_transfer(
                 arena,
-                program,
+                psi,
                 ctx,
                 target_b,
                 vd.expr,
@@ -303,7 +305,7 @@ pub fn check_instr(
                 return Err(fail("bzG target register must be green".into()));
             }
             let target = code_target(&vt).map_err(&fail)?;
-            target_d_is_zero(arena, program, target).map_err(&fail)?;
+            target_d_is_zero(arena, psi, target).map_err(&fail)?;
             ctx.bump_pcs(arena);
             ctx.regs.set(
                 Reg::Dst,
@@ -371,7 +373,7 @@ pub fn check_instr(
                 taken.facts.assume_eq_zero(arena, vz.expr);
                 check_transfer(
                     arena,
-                    program,
+                    psi,
                     &taken,
                     target_b,
                     inner.expr,
@@ -439,8 +441,8 @@ fn check_d_zero(arena: &mut ExprArena, ctx: &Ctx) -> Result<(), String> {
 }
 
 /// The target's own `Γ'(d) = (G, int, 0)` premise.
-fn target_d_is_zero(arena: &mut ExprArena, program: &Program, target: i64) -> Result<(), String> {
-    let t = program
+fn target_d_is_zero(arena: &mut ExprArena, psi: &mut Psi<'_>, target: i64) -> Result<(), String> {
+    let t = psi
         .precond(target)
         .ok_or_else(|| format!("code@{target} has no precondition"))?;
     match t.regs.get(Reg::Dst) {

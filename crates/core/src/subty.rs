@@ -17,8 +17,10 @@
 //!   addresses via `Ψ`).
 
 use talft_isa::ty::ValTy;
-use talft_isa::{BasicTy, Program, RegTy};
+use talft_isa::{BasicTy, RegTy, Region};
 use talft_logic::{ExprArena, Facts};
+
+use crate::psi::Psi;
 
 /// `Δ ⊢ b ≤ b'` on basic types: reflexive, and everything forgets to `int`.
 #[must_use]
@@ -77,14 +79,14 @@ pub fn val_subtype(arena: &mut ExprArena, facts: &Facts, sub: &ValTy, sup: &ValT
 pub fn as_ref(
     arena: &mut ExprArena,
     facts: &Facts,
-    program: &Program,
+    regions: &[Region],
     v: &ValTy,
 ) -> Option<BasicTy> {
     if let BasicTy::Ref(b) = &v.basic {
         return Some((**b).clone());
     }
     // Region coercion: find a region whose bounds provably contain E.
-    for r in &program.regions {
+    for r in regions {
         if facts.prove_in_range(arena, v.expr, r.base, r.base + r.len) {
             return Some(r.elem.clone());
         }
@@ -96,11 +98,11 @@ pub fn as_ref(
 /// rule `base-t`): a code type if `n` is an annotated code address, a
 /// reference type if it lies in a data region, else `int`.
 #[must_use]
-pub fn basic_ty_of_const(program: &Program, n: i64) -> BasicTy {
-    if program.precond(n).is_some() {
+pub fn basic_ty_of_const(psi: &mut Psi<'_>, n: i64) -> BasicTy {
+    if psi.precond(n).is_some() {
         return BasicTy::Code(n);
     }
-    if let Some(t) = program.data_ptr_ty(n) {
+    if let Some(t) = psi.data_ptr_ty(n) {
         return t;
     }
     BasicTy::Int
@@ -198,12 +200,13 @@ mod tests {
         let base = a.int(4096);
         let addr = a.add(base, i);
         let v = ValTy::new(Color::Green, BasicTy::Int, addr);
-        assert_eq!(as_ref(&mut a, &f, &asm.program, &v), None);
+        let regions = &asm.program.regions;
+        assert_eq!(as_ref(&mut a, &f, regions, &v), None);
         f.assume_in_range(&mut a, i, 0, 8);
-        assert_eq!(as_ref(&mut a, &f, &asm.program, &v), Some(BasicTy::Int));
+        assert_eq!(as_ref(&mut a, &f, regions, &v), Some(BasicTy::Int));
         // a real ref type needs no coercion
         let rv = ValTy::new(Color::Green, BasicTy::Int.reference(), addr);
-        assert_eq!(as_ref(&mut a, &f, &asm.program, &rv), Some(BasicTy::Int));
+        assert_eq!(as_ref(&mut a, &f, regions, &rv), Some(BasicTy::Int));
     }
 
     #[test]
@@ -211,11 +214,10 @@ mod tests {
         let src = "\n.data\nregion tab at 4096 len 8 : int\n.code\nmain:\n  \
                    .pre { forall m:mem; mem: m; }\n  halt\n";
         let asm = assemble(src).expect("ok");
-        assert_eq!(basic_ty_of_const(&asm.program, 1), BasicTy::Code(1));
-        assert_eq!(
-            basic_ty_of_const(&asm.program, 4100),
-            BasicTy::Int.reference()
-        );
-        assert_eq!(basic_ty_of_const(&asm.program, 9999), BasicTy::Int);
+        let mut psi = Psi::new(&asm.program);
+        assert_eq!(basic_ty_of_const(&mut psi, 1), BasicTy::Code(1));
+        assert_eq!(basic_ty_of_const(&mut psi, 4100), BasicTy::Int.reference());
+        assert_eq!(basic_ty_of_const(&mut psi, 9999), BasicTy::Int);
+        assert_eq!(psi.into_reads(), [1, 4100, 9999]);
     }
 }

@@ -62,15 +62,23 @@ pub struct Assembled {
 /// Assemble `.talft` source text.
 pub fn assemble(src: &str) -> Result<Assembled, AsmError> {
     let mut arena = ExprArena::new();
-    let (program, lines) = Assembler::new(src, &mut arena)?.run()?;
-    program
-        .validate(&arena)
-        .map_err(|e| AsmError::new(0, format!("invalid program: {e}")))?;
+    let (program, lines) = assemble_into(src, &mut arena)?;
     Ok(Assembled {
         program,
         arena,
         lines,
     })
+}
+
+/// Assemble `.talft` source text into an existing arena, so that programs
+/// assembled one after another share it. Returns the program and its line
+/// table (see [`Assembled::lines`]).
+pub fn assemble_into(src: &str, arena: &mut ExprArena) -> Result<(Program, Vec<u32>), AsmError> {
+    let (program, lines) = Assembler::new(src, arena)?.run()?;
+    program
+        .validate(arena)
+        .map_err(|e| AsmError::new(0, format!("invalid program: {e}")))?;
+    Ok((program, lines))
 }
 
 /// An assembly error with a 1-based source line.

@@ -25,7 +25,7 @@ pub mod reg;
 pub mod span;
 pub mod ty;
 
-pub use asm::{assemble, AsmError, Assembled};
+pub use asm::{assemble, assemble_into, AsmError, Assembled};
 pub use color::{CVal, Color};
 pub use instr::{Instr, OpSrc};
 pub use print::{disassemble, print_program};

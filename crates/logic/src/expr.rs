@@ -183,6 +183,12 @@ pub struct ExprArena {
     /// Fourier–Motzkin. Verdict-transparent, like
     /// [`ExprArena::solver_memo`].
     pub solver_interval: bool,
+    /// One opaque slot the type checker owns: `talft_core` keeps its
+    /// accepted-block memo here (DESIGN.md §13). It lives in the arena for
+    /// the entailment memo's reason — its keys hold arena-relative
+    /// [`ExprId`]s — and is read and written only while
+    /// [`ExprArena::solver_memo`] is on.
+    pub checker_slot: Option<Box<dyn std::any::Any + Send + Sync>>,
 }
 
 impl Default for ExprArena {
@@ -195,6 +201,7 @@ impl Default for ExprArena {
             entail_cache: crate::entail::EntailCache::default(),
             solver_memo: true,
             solver_interval: true,
+            checker_slot: None,
         }
     }
 }

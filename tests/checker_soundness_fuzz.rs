@@ -32,60 +32,13 @@ use talft::core::check_program;
 use talft::faultsim::{
     golden_run, run_plan_campaign, single_fault_plans, CampaignConfig, FaultPlan, Golden, Injection,
 };
-use talft::isa::{CVal, Gpr, Instr, OpSrc, Program};
+use talft::isa::Program;
 use talft::machine::Status;
 
-const GEN_SEED: u64 = 0x51DE_CA5E;
+mod common;
+use common::mutate;
 
-fn mutate(program: &Program, rng: &mut SplitMix64) -> Option<Program> {
-    let mut p = program.clone();
-    let idx = rng.index(p.instrs.len());
-    let instr = &mut p.instrs[idx];
-    let flip_gpr = |g: &Gpr, rng: &mut SplitMix64| Gpr((g.0 + rng.range_u64(1, 4) as u16) % 16);
-    match rng.below(4) {
-        // register substitution (wrong-operand bugs)
-        0 => match instr {
-            Instr::Op { rs, .. } => *rs = flip_gpr(rs, rng),
-            Instr::Mov { rd, .. } => *rd = flip_gpr(rd, rng),
-            Instr::Ld { rs, .. } => *rs = flip_gpr(rs, rng),
-            Instr::St { rs, .. } => *rs = flip_gpr(rs, rng),
-            Instr::Bz { rz, .. } => *rz = flip_gpr(rz, rng),
-            Instr::Jmp { rd, .. } => *rd = flip_gpr(rd, rng),
-            Instr::Halt => return None,
-        },
-        // color flip (lost-duplication bugs)
-        1 => match instr {
-            Instr::Ld { color, .. }
-            | Instr::St { color, .. }
-            | Instr::Bz { color, .. }
-            | Instr::Jmp { color, .. } => *color = color.other(),
-            Instr::Mov { v, .. } => v.color = v.color.other(),
-            Instr::Op {
-                src2: OpSrc::Imm(v),
-                ..
-            } => v.color = v.color.other(),
-            _ => return None,
-        },
-        // immediate perturbation (wrong-constant bugs)
-        2 => match instr {
-            Instr::Mov { v, .. } => *v = CVal::new(v.color, v.val.wrapping_add(1)),
-            Instr::Op {
-                src2: OpSrc::Imm(v),
-                ..
-            } => {
-                *v = CVal::new(v.color, v.val.wrapping_add(1));
-            }
-            _ => return None,
-        },
-        // opcode swap st<->ld (wrong-instruction bugs)
-        _ => match *instr {
-            Instr::St { color, rd, rs } => *instr = Instr::Ld { color, rd, rs },
-            Instr::Ld { color, rd, rs } => *instr = Instr::St { color, rd, rs },
-            _ => return None,
-        },
-    }
-    Some(p)
-}
+const GEN_SEED: u64 = 0x51DE_CA5E;
 
 /// Does this single-strike plan still demonstrate a Theorem 4 violation?
 fn still_violates(
