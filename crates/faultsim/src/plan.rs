@@ -21,8 +21,8 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use talft_isa::{Color, Program};
-use talft_machine::{colored_reg_sites, mutations, read_site, sites, step, FaultSite, Machine};
+use talft_isa::{CVal, Color, Program, Reg};
+use talft_machine::{mutations, read_site, sites, step, FaultSite, Machine};
 use talft_testutil::SplitMix64;
 
 use crate::{CampaignConfig, Golden};
@@ -223,6 +223,87 @@ impl<T: Copy> Reservoir<T> {
     }
 }
 
+/// The correlated-pair window of [`multi_fault_plans`]: the nonzero green
+/// registers of the last `width` steps, oldest step first and in
+/// `Reg::all` order within a step. They sit in flat buffers reused from
+/// step to step (`regs[head..]` and `vals[head..]` are live), with one
+/// `(step, count)` record per window step that holds any. Memory follows
+/// what the window holds, never `width`.
+struct GreenWindow {
+    width: u64,
+    steps: VecDeque<(u64, usize)>,
+    regs: Vec<Reg>,
+    vals: Vec<i64>,
+    /// Start of the live entries.
+    head: usize,
+    /// Start of the current step's entries, not yet searchable.
+    open: usize,
+}
+
+impl GreenWindow {
+    /// A window over the last `width` steps (0 counts as 1).
+    fn new(width: u64) -> Self {
+        GreenWindow {
+            width: width.max(1),
+            steps: VecDeque::new(),
+            regs: Vec::new(),
+            vals: Vec::new(),
+            head: 0,
+            open: 0,
+        }
+    }
+
+    /// Slide to step `s`: keep the steps `max(0, s − width) … s − 1`.
+    fn slide_to(&mut self, s: u64) {
+        while let Some(&(s0, count)) = self.steps.front() {
+            if s - s0 <= self.width {
+                break;
+            }
+            self.steps.pop_front();
+            self.head += count;
+        }
+        // Compact once the dead prefix outgrows the live entries: each
+        // entry moves O(1) times on average, and the buffers never grow
+        // past about twice what the window holds.
+        if self.head > self.vals.len() - self.head {
+            self.regs.drain(..self.head);
+            self.vals.drain(..self.head);
+            self.head = 0;
+            self.open = self.vals.len();
+        }
+    }
+
+    /// Append a nonzero green register of the current step.
+    fn push(&mut self, r: Reg, val: i64) {
+        self.regs.push(r);
+        self.vals.push(val);
+    }
+
+    /// The first green register of the window carrying `val`: the oldest
+    /// step first, register order within a step. The current step's
+    /// entries are not searched.
+    fn find(&self, val: i64) -> Option<(u64, Reg)> {
+        let i = self.head
+            + self.vals[self.head..self.open]
+                .iter()
+                .position(|&v| v == val)?;
+        let mut end = self.head;
+        self.steps.iter().find_map(|&(s, count)| {
+            end += count;
+            (i < end).then(|| (s, self.regs[i]))
+        })
+    }
+
+    /// Close step `s`: its entries join the window.
+    fn close_step(&mut self, s: u64) {
+        let count = self.vals.len() - self.open;
+        if count > 0 {
+            self.steps.push_back((s, count));
+            self.open = self.vals.len();
+        }
+    }
+}
+
 /// Number of time strata per axis of the `(step × step)` grid.
 const TIME_BINS: usize = 8;
 /// Candidate-strike reservoir capacity per time stratum.
@@ -268,9 +349,11 @@ pub fn multi_fault_plans(
     let mut bins: Vec<Reservoir<Strike>> =
         (0..TIME_BINS).map(|_| Reservoir::new(BIN_CAP)).collect();
     let mut correlated: Reservoir<(Strike, Strike)> = Reservoir::new(correlated_target);
-    // Sliding window of green-register payloads from the last
-    // `cfg.pair_window` steps, for correlated-pair search.
-    let mut window: VecDeque<(u64, Vec<(FaultSite, i64)>)> = VecDeque::new();
+    // The nonzero blue registers of the current step, and the green
+    // registers of the last `cfg.pair_window` steps, for correlated-pair
+    // search. Both buffers are reused from step to step.
+    let mut blues: Vec<(Reg, i64)> = Vec::new();
+    let mut window = GreenWindow::new(cfg.pair_window);
 
     let mut m = Machine::boot(Arc::clone(program)).with_oob_policy(cfg.oob);
     while m.status().is_running() && m.steps() < n {
@@ -296,52 +379,47 @@ pub fn multi_fault_plans(
         }
         // Correlated candidates: one random blue register vs. the recent
         // green window (green runs ahead of blue in the protected scheme).
-        let regs = colored_reg_sites(&m);
-        if let Some(&(bsite, _, bval)) = {
-            let blues: Vec<_> = regs
-                .iter()
-                .filter(|&&(_, c, v)| c == Color::Blue && v != 0)
-                .collect();
-            if blues.is_empty() {
-                None
-            } else {
-                Some(*rng.pick(&blues))
-            }
-        } {
-            'search: for (s1, greens) in &window {
-                for &(gsite, gval) in greens {
-                    if gval == bval {
-                        let muts = mutations(bval);
-                        let x = *rng.pick(&muts);
-                        correlated.offer(
-                            (
-                                Strike {
-                                    at_step: *s1,
-                                    site: gsite,
-                                    value: x,
-                                },
-                                Strike {
-                                    at_step: s,
-                                    site: bsite,
-                                    value: x,
-                                },
-                            ),
-                            &mut rng,
-                        );
-                        break 'search;
-                    }
+        // One pass over the register file, in `Reg::all` order, lists the
+        // nonzero blues and appends the nonzero greens to the window.
+        window.slide_to(s);
+        blues.clear();
+        let mut visit = |r: Reg, v: CVal| {
+            if v.val != 0 {
+                match v.color {
+                    Color::Blue => blues.push((r, v.val)),
+                    Color::Green => window.push(r, v.val),
                 }
             }
+        };
+        for (r, &v) in (0..m.num_gprs()).map(Reg::r).zip(m.gprs()) {
+            visit(r, v);
         }
-        let greens: Vec<(FaultSite, i64)> = regs
-            .iter()
-            .filter(|&&(_, c, v)| c == Color::Green && v != 0)
-            .map(|&(site, _, v)| (site, v))
-            .collect();
-        window.push_back((s, greens));
-        if window.len() as u64 > cfg.pair_window.max(1) {
-            window.pop_front();
+        for r in [Reg::Dst, Reg::Pc(Color::Green), Reg::Pc(Color::Blue)] {
+            visit(r, m.reg(r));
         }
+        if !blues.is_empty() {
+            let (breg, bval) = *rng.pick(&blues);
+            if let Some((s1, greg)) = window.find(bval) {
+                let muts = mutations(bval);
+                let x = *rng.pick(&muts);
+                correlated.offer(
+                    (
+                        Strike {
+                            at_step: s1,
+                            site: FaultSite::Reg(greg),
+                            value: x,
+                        },
+                        Strike {
+                            at_step: s,
+                            site: FaultSite::Reg(breg),
+                            value: x,
+                        },
+                    ),
+                    &mut rng,
+                );
+            }
+        }
+        window.close_step(s);
         step(&mut m);
     }
 
@@ -525,6 +603,49 @@ done:
             .filter(|pl| pl.strikes()[0].value == pl.strikes()[1].value)
             .count();
         assert!(correlated > 0, "correlated stratum must be populated");
+    }
+
+    #[test]
+    fn green_window_searches_oldest_first_and_stays_small() {
+        let r = Reg::r;
+        let mut w = GreenWindow::new(2);
+        w.slide_to(0);
+        w.push(r(1), 5);
+        w.push(r(2), 7);
+        assert_eq!(w.find(5), None, "the open step is not searched");
+        w.close_step(0);
+        w.slide_to(1);
+        w.close_step(1);
+        w.slide_to(2);
+        w.push(r(3), 5);
+        w.push(r(4), 7);
+        assert_eq!(w.find(5), Some((0, r(1))), "oldest step first");
+        w.close_step(2);
+        w.slide_to(3);
+        assert_eq!(w.find(5), Some((2, r(3))), "step 0 left the window");
+        assert_eq!(w.find(7), Some((2, r(4))));
+        assert_eq!(w.find(9), None);
+        w.close_step(3);
+        w.slide_to(5);
+        assert_eq!(w.find(5), None, "every step left the window");
+
+        // The buffers follow what the window holds, never its width.
+        for width in [0, 1, 24, u64::MAX] {
+            let mut w = GreenWindow::new(width);
+            assert_eq!(w.vals.capacity(), 0, "nothing reserved for width {width}");
+            for s in 0..10_000u64 {
+                w.slide_to(s);
+                for i in 0..8 {
+                    w.push(r(i), i64::from(i) + 1);
+                }
+                let oldest = (s > 0).then(|| s.saturating_sub(width.max(1)));
+                assert_eq!(w.find(1).map(|(s1, _)| s1), oldest);
+                w.close_step(s);
+            }
+            let held = 8 * (width.clamp(1, 9_999) as usize + 1);
+            assert_eq!(w.vals.len() - w.head, held);
+            assert!(w.vals.capacity() <= 4 * held.max(8), "width {width}");
+        }
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! * `Q-zap2` — corrupt the *value* of any store-queue entry.
 //!
 //! [`FaultSite`] names a location, [`inject`] performs the `─→1` transition,
-//! and [`sites`] enumerates every site of a given machine state — the fan-out
-//! used by exhaustive campaigns.
+//! [`sites`] enumerates every site of a given machine state — the fan-out
+//! used by exhaustive campaigns — and [`mutations`] proposes the corrupted
+//! values to write there. Samplers that need register colors (the
+//! correlated cross-color pairs of multi-fault plans) read them straight
+//! from the register file ([`Machine::gprs`], [`Machine::reg`]).
 
 use talft_isa::{Color, Reg};
 
@@ -101,18 +104,6 @@ impl Iterator for Sites {
 }
 
 impl ExactSizeIterator for Sites {}
-
-/// Enumerate the *register* fault sites together with their color tag and
-/// payload — the basis for constructing **correlated** multi-fault plans
-/// (two upsets striking the green and blue copies of one logical value, the
-/// coordinated pattern that probes the boundary of the single-event-upset
-/// model). Queue entries carry no color tag and are not listed.
-#[must_use]
-pub fn colored_reg_sites(m: &Machine) -> Vec<(FaultSite, Color, i64)> {
-    Reg::all(m.num_gprs())
-        .map(|r| (FaultSite::Reg(r), m.rcol(r), m.rval(r)))
-        .collect()
-}
 
 /// The value currently stored at a fault site (useful for choosing a
 /// corrupted replacement).

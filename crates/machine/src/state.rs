@@ -225,6 +225,12 @@ impl Machine {
         }
     }
 
+    /// The general-purpose registers `r0 … r(n−1)` (colored), read-only.
+    #[must_use]
+    pub fn gprs(&self) -> &[CVal] {
+        &self.gprs
+    }
+
     /// Write a register (colored).
     pub fn set_reg(&mut self, r: Reg, v: CVal) {
         match r {

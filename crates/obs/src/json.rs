@@ -112,11 +112,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// A human-readable message with a byte offset on malformed input.
+    /// A human-readable message with a byte offset on malformed input, and
+    /// on arrays and objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -215,9 +217,17 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     write!(f, "\"")
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so a bound keeps a hostile file from
+/// overflowing the stack; the files this workspace writes nest at most 7
+/// deep.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -240,6 +250,21 @@ impl Parser<'_> {
         }
     }
 
+    /// Parse an array or object one level deeper, or fail past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
+    }
+
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
@@ -255,8 +280,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -455,6 +480,25 @@ mod tests {
         assert!(Json::parse("{\"a\": 1} extra").is_err());
         assert!(Json::parse("{'a': 1}").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn parser_bounds_nesting_depth() {
+        let arrays: fn(usize) -> String = |n| "[".repeat(n) + &"]".repeat(n);
+        let objects: fn(usize) -> String = |n| "{\"k\": ".repeat(n - 1) + "{}" + &"}".repeat(n - 1);
+        // 200,000 levels used to overflow the stack.
+        let err = Json::parse(&arrays(200_000)).expect_err("too deep");
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        for nest in [arrays, objects] {
+            assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+            assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
+        }
+        // Depth counts along a path: closed siblings do not add up.
+        let wide = format!("[{}]", vec![arrays(MAX_DEPTH - 1); 3].join(", "));
+        assert!(Json::parse(&wide).is_ok());
     }
 
     #[test]
