@@ -107,13 +107,11 @@ fn exit_2_on_code_space_overflow() {
     // Valid Wile whose protected code would reach the data space: the
     // compiler must refuse it (class 2), never hand the checker a program
     // it rejects (class 3) — protected output always passes the checker.
-    let depth = 1000;
     let src = format!(
-        "output out[1];\nfunc main() {{\n  var x = 0;\n{}  out[0] = 1;\n{}}}\n",
-        "  if (x == 0) {\n".repeat(depth),
-        "  }\n".repeat(depth)
+        "output out[1];\nfunc main() {{\n  var x = 0;\n{}}}\n",
+        "  if (x == 0) { out[0] = 1; }\n".repeat(1000)
     );
-    let p = write_temp("nested_if.wile", &src);
+    let p = write_temp("many_ifs.wile", &src);
     let out = talftc(&[p.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -122,6 +120,73 @@ fn exit_2_on_code_space_overflow() {
         "{stderr}"
     );
     assert!(!stderr.contains("TYPE ERROR"), "{stderr}");
+}
+
+#[test]
+fn exit_2_on_deep_nesting() {
+    // Each shape once aborted with a stack overflow (exit 134): the parser
+    // now stops at its nesting limit with an error naming the line.
+    let n = 100_000;
+    let shapes = [
+        (
+            "parens",
+            format!("var x = {}1{};", "(".repeat(n), ")".repeat(n)),
+        ),
+        (
+            "ifs",
+            format!(
+                "var x = 0;\n{}{}",
+                "if (x == 0) {\n".repeat(n),
+                "}\n".repeat(n)
+            ),
+        ),
+        ("chain", format!("var x = 1{};", "+1".repeat(n - 1))),
+        ("minus", format!("var y = 3;\nvar x = {}y;", "- ".repeat(n))),
+    ];
+    for (name, body) in shapes {
+        let src = format!("output out[1];\nfunc main() {{\n{body}\nout[0] = 1;\n}}\n");
+        let p = write_temp(&format!("deep_{name}.wile"), &src);
+        let out = talftc(&[p.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{name}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("nesting deeper than"), "{name}: {stderr}");
+    }
+}
+
+/// The §2.2 store sequence, well typed, over a region of `len` cells.
+fn store5_talft(len: &str) -> String {
+    format!(
+        ".data\nregion out at 4096 len {len} : int output\n.code\nmain:\n  \
+         .pre {{ forall m:mem; mem: m; }}\n  mov r1, G 5\n  mov r2, G 4096\n  \
+         stG r2, r1\n  mov r3, B 5\n  mov r4, B 4096\n  stB r4, r3\n  halt\n"
+    )
+}
+
+#[test]
+fn exit_2_on_oversized_talft_region() {
+    // The same program over one cell runs; over 99,999,999,999 cells it
+    // once passed the checker and then aborted allocating its memory.
+    let ok = write_temp("region_ok.talft", &store5_talft("1"));
+    let out = talftc(&[ok.to_str().unwrap(), "--run"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let big = write_temp("region_big.talft", &store5_talft("99999999999"));
+    let out = talftc(&[big.to_str().unwrap(), "--run"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("the limit is"), "{stderr}");
+}
+
+#[test]
+fn exit_2_on_oversized_wile_array() {
+    // A power of two, so only the length cap stops it.
+    let p = write_temp(
+        "array_big.wile",
+        "output out[68719476736];\nfunc main() { out[0] = 1; }\n",
+    );
+    let out = talftc(&[p.to_str().unwrap(), "--run"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("exceeds the limit"), "{stderr}");
 }
 
 #[test]

@@ -30,6 +30,18 @@ impl CVReg {
     pub fn index(self) -> usize {
         (self.v.0 as usize) * 2 + usize::from(self.color == Color::Blue)
     }
+
+    /// The colored vreg with dense index `k` (the inverse of [`CVReg::index`]).
+    pub(crate) fn from_index(k: usize) -> CVReg {
+        CVReg {
+            v: VReg((k / 2) as u32),
+            color: if k.is_multiple_of(2) {
+                Color::Green
+            } else {
+                Color::Blue
+            },
+        }
+    }
 }
 
 /// Colored instructions — the scheduler's unit of work.
@@ -110,20 +122,20 @@ pub enum CInstr {
 }
 
 impl CInstr {
-    /// Registers read.
-    #[must_use]
-    pub fn uses(&self) -> Vec<CVReg> {
-        match *self {
+    /// Registers read, in operand order (at most two; nothing is allocated).
+    pub fn uses(&self) -> impl Iterator<Item = CVReg> {
+        let (first, second) = match *self {
             CInstr::Op { a, b, .. } => match b {
-                COperand::Reg(r) => vec![a, r],
-                COperand::Imm(_) => vec![a],
+                COperand::Reg(r) => (Some(a), Some(r)),
+                COperand::Imm(_) => (Some(a), None),
             },
-            CInstr::Movi { .. } | CInstr::MovLabel { .. } | CInstr::Halt => vec![],
-            CInstr::Ld { addr, .. } => vec![addr],
-            CInstr::StG { addr, val } | CInstr::StB { addr, val } => vec![addr, val],
-            CInstr::BzG { z, t } | CInstr::BzB { z, t } => vec![z, t],
-            CInstr::JmpG { t } | CInstr::JmpB { t } => vec![t],
-        }
+            CInstr::Movi { .. } | CInstr::MovLabel { .. } | CInstr::Halt => (None, None),
+            CInstr::Ld { addr, .. } => (Some(addr), None),
+            CInstr::StG { addr, val } | CInstr::StB { addr, val } => (Some(addr), Some(val)),
+            CInstr::BzG { z, t } | CInstr::BzB { z, t } => (Some(z), Some(t)),
+            CInstr::JmpG { t } | CInstr::JmpB { t } => (Some(t), None),
+        };
+        first.into_iter().chain(second)
     }
 
     /// Register written, if any.
@@ -322,15 +334,28 @@ fn dependence_edges(instrs: &[CInstr]) -> Vec<DepEdge> {
         }
     };
 
-    // Register dependences.
-    for (j, ij) in instrs.iter().enumerate() {
-        for (i, ii) in instrs.iter().enumerate().take(j) {
-            let raw = ii.def().is_some_and(|d| ij.uses().contains(&d));
-            let war = ij.def().is_some_and(|d| ii.uses().contains(&d));
-            let waw = match (ii.def(), ij.def()) {
-                (Some(a), Some(b)) => a == b,
-                _ => false,
-            };
+    // Register dependences: every earlier instruction that writes a
+    // register this one reads (RAW), reads the register it writes (WAR) or
+    // writes it too (WAW). Operands are flattened to dense indices once, so
+    // the pair loop compares integers; a missing def and a missing use get
+    // different sentinels, so they never match each other.
+    const NO_DEF: usize = usize::MAX;
+    const NO_USE: usize = usize::MAX - 1;
+    let ops: Vec<(usize, [usize; 2])> = instrs
+        .iter()
+        .map(|i| {
+            let mut u = [NO_USE; 2];
+            for (slot, r) in u.iter_mut().zip(i.uses()) {
+                *slot = r.index();
+            }
+            (i.def().map_or(NO_DEF, CVReg::index), u)
+        })
+        .collect();
+    for (j, &(dj, uj)) in ops.iter().enumerate() {
+        for (i, &(di, ui)) in ops[..j].iter().enumerate() {
+            let raw = di == uj[0] || di == uj[1];
+            let war = dj == ui[0] || dj == ui[1];
+            let waw = di == dj && di != NO_DEF;
             if raw || war || waw {
                 push(i, j, false);
             }
@@ -340,7 +365,9 @@ fn dependence_edges(instrs: &[CInstr]) -> Vec<DepEdge> {
     // Memory order within each color; pair/ordering edges.
     let mut last_green_mem: Option<usize> = None;
     let mut last_blue_mem: Option<usize> = None;
+    // Green stores not yet matched by a blue one; `matched` of them are.
     let mut pending_stg: Vec<usize> = Vec::new();
+    let mut matched = 0;
     for (j, i) in instrs.iter().enumerate() {
         match i {
             CInstr::StG { .. } => {
@@ -362,8 +389,8 @@ fn dependence_edges(instrs: &[CInstr]) -> Vec<DepEdge> {
                 }
                 last_blue_mem = Some(j);
                 // FIFO: this stB matches the oldest unmatched stG.
-                if !pending_stg.is_empty() {
-                    let m = pending_stg.remove(0);
+                if let Some(&m) = pending_stg.get(matched) {
+                    matched += 1;
                     push(m, j, true); // the relaxable green≺blue pair edge
                 }
             }

@@ -84,7 +84,7 @@ pub fn emit(
     }
 
     // Entry must have no live-ins (the boot register file is untyped).
-    if live.live_in[0].iter().any(|&b| b) {
+    if !live.live_in[0].is_empty() {
         return Err(EmitError("entry block has live-in registers".into()));
     }
 
@@ -201,29 +201,24 @@ fn precond(
     let mut regs = RegFileTy::new();
 
     // Group live-ins by underlying vreg so the green/blue copies share one
-    // universally-quantified variable.
-    let nbits = live.live_in[bid].len();
-    let mut vreg_var: std::collections::BTreeMap<u32, talft_logic::VarId> =
-        std::collections::BTreeMap::new();
-    for k in 0..nbits {
-        if !live.live_in[bid][k] {
-            continue;
-        }
-        let v = (k / 2) as u32;
-        let color = if k % 2 == 0 {
-            Color::Green
-        } else {
-            Color::Blue
+    // universally-quantified variable. A vreg's two copies have adjacent
+    // dense indices, so they come out of the ascending walk one after the
+    // other.
+    let mut vreg_var: Option<(VReg, talft_logic::VarId)> = None;
+    for cv in live.live_in[bid].iter() {
+        let CVReg { v, color } = cv;
+        let var = match vreg_var {
+            Some((seen, var)) if seen == v => var,
+            _ => {
+                let var = arena.var_id(&format!("v{}_{bid}", v.0));
+                delta.push((var, Kind::Int));
+                vreg_var = Some((v, var));
+                var
+            }
         };
-        let var = *vreg_var.entry(v).or_insert_with(|| {
-            let var = arena.var_id(&format!("v{v}_{bid}"));
-            delta.push((var, Kind::Int));
-            var
-        });
-        let cv = CVReg { v: VReg(v), color };
         let p = alloc
             .get(cv)
-            .ok_or_else(|| EmitError(format!("live-in vreg {v} ({color}) unallocated")))?;
+            .ok_or_else(|| EmitError(format!("live-in vreg {} ({color}) unallocated", v.0)))?;
         let e = arena.var_expr(var);
         regs.set(
             talft_isa::Reg::Gpr(Gpr(p)),
@@ -266,12 +261,11 @@ pub fn share(program: Program) -> Arc<Program> {
 mod tests {
     use crate::{compile, CompileError, CompileOptions};
 
-    /// `depth` nested `if`s around one output store.
-    fn nested_ifs(depth: usize) -> String {
+    /// `n` `if`s one after another, each guarding an output store.
+    fn sequential_ifs(n: usize) -> String {
         format!(
-            "output out[1];\nfunc main() {{\n  var x = 0;\n{}  out[0] = 1;\n{}}}\n",
-            "  if (x == 0) {\n".repeat(depth),
-            "  }\n".repeat(depth)
+            "output out[1];\nfunc main() {{\n  var x = 0;\n{}}}\n",
+            "  if (x == 0) { out[0] = 1; }\n".repeat(n)
         )
     }
 
@@ -279,13 +273,13 @@ mod tests {
     /// program the checker has to reject.
     #[test]
     fn code_past_the_data_base_is_an_emit_error() {
-        let err = compile(&nested_ifs(200), &CompileOptions::default()).err();
+        let err = compile(&sequential_ifs(400), &CompileOptions::default()).err();
         match err {
             Some(CompileError::Emit(e)) => {
                 assert!(e.0.contains("overflow the code address space"), "{e}");
             }
             other => panic!("expected an emit error, got {other:?}"),
         }
-        compile(&nested_ifs(20), &CompileOptions::default()).expect("shallow nesting compiles");
+        compile(&sequential_ifs(20), &CompileOptions::default()).expect("short programs compile");
     }
 }

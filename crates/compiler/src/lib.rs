@@ -165,23 +165,33 @@ pub fn compile(src: &str, opts: &CompileOptions) -> Result<Compiled, CompileErro
     // Unordered protected schedule (timing only). The relaxed hardware can
     // also execute any ordered schedule, so an optimizing compiler keeps the
     // better of the two per block; we do the same (standalone-block cost).
-    let unordered: Vec<Vec<usize>> = dup
-        .blocks
-        .iter()
-        .enumerate()
-        .map(|(bid, b)| {
-            let relaxed = sched::schedule_block(b, &opts.model, false);
-            let ordered = &orders[bid];
-            if block_cost(b, &relaxed, &alloc, &opts.model)
-                < block_cost(b, ordered, &alloc, &opts.model)
-            {
-                relaxed
-            } else {
-                ordered.clone()
+    // The ordered block's ops are the protected view's; the relaxed block's
+    // are built only when its schedule differs, and are kept when it wins.
+    let standalone = |view: &SchedProgram, bid: usize| {
+        talft_sim::simulate(
+            view,
+            &[talft_sim::BlockVisit {
+                block: bid,
+                taken_exit: false,
+            }],
+            &opts.model,
+        )
+    };
+    let mut protected_unordered_sched = SchedProgram::default();
+    for (bid, b) in dup.blocks.iter().enumerate() {
+        let relaxed = sched::schedule_block(b, &opts.model, false);
+        if relaxed != orders[bid] {
+            let one = SchedProgram {
+                blocks: vec![block_ops(b, &relaxed, &alloc, false)],
+            };
+            if standalone(&one, 0) < standalone(&protected.sched, bid) {
+                protected_unordered_sched.blocks.extend(one.blocks);
+                continue;
             }
-        })
-        .collect();
-    let protected_unordered_sched = timing_view(&dup, &unordered, &alloc, false);
+        }
+        let ordered = protected.sched.blocks[bid].clone();
+        protected_unordered_sched.blocks.push(ordered);
+    }
 
     // Baseline variant.
     let (bdup, bnv) = dup::baseline(&vir);
@@ -210,31 +220,6 @@ pub fn compile(src: &str, opts: &CompileOptions) -> Result<Compiled, CompileErro
     })
 }
 
-/// Standalone issue cost of one block under a schedule (used to pick the
-/// better of the ordered/relaxed schedules for the ablation).
-fn block_cost(
-    block: &dup::DupBlock,
-    order: &[usize],
-    alloc: &Allocation,
-    model: &MachineModel,
-) -> u64 {
-    let one = DupProgram {
-        blocks: vec![dup::DupBlock {
-            instrs: block.instrs.clone(),
-            deps: block.deps.clone(),
-        }],
-    };
-    let view = timing_view(&one, &[order.to_vec()], alloc, false);
-    talft_sim::simulate(
-        &view,
-        &[talft_sim::BlockVisit {
-            block: 0,
-            taken_exit: false,
-        }],
-        model,
-    )
-}
-
 /// Convert a scheduled, allocated variant into the timing simulator's
 /// per-block op lists. In `baseline` mode the redundant halves that a
 /// conventional ISA would not execute are marked free (see
@@ -246,33 +231,46 @@ pub fn timing_view(
     alloc: &Allocation,
     baseline: bool,
 ) -> SchedProgram {
-    let mut blocks = Vec::with_capacity(dup.blocks.len());
-    for (bid, blk) in dup.blocks.iter().enumerate() {
-        let mut ops = Vec::with_capacity(blk.instrs.len());
-        for &idx in &orders[bid] {
-            let i = &blk.instrs[idx];
-            let kind = sched::op_kind(i);
-            let dst = i.def().map(|d| alloc.phys(d));
-            let srcs: Vec<u16> = i.uses().iter().map(|&u| alloc.phys(u)).collect();
-            let mut op = TimedOp::new(kind, dst, srcs);
-            if baseline {
-                match i {
-                    // A conventional ISA does these in one instruction;
-                    // cost only one half of each pair.
-                    CInstr::StB { .. }
-                    | CInstr::JmpG { .. }
-                    | CInstr::BzG { .. }
-                    | CInstr::MovLabel { .. } => op = op.freed(),
-                    // The committing control halves don't read a target
-                    // register in the conventional encoding.
-                    CInstr::JmpB { .. } => op.srcs.clear(),
-                    CInstr::BzB { z, .. } => op.srcs = vec![alloc.phys(*z)],
-                    _ => {}
-                }
-            }
-            ops.push(op);
-        }
-        blocks.push(ops);
+    SchedProgram {
+        blocks: dup
+            .blocks
+            .iter()
+            .enumerate()
+            .map(|(bid, blk)| block_ops(blk, &orders[bid], alloc, baseline))
+            .collect(),
     }
-    SchedProgram { blocks }
+}
+
+/// One block of [`timing_view`].
+fn block_ops(
+    blk: &dup::DupBlock,
+    order: &[usize],
+    alloc: &Allocation,
+    baseline: bool,
+) -> Vec<TimedOp> {
+    let mut ops = Vec::with_capacity(order.len());
+    for &idx in order {
+        let i = &blk.instrs[idx];
+        let kind = sched::op_kind(i);
+        let dst = i.def().map(|d| alloc.phys(d));
+        let srcs: Vec<u16> = i.uses().map(|u| alloc.phys(u)).collect();
+        let mut op = TimedOp::new(kind, dst, srcs);
+        if baseline {
+            match i {
+                // A conventional ISA does these in one instruction;
+                // cost only one half of each pair.
+                CInstr::StB { .. }
+                | CInstr::JmpG { .. }
+                | CInstr::BzG { .. }
+                | CInstr::MovLabel { .. } => op = op.freed(),
+                // The committing control halves don't read a target
+                // register in the conventional encoding.
+                CInstr::JmpB { .. } => op.srcs.clear(),
+                CInstr::BzB { z, .. } => op.srcs = vec![alloc.phys(*z)],
+                _ => {}
+            }
+        }
+        ops.push(op);
+    }
+    ops
 }

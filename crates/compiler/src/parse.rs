@@ -134,10 +134,25 @@ fn lex(src: &str) -> Result<Vec<LTok>, ParseError> {
     Ok(out)
 }
 
+/// How deeply a Wile program may nest: enclosing statements plus the height
+/// of an expression tree, and enclosing statements plus open parentheses,
+/// brackets, call arguments and unary operators while parsing. Sema,
+/// lowering and the AST's own drop recurse over the tree, so past this
+/// depth the parser stops with a [`ParseError`] instead of letting a later
+/// pass exhaust the stack. A program at the limit compiles on a 2 MiB
+/// thread in an unoptimized build; the suite kernels and generated
+/// programs nest a small fraction of it.
+pub const MAX_NESTING: usize = 128;
+
 /// Parse Wile source text.
 pub fn parse(src: &str) -> Result<WileProgram, ParseError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        stmts: 0,
+        exprs: 0,
+    };
     let mut items = Vec::new();
     while !p.at_end() {
         items.push(p.item()?);
@@ -148,6 +163,23 @@ pub fn parse(src: &str) -> Result<WileProgram, ParseError> {
 struct Parser {
     toks: Vec<LTok>,
     pos: usize,
+    /// Statements enclosing the one being parsed.
+    stmts: usize,
+    /// Expressions the parser is inside of: parentheses, brackets, call
+    /// arguments and unary operands.
+    exprs: usize,
+}
+
+/// An expression and the height of its tree (a leaf is 1).
+struct Tall {
+    e: Expr,
+    h: usize,
+}
+
+impl Tall {
+    fn leaf(e: Expr) -> Tall {
+        Tall { e, h: 1 }
+    }
 }
 
 impl Parser {
@@ -188,6 +220,51 @@ impl Parser {
             .ok_or_else(|| self.err("unexpected end of input"))?;
         self.pos += 1;
         Ok(t)
+    }
+
+    fn too_deep(&self) -> ParseError {
+        self.err(format!("nesting deeper than {MAX_NESTING} levels"))
+    }
+
+    /// Enter `levels` more statements; [`Parser::leave`] undoes it.
+    fn enter(&mut self, levels: usize) -> Result<(), ParseError> {
+        self.stmts += levels;
+        if self.stmts + self.exprs > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(())
+    }
+
+    fn leave(&mut self, levels: usize) {
+        self.stmts -= levels;
+    }
+
+    /// Parse a nested expression (inside parentheses, brackets, call
+    /// arguments or a unary operator).
+    fn sub(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<Tall, ParseError>,
+    ) -> Result<Tall, ParseError> {
+        if self.stmts + self.exprs >= MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.exprs += 1;
+        let e = f(self);
+        self.exprs -= 1;
+        e
+    }
+
+    /// A node of height `h` over the given children.
+    fn node(&self, e: Expr, h: usize) -> Result<Tall, ParseError> {
+        if self.stmts + h > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(Tall { e, h })
+    }
+
+    fn bin(&self, op: AstBinOp, l: Tall, r: Tall) -> Result<Tall, ParseError> {
+        let h = 1 + l.h.max(r.h);
+        self.node(Expr::Bin(op, Box::new(l.e), Box::new(r.e)), h)
     }
 
     fn expect(&mut self, p: &str) -> Result<(), ParseError> {
@@ -313,6 +390,7 @@ impl Parser {
             self.expect("(")?;
             let c = self.expr()?;
             self.expect(")")?;
+            self.enter(1)?;
             let then = self.block()?;
             let els = if self.peek_ident("else") {
                 self.next()?;
@@ -324,6 +402,7 @@ impl Parser {
             } else {
                 Vec::new()
             };
+            self.leave(1);
             return Ok(Stmt::If(c, then, els));
         }
         if self.peek_ident("while") {
@@ -331,7 +410,9 @@ impl Parser {
             self.expect("(")?;
             let c = self.expr()?;
             self.expect(")")?;
+            self.enter(1)?;
             let body = self.block()?;
+            self.leave(1);
             return Ok(Stmt::While(c, body));
         }
         if self.peek_ident("for") {
@@ -340,12 +421,15 @@ impl Parser {
             // returned wrapped in an `if (1)` so one Stmt carries the pair.
             self.next()?;
             self.expect("(")?;
+            self.enter(1)?;
             let init = self.simple_stmt()?;
             let cond = self.expr()?;
             self.expect(";")?;
+            self.enter(1)?;
             let step = self.simple_stmt_no_semi()?;
             self.expect(")")?;
             let mut body = self.block()?;
+            self.leave(2);
             body.push(step);
             return Ok(Stmt::If(
                 crate::ast::Expr::Int(1),
@@ -406,32 +490,32 @@ impl Parser {
         }
     }
 
-    // Precedence climbing: || < && < cmp < |,^ < & < shifts < +- < * < unary.
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.lor()
+        Ok(self.lor()?.e)
     }
 
-    fn lor(&mut self) -> Result<Expr, ParseError> {
+    // Precedence climbing: || < && < cmp < |,^ < & < shifts < +- < * < unary.
+    fn lor(&mut self) -> Result<Tall, ParseError> {
         let mut e = self.land()?;
         while self.peek_punct("||") {
             self.next()?;
             let r = self.land()?;
-            e = Expr::Bin(AstBinOp::LOr, Box::new(e), Box::new(r));
+            e = self.bin(AstBinOp::LOr, e, r)?;
         }
         Ok(e)
     }
 
-    fn land(&mut self) -> Result<Expr, ParseError> {
+    fn land(&mut self) -> Result<Tall, ParseError> {
         let mut e = self.cmp()?;
         while self.peek_punct("&&") {
             self.next()?;
             let r = self.cmp()?;
-            e = Expr::Bin(AstBinOp::LAnd, Box::new(e), Box::new(r));
+            e = self.bin(AstBinOp::LAnd, e, r)?;
         }
         Ok(e)
     }
 
-    fn cmp(&mut self) -> Result<Expr, ParseError> {
+    fn cmp(&mut self) -> Result<Tall, ParseError> {
         let e = self.bitor()?;
         let op = match self.peek() {
             Some(Tok::Punct("<")) => Some(AstBinOp::Lt),
@@ -445,13 +529,13 @@ impl Parser {
         if let Some(op) = op {
             self.next()?;
             let r = self.bitor()?;
-            Ok(Expr::Bin(op, Box::new(e), Box::new(r)))
+            self.bin(op, e, r)
         } else {
             Ok(e)
         }
     }
 
-    fn bitor(&mut self) -> Result<Expr, ParseError> {
+    fn bitor(&mut self) -> Result<Tall, ParseError> {
         let mut e = self.bitand()?;
         loop {
             let op = match self.peek() {
@@ -461,21 +545,21 @@ impl Parser {
             };
             self.next()?;
             let r = self.bitand()?;
-            e = Expr::Bin(op, Box::new(e), Box::new(r));
+            e = self.bin(op, e, r)?;
         }
     }
 
-    fn bitand(&mut self) -> Result<Expr, ParseError> {
+    fn bitand(&mut self) -> Result<Tall, ParseError> {
         let mut e = self.shift()?;
         while self.peek_punct("&") {
             self.next()?;
             let r = self.shift()?;
-            e = Expr::Bin(AstBinOp::And, Box::new(e), Box::new(r));
+            e = self.bin(AstBinOp::And, e, r)?;
         }
         Ok(e)
     }
 
-    fn shift(&mut self) -> Result<Expr, ParseError> {
+    fn shift(&mut self) -> Result<Tall, ParseError> {
         let mut e = self.addsub()?;
         loop {
             let op = match self.peek() {
@@ -485,11 +569,11 @@ impl Parser {
             };
             self.next()?;
             let r = self.addsub()?;
-            e = Expr::Bin(op, Box::new(e), Box::new(r));
+            e = self.bin(op, e, r)?;
         }
     }
 
-    fn addsub(&mut self) -> Result<Expr, ParseError> {
+    fn addsub(&mut self) -> Result<Tall, ParseError> {
         let mut e = self.mul()?;
         loop {
             let op = match self.peek() {
@@ -499,42 +583,42 @@ impl Parser {
             };
             self.next()?;
             let r = self.mul()?;
-            e = Expr::Bin(op, Box::new(e), Box::new(r));
+            e = self.bin(op, e, r)?;
         }
     }
 
-    fn mul(&mut self) -> Result<Expr, ParseError> {
+    fn mul(&mut self) -> Result<Tall, ParseError> {
         let mut e = self.unary()?;
         while self.peek_punct("*") {
             self.next()?;
             let r = self.unary()?;
-            e = Expr::Bin(AstBinOp::Mul, Box::new(e), Box::new(r));
+            e = self.bin(AstBinOp::Mul, e, r)?;
         }
         Ok(e)
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseError> {
+    fn unary(&mut self) -> Result<Tall, ParseError> {
         if self.peek_punct("-") {
             self.next()?;
-            let e = self.unary()?;
-            return Ok(match e {
-                Expr::Int(n) => Expr::Int(n.wrapping_neg()),
-                other => Expr::Neg(Box::new(other)),
-            });
+            let t = self.sub(Self::unary)?;
+            return match t.e {
+                Expr::Int(n) => Ok(Tall::leaf(Expr::Int(n.wrapping_neg()))),
+                other => self.node(Expr::Neg(Box::new(other)), t.h + 1),
+            };
         }
         if self.peek_punct("!") {
             self.next()?;
-            let e = self.unary()?;
-            return Ok(Expr::Not(Box::new(e)));
+            let t = self.sub(Self::unary)?;
+            return self.node(Expr::Not(Box::new(t.e)), t.h + 1);
         }
         self.atom()
     }
 
-    fn atom(&mut self) -> Result<Expr, ParseError> {
+    fn atom(&mut self) -> Result<Tall, ParseError> {
         match self.next()? {
-            Tok::Int(n) => Ok(Expr::Int(n)),
+            Tok::Int(n) => Ok(Tall::leaf(Expr::Int(n))),
             Tok::Punct("(") => {
-                let e = self.expr()?;
+                let e = self.sub(Self::lor)?;
                 self.expect(")")?;
                 Ok(e)
             }
@@ -542,21 +626,24 @@ impl Parser {
                 if self.peek_punct("(") {
                     self.expect("(")?;
                     let mut args = Vec::new();
+                    let mut h = 0;
                     while !self.peek_punct(")") {
-                        args.push(self.expr()?);
+                        let a = self.sub(Self::lor)?;
+                        h = h.max(a.h);
+                        args.push(a.e);
                         if self.peek_punct(",") {
                             self.expect(",")?;
                         }
                     }
                     self.expect(")")?;
-                    Ok(Expr::Call(name, args))
+                    self.node(Expr::Call(name, args), h + 1)
                 } else if self.peek_punct("[") {
                     self.expect("[")?;
-                    let idx = self.expr()?;
+                    let idx = self.sub(Self::lor)?;
                     self.expect("]")?;
-                    Ok(Expr::Index(name, Box::new(idx)))
+                    self.node(Expr::Index(name, Box::new(idx.e)), idx.h + 1)
                 } else {
-                    Ok(Expr::Var(name))
+                    Ok(Tall::leaf(Expr::Var(name)))
                 }
             }
             t => Err(self.err(format!("unexpected token {t:?} in expression"))),
@@ -671,6 +758,81 @@ func main() { var y = sq(5); }
     fn errors_have_lines() {
         let err = parse("func main() {\n  var = 3;\n}").expect_err("bad");
         assert_eq!(err.line, 2);
+    }
+}
+
+#[cfg(test)]
+mod nesting_tests {
+    use super::*;
+    use crate::{compile, CompileError, CompileOptions};
+
+    /// A program of one shape, `n` levels deep.
+    type Shape = fn(usize) -> String;
+
+    /// The four shapes that used to exhaust the stack, each `n` levels
+    /// deep: parentheses, `if`s, a `+` chain and unary minus signs.
+    fn shapes() -> [(&'static str, Shape); 4] {
+        [
+            ("parentheses", |n| {
+                format!(
+                    "output out[1];\nfunc main() {{\n  var x = {}1{};\n  out[0] = x;\n}}\n",
+                    "(".repeat(n),
+                    ")".repeat(n)
+                )
+            }),
+            ("ifs", |n| {
+                format!(
+                    "output out[1];\nfunc main() {{\n  var x = 0;\n{}  out[0] = 1;\n{}}}\n",
+                    "  if (x == 0) {\n".repeat(n),
+                    "  }\n".repeat(n)
+                )
+            }),
+            ("chain", |n| {
+                format!(
+                    "output out[1];\nfunc main() {{\n  var x = 1{};\n  out[0] = x;\n}}\n",
+                    "+1".repeat(n.saturating_sub(1))
+                )
+            }),
+            ("unary minus", |n| {
+                format!(
+                    "output out[1];\nfunc main() {{\n  var x = 3;\n  var y = {}x;\n  out[0] = y;\n}}\n",
+                    "- ".repeat(n)
+                )
+            }),
+        ]
+    }
+
+    /// The deepest program of each shape that parses compiles on a 2 MiB
+    /// thread (the default for test threads) and sits at the limit; one
+    /// level deeper, and 100,000 levels deeper, is a parse error naming a
+    /// line, not a stack overflow.
+    #[test]
+    fn nesting_is_bounded_at_the_limit() {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                for (name, shape) in shapes() {
+                    let deepest = (1..=MAX_NESTING)
+                        .rev()
+                        .find(|&n| parse(&shape(n)).is_ok())
+                        .expect("some depth parses");
+                    assert!(deepest + 2 >= MAX_NESTING, "{name}: only {deepest} levels");
+                    compile(&shape(deepest), &CompileOptions::default())
+                        .unwrap_or_else(|e| panic!("{name} at depth {deepest}: {e}"));
+                    for n in [deepest + 1, 100_000] {
+                        match compile(&shape(n), &CompileOptions::default()) {
+                            Err(CompileError::Parse(e)) => {
+                                assert!(e.msg.contains("nesting deeper than"), "{name}: {e}");
+                                assert!(e.line >= 3, "{name}: {e}");
+                            }
+                            other => panic!("{name} at depth {n}: {other:?}"),
+                        }
+                    }
+                }
+            })
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow");
     }
 }
 

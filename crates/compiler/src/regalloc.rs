@@ -8,15 +8,17 @@
 //! Itanium-class register files the paper targets (64–128 GPRs) our kernels
 //! never spill; exceeding pressure is a compile error (DESIGN.md).
 
-use std::collections::BTreeMap;
-
 use crate::dup::{CVReg, DupProgram};
 use crate::vir::{Terminator, VirProgram};
+
+/// Marks a colored vreg with no physical register in [`Allocation`].
+const UNALLOCATED: u16 = u16::MAX;
 
 /// Allocation result: colored vreg → physical GPR index.
 #[derive(Debug, Clone, Default)]
 pub struct Allocation {
-    map: BTreeMap<CVReg, u16>,
+    /// Physical register per `CVReg::index()`, [`UNALLOCATED`] if none.
+    phys: Vec<u16>,
     /// Highest physical register used + 1.
     pub used: u16,
 }
@@ -25,7 +27,10 @@ impl Allocation {
     /// Physical register of a colored vreg.
     #[must_use]
     pub fn get(&self, r: CVReg) -> Option<u16> {
-        self.map.get(&r).copied()
+        self.phys
+            .get(r.index())
+            .copied()
+            .filter(|&p| p != UNALLOCATED)
     }
 
     /// Physical register, panicking on unallocated vregs (a compiler bug).
@@ -58,13 +63,53 @@ impl std::fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
+/// A set of colored vregs: one bit per `CVReg::index()`, in `u64` words.
+#[derive(Debug, Clone)]
+pub struct RegSet(Vec<u64>);
+
+impl RegSet {
+    /// The empty set over indices `0..nbits`.
+    fn new(nbits: usize) -> RegSet {
+        RegSet(vec![0; nbits.div_ceil(64)])
+    }
+
+    fn contains(&self, k: usize) -> bool {
+        (self.0[k / 64] >> (k % 64)) & 1 == 1
+    }
+
+    fn insert(&mut self, k: usize) {
+        self.0[k / 64] |= 1 << (k % 64);
+    }
+
+    /// Whether the set is empty.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.iter().all(|&w| w == 0)
+    }
+
+    /// The members in ascending order, as colored vregs.
+    pub fn iter(&self) -> impl Iterator<Item = CVReg> + '_ {
+        self.0.iter().enumerate().flat_map(|(wi, &w)| {
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let k = wi * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some(CVReg::from_index(k))
+            })
+        })
+    }
+}
+
 /// Per-block liveness of colored vregs.
 #[derive(Debug, Clone, Default)]
 pub struct Liveness {
-    /// live-in sets per block (dense bitsets over `CVReg::index()`).
-    pub live_in: Vec<Vec<bool>>,
+    /// live-in sets per block.
+    pub live_in: Vec<RegSet>,
     /// live-out sets per block.
-    pub live_out: Vec<Vec<bool>>,
+    pub live_out: Vec<RegSet>,
     nbits: usize,
 }
 
@@ -91,46 +136,38 @@ pub fn liveness(
     debug_assert!(succs.iter().all(|v| v.iter().all(|&b| b < nblocks)));
 
     // Per-block use/def in schedule order.
-    let mut uses: Vec<Vec<bool>> = vec![vec![false; nbits]; nblocks];
-    let mut defs: Vec<Vec<bool>> = vec![vec![false; nbits]; nblocks];
+    let mut uses = vec![RegSet::new(nbits); nblocks];
+    let mut defs = vec![RegSet::new(nbits); nblocks];
     for (bid, blk) in dup.blocks.iter().enumerate() {
         for &idx in &orders[bid] {
             let i = &blk.instrs[idx];
             for u in i.uses() {
-                if !defs[bid][u.index()] {
-                    uses[bid][u.index()] = true;
+                if !defs[bid].contains(u.index()) {
+                    uses[bid].insert(u.index());
                 }
             }
             if let Some(d) = i.def() {
-                defs[bid][d.index()] = true;
+                defs[bid].insert(d.index());
             }
         }
     }
 
-    let mut live_in: Vec<Vec<bool>> = vec![vec![false; nbits]; nblocks];
-    let mut live_out: Vec<Vec<bool>> = vec![vec![false; nbits]; nblocks];
+    // Backward fixpoint, word by word: out = ∪ in[succ], in = use ∪ (out ∖ def).
+    let mut live_in = vec![RegSet::new(nbits); nblocks];
+    let mut live_out = vec![RegSet::new(nbits); nblocks];
+    let words = nbits.div_ceil(64);
     let mut changed = true;
     while changed {
         changed = false;
         for bid in (0..nblocks).rev() {
-            let mut out = vec![false; nbits];
-            for &s in &succs[bid] {
-                for (k, &v) in live_in[s].iter().enumerate() {
-                    if v {
-                        out[k] = true;
-                    }
+            for w in 0..words {
+                let out = succs[bid].iter().fold(0, |acc, &s| acc | live_in[s].0[w]);
+                let inn = uses[bid].0[w] | (out & !defs[bid].0[w]);
+                if out != live_out[bid].0[w] || inn != live_in[bid].0[w] {
+                    live_out[bid].0[w] = out;
+                    live_in[bid].0[w] = inn;
+                    changed = true;
                 }
-            }
-            let mut inn = uses[bid].clone();
-            for k in 0..nbits {
-                if out[k] && !defs[bid][k] {
-                    inn[k] = true;
-                }
-            }
-            if out != live_out[bid] || inn != live_in[bid] {
-                live_out[bid] = out;
-                live_in[bid] = inn;
-                changed = true;
             }
         }
     }
@@ -148,64 +185,46 @@ pub fn allocate(
     live: &Liveness,
     num_gprs: u16,
 ) -> Result<Allocation, AllocError> {
-    // Global positions: blocks in layout order.
-    let mut base = vec![0usize; dup.blocks.len()];
-    let mut pos = 0usize;
-    for (bid, blk) in dup.blocks.iter().enumerate() {
-        base[bid] = pos;
-        pos += blk.instrs.len() + 1; // +1 for the block-boundary slot
-    }
-    let total = pos;
-
-    // Intervals per colored vreg (by dense index).
+    // Intervals per colored vreg (by dense index), over global positions:
+    // blocks in layout order, each with one extra block-boundary slot.
     let mut start = vec![usize::MAX; live.nbits];
     let mut end = vec![0usize; live.nbits];
-    let mut reg_of_index: Vec<Option<CVReg>> = vec![None; live.nbits];
-    let touch = |k: usize, p: usize, start: &mut Vec<usize>, end: &mut Vec<usize>| {
-        if p < start[k] {
-            start[k] = p;
-        }
-        if p + 1 > end[k] {
-            end[k] = p + 1;
-        }
+    let mut touch = |k: usize, p: usize| {
+        start[k] = start[k].min(p);
+        end[k] = end[k].max(p + 1);
     };
+    let mut base = 0usize;
     for (bid, blk) in dup.blocks.iter().enumerate() {
         for (sched_pos, &idx) in orders[bid].iter().enumerate() {
-            let p = base[bid] + sched_pos;
+            let p = base + sched_pos;
             let i = &blk.instrs[idx];
             for u in i.uses() {
-                reg_of_index[u.index()] = Some(u);
-                touch(u.index(), p, &mut start, &mut end);
+                touch(u.index(), p);
             }
             if let Some(d) = i.def() {
-                reg_of_index[d.index()] = Some(d);
-                touch(d.index(), p, &mut start, &mut end);
+                touch(d.index(), p);
             }
         }
-        for k in 0..live.nbits {
-            if live.live_in[bid][k] {
-                touch(k, base[bid], &mut start, &mut end);
-            }
-            if live.live_out[bid][k] {
-                touch(
-                    k,
-                    base[bid] + dup.blocks[bid].instrs.len(),
-                    &mut start,
-                    &mut end,
-                );
-            }
+        for r in live.live_in[bid].iter() {
+            touch(r.index(), base);
         }
+        for r in live.live_out[bid].iter() {
+            touch(r.index(), base + blk.instrs.len());
+        }
+        base += blk.instrs.len() + 1;
     }
-    let _ = total;
 
     // Linear scan.
     let mut order: Vec<usize> = (0..live.nbits)
         .filter(|&k| start[k] != usize::MAX)
         .collect();
-    order.sort_by_key(|&k| (start[k], k));
+    order.sort_unstable_by_key(|&k| (start[k], k));
     let mut free: Vec<u16> = (0..num_gprs).rev().collect();
     let mut active: Vec<(usize, u16)> = Vec::new(); // (end, phys)
-    let mut alloc = Allocation::default();
+    let mut alloc = Allocation {
+        phys: vec![UNALLOCATED; live.nbits],
+        used: 0,
+    };
     for k in order {
         active.retain(|&(e, phys)| {
             if e <= start[k] {
@@ -222,8 +241,7 @@ pub fn allocate(
             });
         };
         active.push((end[k], phys));
-        let r = reg_of_index[k].expect("interval implies occurrence");
-        alloc.map.insert(r, phys);
+        alloc.phys[k] = phys;
         alloc.used = alloc.used.max(phys + 1);
     }
     Ok(alloc)
@@ -261,7 +279,7 @@ mod tests {
         let (vir, dup, orders, nv) = pipeline(LOOP);
         let live = liveness(&vir, &dup, &orders, nv);
         // the loop header (block 1) must have live-in values (i, s pairs)
-        let live_in_count = live.live_in[1].iter().filter(|&&b| b).count();
+        let live_in_count = live.live_in[1].iter().count();
         assert!(
             live_in_count >= 4,
             "expected ≥ 2 pairs live-in, got {live_in_count}"
@@ -277,19 +295,9 @@ mod tests {
         // registers: check per block that live-in regs are injective.
         for bid in 0..dup.blocks.len() {
             let mut seen = std::collections::HashSet::new();
-            for k in 0..live.nbits {
-                if live.live_in[bid][k] {
-                    let r = CVReg {
-                        v: crate::vir::VReg((k / 2) as u32),
-                        color: if k % 2 == 0 {
-                            talft_isa::Color::Green
-                        } else {
-                            talft_isa::Color::Blue
-                        },
-                    };
-                    if let Some(p) = alloc.get(r) {
-                        assert!(seen.insert(p), "physical register reused among live-ins");
-                    }
+            for r in live.live_in[bid].iter() {
+                if let Some(p) = alloc.get(r) {
+                    assert!(seen.insert(p), "physical register reused among live-ins");
                 }
             }
         }

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use talft_isa::DATA_BASE;
+use talft_isa::{DATA_BASE, MAX_REGION_LEN};
 
 use crate::ast::{Expr, Item, Stmt, WileProgram};
 
@@ -87,6 +87,11 @@ pub fn analyze(prog: &WileProgram) -> Result<SemProgram, SemError> {
                 return Err(SemError(format!(
                     "array {name} length {len} must be a positive power of two \
                      (the masked-index discipline; see DESIGN.md)"
+                )));
+            }
+            if *len > MAX_REGION_LEN {
+                return Err(SemError(format!(
+                    "array {name} length {len} exceeds the limit of {MAX_REGION_LEN}"
                 )));
             }
             if init.len() as i64 > *len {
@@ -298,6 +303,14 @@ mod tests {
     fn non_power_of_two_rejected() {
         let err = analyze_src("array a[7]; func main() { var x = 0; }").expect_err("bad");
         assert!(err.0.contains("power of two"));
+    }
+
+    #[test]
+    fn arrays_past_the_region_limit_rejected() {
+        analyze_src("output out[65536]; func main() { out[0] = 1; }").expect("at the limit");
+        let err = analyze_src("output out[68719476736]; func main() { out[0] = 1; }")
+            .expect_err("past the limit");
+        assert!(err.0.contains("exceeds the limit"), "{err}");
     }
 
     #[test]

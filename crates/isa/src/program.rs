@@ -19,6 +19,12 @@ use crate::ty::{BasicTy, CodeTy};
 /// Lowest data address; code lives strictly below this.
 pub const DATA_BASE: i64 = 4096;
 
+/// The most cells one region may declare. [`Program::initial_memory`]
+/// materializes every cell, so [`Program::validate`] refuses longer regions
+/// rather than let a declaration exhaust memory. Committed programs declare
+/// at most 128.
+pub const MAX_REGION_LEN: i64 = 1 << 16;
+
 /// A contiguous typed data region (part of `M` and `Ψ`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Region {
@@ -208,6 +214,12 @@ impl Program {
             if r.len <= 0 {
                 return Err(ProgramError::EmptyRegion(r.name.clone()));
             }
+            if r.len > MAX_REGION_LEN {
+                return Err(ProgramError::RegionTooLong(r.name.clone(), r.len));
+            }
+            if r.base.checked_add(r.len).is_none() {
+                return Err(ProgramError::RegionPastAddressSpace(r.name.clone()));
+            }
             if r.init.len() as i64 > r.len {
                 return Err(ProgramError::InitTooLong(r.name.clone()));
             }
@@ -247,6 +259,10 @@ pub enum ProgramError {
     InitTooLong(String),
     /// Two regions overlap.
     OverlappingRegions(String, String),
+    /// A region is longer than [`MAX_REGION_LEN`].
+    RegionTooLong(String, i64),
+    /// A region ends past the last address.
+    RegionPastAddressSpace(String),
 }
 
 impl fmt::Display for ProgramError {
@@ -275,6 +291,15 @@ impl fmt::Display for ProgramError {
             }
             ProgramError::OverlappingRegions(a, b) => {
                 write!(f, "regions {a} and {b} overlap")
+            }
+            ProgramError::RegionTooLong(n, len) => {
+                write!(
+                    f,
+                    "region {n} is {len} cells long; the limit is {MAX_REGION_LEN}"
+                )
+            }
+            ProgramError::RegionPastAddressSpace(n) => {
+                write!(f, "region {n} ends past the last address")
             }
         }
     }
@@ -376,6 +401,33 @@ mod tests {
             p.validate(&arena),
             Err(ProgramError::RegionBelowDataBase(_, 10))
         ));
+    }
+
+    #[test]
+    fn validate_rejects_oversized_regions() {
+        let mut arena = ExprArena::new();
+        let mut p = tiny_program(&mut arena);
+        p.regions.push(Region {
+            name: "out".into(),
+            base: DATA_BASE,
+            len: MAX_REGION_LEN,
+            elem: BasicTy::Int,
+            init: vec![],
+            output: true,
+        });
+        assert_eq!(p.validate(&arena), Ok(()));
+        p.regions[0].len = 99_999_999_999;
+        assert_eq!(
+            p.validate(&arena),
+            Err(ProgramError::RegionTooLong("out".into(), 99_999_999_999))
+        );
+        // An end past i64::MAX is an error, not an overflow.
+        p.regions[0].len = 8;
+        p.regions[0].base = i64::MAX - 4;
+        assert_eq!(
+            p.validate(&arena),
+            Err(ProgramError::RegionPastAddressSpace("out".into()))
+        );
     }
 
     #[test]
