@@ -190,6 +190,56 @@ fn exit_2_on_oversized_wile_array() {
 }
 
 #[test]
+fn exit_2_on_oversized_talft_data() {
+    // 2,000 regions of 65,536 cells each: every region is short, but
+    // together they once passed the checker and aborted `--run` while
+    // allocating the memory.
+    let regions: String = (0..2000i64)
+        .map(|i| format!("region r{i} at {} len 65536 : int\n", 8192 + i * 65536))
+        .collect();
+    let src = store5_talft("1").replace(".data\n", &format!(".data\n{regions}"));
+    let p = write_temp("many_regions.talft", &src);
+    let out = talftc(&[p.to_str().unwrap(), "--run"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("brings the data to"), "{stderr}");
+    assert!(stderr.contains("the limit is"), "{stderr}");
+}
+
+#[test]
+fn exit_2_on_deep_call_chain() {
+    // 5,000 functions, each returning the next one's result plus 1: the
+    // inliner once recursed once per call and overflowed the stack.
+    let n = 5000;
+    let mut src = format!("output out[1];\nfunc f{n}() {{ return 1; }}\n");
+    for i in 1..n {
+        src += &format!("func f{i}() {{ return f{}() + 1; }}\n", i + 1);
+    }
+    src += "func main() { out[0] = f1(); }\n";
+    let p = write_temp("call_chain.wile", &src);
+    let out = talftc(&[p.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("nests calls deeper than"), "{stderr}");
+}
+
+#[test]
+fn exit_2_on_exponential_inlining() {
+    // 40 functions, each returning the next one's result twice over:
+    // inlining every call once asked for 2^40 copies and ran out of memory.
+    let mut src = String::from("output out[1];\nfunc f40() { return 1; }\n");
+    for i in 1..40 {
+        src += &format!("func f{i}() {{ return f{0}() + f{0}(); }}\n", i + 1);
+    }
+    src += "func main() { out[0] = f1(); }\n";
+    let p = write_temp("doubling.wile", &src);
+    let out = talftc(&[p.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("calls to inline"), "{stderr}");
+}
+
+#[test]
 fn exit_3_on_type_error() {
     let p = write_temp("unpaired.talft", UNPAIRED_TALFT);
     let out = talftc(&[p.to_str().unwrap()]);

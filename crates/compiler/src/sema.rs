@@ -7,9 +7,20 @@
 
 use std::collections::HashMap;
 
-use talft_isa::{DATA_BASE, MAX_REGION_LEN};
+use talft_isa::{DATA_BASE, MAX_DATA_CELLS};
 
 use crate::ast::{Expr, Item, Stmt, WileProgram};
+
+/// The deepest chain of calls the inliner follows (`main` calling `f`
+/// calling `g` is two). Inlining recurses once per level, so a longer chain
+/// would exhaust the stack before any later limit saw it.
+pub const MAX_CALL_DEPTH: usize = 64;
+
+/// The most calls the inliner expands in one program. Every call is
+/// inlined, so functions that each call the next twice ask for 2^n copies.
+/// A program that uses the results of this many calls to a one-line
+/// function already overflows the code address space (8,205 instructions).
+pub const MAX_INLINED_CALLS: u64 = 1024;
 
 /// A laid-out global array.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,9 +100,11 @@ pub fn analyze(prog: &WileProgram) -> Result<SemProgram, SemError> {
                      (the masked-index discipline; see DESIGN.md)"
                 )));
             }
-            if *len > MAX_REGION_LEN {
+            let cells = (next - DATA_BASE).saturating_add(*len);
+            if cells > MAX_DATA_CELLS {
                 return Err(SemError(format!(
-                    "array {name} length {len} exceeds the limit of {MAX_REGION_LEN}"
+                    "array {name} brings the data to {cells} cells, which exceeds the \
+                     limit of {MAX_DATA_CELLS}"
                 )));
             }
             if init.len() as i64 > *len {
@@ -120,6 +133,7 @@ pub fn analyze(prog: &WileProgram) -> Result<SemProgram, SemError> {
         prog,
         consts: &consts,
         counter: 0,
+        calls: 0,
         stack: Vec::new(),
     };
     let mut body = Vec::new();
@@ -132,6 +146,10 @@ struct Inliner<'a> {
     prog: &'a WileProgram,
     consts: &'a HashMap<String, i64>,
     counter: u64,
+    /// Calls inlined so far (bounded by [`MAX_INLINED_CALLS`]).
+    calls: u64,
+    /// The functions being inlined, outermost first (bounded by
+    /// [`MAX_CALL_DEPTH`]).
     stack: Vec<String>,
 }
 
@@ -245,6 +263,19 @@ impl Inliner<'_> {
                         args.len()
                     )));
                 }
+                if self.stack.len() >= MAX_CALL_DEPTH {
+                    return Err(SemError(format!(
+                        "call to {fname} nests calls deeper than {MAX_CALL_DEPTH} levels \
+                         (Wile functions are inlined)"
+                    )));
+                }
+                self.calls += 1;
+                if self.calls > MAX_INLINED_CALLS {
+                    return Err(SemError(format!(
+                        "call to {fname} makes more than {MAX_INLINED_CALLS} calls to inline \
+                         (Wile functions are inlined)"
+                    )));
+                }
                 // Bind arguments to fresh temps (argument expressions are
                 // inlined in the *caller's* context, before entering the
                 // callee — nested calls to the same function are fine).
@@ -311,6 +342,69 @@ mod tests {
         let err = analyze_src("output out[68719476736]; func main() { out[0] = 1; }")
             .expect_err("past the limit");
         assert!(err.0.contains("exceeds the limit"), "{err}");
+    }
+
+    #[test]
+    fn total_array_cells_are_bounded_at_the_limit() {
+        let half = MAX_DATA_CELLS / 2;
+        analyze_src(&format!(
+            "array a[{half}]; output out[{half}]; func main() {{ out[0] = 1; }}"
+        ))
+        .expect("at the limit");
+        let err = analyze_src(&format!(
+            "array a[{half}]; array b[{half}]; output out[1]; func main() {{ out[0] = 1; }}"
+        ))
+        .expect_err("one cell past the limit");
+        assert!(err.0.contains("array out brings the data to"), "{err}");
+        assert!(err.0.contains("exceeds the limit"), "{err}");
+    }
+
+    /// `main` → `f1` → … → `f{depth}`, each returning the next one's
+    /// result plus 1.
+    fn call_chain(depth: usize) -> String {
+        let mut src = format!("output out[1]; func f{depth}() {{ return 1; }}\n");
+        for i in 1..depth {
+            src += &format!("func f{i}() {{ return f{}() + 1; }}\n", i + 1);
+        }
+        src + "func main() { out[0] = f1(); }"
+    }
+
+    #[test]
+    fn call_depth_is_bounded_at_the_limit() {
+        // A small stack: at the limit the inliner's recursion must fit.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                analyze_src(&call_chain(MAX_CALL_DEPTH)).expect("at the limit");
+                for depth in [MAX_CALL_DEPTH + 1, 5000] {
+                    let err = analyze_src(&call_chain(depth)).expect_err("past the limit");
+                    assert!(err.0.contains("nests calls deeper than"), "{err}");
+                }
+            })
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow");
+    }
+
+    #[test]
+    fn inlined_calls_are_bounded_at_the_limit() {
+        let calls = |n: u64| {
+            format!(
+                "output out[1]; func one() {{ return 1; }} func main() {{ var x = 0; {} out[0] = x; }}",
+                "x = x + one(); ".repeat(usize::try_from(n).expect("small"))
+            )
+        };
+        analyze_src(&calls(MAX_INLINED_CALLS)).expect("at the limit");
+        let err = analyze_src(&calls(MAX_INLINED_CALLS + 1)).expect_err("past the limit");
+        assert!(err.0.contains("calls to inline"), "{err}");
+        // Forty functions that each call the next twice: refused after the
+        // first MAX_INLINED_CALLS expansions, not after 2^40.
+        let mut src = String::from("output out[1]; func f40() { return 1; }\n");
+        for i in 1..40 {
+            src += &format!("func f{i}() {{ return f{0}() + f{0}(); }}\n", i + 1);
+        }
+        let err = analyze_src(&(src + "func main() { out[0] = f1(); }")).expect_err("exponential");
+        assert!(err.0.contains("calls to inline"), "{err}");
     }
 
     #[test]

@@ -555,8 +555,9 @@ pub struct Golden {
     pub status: Status,
     /// Snapshots along the run ([`CheckpointRing`]): campaign workers seed
     /// frontiers from the nearest checkpoint instead of re-stepping from
-    /// boot, and faulty runs that converge back onto a checkpointed state
-    /// classify as masked immediately.
+    /// boot, and faulty runs that rejoin a checkpointed state, at their own
+    /// step or at an offset, end there with the verdict the rest of the run
+    /// would reach.
     pub checkpoints: CheckpointRing,
     /// Per-step dynamic register liveness over the golden run, as bitmasks
     /// `(read_before_write, written_before_read)` of GPR indices: entry `s`
@@ -564,7 +565,7 @@ pub struct Golden {
     /// (a register in neither mask is never touched again). Computed by one
     /// backward scan over the executed action sequence; empty when the
     /// register file exceeds 64 GPRs (masks cannot represent it). This is
-    /// what lets the convergence early-exit accept faulty states that differ
+    /// what lets the rejoin early-exit accept faulty states that differ
     /// from golden only in registers the future provably does not read —
     /// the dominant masked-fault shape (a corrupted value that is dead or
     /// about to be overwritten).
@@ -607,6 +608,7 @@ pub fn golden_run(program: &Arc<Program>, cfg: &CampaignConfig) -> Result<Golden
             max_steps: cfg.max_steps,
         });
     }
+    checkpoints.index_pcs();
     // Backward scan: liveness[s] classifies each GPR by its first access in
     // actions s.. — read first (live), written first (heals), or untouched.
     let reg_liveness = if mask_regs {
@@ -676,10 +678,11 @@ pub fn run_campaign(
 /// worker stuck on slow continuations cannot hoard the tail.
 const STEAL_BATCH: usize = 32;
 
-/// Target step interval between convergence checks in [`execute_plan`]
-/// (rounded up to a ring-grid multiple). Convergence is absorbing, so a
-/// sparser cadence misses nothing — it only delays the early-exit by at
-/// most this many steps, far below the thousands of steps each exit saves.
+/// Target step interval between same-step rejoin checks in [`resume_plan`]
+/// (rounded up to a ring-grid multiple). A rejoin at offset 0 is absorbing,
+/// so on golden's path a sparser cadence misses nothing — it only delays
+/// the early-exit by at most this many steps, far below the thousands of
+/// steps each exit saves.
 const CONVERGENCE_CHECK_EVERY: u64 = 64;
 
 /// The lead strike of a plan, reified for reporting.
@@ -1030,46 +1033,79 @@ pub(crate) fn walk_plans(
     }
 }
 
-/// Decide whether a faulty continuation at golden checkpoint `cp`'s step has
-/// provably finished, and with which verdict. `None` means "keep simulating".
+/// Decide whether a faulty continuation `m` has **rejoined** the golden run
+/// at snapshot `cp`, at `m`'s step or at an offset from it, and if so how
+/// the run ends: `Some((verdict, end_steps))`. `None` means "keep
+/// simulating". `bound` is the plan's step bound (golden's steps plus its
+/// order).
 ///
 /// Soundness: all of the plan's strikes have been applied and every
 /// committed output has been verified against the golden trace (the
-/// [`execute_plan`] call-site invariants). If the faulty state equals the
-/// checkpoint everywhere except a set `D` of GPRs
-/// ([`Machine::diverged_gprs_trace_verified`]), and golden's future never
-/// *reads* any register of `D` before overwriting it
-/// ([`Golden::reg_liveness`]), then — by induction on steps — the faulty run
-/// executes exactly golden's remaining action sequence: every operand it
-/// reads is equal, so every write, queue operation, control transfer, and
-/// committed output is equal, and registers of `D` that get overwritten
-/// heal to golden's values. The run therefore halts at `golden.steps` with
-/// golden's trace, and its final state is golden's final state except that
-/// never-touched-again registers of `D` keep their current faulty values.
-/// The verdict the full simulation would reach is thus:
+/// [`resume_plan`] call-site invariants). If the faulty state equals the
+/// snapshot everywhere except a set `D` of GPRs and the step count
+/// ([`Machine::diverged_gprs_trace_verified`]), and golden's future from the
+/// snapshot never *reads* any register of `D` before overwriting it
+/// ([`Golden::reg_liveness`]), then — by induction on steps — the faulty
+/// run executes exactly golden's remaining action sequence from the
+/// snapshot's step `s′`: every operand it reads is equal, so every write,
+/// queue operation, control transfer, and committed output is equal, and
+/// registers of `D` that get overwritten heal to golden's values. The run
+/// at step `s` therefore reaches golden's terminal status at
+/// `h = s + golden.steps − s′` with golden's trace, unless the reference
+/// loop's bound stops it first, and its final state is golden's except that
+/// never-touched-again registers of `D` keep their faulty values. The
+/// verdict the full simulation would reach is thus:
 ///
-/// * `Masked` if `D` is empty or heals entirely, or if the persisting
-///   divergences are `sim_c`-similar for some single color `c` (pairwise
-///   equal colors, all the same color — Figure 9's `sim-val-zap`);
-/// * `DissimilarState` otherwise (trace equal, final state dissimilar).
-fn convergence_verdict(m: &Machine, cp: &Machine, golden: &Golden) -> Option<Verdict> {
-    let diff = m.diverged_gprs_trace_verified(cp)?;
-    if diff == 0 {
-        return Some(Verdict::Masked);
-    }
-    let s = usize::try_from(m.steps()).ok()?;
-    let &(live, deadwrite) = golden.reg_liveness.get(s)?;
-    if diff & live != 0 {
+/// * `Overrun` at `bound` if `h > bound` (still running, every output
+///   golden's);
+/// * for a halted golden, `Masked` if `D` is empty or heals entirely, or if
+///   the persisting divergences are `sim_c`-similar for some single color
+///   `c` (pairwise equal colors, all the same color — Figure 9's
+///   `sim-val-zap`), and `DissimilarState` otherwise (trace equal, final
+///   state dissimilar);
+/// * `Detected` or `Stuck` at `h` for a golden that ended that way.
+fn rejoin(m: &Machine, cp: &Machine, golden: &Golden, bound: u64) -> Option<(Verdict, u64)> {
+    let liveness = usize::try_from(cp.steps())
+        .ok()
+        .and_then(|s| golden.reg_liveness.get(s));
+    if let Some(&(live, _)) = liveness {
         // A diverged register will be read before it is overwritten; the
-        // futures may deviate, so nothing is decided yet.
-        return None;
+        // futures may deviate, so nothing is decided yet. Checked first:
+        // it is what tells apart the loop iterations an off-path run meets
+        // at one pc.
+        let (f, g) = (m.gprs(), cp.gprs());
+        let mut bits = live;
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if f[i] != g[i] {
+                return None;
+            }
+        }
     }
-    let persist = diff & !deadwrite;
-    if persist == 0 {
-        return Some(Verdict::Masked);
+    let diff = m.diverged_gprs_trace_verified(cp)?;
+    // Without liveness (over 64 GPRs) only an exact match decides.
+    let deadwrite = match liveness {
+        Some(&(_, deadwrite)) => deadwrite,
+        None if diff == 0 => 0,
+        None => return None,
+    };
+    let end = m.steps() + (golden.steps - cp.steps());
+    if end > bound {
+        return Some((Verdict::Overrun, bound));
     }
-    // Persisting divergences survive to the final state; the terminal
-    // classification is the similarity clause of Theorem 4.
+    let verdict = match golden.status {
+        Status::Halted => persisting_verdict(diff & !deadwrite, m, cp),
+        Status::Fault => Verdict::Detected,
+        Status::Stuck(_) => Verdict::Stuck,
+        Status::Running => return None,
+    };
+    Some((verdict, end))
+}
+
+/// The similarity clause of Theorem 4 over the GPRs in `persist`, which
+/// keep `m`'s values to the end while golden's keep `cp`'s.
+fn persisting_verdict(persist: u64, m: &Machine, cp: &Machine) -> Verdict {
     let mut zap: Option<talft_isa::Color> = None;
     let mut bits = persist;
     while bits != 0 {
@@ -1078,11 +1114,11 @@ fn convergence_verdict(m: &Machine, cp: &Machine, golden: &Golden) -> Option<Ver
         bits &= bits - 1;
         let (g, f) = (cp.reg(talft_isa::Reg::r(i)), m.reg(talft_isa::Reg::r(i)));
         if g.color != f.color || zap.is_some_and(|c| c != g.color) {
-            return Some(Verdict::DissimilarState);
+            return Verdict::DissimilarState;
         }
         zap = Some(g.color);
     }
-    Some(Verdict::Masked)
+    Verdict::Masked
 }
 
 /// Run one plan's continuation to termination with streaming trace
@@ -1096,20 +1132,12 @@ fn convergence_verdict(m: &Machine, cp: &Machine, golden: &Golden) -> Option<Ver
 /// the `Sdc` it provably is, rather than `Overrun`.)
 ///
 /// With a checkpoint ring, a continuation that has applied every strike and
-/// whose full execution state equals the golden state at the same step is
-/// classified [`Verdict::Masked`] on the spot: stepping is deterministic, so
-/// the remainder of the run *is* the remainder of the golden run — the
-/// trace completes equal and the final states coincide (`sim_c` holds
-/// reflexively). Most masked faults converge within a few steps of
-/// injection (the corrupt value is dead or overwritten), which turns the
-/// dominant O(golden-length) masked continuations into O(convergence
-/// distance) ones.
-///
-/// Convergence is *absorbing* — a run equal to golden stays equal forever —
-/// so the check need not fire at every ring grid point: it runs every
-/// `CONVERGENCE_CHECK_EVERY`-ish steps (rounded to the ring grid), trading
-/// at most that many extra simulated steps per converged run for an
-/// order-of-magnitude fewer state comparisons on runs that never converge.
+/// [`rejoin`]s a golden snapshot ends on the spot with the verdict the full
+/// simulation would reach: stepping is deterministic, so the remainder of
+/// the run *is* the remainder of the golden run from that snapshot. Most
+/// masked faults rejoin within a few steps of injection (the corrupt value
+/// is dead or overwritten), which turns the dominant O(golden-length)
+/// masked continuations into O(rejoin distance) ones.
 pub(crate) fn execute_plan(
     m: &mut Machine,
     plan: &FaultPlan,
@@ -1125,6 +1153,16 @@ pub(crate) fn execute_plan(
 /// strikes `0..next` injected, every committed output equal to golden's
 /// prefix (the trace watermark is taken as verified). `execute_plan` is the
 /// `next = applied = 0` instantiation.
+///
+/// The rejoin test runs in two modes. **On golden's path** it compares the
+/// run with the snapshot at its own step, every `CONVERGENCE_CHECK_EVERY`-ish
+/// steps (rounded to the ring grid): a rejoin at offset 0 is absorbing, so
+/// a sparse check only delays the exit. When that check finds the run's
+/// `pcG` off the snapshot's, control has forked, and the run may rejoin at
+/// any offset, which a same-step check never sees. **Off golden's path** it
+/// therefore looks itself up in the ring's pc index
+/// ([`CheckpointRing::at_pc`]) on every step, until it rejoins or, at a
+/// ring grid point, its `pcG` equals golden's again.
 pub(crate) fn resume_plan(
     m: &mut Machine,
     plan: &FaultPlan,
@@ -1137,14 +1175,16 @@ pub(crate) fn resume_plan(
     // The pre-strike prefix replays the golden run deterministically; start
     // verification at the watermark instead of re-checking it.
     let mut verified = m.trace().len();
-    // Convergence-check cadence: the smallest ring-grid multiple at or above
+    // Same-step cadence: the smallest ring-grid multiple at or above
     // CONVERGENCE_CHECK_EVERY. `next_check` keeps the hot loop to a single
-    // compare per step; `u64::MAX` disables the check entirely.
+    // compare per step on golden's path (off it, the next ring grid point);
+    // `u64::MAX` disables the check entirely.
     let check_grid = checkpoints.map_or(u64::MAX, |r| {
         r.stride()
             .saturating_mul((CONVERGENCE_CHECK_EVERY / r.stride()).max(1))
     });
     let mut next_check = if checkpoints.is_some() { 0 } else { u64::MAX };
+    let mut off_path = false;
     let strikes = plan.strikes();
     loop {
         while next < strikes.len() && strikes[next].at_step <= m.steps() {
@@ -1163,19 +1203,39 @@ pub(crate) fn resume_plan(
             }
             verified += 1;
         }
-        if m.steps() >= next_check {
-            next_check = (m.steps() / check_grid + 1).saturating_mul(check_grid);
-            if next == strikes.len() && m.status().is_running() {
-                if let Some(cp) = checkpoints.and_then(|r| r.at_step(m.steps())) {
-                    if let Some(verdict) = convergence_verdict(m, cp, golden) {
-                        if talft_obs::enabled() {
-                            CONVERGED.inc();
-                            CONVERGED_STEPS_SAVED.add(golden.steps.saturating_sub(m.steps()));
-                        }
-                        return (verdict, golden.steps, applied);
-                    }
+        let Some(ring) = checkpoints else {
+            continue;
+        };
+        let mut exit = None;
+        if off_path {
+            // Every strike is in (off-path mode starts only then); a run the
+            // step just ended matches no running snapshot and breaks above.
+            exit = ring.at_pc(m).find_map(|cp| rejoin(m, cp, golden, bound));
+            if exit.is_none() && m.steps() >= next_check {
+                next_check += ring.stride();
+                let pc = checkpoint::green_pc(m);
+                if ring.at_step(m.steps()).map(checkpoint::green_pc) == Some(pc) {
+                    off_path = false;
+                    next_check = (m.steps() / check_grid + 1).saturating_mul(check_grid);
                 }
             }
+        } else if m.steps() >= next_check {
+            next_check = (m.steps() / check_grid + 1).saturating_mul(check_grid);
+            let settled = next == strikes.len() && m.status().is_running();
+            if let Some(cp) = ring.at_step(m.steps()).filter(|_| settled) {
+                exit = rejoin(m, cp, golden, bound);
+                if exit.is_none() && checkpoint::green_pc(cp) != checkpoint::green_pc(m) {
+                    off_path = true;
+                    next_check = m.steps() + ring.stride();
+                }
+            }
+        }
+        if let Some((verdict, end)) = exit {
+            if talft_obs::enabled() {
+                CONVERGED.inc();
+                CONVERGED_STEPS_SAVED.add(end - m.steps());
+            }
+            return (verdict, end, applied);
         }
     }
     let verdict = match m.status() {
@@ -1641,6 +1701,66 @@ main:
             "expected the convergence path to fire on a {}-step golden run",
             golden.steps
         );
+    }
+
+    /// A run that rejoins a golden run ending in `fault` ends the way that
+    /// golden run does: `Detected`, with the reference's latency, not
+    /// `Masked`. (The batched engine needs a halted golden, so this is the
+    /// scalar engine's rejoin.)
+    #[test]
+    fn rejoining_a_faulting_golden_is_detected() {
+        let p = arc("
+.data
+region out at 4096 len 1 : int output
+.code
+main:
+  .pre { forall m:mem; mem: m; }
+  mov r20, G 1
+  mov r10, G 60
+  mov r11, B 60
+  mov r12, G @done
+  mov r13, B @done
+  mov r14, G @loop
+  mov r15, B @loop
+loop:
+  .pre { forall m:mem; mem: m; }
+  sub r10, r10, G 1
+  sub r11, r11, B 1
+  bzG r10, r12
+  bzB r11, r13
+  jmpG r14
+  jmpB r15
+done:
+  .pre { forall m:mem; mem: m; }
+  mov r1, B 5
+  mov r2, B 4096
+  stB r2, r1
+  halt
+");
+        let cfg = CampaignConfig {
+            threads: 1,
+            ..CampaignConfig::default()
+        };
+        let golden = golden_run(&p, &cfg).expect("golden ends");
+        assert_eq!(golden.status, Status::Fault, "the unpaired stB faults");
+        // `r20` is never read: the run equals golden from the strike on.
+        let plans = vec![FaultPlan::single(
+            2,
+            FaultSite::Reg(talft_isa::Reg::r(20)),
+            7,
+        )];
+        let reference = run_plan_campaign_reference(&p, &cfg, &golden, &plans);
+        assert_eq!(reference.detected, 1);
+        let prev = talft_obs::enabled();
+        talft_obs::set_enabled(true);
+        let before = CONVERGED.get();
+        let engine = run_plan_campaign(&p, &cfg, &golden, &plans);
+        let grid = plan_fault_grid(&p, &cfg, &golden, &plans);
+        let fired = CONVERGED.get() - before;
+        talft_obs::set_enabled(prev);
+        assert_eq!(engine, reference);
+        assert_eq!(grid.outcomes[0].verdict, Verdict::Detected);
+        assert!(fired >= 2, "both runs end at their rejoin");
     }
 
     /// Same seed, same program ⇒ bit-identical k=2 report; campaigns are

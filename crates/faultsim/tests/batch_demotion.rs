@@ -22,7 +22,8 @@ mod common;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use talft_faultsim::{
-    golden_run, run_plan_campaign, run_plan_campaign_scalar, CampaignConfig, FaultPlan, Verdict,
+    golden_run, plan_fault_grid, run_plan_campaign, run_plan_campaign_reference,
+    run_plan_campaign_scalar, CampaignConfig, CampaignReport, FaultPlan, Strike, Verdict,
 };
 use talft_isa::{assemble, Color, Reg};
 use talft_machine::{inject, step, FaultSite, Machine};
@@ -66,6 +67,18 @@ fn cfg() -> CampaignConfig {
     }
 }
 
+/// The verdict of a one-plan report.
+fn sole_verdict(report: &CampaignReport) -> Verdict {
+    assert_eq!(report.total, 1);
+    if report.masked == 1 {
+        Verdict::Masked
+    } else if report.detected == 1 {
+        Verdict::Detected
+    } else {
+        report.violations[0].verdict
+    }
+}
+
 /// Run one plan through both engines; assert bit-identical reports and
 /// return the (shared) verdict of its lead injection.
 fn agreed_verdict(program: &Arc<talft_isa::Program>, plan: FaultPlan) -> Verdict {
@@ -77,14 +90,7 @@ fn agreed_verdict(program: &Arc<talft_isa::Program>, plan: FaultPlan) -> Verdict
         batched, scalar,
         "batched plan's report diverged from the scalar engine"
     );
-    assert_eq!(batched.total, 1);
-    if batched.masked == 1 {
-        Verdict::Masked
-    } else if batched.detected == 1 {
-        Verdict::Detected
-    } else {
-        batched.violations[0].verdict
-    }
+    sole_verdict(&batched)
 }
 
 /// Golden prefix at `at` steps, with `value` injected into `reg` — the
@@ -498,4 +504,165 @@ fn second_strike_inside_a_quiet_stretch_fires_on_time() {
         delta(&before, &after, "faultsim.batch.quiet_steps") >= 1000,
         "the loop before the second strike must be walked on the fast path"
     );
+}
+
+/// A branch pair on `r1` (golden's condition `cond`: nonzero falls through
+/// `arm` to `join`, zero jumps straight there), then a 40-iteration
+/// countdown loop (20 steps an iteration) and `tail`. Striking `r1` right
+/// after its `mov` flips both `bz` halves together, so control forks
+/// without a failing compare (the `control_fork` demotion) and the faulty
+/// run reaches `join` with golden's state, `r1` aside, but `arm`'s length
+/// ahead of golden or behind it. `r1` is dead from there on: the default
+/// tail overwrites it before reading it.
+fn fork_program(cond: i64, arm: &str, tail: &str) -> Arc<talft_isa::Program> {
+    arc(&format!(
+        "\n.data\nregion out at 4096 len 1 : int output\n.code\nmain:\n  {PRE}\n  \
+         mov r1, G {cond}\n  mov r20, G 4096\n  mov r21, G 5\n  mov r3, G @join\n  \
+         mov r4, B @join\n  bzG r1, r3\n  bzB r1, r4\n{arm}join:\n  {PRE}\n  \
+         mov r10, G 40\n  mov r11, B 40\nloop:\n  {PRE}\n  sub r10, r10, G 1\n  \
+         sub r11, r11, B 1\n  mov r12, G @done\n  mov r13, B @done\n  bzG r10, r12\n  \
+         bzB r11, r13\n  mov r12, G @loop\n  mov r13, B @loop\n  jmpG r12\n  jmpB r13\n\
+         done:\n  {PRE}\n{tail}"
+    ))
+}
+
+/// The default tail: a protected store pair that overwrites `r1`.
+const STORE_TAIL: &str = "  mov r1, G 5\n  mov r2, G 4096\n  mov r3, B 5\n  mov r4, B 4096\n  \
+                          stG r2, r1\n  stB r4, r3\n  halt\n";
+
+/// The fork strike: `r1` := `value` once its `mov` has executed.
+fn fork_strike(value: i64) -> Strike {
+    Strike {
+        at_step: 2,
+        site: FaultSite::Reg(Reg::r(1)),
+        value,
+    }
+}
+
+/// The step at which a faulty run from `plan` halts when nothing bounds it
+/// — the witness of its offset from golden.
+fn unbounded_halt(program: &Arc<talft_isa::Program>, plan: &FaultPlan) -> u64 {
+    let mut m = Machine::boot(Arc::clone(program));
+    let mut strikes = plan.strikes().iter().peekable();
+    while m.status().is_running() {
+        while let Some(s) = strikes.next_if(|s| s.at_step == m.steps()) {
+            assert!(inject(&mut m, s.site, s.value));
+        }
+        step(&mut m);
+    }
+    m.steps()
+}
+
+/// Run one plan through every engine and the grid: the grid's verdict and
+/// the batched and scalar reports must equal the sequential reference's.
+/// Returns the verdict and how many runs ended at a rejoin
+/// (`campaign.converged_early`).
+fn rejoin_case(program: &Arc<talft_isa::Program>, plan: FaultPlan) -> (Verdict, u64) {
+    let golden = golden_run(program, &cfg()).expect("golden halts");
+    let plans = vec![plan];
+    let reference = run_plan_campaign_reference(program, &cfg(), &golden, &plans);
+    let ((grid, batched, scalar), before, after) = with_obs(|| {
+        (
+            plan_fault_grid(program, &cfg(), &golden, &plans),
+            run_plan_campaign(program, &cfg(), &golden, &plans),
+            run_plan_campaign_scalar(program, &cfg(), &golden, &plans),
+        )
+    });
+    let verdict = sole_verdict(&reference);
+    assert_eq!(grid.outcomes[0].verdict, verdict, "grid verdict");
+    assert_eq!(batched, reference, "batched report");
+    assert_eq!(scalar, reference, "scalar report");
+    assert_eq!(
+        delta(&before, &after, "faultsim.batch.demote.control_fork"),
+        1,
+        "the strike forks control in the packed lane"
+    );
+    (verdict, delta(&before, &after, "campaign.converged_early"))
+}
+
+/// Rejoin ahead of golden: the faulty run skips a three-instruction arm
+/// that changes nothing, so it re-enters golden's state six steps early
+/// and halts six steps before golden does — `Masked`, ended at the rejoin
+/// by the grid, the demoted lane and the scalar engine alike.
+#[test]
+fn rejoin_ahead_of_golden_is_masked() {
+    let arm = "  mov r20, G 4096\n  mov r20, G 4096\n  mov r20, G 4096\n";
+    let p = fork_program(1, arm, STORE_TAIL);
+    let plan = FaultPlan::new(vec![fork_strike(0)]);
+    let golden = golden_run(&p, &cfg()).expect("golden halts").steps;
+    assert_eq!(unbounded_halt(&p, &plan), golden - 6);
+    let (verdict, rejoined) = rejoin_case(&p, plan);
+    assert_eq!(verdict, Verdict::Masked);
+    assert_eq!(
+        rejoined, 3,
+        "grid, batched and scalar each end at the rejoin"
+    );
+}
+
+/// Rejoin behind golden at k=1: the faulty run executes a one-instruction
+/// arm golden skips, so it replays golden two steps late and would halt at
+/// `golden.steps + 2`, past the `golden.steps + 1` bound — `Overrun` at
+/// the bound, decided at the rejoin.
+#[test]
+fn rejoin_two_steps_behind_overruns_at_k1() {
+    let p = fork_program(0, "  mov r20, G 4096\n", STORE_TAIL);
+    let plan = FaultPlan::new(vec![fork_strike(1)]);
+    let golden = golden_run(&p, &cfg()).expect("golden halts").steps;
+    assert_eq!(unbounded_halt(&p, &plan), golden + 2);
+    let (verdict, rejoined) = rejoin_case(&p, plan);
+    assert_eq!(verdict, Verdict::Overrun);
+    assert_eq!(rejoined, 3);
+}
+
+/// Rejoin exactly at the bound: the same two-step lag under a k=2 plan
+/// (its second strike hits the dead `r1` inside the loop) halts at
+/// `golden.steps + 2`, which is the bound — the run halts, it does not
+/// overrun.
+#[test]
+fn rejoin_halting_at_the_bound_is_not_overrun() {
+    let p = fork_program(0, "  mov r20, G 4096\n", STORE_TAIL);
+    let second = Strike {
+        at_step: 40,
+        site: FaultSite::Reg(Reg::r(1)),
+        value: 7,
+    };
+    let plan = FaultPlan::new(vec![fork_strike(1), second]);
+    let golden = golden_run(&p, &cfg()).expect("golden halts").steps;
+    assert_eq!(unbounded_halt(&p, &plan), golden + 2);
+    let (verdict, rejoined) = rejoin_case(&p, plan);
+    assert_eq!(verdict, Verdict::Masked);
+    assert_eq!(rejoined, 3);
+}
+
+/// Rejoin with a divergence left behind: golden's arm writes `r20` green
+/// and `r21` blue, which nothing reads again, and the faulty run skips it.
+/// The colour split decides: a green-only leftover is `sim_G`-similar
+/// (`Masked`), a leftover of both colours is `DissimilarState`.
+#[test]
+fn rejoin_with_a_dead_divergence_ends_by_the_colour_split() {
+    for (arm, expect) in [
+        ("  mov r20, G 9\n  mov r20, G 9\n", Verdict::Masked),
+        ("  mov r20, G 9\n  mov r21, B 9\n", Verdict::DissimilarState),
+    ] {
+        let p = fork_program(1, arm, STORE_TAIL);
+        let plan = FaultPlan::new(vec![fork_strike(0)]);
+        let golden = golden_run(&p, &cfg()).expect("golden halts").steps;
+        assert_eq!(unbounded_halt(&p, &plan), golden - 4);
+        let (verdict, rejoined) = rejoin_case(&p, plan);
+        assert_eq!(verdict, expect, "arm {arm:?}");
+        assert_eq!(rejoined, 3, "arm {arm:?}");
+    }
+}
+
+/// No rejoin past a pending store: golden's arm pushes the `stG` half of
+/// the store pair that the tail's `stB` commits. The faulty run skips it
+/// and matches golden everywhere but the queue through the whole loop,
+/// then faults at the `stB` — `Detected`, never a rejoin.
+#[test]
+fn a_skipped_store_is_never_a_rejoin() {
+    let tail = "  mov r3, B 5\n  mov r4, B 4096\n  stB r4, r3\n  halt\n";
+    let p = fork_program(1, "  stG r20, r21\n", tail);
+    let (verdict, rejoined) = rejoin_case(&p, FaultPlan::new(vec![fork_strike(0)]));
+    assert_eq!(verdict, Verdict::Detected);
+    assert_eq!(rejoined, 0);
 }

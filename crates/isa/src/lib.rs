@@ -29,7 +29,7 @@ pub use asm::{assemble, assemble_into, AsmError, Assembled};
 pub use color::{CVal, Color};
 pub use instr::{Instr, OpSrc};
 pub use print::{disassemble, print_program};
-pub use program::{Program, ProgramError, Region, DATA_BASE, MAX_REGION_LEN};
+pub use program::{Program, ProgramError, Region, DATA_BASE, MAX_DATA_CELLS};
 pub use reg::{Gpr, Reg};
 pub use span::Span;
 pub use ty::{BasicTy, CodeTy, FactAnn, RegFileTy, RegTy, ResultTy, ValTy, ZapTag};

@@ -19,11 +19,12 @@ use crate::ty::{BasicTy, CodeTy};
 /// Lowest data address; code lives strictly below this.
 pub const DATA_BASE: i64 = 4096;
 
-/// The most cells one region may declare. [`Program::initial_memory`]
-/// materializes every cell, so [`Program::validate`] refuses longer regions
-/// rather than let a declaration exhaust memory. Committed programs declare
-/// at most 128.
-pub const MAX_REGION_LEN: i64 = 1 << 16;
+/// The most cells a program's regions may declare together.
+/// [`Program::initial_memory`] materializes every cell, so
+/// [`Program::validate`] refuses more rather than let the declarations
+/// exhaust memory, one long region or many short ones. Committed programs
+/// declare at most about 512.
+pub const MAX_DATA_CELLS: i64 = 1 << 16;
 
 /// A contiguous typed data region (part of `M` and `Ψ`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -207,6 +208,7 @@ impl Program {
         }
         let mut sorted: Vec<&Region> = self.regions.iter().collect();
         sorted.sort_by_key(|r| r.base);
+        let mut cells = 0i64;
         for r in &sorted {
             if r.base < DATA_BASE {
                 return Err(ProgramError::RegionBelowDataBase(r.name.clone(), r.base));
@@ -214,8 +216,9 @@ impl Program {
             if r.len <= 0 {
                 return Err(ProgramError::EmptyRegion(r.name.clone()));
             }
-            if r.len > MAX_REGION_LEN {
-                return Err(ProgramError::RegionTooLong(r.name.clone(), r.len));
+            cells = cells.saturating_add(r.len);
+            if cells > MAX_DATA_CELLS {
+                return Err(ProgramError::TooMuchData(r.name.clone(), cells));
             }
             if r.base.checked_add(r.len).is_none() {
                 return Err(ProgramError::RegionPastAddressSpace(r.name.clone()));
@@ -259,8 +262,9 @@ pub enum ProgramError {
     InitTooLong(String),
     /// Two regions overlap.
     OverlappingRegions(String, String),
-    /// A region is longer than [`MAX_REGION_LEN`].
-    RegionTooLong(String, i64),
+    /// The regions up to this one, in address order, declare this many
+    /// cells, more than [`MAX_DATA_CELLS`].
+    TooMuchData(String, i64),
     /// A region ends past the last address.
     RegionPastAddressSpace(String),
 }
@@ -292,10 +296,10 @@ impl fmt::Display for ProgramError {
             ProgramError::OverlappingRegions(a, b) => {
                 write!(f, "regions {a} and {b} overlap")
             }
-            ProgramError::RegionTooLong(n, len) => {
+            ProgramError::TooMuchData(n, cells) => {
                 write!(
                     f,
-                    "region {n} is {len} cells long; the limit is {MAX_REGION_LEN}"
+                    "region {n} brings the data to {cells} cells; the limit is {MAX_DATA_CELLS}"
                 )
             }
             ProgramError::RegionPastAddressSpace(n) => {
@@ -410,7 +414,7 @@ mod tests {
         p.regions.push(Region {
             name: "out".into(),
             base: DATA_BASE,
-            len: MAX_REGION_LEN,
+            len: MAX_DATA_CELLS,
             elem: BasicTy::Int,
             init: vec![],
             output: true,
@@ -419,7 +423,7 @@ mod tests {
         p.regions[0].len = 99_999_999_999;
         assert_eq!(
             p.validate(&arena),
-            Err(ProgramError::RegionTooLong("out".into(), 99_999_999_999))
+            Err(ProgramError::TooMuchData("out".into(), 99_999_999_999))
         );
         // An end past i64::MAX is an error, not an overflow.
         p.regions[0].len = 8;
@@ -428,6 +432,41 @@ mod tests {
             p.validate(&arena),
             Err(ProgramError::RegionPastAddressSpace("out".into()))
         );
+    }
+
+    #[test]
+    fn validate_caps_total_data_at_the_limit() {
+        let mut arena = ExprArena::new();
+        let mut p = tiny_program(&mut arena);
+        // Four regions of a quarter of the cap each: exactly at the limit.
+        let quarter = MAX_DATA_CELLS / 4;
+        for (i, name) in ["a", "b", "c", "d"].into_iter().enumerate() {
+            p.regions.push(Region {
+                name: name.into(),
+                base: DATA_BASE + i as i64 * quarter,
+                len: quarter,
+                elem: BasicTy::Int,
+                init: vec![],
+                output: false,
+            });
+        }
+        assert_eq!(p.validate(&arena), Ok(()));
+        // One more cell, far away in the address space: the error names the
+        // region that crosses the cap.
+        p.regions.push(Region {
+            name: "e".into(),
+            base: 1 << 40,
+            len: 1,
+            elem: BasicTy::Int,
+            init: vec![],
+            output: true,
+        });
+        let err = p.validate(&arena).expect_err("one cell past the limit");
+        assert_eq!(
+            err,
+            ProgramError::TooMuchData("e".into(), MAX_DATA_CELLS + 1)
+        );
+        assert!(err.to_string().contains("region e"), "{err}");
     }
 
     #[test]

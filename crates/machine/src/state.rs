@@ -374,10 +374,12 @@ impl Machine {
             && (Arc::ptr_eq(&self.mem, &other.mem) || self.mem == other.mem)
     }
 
-    /// Execution equality *modulo GPRs* for trace-verified continuations:
-    /// compares every non-GPR component and returns the bitmask of GPR
-    /// indices where the two machines differ (`None` when any non-GPR
-    /// component differs).
+    /// Execution equality *modulo GPRs and step count* for trace-verified
+    /// continuations: compares every other component that influences future
+    /// execution and returns the bitmask of GPR indices where the two
+    /// machines differ (`None` when any such component differs). The step
+    /// count is left to the caller, which may compare a run with a golden
+    /// state reached at a different step.
     ///
     /// # Precondition (caller-guaranteed, not checked)
     ///
@@ -395,7 +397,6 @@ impl Machine {
     #[must_use]
     pub fn diverged_gprs_trace_verified(&self, other: &Machine) -> Option<u64> {
         let non_gpr_eq = Arc::ptr_eq(&self.program, &other.program)
-            && self.steps == other.steps
             && self.status == other.status
             && self.oob_policy == other.oob_policy
             && self.ir == other.ir
