@@ -163,6 +163,44 @@ fn store5_talft(len: &str) -> String {
 }
 
 #[test]
+fn exit_2_on_deep_talft_nesting() {
+    // Each entry precondition once aborted with a stack overflow (exit
+    // 134): the assembler now stops at its nesting limit with an error
+    // naming the line. A 1,000,000-term `x + x + …` chain never recursed.
+    let n = 100_000;
+    let shapes = [
+        (
+            "parens",
+            format!("mem: {}m{};", "(".repeat(n), ")".repeat(n)),
+        ),
+        (
+            "sel",
+            format!(
+                "mem: m; r1: (G, int, {}0{});",
+                "sel(m, ".repeat(n),
+                ")".repeat(n)
+            ),
+        ),
+        (
+            "type_parens",
+            format!("mem: m; r1: (G, {}int{}, 0);", "(".repeat(n), ")".repeat(n)),
+        ),
+        (
+            "refs",
+            format!("mem: m; r1: (G, int{}, 0);", " ref".repeat(10 * n)),
+        ),
+    ];
+    for (name, pre) in shapes {
+        let src = store5_talft("1").replace("mem: m;", &pre);
+        let p = write_temp(&format!("deep_{name}.talft"), &src);
+        let out = talftc(&[p.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{name}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("line 5"), "{name}: {stderr}");
+    }
+}
+
+#[test]
 fn exit_2_on_oversized_talft_region() {
     // The same program over one cell runs; over 99,999,999,999 cells it
     // once passed the checker and then aborted allocating its memory.

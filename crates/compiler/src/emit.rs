@@ -103,9 +103,8 @@ pub fn emit(
             let this_addr = addr[bid];
             if !is_empty {
                 program.labels.insert(label, this_addr);
-                program
-                    .preconds
-                    .insert(this_addr, precond(&mut arena, bid, live, alloc, this_addr)?);
+                let pre = precond(&mut arena, bid, live, alloc, this_addr)?;
+                program.preconds.insert(this_addr, Arc::new(pre));
             } else {
                 // empty entry block: alias main to the next address
                 program.labels.insert(label, addr[bid + 1]);

@@ -15,6 +15,13 @@
 //! * **Recorded reads**: every `Ψ(a)` answer the walk used ([`Psi`]): `mov`
 //!   constants, the `jmpG`/`bzG` target d-premise, `jmpB`/`bzB` transfers
 //!   and the fall-through. A hit needs each one equal in the new program.
+//! * **Precondition equality**: an entry keeps the shared [`Arc`] of its
+//!   precondition and of each read answer, and a lookup compares them by
+//!   pointer first, then by value ([`same_pre`]). A mutant shares its
+//!   parent's preconditions, so its unchanged blocks hit without a deep
+//!   comparison, while a precondition rebuilt by value (the same source
+//!   assembled again) still hits. A pointer match is exact because nothing
+//!   changes a shared `CodeTy` in place: [`Arc::make_mut`] copies it.
 //! * **Region table**: `as_ref` and `data_ptr_ty` read it unrecorded, so
 //!   entries hold only under the table they were checked under; a
 //!   different table flushes the memo.
@@ -27,6 +34,7 @@
 //! [`ExprArena::solver_memo`] is on.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use talft_isa::{CodeTy, Instr, Program, Region};
 use talft_logic::ExprArena;
@@ -43,12 +51,18 @@ pub(crate) const CAP: usize = 4096;
 /// One accepted block; its start is the key it is filed under.
 #[derive(Debug)]
 struct Entry {
-    pre: CodeTy,
+    pre: Arc<CodeTy>,
     code: Box<[Instr]>,
     /// `Ψ(a)` for every address the walk read, sorted, no repeats.
-    reads: Box<[(i64, Option<CodeTy>)]>,
+    reads: Box<[(i64, Option<Arc<CodeTy>>)]>,
     /// Instructions the walk covered.
     walked: usize,
+}
+
+/// Whether two preconditions are equal: the same allocation, or equal by
+/// value.
+fn same_pre(a: &Arc<CodeTy>, b: &Arc<CodeTy>) -> bool {
+    Arc::ptr_eq(a, b) || **a == **b
 }
 
 /// Accepted blocks of earlier checks on one arena.
@@ -94,7 +108,7 @@ impl BlockMemo {
         &mut self,
         program: &Program,
         start: i64,
-        pre: &CodeTy,
+        pre: &Arc<CodeTy>,
         code: &[Instr],
     ) -> Option<usize> {
         let walked = self.by_start.get(&start).and_then(|entries| {
@@ -102,10 +116,14 @@ impl BlockMemo {
                 .iter()
                 .find(|e| {
                     *e.code == *code
-                        && e.pre == *pre
+                        && same_pre(&e.pre, pre)
                         && e.reads
                             .iter()
-                            .all(|(a, t)| program.precond(*a) == t.as_ref())
+                            .all(|(a, then)| match (program.preconds.get(a), then) {
+                                (Some(now), Some(then)) => same_pre(now, then),
+                                (None, None) => true,
+                                _ => false,
+                            })
                 })
                 .map(|e| e.walked)
         });
@@ -124,7 +142,7 @@ impl BlockMemo {
     pub(crate) fn store(
         &mut self,
         start: i64,
-        pre: &CodeTy,
+        pre: &Arc<CodeTy>,
         code: &[Instr],
         psi: Psi<'_>,
         walked: usize,
@@ -138,10 +156,10 @@ impl BlockMemo {
         addrs.dedup();
         let reads = addrs
             .into_iter()
-            .map(|a| (a, program.precond(a).cloned()))
+            .map(|a| (a, program.preconds.get(&a).cloned()))
             .collect();
         self.by_start.entry(start).or_default().push(Entry {
-            pre: pre.clone(),
+            pre: Arc::clone(pre),
             code: code.into(),
             reads,
             walked,
@@ -154,7 +172,7 @@ impl BlockMemo {
 mod tests {
     use super::*;
     use crate::check_program;
-    use talft_isa::assemble;
+    use talft_isa::{assemble, assemble_into, OpSrc};
 
     const LOOP: &str = r#"
 .code
@@ -193,6 +211,38 @@ loop:
         assert_eq!(warm, cold, "a hit reports the same blocks and instructions");
         assert_eq!((memo(&asm.arena).hits, memo(&asm.arena).misses), (2, 2));
         assert_eq!(asm.arena.entail_cache_stats(), queries);
+    }
+
+    #[test]
+    fn a_clone_hits_through_its_shared_preconditions() {
+        let mut asm = assemble(LOOP).expect("assembles");
+        check_program(&asm.program, &mut asm.arena).expect("well-typed");
+        // Change `sub r1, r1, G 1` in `loop`; `main` is untouched.
+        let mut other = asm.program.clone();
+        let Instr::Op { src2, .. } = &mut other.instrs[2] else {
+            panic!("sub at 3");
+        };
+        *src2 = OpSrc::Imm(talft_isa::CVal::green(2));
+        assert!(Arc::ptr_eq(&other.preconds[&1], &asm.program.preconds[&1]));
+        check_program(&other, &mut asm.arena).expect_err("r1 and r2 disagree");
+        assert_eq!((memo(&asm.arena).hits, memo(&asm.arena).misses), (1, 3));
+    }
+
+    #[test]
+    fn a_reassembled_program_hits_by_value() {
+        // Every precondition names its memory variable, so assembling the
+        // source again into the same arena builds equal preconditions in
+        // new allocations.
+        let mut arena = ExprArena::new();
+        let (first, _) = assemble_into(LOOP, &mut arena).expect("assembles");
+        check_program(&first, &mut arena).expect("well-typed");
+        let (again, _) = assemble_into(LOOP, &mut arena).expect("assembles");
+        for (a, t) in &again.preconds {
+            assert_eq!(**t, *first.preconds[a]);
+            assert!(!Arc::ptr_eq(t, &first.preconds[a]));
+        }
+        check_program(&again, &mut arena).expect("well-typed");
+        assert_eq!((memo(&arena).hits, memo(&arena).misses), (2, 2));
     }
 
     #[test]

@@ -31,10 +31,12 @@
 //! Label-address immediates are written `@label` (`mov r1, G @loop`).
 //! Precondition defaults per label: `d : (G,int,0)`, `pcG/pcB : (c,int,addr)`,
 //! `queue: []`, and a fresh universally-quantified memory variable if `mem:`
-//! is omitted. GPRs not mentioned are `top`.
+//! is omitted. GPRs not mentioned are `top`. Static expressions and basic
+//! types nest at most [`MAX_NESTING`] levels deep.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use talft_logic::{BinOp, ExprArena, ExprId, Kind};
 
@@ -46,6 +48,16 @@ use crate::ty::{BasicTy, CodeTy, FactAnn, RegFileTy, RegTy, ValTy};
 
 /// Default GPR count for assembled programs without a `.gprs` directive.
 pub const DEFAULT_GPRS: u16 = 64;
+
+/// How deeply a precondition may nest: parentheses and `sel`/`upd`/operator
+/// calls in a static expression, parentheses in a basic type, and the
+/// `ref`s of one basic type. The parser, the arena's expression walks and
+/// the checker recurse over these, so past the limit the assembler stops
+/// with an [`AsmError`] instead of exhausting the stack. A program at the
+/// limit assembles and checks on a 2 MiB thread in an unoptimized build;
+/// committed `.talft` files and printed compiled kernels nest at most one
+/// level deep.
+pub const MAX_NESTING: usize = 128;
 
 /// Result of assembling: the program plus the arena owning its expressions.
 #[derive(Debug)]
@@ -393,7 +405,7 @@ impl<'a> Assembler<'a> {
                 Item::Instr { line, toks } => {
                     if let Some((pl, pt)) = pending_pre.take() {
                         let pre = self.parse_precond(pl, &pt, &labels, current_addr)?;
-                        program.preconds.insert(current_addr, pre);
+                        program.preconds.insert(current_addr, Arc::new(pre));
                     }
                     let instr = self.parse_instr(line, &toks, &labels)?;
                     program.instrs.push(instr);
@@ -433,6 +445,7 @@ impl<'a> Assembler<'a> {
             pos: 0,
             line,
             labels,
+            depth: 0,
         };
         p.expect_ident("region")?;
         let name = p.ident()?;
@@ -477,6 +490,7 @@ impl<'a> Assembler<'a> {
             pos: 0,
             line,
             labels,
+            depth: 0,
         };
         let mn = p.ident()?;
         let instr = match mn.as_str() {
@@ -542,6 +556,7 @@ impl<'a> Assembler<'a> {
             pos: 0,
             line,
             labels,
+            depth: 0,
         };
         p.expect("{")?;
         while p.peek_punct(";") {
@@ -662,6 +677,8 @@ struct Parser<'t, 'a> {
     pos: usize,
     line: usize,
     labels: &'t BTreeMap<String, i64>,
+    /// Parentheses and calls the parser is inside of ([`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser<'_, '_> {
@@ -705,6 +722,20 @@ impl Parser<'_, '_> {
 
     fn peek_gpr(&self) -> bool {
         matches!(self.peek(), Some(Tok::Ident(w)) if Reg::parse(w).is_some())
+    }
+
+    /// Parse `f` one level deeper (inside parentheses or a call).
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, AsmError>,
+    ) -> Result<T, AsmError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let t = f(self);
+        self.depth -= 1;
+        t
     }
 
     fn expect(&mut self, p: &str) -> Result<(), AsmError> {
@@ -773,7 +804,7 @@ impl Parser<'_, '_> {
     fn basic_ty(&mut self) -> Result<BasicTy, AsmError> {
         let mut t = if self.peek_punct("(") {
             self.expect("(")?;
-            let t = self.basic_ty()?;
+            let t = self.nested(Self::basic_ty)?;
             self.expect(")")?;
             t
         } else {
@@ -792,8 +823,13 @@ impl Parser<'_, '_> {
                 other => return Err(self.err(format!("unknown basic type {other}"))),
             }
         };
+        let mut refs = std::iter::successors(Some(&t), |b| b.deref()).count() - 1;
         while self.peek_ident("ref") {
             self.ident()?;
+            refs += 1;
+            if refs > MAX_NESTING {
+                return Err(self.err(format!("more than {MAX_NESTING} `ref`s in one basic type")));
+            }
             t = t.reference();
         }
         Ok(t)
@@ -918,11 +954,11 @@ impl Parser<'_, '_> {
     fn atom(&mut self) -> Result<ExprId, AsmError> {
         match self.next()? {
             Tok::Int(n) => Ok(self.arena.int(n)),
-            Tok::Punct("(") => {
-                let e = self.expr()?;
-                self.expect(")")?;
+            Tok::Punct("(") => self.nested(|p| {
+                let e = p.expr()?;
+                p.expect(")")?;
                 Ok(e)
-            }
+            }),
             Tok::Punct("@") => {
                 let l = self.ident()?;
                 let addr = self
@@ -934,32 +970,34 @@ impl Parser<'_, '_> {
             }
             Tok::Ident(w) => match w.as_str() {
                 "emp" => Ok(self.arena.emp()),
-                "sel" => {
-                    self.expect("(")?;
-                    let m = self.expr()?;
-                    self.expect(",")?;
-                    let a = self.expr()?;
-                    self.expect(")")?;
-                    Ok(self.arena.sel(m, a))
-                }
-                "upd" => {
-                    self.expect("(")?;
-                    let m = self.expr()?;
-                    self.expect(",")?;
-                    let a = self.expr()?;
-                    self.expect(",")?;
-                    let v = self.expr()?;
-                    self.expect(")")?;
-                    Ok(self.arena.upd(m, a, v))
-                }
+                "sel" => self.nested(|p| {
+                    p.expect("(")?;
+                    let m = p.expr()?;
+                    p.expect(",")?;
+                    let a = p.expr()?;
+                    p.expect(")")?;
+                    Ok(p.arena.sel(m, a))
+                }),
+                "upd" => self.nested(|p| {
+                    p.expect("(")?;
+                    let m = p.expr()?;
+                    p.expect(",")?;
+                    let a = p.expr()?;
+                    p.expect(",")?;
+                    let v = p.expr()?;
+                    p.expect(")")?;
+                    Ok(p.arena.upd(m, a, v))
+                }),
                 f if BinOp::from_mnemonic(f).is_some() && self.peek_punct("(") => {
                     let op = BinOp::from_mnemonic(f).expect("checked");
-                    self.expect("(")?;
-                    let a = self.expr()?;
-                    self.expect(",")?;
-                    let b = self.expr()?;
-                    self.expect(")")?;
-                    Ok(self.arena.bin(op, a, b))
+                    self.nested(|p| {
+                        p.expect("(")?;
+                        let a = p.expr()?;
+                        p.expect(",")?;
+                        let b = p.expr()?;
+                        p.expect(")")?;
+                        Ok(p.arena.bin(op, a, b))
+                    })
                 }
                 name => Ok(self.arena.var(name)),
             },

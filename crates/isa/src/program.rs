@@ -10,6 +10,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use talft_logic::ExprArena;
 
@@ -63,15 +64,20 @@ impl Region {
 ///
 /// Static expressions inside preconditions live in an external
 /// [`ExprArena`] (returned alongside the program by the assembler and the
-/// compiler), so the program itself stays cheaply cloneable.
+/// compiler), and the preconditions themselves are shared and
+/// copy-on-write, so the program stays cheaply cloneable: a clone copies
+/// the instructions, labels and regions and takes one more reference to
+/// each precondition. Nothing changes a shared [`CodeTy`] in place;
+/// [`Arc::make_mut`] copies it first.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     /// Instructions; address `n` (1-based) is `instrs[n-1]`.
     pub instrs: Vec<Instr>,
     /// Label name → code address.
     pub labels: BTreeMap<String, i64>,
-    /// Code-type preconditions at labeled addresses (`Ψ` on code).
-    pub preconds: BTreeMap<i64, CodeTy>,
+    /// Code-type preconditions at labeled addresses (`Ψ` on code), shared
+    /// between clones.
+    pub preconds: BTreeMap<i64, Arc<CodeTy>>,
     /// Typed data regions (`Ψ` on data + initial `M`).
     pub regions: Vec<Region>,
     /// Number of general-purpose registers the program assumes.
@@ -105,7 +111,7 @@ impl Program {
     /// The precondition at a labeled address.
     #[must_use]
     pub fn precond(&self, addr: i64) -> Option<&CodeTy> {
-        self.preconds.get(&addr)
+        self.preconds.get(&addr).map(Arc::as_ref)
     }
 
     /// The address of a label.
@@ -338,7 +344,7 @@ mod tests {
             ..Program::default()
         };
         p.labels.insert("main".into(), 1);
-        p.preconds.insert(1, trivial_precond(arena));
+        p.preconds.insert(1, Arc::new(trivial_precond(arena)));
         p
     }
 
@@ -507,7 +513,7 @@ mod tests {
         let mut arena = ExprArena::new();
         let mut p = tiny_program(&mut arena);
         // mem expression of kind int
-        let t = p.preconds.get_mut(&1).unwrap();
+        let t = Arc::make_mut(p.preconds.get_mut(&1).unwrap());
         t.mem = arena.int(5);
         assert!(matches!(
             p.validate(&arena),

@@ -18,6 +18,8 @@
 //! (enforced structurally), and each is exercised by the productivity test
 //! in `tests/productivity.rs` so the catalog cannot silently rot.
 
+use std::sync::Arc;
+
 use talft_isa::{CVal, CodeTy, Color, Instr, OpSrc, Program};
 use talft_logic::{ExprArena, Kind};
 
@@ -262,7 +264,7 @@ impl MutationOp {
                         color: Color::Blue, ..
                     } if !p.preconds.contains_key(&addr) => {
                         let mut q = p.clone();
-                        q.preconds.insert(addr, trivial_precond(arena));
+                        q.preconds.insert(addr, Arc::new(trivial_precond(arena)));
                         q.labels.insert(format!("__split_{addr}"), addr);
                         Some((q, format!("block boundary inserted before `{instr}`")))
                     }
@@ -312,23 +314,13 @@ pub struct Mutant {
 /// crucially — *code-label immediates* (constants whose value names a block
 /// start in the original program). Without the immediate remap a deletion
 /// would break every branch target after the site, and the checker would be
-/// rejecting address arithmetic rather than the lost protection.
+/// rejecting address arithmetic rather than the lost protection. The
+/// preconditions are the parent's own, re-keyed.
 fn delete_instr(p: &Program, addr: i64) -> Program {
     let shift = |a: i64| if a > addr { a - 1 } else { a };
-    let mut q = p.clone();
-    q.instrs.remove((addr - 1) as usize);
-    q.labels = p
-        .labels
-        .iter()
-        .map(|(n, &a)| (n.clone(), shift(a)))
-        .collect();
-    q.preconds = p
-        .preconds
-        .iter()
-        .map(|(&a, t)| (shift(a), t.clone()))
-        .collect();
-    q.entry = shift(p.entry);
-    for ins in &mut q.instrs {
+    let mut instrs = p.instrs.clone();
+    instrs.remove((addr - 1) as usize);
+    for ins in &mut instrs {
         match ins {
             Instr::Mov { v, .. }
             | Instr::Op {
@@ -338,7 +330,22 @@ fn delete_instr(p: &Program, addr: i64) -> Program {
             _ => {}
         }
     }
-    q
+    Program {
+        instrs,
+        labels: p
+            .labels
+            .iter()
+            .map(|(n, &a)| (n.clone(), shift(a)))
+            .collect(),
+        preconds: p
+            .preconds
+            .iter()
+            .map(|(&a, t)| (shift(a), Arc::clone(t)))
+            .collect(),
+        regions: p.regions.clone(),
+        num_gprs: p.num_gprs,
+        entry: shift(p.entry),
+    }
 }
 
 /// The most recent `stG` before instruction index `i` within the same
@@ -409,8 +416,8 @@ mod tests {
     fn toy() -> Program {
         let mut preconds = BTreeMap::new();
         let mut arena = ExprArena::default();
-        preconds.insert(1, trivial_precond(&mut arena));
-        preconds.insert(3, trivial_precond(&mut arena));
+        preconds.insert(1, Arc::new(trivial_precond(&mut arena)));
+        preconds.insert(3, Arc::new(trivial_precond(&mut arena)));
         let mut labels = BTreeMap::new();
         labels.insert("main".into(), 1);
         labels.insert("next".into(), 3);

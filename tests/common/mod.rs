@@ -1,16 +1,45 @@
 //! Helpers shared by the root integration tests.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use talft::isa::{CVal, CodeTy, FactAnn, Gpr, Instr, OpSrc, Program, RegTy, ValTy};
 use talft::logic::{ExprArena, ExprId, ExprNode};
 use talft_testutil::SplitMix64;
+
+/// 64-bit FNV-1a, for the pin tests.
+#[allow(dead_code)] // not every test binary that includes this module uses it
+pub struct Fnv(pub u64);
+
+#[allow(dead_code)]
+impl Fnv {
+    pub fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// One named part; the separator keeps adjacent parts from sliding
+    /// into each other.
+    pub fn part(&mut self, name: &str, text: &str) {
+        self.write(name.as_bytes());
+        self.write(&[0]);
+        self.write(text.as_bytes());
+        self.write(&[0xff]);
+    }
+}
 
 /// A random single-instruction mutation of `program` — a changed
 /// register, a flipped color, a perturbed immediate or a st/ld swap, the
 /// space of plausible compiler bugs — or `None` when the drawn edit does
 /// not apply to the drawn instruction. Mutations add no expressions, so
 /// the mutant is valid against any arena the original was compiled into.
+#[allow(dead_code)]
 pub fn mutate(program: &Program, rng: &mut SplitMix64) -> Option<Program> {
     let mut p = program.clone();
     let idx = rng.index(p.instrs.len());
@@ -73,7 +102,7 @@ pub fn on_fresh_arena(program: &Program, arena: &ExprArena) -> (Program, ExprAre
     };
     let mut p = program.clone();
     for pre in p.preconds.values_mut() {
-        *pre = copy.code_ty(pre);
+        *pre = Arc::new(copy.code_ty(pre));
     }
     (p, copy.to)
 }

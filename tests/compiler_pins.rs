@@ -23,35 +23,13 @@ use talft::suite::{kernels, Scale};
 use talft_testutil::wile::{random_stmts, render_program};
 use talft_testutil::SplitMix64;
 
+mod common;
+use common::Fnv;
+
 /// Seed of the generated programs.
 const WILE_SEED: u64 = 0x9135_F00D;
 /// How many generated programs are pinned.
 const WILE_PROGRAMS: usize = 40;
-
-/// 64-bit FNV-1a.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    /// One named part; the separator keeps adjacent parts from sliding
-    /// into each other.
-    fn part(&mut self, name: &str, text: &str) {
-        self.write(name.as_bytes());
-        self.write(&[0]);
-        self.write(text.as_bytes());
-        self.write(&[0xff]);
-    }
-}
 
 fn fingerprint(c: &Compiled) -> u64 {
     let mut h = Fnv::new();
