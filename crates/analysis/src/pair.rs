@@ -55,8 +55,7 @@
 //! [`cross_validate_pairs`](crate::diff::cross_validate_pairs) checks
 //! against exhaustive and sampled k=2 campaign grids.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::rc::Rc;
+use std::collections::{BTreeMap, HashMap};
 
 use talft_core::Diagnostic;
 use talft_isa::Program;
@@ -66,7 +65,7 @@ use crate::cfg::Cfg;
 use crate::lint::LINT_PAIR_HOTSPOT;
 use crate::live::liveness;
 use crate::zap::{
-    analyze_zaps_with, queue_pessimism, run_lanes, too_wide, Ctx, Record, Side, Taint, Touch, Vuln,
+    analyze_zaps_with, queue_pessimism, run_lanes, too_wide, Ctx, Taint, Touch, Union, Vuln,
     VulnKind, ZapClass, ZapReport,
 };
 
@@ -197,11 +196,18 @@ pub struct PairVerdict {
 }
 
 /// Phase-1 summary of one cell's solo taint run (its class lives in the
-/// k=1 report; `run_lanes` on the same seed reproduces it).
+/// k=1 report), and the memo of the compositions that strike it second.
 struct Summary {
-    touches: BTreeSet<Touch>,
-    /// Entry-state may-taint wherever the cell's corruption survives.
-    reach: BTreeMap<i64, Taint>,
+    cell: Cell,
+    /// Sorted and deduplicated.
+    touches: Box<[Touch]>,
+    /// Entry-state may-taint wherever the cell's corruption survives, by
+    /// ascending address.
+    reach: Box<[(i64, Taint)]>,
+    /// Composition results with this cell struck second, by the first
+    /// cell's residual taint at its address, ascending. The residual, this
+    /// cell's address and its seed are all a composition depends on.
+    composed: Vec<(Taint, Option<Vuln>)>,
 }
 
 /// The pair-fault analyzer: owns the CFG, the k=1 report, and memoized
@@ -211,9 +217,9 @@ pub struct PairAnalyzer<'a> {
     cfg: Cfg,
     pessimistic: Vec<bool>,
     k1: ZapReport,
-    summaries: HashMap<Cell, Rc<Summary>>,
-    /// Composition results keyed by the only state they depend on.
-    composed: HashMap<(Taint, i64, Taint), Option<Vuln>>,
+    summaries: Vec<Summary>,
+    /// Each summarized cell's index in `summaries`.
+    summary_of: HashMap<Cell, usize>,
     /// Two-lane fixpoints actually run (memo misses) — a cost diagnostic.
     fixpoints: u64,
 }
@@ -235,8 +241,8 @@ impl<'a> PairAnalyzer<'a> {
             cfg,
             pessimistic,
             k1,
-            summaries: HashMap::new(),
-            composed: HashMap::new(),
+            summaries: Vec::new(),
+            summary_of: HashMap::new(),
             fixpoints: 0,
         }
     }
@@ -258,20 +264,24 @@ impl<'a> PairAnalyzer<'a> {
     pub fn cells(&self) -> Vec<Cell> {
         let mut v = Vec::new();
         v.extend(self.k1.pc.keys().map(|&addr| Cell::Pc { addr }));
-        v.extend(self.k1.dst.keys().map(|&addr| Cell::D { addr }));
-        v.extend(
-            self.k1
-                .gpr
-                .keys()
-                .map(|&(addr, reg)| Cell::Gpr { addr, reg }),
-        );
-        v.extend(
-            self.k1
-                .queue
-                .keys()
-                .map(|&(addr, slot)| Cell::Queue { addr, slot }),
-        );
+        v.extend(self.data_cells().map(|(c, _)| c));
         v
+    }
+
+    /// Every classified data cell (all but pc cells) with its k=1 class,
+    /// in [`PairAnalyzer::cells`] order.
+    fn data_cells(&self) -> impl Iterator<Item = (Cell, ZapClass)> + '_ {
+        let k1 = &self.k1;
+        let dst = k1.dst.iter().map(|(&addr, &c)| (Cell::D { addr }, c));
+        let gpr = k1
+            .gpr
+            .iter()
+            .map(|(&(addr, reg), &c)| (Cell::Gpr { addr, reg }, c));
+        let queue = k1
+            .queue
+            .iter()
+            .map(|(&(addr, slot), &c)| (Cell::Queue { addr, slot }, c));
+        dst.chain(gpr).chain(queue)
     }
 
     /// The cell's k=1 class, when the static grid covers it.
@@ -312,48 +322,56 @@ impl<'a> PairAnalyzer<'a> {
         }
     }
 
-    fn summary(&mut self, cell: Cell) -> Rc<Summary> {
-        if let Some(s) = self.summaries.get(&cell) {
-            return Rc::clone(s);
+    /// The index of `cell`'s summary, running its phase-1 fixpoint first
+    /// if needed.
+    fn summary(&mut self, cell: Cell) -> usize {
+        if let Some(&s) = self.summary_of.get(&cell) {
+            return s;
         }
         let seed = Self::seed(cell).expect("summaries only for data cells");
         SUMMARY_RUNS.inc();
-        let run = run_lanes::<1>(
-            &self.ctx(),
-            cell.addr(),
-            [seed],
-            Record {
-                touches: true,
-                reach: true,
-            },
-        );
-        let s = Rc::new(Summary {
-            touches: run.touches.into_iter().collect(),
-            reach: run.reach.into_iter().map(|(a, [t])| (a, t)).collect(),
+        let mut obs = Union {
+            touches: Some(Vec::new()),
+            ..Union::default()
+        };
+        let reach = run_lanes(&self.ctx(), cell.addr(), [seed], &mut obs, true);
+        let mut touches = obs.touches.expect("recorded");
+        touches.sort_unstable();
+        touches.dedup();
+        self.summaries.push(Summary {
+            cell,
+            touches: touches.into(),
+            reach: reach.into_iter().map(|(a, [t])| (a, t)).collect(),
+            composed: Vec::new(),
         });
-        self.summaries.insert(cell, Rc::clone(&s));
-        s
+        self.summary_of.insert(cell, self.summaries.len() - 1);
+        self.summaries.len() - 1
     }
 
-    /// Phase 2 for one ordered `(first strike, second strike)`: seed a
-    /// two-lane run at the second address with the first cell's residual
-    /// reach. `None` when the strikes cannot interact (rule c).
-    fn compose(&mut self, first: Cell, second: Cell) -> Option<Vuln> {
-        let residual = *self.summary(first).reach.get(&second.addr())?;
-        let seed2 = Self::seed(second)?;
-        let key = (residual, second.addr(), seed2);
-        if let Some(&v) = self.composed.get(&key) {
-            return v;
-        }
-        let run = run_lanes::<2>(
-            &self.ctx(),
-            second.addr(),
-            [residual, seed2],
-            Record::default(),
-        );
+    /// Phase 2 for one ordered `(first strike, second strike)` of
+    /// summarized cells: seed a two-lane run at the second address with
+    /// the first cell's residual reach. `None` when the strikes cannot
+    /// interact (rule c).
+    fn compose(&mut self, first: usize, second: usize) -> Option<Vuln> {
+        let addr = self.summaries[second].cell.addr();
+        let reach = &self.summaries[first].reach;
+        let residual = reach[reach.binary_search_by_key(&addr, |&(a, _)| a).ok()?].1;
+        let pos = match self.summaries[second]
+            .composed
+            .binary_search_by(|(r, _)| r.cmp(&residual))
+        {
+            Ok(k) => return self.summaries[second].composed[k].1,
+            Err(k) => k,
+        };
+        let seed =
+            Self::seed(self.summaries[second].cell).expect("summarized cells are data cells");
+        let mut obs = Union::default();
+        run_lanes(&self.ctx(), addr, [residual, seed], &mut obs, false);
         self.fixpoints += 1;
-        self.composed.insert(key, run.vuln);
-        run.vuln
+        self.summaries[second]
+            .composed
+            .insert(pos, (residual, obs.vuln));
+        obs.vuln
     }
 
     fn rule_of(v: Vuln, first: Cell, second: Cell) -> PairRule {
@@ -361,10 +379,10 @@ impl<'a> PairAnalyzer<'a> {
             VulnKind::StoreCompare | VulnKind::JmpCompare | VulnKind::BzCompare => {
                 // The strike *on* the detector state is the green lane: a
                 // queue-slot cell at stB, or the d latch at jmpB/bzB.
-                let detector = |c: Cell, lanes: u8, bit: u8| {
-                    lanes & bit != 0 && matches!(c, Cell::Queue { .. } | Cell::D { .. })
+                let detector = |c: Cell, lane: u64| {
+                    v.green & lane != 0 && matches!(c, Cell::Queue { .. } | Cell::D { .. })
                 };
-                if detector(first, v.green, 1) || detector(second, v.green, 2) {
+                if detector(first, 1) || detector(second, 2) {
                     PairRule::DetectorStrike { at: v.at }
                 } else {
                     PairRule::OppositeSides { at: v.at }
@@ -430,10 +448,10 @@ impl<'a> PairAnalyzer<'a> {
         }
         let sa = self.summary(a);
         let sb = self.summary(b);
-        if !opposite_overlap(&sa.touches, &sb.touches) {
+        if !opposite_overlap(&self.summaries[sa].touches, &self.summaries[sb].touches) {
             return Some(safe);
         }
-        Some(match self.cooperate(a, b) {
+        Some(match self.cooperate(sa, sb) {
             Some(rule) => PairVerdict {
                 class: PairClass::Vulnerable,
                 rule: Some(rule),
@@ -442,13 +460,15 @@ impl<'a> PairAnalyzer<'a> {
         })
     }
 
-    /// Compose a screen-passing pair in both strike orders, `a` first
-    /// then `b` first; the first defeat found names the rule.
-    fn cooperate(&mut self, a: Cell, b: Cell) -> Option<PairRule> {
+    /// Compose a screen-passing pair of summarized cells in both strike
+    /// orders, `a` first then `b` first; the first defeat found names the
+    /// rule.
+    fn cooperate(&mut self, a: usize, b: usize) -> Option<PairRule> {
+        let (ca, cb) = (self.summaries[a].cell, self.summaries[b].cell);
         if let Some(v) = self.compose(a, b) {
-            return Some(Self::rule_of(v, a, b));
+            return Some(Self::rule_of(v, ca, cb));
         }
-        self.compose(b, a).map(|v| Self::rule_of(v, b, a))
+        self.compose(b, a).map(|v| Self::rule_of(v, cb, ca))
     }
 
     /// Enumerate and classify **every** unordered cell pair (same-cell
@@ -463,33 +483,30 @@ impl<'a> PairAnalyzer<'a> {
         if report.bailed.is_some() {
             return report;
         }
-        let cells = self.cells();
-        let mut pc_cells = 0u64;
-        let mut vuln_cells = 0u64;
-        // Safe data cells bucketed by (class, touch signature): every
-        // member composes identically at the screen level.
-        let mut groups: BTreeMap<(ZapClass, Vec<Touch>), Vec<Cell>> = BTreeMap::new();
-        for &c in &cells {
-            if matches!(c, Cell::Pc { .. }) {
-                pc_cells += 1;
-                continue;
-            }
-            let class = self.k1_class(c).expect("enumerated cells are classified");
-            let sig: Vec<Touch> = match class {
-                ZapClass::Vulnerable => {
-                    vuln_cells += 1;
-                    continue;
+        let pc_cells = self.k1.pc.len() as u64;
+        let (mut benign_cells, mut vuln_cells) = (0u64, 0u64);
+        // k=1-Detected cells bucketed by touch signature (their summaries'
+        // indices): every member composes identically at the screen level.
+        // A Benign cell met no compare, so it has no touch and no summary,
+        // and no pair with it is a candidate.
+        let mut groups: BTreeMap<Box<[Touch]>, Vec<usize>> = BTreeMap::new();
+        let data: Vec<(Cell, ZapClass)> = self.data_cells().collect();
+        for &(c, class) in &data {
+            match class {
+                ZapClass::Vulnerable => vuln_cells += 1,
+                ZapClass::Benign => benign_cells += 1,
+                ZapClass::Detected => {
+                    let s = self.summary(c);
+                    let sig = self.summaries[s].touches.clone();
+                    groups.entry(sig).or_default().push(s);
                 }
-                // No compare met, so no touch: no summary needed.
-                ZapClass::Benign => Vec::new(),
-                ZapClass::Detected => self.summary(c).touches.iter().copied().collect(),
-            };
-            groups.entry((class, sig)).or_default().push(c);
+            }
         }
-        report.cells = cells.len();
-        let n = cells.len() as u64;
+        report.cells = self.k1.pc.len() + data.len();
+        let n = report.cells as u64;
         report.pairs = n * (n + 1) / 2;
         let safe_cells = n - pc_cells - vuln_cells;
+        let detected_cells = safe_cells - benign_cells;
         // pc/pc: conservatively vulnerable (fetch re-equalization).
         report.vulnerable += pc_cells * (pc_cells + 1) / 2;
         // pc/safe: exactly as dangerous as the safe member alone.
@@ -498,32 +515,26 @@ impl<'a> PairAnalyzer<'a> {
         report.single_vulnerable =
             vuln_cells * (vuln_cells + 1) / 2 + vuln_cells * (safe_cells + pc_cells);
         report.vulnerable += report.single_vulnerable;
-        // Safe × safe, group-wise.
-        let keys: Vec<(ZapClass, Vec<Touch>)> = groups.keys().cloned().collect();
-        for (i, ki) in keys.iter().enumerate() {
-            for kj in keys.iter().skip(i) {
-                let (gi, gj) = (&groups[ki], &groups[kj]);
-                let count = if ki == kj {
-                    let g = gi.len() as u64;
-                    g * (g + 1) / 2
-                } else {
-                    gi.len() as u64 * gj.len() as u64
-                };
-                let safe_class = if ki.0 == ZapClass::Detected || kj.0 == ZapClass::Detected {
-                    ZapClass::Detected
-                } else {
-                    ZapClass::Benign
-                };
-                let sig_i: BTreeSet<Touch> = ki.1.iter().copied().collect();
-                let sig_j: BTreeSet<Touch> = kj.1.iter().copied().collect();
-                if !opposite_overlap(&sig_i, &sig_j) {
-                    report.tally_safe(safe_class, count);
+        // Safe pairs with a Benign member.
+        report.benign += benign_cells * (benign_cells + 1) / 2;
+        report.detected += benign_cells * detected_cells;
+        // Detected × Detected, group-wise.
+        let groups: Vec<(Box<[Touch]>, Vec<usize>)> = groups.into_iter().collect();
+        for (i, (sig_i, gi)) in groups.iter().enumerate() {
+            for (j, (sig_j, gj)) in groups.iter().enumerate().skip(i) {
+                if !opposite_overlap(sig_i, sig_j) {
+                    report.detected += if i == j {
+                        let g = gi.len() as u64;
+                        g * (g + 1) / 2
+                    } else {
+                        gi.len() as u64 * gj.len() as u64
+                    };
                     continue;
                 }
-                // Candidates: the group keys already fix both classes,
+                // Candidates: the signatures already fix both classes,
                 // pc-ness and the screen, so compose each pair directly.
                 for (x, &a) in gi.iter().enumerate() {
-                    let from = if ki == kj { x } else { 0 };
+                    let from = if i == j { x } else { 0 };
                     for &b in &gj[from..] {
                         match self.cooperate(a, b) {
                             Some(rule) => {
@@ -531,10 +542,11 @@ impl<'a> PairAnalyzer<'a> {
                                 report.cooperative += 1;
                                 if let Some(at) = rule.compare_addr() {
                                     *report.per_compare.entry(at).or_insert(0) += 1;
-                                    report.witness.entry(at).or_insert((a, b));
+                                    let cells = (self.summaries[a].cell, self.summaries[b].cell);
+                                    report.witness.entry(at).or_insert(cells);
                                 }
                             }
-                            None => report.tally_safe(safe_class, 1),
+                            None => report.detected += 1,
                         }
                     }
                 }
@@ -545,17 +557,18 @@ impl<'a> PairAnalyzer<'a> {
     }
 }
 
-/// Do two touch sets share a compare with opposite sides?
-fn opposite_overlap(a: &BTreeSet<Touch>, b: &BTreeSet<Touch>) -> bool {
-    let (small, big) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    small.iter().any(|t| {
-        big.contains(&Touch {
-            at: t.at,
-            side: match t.side {
-                Side::Green => Side::Blue,
-                Side::Blue => Side::Green,
-            },
-        })
+/// Do two sorted touch sets share a compare with opposite sides? One merge
+/// over both: a set holds at most two touches of one compare.
+fn opposite_overlap(a: &[Touch], b: &[Touch]) -> bool {
+    let mut j = 0;
+    a.iter().any(|t| {
+        while b.get(j).is_some_and(|u| u.at < t.at) {
+            j += 1;
+        }
+        b[j..]
+            .iter()
+            .take_while(|u| u.at == t.at)
+            .any(|u| u.side != t.side)
     })
 }
 
@@ -588,13 +601,6 @@ pub struct PairReport {
 }
 
 impl PairReport {
-    fn tally_safe(&mut self, class: ZapClass, count: u64) {
-        match class {
-            ZapClass::Detected => self.detected += count,
-            _ => self.benign += count,
-        }
-    }
-
     /// Fraction of pairs provably safe (Detected + Benign) — the static
     /// k=2 coverage. 1.0 for an empty report.
     #[must_use]
@@ -778,7 +784,8 @@ main:
                 let mut benign = 0;
                 for cell in pa.cells() {
                     if pa.k1_class(cell) == Some(ZapClass::Benign) {
-                        assert!(pa.summary(cell).touches.is_empty(), "{}: {cell}", k.name);
+                        let s = pa.summary(cell);
+                        assert!(pa.summaries[s].touches.is_empty(), "{}: {cell}", k.name);
                         benign += 1;
                     }
                 }

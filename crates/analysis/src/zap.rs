@@ -47,15 +47,24 @@
 //! compare events whatever the worklist order. Walking addresses from
 //! high to low makes `(a + 1, r)` known when `(a, r)` is asked.
 //!
-//! The transfer function is **lane-generic**: the same may-taint semantics
-//! propagate `L` independently-seeded taints in lockstep, with every
-//! compare check taken over the lane *union*. `L = 1` is the classic k=1
-//! classifier above; `L = 2` is the composition step of the pair-fault
-//! analyzer ([`crate::pair`]), where the union check is exactly the
-//! cooperation condition — two one-sided taints meeting opposite sides of
-//! one compare.
+//! The remaining cells run **in batches of 64**: one worklist fixpoint
+//! over a bit-sliced state, one `u64` lane mask per register, one for `d`
+//! and one per queue slot at every address, lane `i` seeded with the
+//! batch's `i`-th cell. A k=1 cell's run is a universe of its own: its
+//! checks read its own lane only, so lanes never interact, and each
+//! lane's class depends only on its least fixpoint, not on the order the
+//! shared worklist visits addresses in.
+//!
+//! The taint rules exist once, in `transfer`, generic over the lane
+//! representation (`Lanes`: the bit-sliced batch state, or an array of
+//! per-lane `Taint`s) and over how compare checks read the lanes
+//! (`Observe`): each lane alone for batched k=1 cells, or the lane
+//! **union** for one dynamic state carrying several corruptions at once.
+//! The union form is the composition step of the pair-fault analyzer
+//! ([`crate::pair`]), where the union check is exactly the cooperation
+//! condition: two one-sided taints meeting opposite sides of one compare.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use talft_isa::{Color, Gpr, Instr, OpSrc, Program};
 use talft_obs::LazyCounter;
@@ -67,6 +76,10 @@ use crate::pair::Cell;
 
 static ZAP_RUNS: LazyCounter = LazyCounter::new("analysis.zap.runs");
 static ZAP_CHAINED: LazyCounter = LazyCounter::new("analysis.zap.chained");
+static ZAP_BATCHES: LazyCounter = LazyCounter::new("analysis.zap.batches");
+
+/// Cells per batched fixpoint: one lane per bit of a `u64` mask.
+const LANES: usize = 64;
 
 /// Static verdict for one (address, site) cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -195,22 +208,6 @@ impl Taint {
             queue: self.queue | o.queue,
         }
     }
-
-    fn tr(self, g: Gpr) -> bool {
-        self.regs.test(g.0)
-    }
-
-    fn set(&mut self, g: Gpr, tainted: bool) {
-        if tainted {
-            self.regs.set(g.0);
-        } else {
-            self.regs.clear(g.0);
-        }
-    }
-
-    fn clear(&mut self, g: Gpr) {
-        self.set(g, false);
-    }
 }
 
 #[inline]
@@ -262,10 +259,11 @@ pub(crate) struct Vuln {
     pub at: i64,
     /// What was defeated.
     pub kind: VulnKind,
-    /// Lanes contributing the green/compare-state side.
-    pub green: u8,
-    /// Lanes contributing the blue/register side.
-    pub blue: u8,
+    /// Lanes contributing the green/compare-state side (for an escape,
+    /// the lanes whose taint escapes).
+    pub green: u64,
+    /// Lanes contributing the blue/register side (none for an escape).
+    pub blue: u64,
 }
 
 /// Build the CFG and liveness, then classify every reachable cell.
@@ -320,73 +318,100 @@ pub fn analyze_zaps_with(program: &Program, cfg: &Cfg, live: &Liveness) -> ZapRe
     if program.num_gprs > MAX_GPRS {
         return too_wide(program);
     }
-    let mut report = ZapReport::default();
     let cx = Ctx {
         program,
         cfg,
         pessimistic: &queue_pessimism(cfg),
     };
     let reaches_check = reaches_check(program, cfg);
-    let (mut runs, mut chained) = (0u64, 0u64);
-    // High to low, so a pass-through cell finds its successor classified.
+    let gprs = usize::from(program.num_gprs);
+    // Row `ix(a)` holds the classes of the GPR cells at `a`; `qrow[ix(a)]`
+    // is where the queue cells at `a` start in `qclass`.
+    let mut gclass = vec![ZapClass::Benign; cfg.n * gprs];
+    let mut qrow = vec![0; cfg.n + 1];
+    for a in 1..=cfg.n as i64 {
+        let depth = if cfg.reachable[ix(a)] {
+            cfg.depth_in[ix(a)].unwrap_or(0)
+        } else {
+            0
+        };
+        qrow[ix(a) + 1] = qrow[ix(a)] + depth;
+    }
+    let mut qclass = vec![ZapClass::Vulnerable; qrow[cfg.n]];
+    // High to low: the fixpoint cells, and the chained registers of each
+    // row, which take their class from row `a + 1` once it is known.
+    let mut chains = vec![RegMask::EMPTY; cfg.n];
+    let mut fixpoint = Vec::new();
+    let mut chained = 0u64;
     for a in (1..=cfg.n as i64).rev() {
         if !cfg.reachable[ix(a)] {
             continue;
         }
-        let chain = pass_through(program, a);
-        report.pc.insert(a, ZapClass::Detected);
-        report.dst.insert(
-            a,
-            if reaches_check[ix(a)] {
-                ZapClass::Detected
-            } else {
-                ZapClass::Benign
-            },
-        );
+        // Dead registers are never read again (Benign: at worst a
+        // dissimilar, non-output final state); `a + 1` is reachable from
+        // `a` wherever a live register chains.
+        let live_in = live.live_in[ix(a)];
+        chains[ix(a)] = pass_through(program, a) & live_in;
         for g in 0..program.num_gprs {
-            let class = if !live.live_in[ix(a)].test(g) {
-                // Dead registers are never read again: at worst a
-                // dissimilar (non-output) final state.
-                ZapClass::Benign
-            } else if chain.test(g) {
-                // `a + 1` is reachable from `a`, so already classified.
+            if chains[ix(a)].test(g) {
                 chained += 1;
-                report.gpr[&(a + 1, g)]
-            } else {
-                runs += 1;
-                run_seed(
-                    &cx,
-                    a,
-                    Taint {
-                        regs: RegMask::bit(g),
-                        ..Taint::default()
-                    },
-                )
-            };
-            report.gpr.insert((a, g), class);
+            } else if live_in.test(g) {
+                fixpoint.push(Seed::Gpr(a, g));
+            }
         }
-        if let Some(depth) = cfg.depth_in[ix(a)] {
-            for slot in 0..depth {
-                let class = if slot >= 64 {
-                    ZapClass::Vulnerable
-                } else {
-                    runs += 1;
-                    run_seed(
-                        &cx,
-                        a,
-                        Taint {
-                            queue: 1u64 << slot,
-                            ..Taint::default()
-                        },
-                    )
-                };
-                report.queue.insert((a, slot), class);
+        // Slots past the 64-bit queue mask stay Vulnerable.
+        let depth = qrow[ix(a) + 1] - qrow[ix(a)];
+        fixpoint.extend((0..depth.min(64)).map(|slot| Seed::Slot(a, slot)));
+    }
+    let mut batch = Batch::new(&cx, &fixpoint);
+    for cells in fixpoint.chunks(LANES) {
+        for (cell, class) in cells.iter().zip(batch.classify(&cx, cells)) {
+            match *cell {
+                Seed::Gpr(a, g) => gclass[ix(a) * gprs + usize::from(g)] = class,
+                Seed::Slot(a, slot) => qclass[qrow[ix(a)] + slot] = class,
             }
         }
     }
-    ZAP_RUNS.add(runs);
+    for a in (1..cfg.n as i64).rev() {
+        for g in 0..program.num_gprs {
+            if chains[ix(a)].test(g) {
+                gclass[ix(a) * gprs + usize::from(g)] = gclass[ix(a + 1) * gprs + usize::from(g)];
+            }
+        }
+    }
+    ZAP_RUNS.add(fixpoint.len() as u64);
     ZAP_CHAINED.add(chained);
-    report
+    ZAP_BATCHES.add(fixpoint.len().div_ceil(LANES) as u64);
+    // Every map is built from its keys in ascending order.
+    let reachable = || (1..=cfg.n as i64).filter(|&a| cfg.reachable[ix(a)]);
+    ZapReport {
+        gpr: reachable()
+            .flat_map(|a| {
+                let row = &gclass[ix(a) * gprs..][..gprs];
+                (0..program.num_gprs)
+                    .zip(row)
+                    .map(move |(g, &c)| ((a, g), c))
+            })
+            .collect(),
+        queue: reachable()
+            .flat_map(|a| {
+                let row = &qclass[qrow[ix(a)]..qrow[ix(a) + 1]];
+                row.iter().enumerate().map(move |(slot, &c)| ((a, slot), c))
+            })
+            .collect(),
+        pc: reachable().map(|a| (a, ZapClass::Detected)).collect(),
+        dst: reachable()
+            .map(|a| {
+                let class = if reaches_check[ix(a)] {
+                    ZapClass::Detected
+                } else {
+                    ZapClass::Benign
+                };
+                (a, class)
+            })
+            .collect(),
+        bailed: None,
+    }
 }
 
 /// The registers whose cell at `a` takes the class of the same register at
@@ -444,126 +469,295 @@ pub(crate) struct Ctx<'a> {
     pub pessimistic: &'a [bool],
 }
 
-/// What a lane run should additionally record.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Record {
-    /// Collect per-side dual-compare [`Touch`]es.
-    pub touches: bool,
-    /// Keep the full entry-state reach map.
-    pub reach: bool,
+/// A k=1 cell that needs a fixpoint, as its batch lane is seeded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Seed {
+    /// `(addr, register)`.
+    Gpr(i64, u16),
+    /// `(addr, queue slot from the back)`, the slot below 64.
+    Slot(i64, usize),
 }
 
-/// Result of propagating `L` lane-seeded taints to a fixpoint.
-pub(crate) struct LaneRun<const L: usize> {
-    /// Set when the union taint defeats a compare (or escapes).
-    pub vuln: Option<Vuln>,
-    /// A tainted value flowed into some dual-compare or guard: a dynamic
-    /// instance may fault there.
-    pub checked: bool,
-    /// Dual-compare touches (when [`Record::touches`]; deduplicated).
-    pub touches: Vec<Touch>,
-    /// May-taint at *entry* to each address with any surviving taint
-    /// (when [`Record::reach`]; partial if the run aborted vulnerable).
-    pub reach: BTreeMap<i64, [Taint; L]>,
+impl Seed {
+    fn addr(self) -> i64 {
+        match self {
+            Seed::Gpr(a, _) | Seed::Slot(a, _) => a,
+        }
+    }
 }
 
-/// Propagate `L` independently-seeded taints in lockstep to a fixpoint.
+/// A reusable batched fixpoint: the bit-sliced state of up to 64 k=1 cells
+/// at every address, `width` words an address — one lane mask per
+/// register a run can taint, then `d`, then one per queue slot up to the
+/// deepest static depth. A program has at most [`MAX_GPRS`] registers and
+/// 64 tracked slots, so a batch holds at most `n × 193` words: under
+/// 6.3 MB for a validated program, whose code ends below `DATA_BASE`
+/// (4,096).
+pub(crate) struct Batch {
+    /// Register words per address.
+    gprs: usize,
+    /// Words per address.
+    width: usize,
+    /// `n × width` lane masks, all zero between batches.
+    state: Vec<u64>,
+    /// The state being transferred.
+    cur: Vec<u64>,
+    /// The worklist: a bitset over address indices, visited lowest first.
+    listed: Vec<u64>,
+    /// No word of `listed` below this one has a bit set.
+    low: usize,
+    /// Indices of addresses given state in this batch (repeats allowed),
+    /// cleared after it.
+    dirty: Vec<usize>,
+}
+
+impl Batch {
+    /// A batch for `cx`'s program whose runs seed only cells like `cells`:
+    /// none at a register past theirs.
+    pub(crate) fn new(cx: &Ctx, cells: &[Seed]) -> Batch {
+        // A register is tainted only by a seed or as an `op`/`ld`
+        // destination; every other register reads clean.
+        let seeded = cells.iter().filter_map(|&c| match c {
+            Seed::Gpr(_, g) => Some(g),
+            Seed::Slot(..) => None,
+        });
+        let defined = cx.program.instrs.iter().filter_map(Instr::def).map(|g| g.0);
+        let gprs = seeded
+            .chain(defined)
+            .filter(|&g| g < MAX_GPRS)
+            .map(|g| g + 1)
+            .max()
+            .unwrap_or(0);
+        // Pushes land at the entry depth of a `stG` (below 64) and seeds
+        // below the entry depth of their address, so no slot lies past the
+        // deepest static depth.
+        let slots = cx
+            .cfg
+            .depth_in
+            .iter()
+            .flatten()
+            .max()
+            .map_or(0, |&d| d.min(63) + 1);
+        let width = usize::from(gprs) + 1 + slots;
+        let n = cx.cfg.n;
+        Batch {
+            gprs: usize::from(gprs),
+            width,
+            state: vec![0; n * width],
+            cur: vec![0; width],
+            listed: vec![0; n.div_ceil(64)],
+            low: 0,
+            dirty: Vec::new(),
+        }
+    }
+
+    /// Run one fixpoint with lane `i` seeded by `cells[i]` (at most 64)
+    /// and return each lane's class.
+    pub(crate) fn classify(&mut self, cx: &Ctx, cells: &[Seed]) -> impl Iterator<Item = ZapClass> {
+        assert!(cells.len() <= LANES, "one lane per cell");
+        let (gprs, width) = (self.gprs, self.width);
+        for (lane, &cell) in cells.iter().enumerate() {
+            let word = match cell {
+                Seed::Gpr(_, g) => {
+                    assert!(usize::from(g) < gprs, "a register the batch was sized for");
+                    usize::from(g)
+                }
+                Seed::Slot(_, slot) => gprs + 1 + slot,
+            };
+            self.state[ix(cell.addr()) * width + word] |= 1 << lane;
+            self.list(ix(cell.addr()));
+        }
+        let mut obs = PerLane::default();
+        let mut cur = std::mem::take(&mut self.cur);
+        while let Some(i) = self.next() {
+            // A defeated lane's class is settled: stop propagating it.
+            let running = !obs.vuln;
+            for (s, &w) in cur.iter_mut().zip(&self.state[i * width..][..width]) {
+                *s = w & running;
+            }
+            let mut t = Sliced {
+                words: &mut cur,
+                gprs,
+            };
+            transfer(cx, i as i64 + 1, &mut t, &mut obs, |s, out: &Sliced| {
+                let mut grew = false;
+                for (d, &w) in self.state[ix(s) * width..][..width]
+                    .iter_mut()
+                    .zip(out.words.iter())
+                {
+                    grew |= w & !*d != 0;
+                    *d |= w;
+                }
+                if grew {
+                    self.list(ix(s));
+                }
+            });
+        }
+        self.cur = cur;
+        for i in self.dirty.drain(..) {
+            self.state[i * width..][..width].fill(0);
+        }
+        (0..cells.len()).map(move |lane| {
+            if obs.vuln >> lane & 1 != 0 {
+                ZapClass::Vulnerable
+            } else if obs.checked >> lane & 1 != 0 {
+                ZapClass::Detected
+            } else {
+                ZapClass::Benign
+            }
+        })
+    }
+
+    /// Put address index `i` on the worklist.
+    fn list(&mut self, i: usize) {
+        let bit = 1u64 << (i % 64);
+        if self.listed[i / 64] & bit == 0 {
+            self.listed[i / 64] |= bit;
+            self.low = self.low.min(i / 64);
+            self.dirty.push(i);
+        }
+    }
+
+    /// Take the lowest listed address index. Lowest first visits a loop
+    /// body again only once its head has gathered every lane's taint.
+    fn next(&mut self) -> Option<usize> {
+        while let Some(w) = self.listed.get_mut(self.low) {
+            if *w != 0 {
+                let bit = w.trailing_zeros() as usize;
+                *w &= *w - 1;
+                return Some(self.low * 64 + bit);
+            }
+            self.low += 1;
+        }
+        None
+    }
+}
+
+/// Propagate `L` independently-seeded taints in lockstep to a fixpoint,
+/// LIFO, stopping when `obs` says so. Returns the may-taint at *entry* to
+/// each address with any surviving taint when `reach` is set (partial if
+/// the run stopped early), else nothing.
 pub(crate) fn run_lanes<const L: usize>(
     cx: &Ctx,
     at: i64,
     seed: [Taint; L],
-    record: Record,
-) -> LaneRun<L> {
+    obs: &mut impl Observe,
+    reach: bool,
+) -> Vec<(i64, [Taint; L])> {
     let mut state: Vec<Option<[Taint; L]>> = vec![None; cx.cfg.n];
     state[ix(at)] = Some(seed);
     let mut work = vec![at];
-    let mut probe = Probe {
-        checked: false,
-        record_touches: record.touches,
-        touches: BTreeSet::new(),
-    };
-    let mut vuln = None;
     while let Some(a) = work.pop() {
-        let t = state[ix(a)].expect("worklist entries have state");
-        match transfer(cx, a, &t, &mut probe) {
-            Err(v) => {
-                vuln = Some(v);
-                break;
+        let mut t = state[ix(a)].expect("worklist entries have state");
+        transfer(cx, a, &mut t, obs, |s, ts: &[Taint; L]| {
+            if ts.tainted() == 0 {
+                return;
             }
-            Ok(edges) => {
-                for (s, ts) in edges {
-                    if !union(&ts).any() {
-                        continue;
+            let merged = match state[ix(s)] {
+                None => *ts,
+                Some(mut m) => {
+                    for (m, &t) in m.iter_mut().zip(ts) {
+                        *m = m.join(t);
                     }
-                    let merged = match state[ix(s)] {
-                        None => ts,
-                        Some(cur) => {
-                            let mut m = cur;
-                            for l in 0..L {
-                                m[l] = m[l].join(ts[l]);
-                            }
-                            m
-                        }
-                    };
-                    if state[ix(s)] != Some(merged) {
-                        state[ix(s)] = Some(merged);
-                        work.push(s);
-                    }
+                    m
                 }
+            };
+            if state[ix(s)] != Some(merged) {
+                state[ix(s)] = Some(merged);
+                work.push(s);
+            }
+        });
+        if obs.stopped() {
+            break;
+        }
+    }
+    if !reach {
+        return Vec::new();
+    }
+    (1..=cx.cfg.n as i64)
+        .filter_map(|a| state[ix(a)].map(|t| (a, t)))
+        .collect()
+}
+
+/// The transfer's view of one address's taint over a set of lanes; lane
+/// sets are `u64` masks (bit `i` = lane `i`).
+pub(crate) trait Lanes {
+    /// Lanes in which GPR `g` is tainted.
+    fn reg(&self, g: Gpr) -> u64;
+    /// Taint `g` in exactly `lanes`.
+    fn set_reg(&mut self, g: Gpr, lanes: u64);
+    /// Lanes in which `d` is tainted.
+    fn d(&self) -> u64;
+    /// Taint `d` in exactly `lanes`.
+    fn set_d(&mut self, lanes: u64);
+    /// Lanes with any tainted queue slot.
+    fn queued(&self) -> u64;
+    /// Lanes whose oldest slot (the next `stB` pop) is tainted.
+    fn oldest(&self) -> u64;
+    /// Taint slot `slot` (from the back) in `lanes`.
+    fn push(&mut self, slot: usize, lanes: u64);
+    /// Drop the oldest slot; the others move one toward the back.
+    fn pop(&mut self);
+    /// Lanes with any taint at all.
+    fn tainted(&self) -> u64;
+}
+
+/// One [`Taint`] per lane: the few-lane runs of the pair analyzer.
+impl<const L: usize> Lanes for [Taint; L] {
+    fn reg(&self, g: Gpr) -> u64 {
+        lanes(self, |l| l.regs.test(g.0))
+    }
+
+    fn set_reg(&mut self, g: Gpr, lanes: u64) {
+        for (i, l) in self.iter_mut().enumerate() {
+            if lanes >> i & 1 != 0 {
+                l.regs.set(g.0);
+            } else {
+                l.regs.clear(g.0);
             }
         }
     }
-    let reach = if record.reach {
-        (1..=cx.cfg.n as i64)
-            .filter_map(|a| state[ix(a)].map(|t| (a, t)))
-            .collect()
-    } else {
-        BTreeMap::new()
-    };
-    LaneRun {
-        vuln,
-        checked: probe.checked,
-        touches: probe.touches.into_iter().collect(),
-        reach,
+
+    fn d(&self) -> u64 {
+        lanes(self, |l| l.d)
     }
-}
 
-/// Propagate one seeded taint to a fixpoint; classify the cell.
-fn run_seed(cx: &Ctx, at: i64, seed: Taint) -> ZapClass {
-    let run = run_lanes::<1>(cx, at, [seed], Record::default());
-    if run.vuln.is_some() {
-        ZapClass::Vulnerable
-    } else if run.checked {
-        ZapClass::Detected
-    } else {
-        ZapClass::Benign
-    }
-}
-
-/// Mutable observations of one run: the `checked` flag and (optionally)
-/// the dual-compare touch set.
-struct Probe {
-    checked: bool,
-    record_touches: bool,
-    touches: BTreeSet<Touch>,
-}
-
-impl Probe {
-    fn touch(&mut self, at: i64, side: Side) {
-        self.checked = true;
-        if self.record_touches {
-            self.touches.insert(Touch { at, side });
+    fn set_d(&mut self, lanes: u64) {
+        for (i, l) in self.iter_mut().enumerate() {
+            l.d = lanes >> i & 1 != 0;
         }
     }
-}
 
-fn union<const L: usize>(t: &[Taint; L]) -> Taint {
-    t.iter().fold(Taint::default(), |u, &l| u.join(l))
+    fn queued(&self) -> u64 {
+        lanes(self, |l| l.queue != 0)
+    }
+
+    fn oldest(&self) -> u64 {
+        lanes(self, |l| l.queue & 1 != 0)
+    }
+
+    fn push(&mut self, slot: usize, lanes: u64) {
+        for (i, l) in self.iter_mut().enumerate() {
+            if lanes >> i & 1 != 0 {
+                l.queue |= 1u64 << slot;
+            }
+        }
+    }
+
+    fn pop(&mut self) {
+        for l in self.iter_mut() {
+            l.queue >>= 1;
+        }
+    }
+
+    fn tainted(&self) -> u64 {
+        lanes(self, |l| l.any())
+    }
 }
 
 /// Bitmask of lanes satisfying `f`.
-fn lanes<const L: usize>(t: &[Taint; L], f: impl Fn(&Taint) -> bool) -> u8 {
-    let mut m = 0u8;
+fn lanes<const L: usize>(t: &[Taint; L], f: impl Fn(&Taint) -> bool) -> u64 {
+    let mut m = 0;
     for (i, l) in t.iter().enumerate() {
         if f(l) {
             m |= 1 << i;
@@ -572,246 +766,320 @@ fn lanes<const L: usize>(t: &[Taint; L], f: impl Fn(&Taint) -> bool) -> u8 {
     m
 }
 
-/// One instruction's taint transfer over `L` lanes. Dataflow is linear in
-/// the taint, so lane states update independently; every compare check is
-/// taken over the lane **union** (a dynamic state carries all seeded
-/// corruptions at once), with pass edges sanitizing compared values (the
-/// compare passing proves they held golden values). `checked` fires
-/// whenever any tainted value flows into a dual-compare or guard.
-fn transfer<const L: usize>(
+/// One address of a [`Batch`]: register words, then `d`, then slots.
+struct Sliced<'a> {
+    words: &'a mut [u64],
+    gprs: usize,
+}
+
+impl Sliced<'_> {
+    fn slots(&self) -> &[u64] {
+        &self.words[self.gprs + 1..]
+    }
+}
+
+impl Lanes for Sliced<'_> {
+    fn reg(&self, g: Gpr) -> u64 {
+        // Registers the program never names (only those past MAX_GPRS)
+        // are never tainted, as in a `RegMask`.
+        self.words[..self.gprs]
+            .get(usize::from(g.0))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    fn set_reg(&mut self, g: Gpr, lanes: u64) {
+        if let Some(w) = self.words[..self.gprs].get_mut(usize::from(g.0)) {
+            *w = lanes;
+        }
+    }
+
+    fn d(&self) -> u64 {
+        self.words[self.gprs]
+    }
+
+    fn set_d(&mut self, lanes: u64) {
+        self.words[self.gprs] = lanes;
+    }
+
+    fn queued(&self) -> u64 {
+        self.slots().iter().fold(0, |m, &w| m | w)
+    }
+
+    fn oldest(&self) -> u64 {
+        self.slots().first().copied().unwrap_or(0)
+    }
+
+    fn push(&mut self, slot: usize, lanes: u64) {
+        self.words[self.gprs + 1 + slot] |= lanes;
+    }
+
+    fn pop(&mut self) {
+        let slots = &mut self.words[self.gprs + 1..];
+        if let Some(last) = slots.len().checked_sub(1) {
+            slots.copy_within(1.., 0);
+            slots[last] = 0;
+        }
+    }
+
+    fn tainted(&self) -> u64 {
+        self.words.iter().fold(0, |m, &w| m | w)
+    }
+}
+
+/// What a run does with the transfer's compare events.
+pub(crate) trait Observe {
+    /// `v`'s lanes meet both sides of a compare (or escape); returns the
+    /// lanes this defeats. A defeated lane's run is over: a union run
+    /// stops, a batch drops the lane at its next step.
+    fn defeat(&mut self, v: Vuln) -> u64;
+    /// The taint of `lanes` reaches `side` of the compare at `at` and the
+    /// compare holds: a dynamic instance may fault there.
+    fn touch(&mut self, at: i64, side: Side, lanes: u64);
+    /// A `d` guard reads a tainted `d` in `lanes`: it faults there.
+    fn guard(&mut self, lanes: u64);
+    /// Whether the run is over.
+    fn stopped(&self) -> bool {
+        false
+    }
+}
+
+/// One dynamic state carrying every lane's corruption at once: a compare
+/// is defeated when the lane union taints both of its sides, and the
+/// first defeat ends the run. The pair analyzer's compositions and
+/// summaries run this way.
+#[derive(Default)]
+pub(crate) struct Union {
+    /// The first defeat.
+    pub vuln: Option<Vuln>,
+    /// Dual-compare touches, when recorded (in event order, repeats
+    /// included).
+    pub touches: Option<Vec<Touch>>,
+}
+
+impl Observe for Union {
+    fn defeat(&mut self, v: Vuln) -> u64 {
+        self.vuln.get_or_insert(v);
+        u64::MAX
+    }
+
+    fn touch(&mut self, at: i64, side: Side, _: u64) {
+        if let Some(t) = &mut self.touches {
+            t.push(Touch { at, side });
+        }
+    }
+
+    fn guard(&mut self, _: u64) {}
+
+    fn stopped(&self) -> bool {
+        self.vuln.is_some()
+    }
+}
+
+/// Independent k=1 cells, one per lane: a lane defeats a compare only by
+/// tainting both of its sides itself, and runs on until it does.
+#[derive(Default)]
+pub(crate) struct PerLane {
+    /// Lanes that defeated the detection.
+    pub vuln: u64,
+    /// Lanes whose taint met a compare or a `d` guard.
+    pub checked: u64,
+}
+
+impl Observe for PerLane {
+    fn defeat(&mut self, v: Vuln) -> u64 {
+        let lanes = match v.kind {
+            VulnKind::StoreCompare | VulnKind::JmpCompare | VulnKind::BzCompare => v.green & v.blue,
+            VulnKind::QueuePush | VulnKind::UnresolvedTarget => v.green,
+        };
+        self.vuln |= lanes;
+        lanes
+    }
+
+    fn touch(&mut self, _: i64, _: Side, lanes: u64) {
+        self.checked |= lanes;
+    }
+
+    fn guard(&mut self, lanes: u64) {
+        self.checked |= lanes;
+    }
+}
+
+/// One instruction's taint transfer over a set of lanes. Dataflow is
+/// linear in the taint, so lane states update independently; at each
+/// compare `obs` decides which lanes the two sides defeat. Pass edges
+/// sanitize compared values (the compare passing proves they held golden
+/// values). Every successor's state goes to `edge`, the fall-through
+/// first.
+pub(crate) fn transfer<S: Lanes>(
     cx: &Ctx,
     a: i64,
-    t: &[Taint; L],
-    probe: &mut Probe,
-) -> Result<Vec<(i64, [Taint; L])>, Vuln> {
+    t: &mut S,
+    obs: &mut impl Observe,
+    mut edge: impl FnMut(i64, &S),
+) {
     let program = cx.program;
-    let fall = |t: [Taint; L]| -> Vec<(i64, [Taint; L])> {
-        if program.is_code_addr(a + 1) {
-            vec![(a + 1, t)]
-        } else {
-            Vec::new()
-        }
-    };
-    // Follow a committed blue transfer; with an unresolved target the
-    // analysis cannot continue — surviving taint means "anything may
-    // happen", so bail.
-    let goto_blue = |out: [Taint; L]| -> Result<Vec<(i64, [Taint; L])>, Vuln> {
-        match cx.cfg.blue_target[ix(a)] {
-            Some(tgt) if program.is_code_addr(tgt) => Ok(vec![(tgt, out)]),
-            _ if union(&out).any() => Err(Vuln {
-                at: a,
-                kind: VulnKind::UnresolvedTarget,
-                green: lanes(&out, |l| l.any()),
-                blue: 0,
-            }),
-            _ => Ok(Vec::new()),
-        }
-    };
-    let u = union(t);
+    let fall = program.is_code_addr(a + 1);
     match program.instrs[ix(a)] {
         Instr::Op { rd, rs, src2, .. } => {
-            let mut o = *t;
-            for l in o.iter_mut() {
-                let taint = l.tr(rs)
-                    || match src2 {
-                        OpSrc::Reg(rt) => l.tr(rt),
-                        OpSrc::Imm(_) => false,
-                    };
-                l.set(rd, taint);
-            }
-            Ok(fall(o))
+            let src2 = match src2 {
+                OpSrc::Reg(rt) => t.reg(rt),
+                OpSrc::Imm(_) => 0,
+            };
+            t.set_reg(rd, t.reg(rs) | src2);
         }
-        Instr::Mov { rd, .. } => {
-            let mut o = *t;
-            for l in o.iter_mut() {
-                l.clear(rd);
-            }
-            Ok(fall(o))
-        }
+        Instr::Mov { rd, .. } => t.set_reg(rd, 0),
         Instr::Ld {
             color: Color::Green,
             rd,
             rs,
         } => {
             // ldG snoops the queue by address: any tainted slot may alias.
-            let mut o = *t;
-            for l in o.iter_mut() {
-                l.set(rd, l.tr(rs) || l.queue != 0);
-            }
-            Ok(fall(o))
+            t.set_reg(rd, t.reg(rs) | t.queued());
         }
         Instr::Ld {
             color: Color::Blue,
             rd,
             rs,
-        } => {
-            let mut o = *t;
-            for l in o.iter_mut() {
-                l.set(rd, l.tr(rs));
-            }
-            Ok(fall(o))
-        }
+        } => t.set_reg(rd, t.reg(rs)),
         Instr::St {
             color: Color::Green,
             rd,
             rs,
         } => {
-            let mut o = *t;
-            if u.tr(rd) || u.tr(rs) {
+            let pushed = t.reg(rd) | t.reg(rs);
+            if pushed != 0 {
                 // Place each lane's tainted pair at the front of the queue,
                 // i.e. at bit `depth` counting from the back.
                 match cx.cfg.depth_in[ix(a)] {
-                    Some(depth) if depth < 64 && !cx.pessimistic[ix(a)] => {
-                        for l in o.iter_mut() {
-                            if l.tr(rd) || l.tr(rs) {
-                                l.queue |= 1u64 << depth;
-                            }
-                        }
-                    }
+                    Some(depth) if depth < 64 && !cx.pessimistic[ix(a)] => t.push(depth, pushed),
                     _ => {
-                        return Err(Vuln {
+                        obs.defeat(Vuln {
                             at: a,
                             kind: VulnKind::QueuePush,
-                            green: lanes(t, |l| l.tr(rd) || l.tr(rs)),
+                            green: pushed,
                             blue: 0,
-                        })
+                        });
                     }
                 }
             }
-            Ok(fall(o))
         }
         Instr::St {
             color: Color::Blue,
             rd,
             rs,
         } => {
-            let slot = lanes(t, |l| l.queue & 1 != 0);
-            let regs = lanes(t, |l| l.tr(rd) || l.tr(rs));
-            if slot != 0 && regs != 0 {
-                // Queue entry and compare registers both corrupt: the
-                // compare can pass on a non-golden pair — SDC.
-                return Err(Vuln {
-                    at: a,
-                    kind: VulnKind::StoreCompare,
-                    green: slot,
-                    blue: regs,
-                });
-            }
-            if slot != 0 {
-                probe.touch(a, Side::Green);
-            }
-            if regs != 0 {
-                probe.touch(a, Side::Blue);
-            }
-            let mut o = *t;
-            for l in o.iter_mut() {
-                l.queue >>= 1;
-                l.clear(rd);
-                l.clear(rs);
-            }
-            Ok(fall(o))
+            // Queue entry and compare registers both corrupt: the compare
+            // can pass on a non-golden pair — SDC.
+            let regs = t.reg(rd) | t.reg(rs);
+            compare(a, VulnKind::StoreCompare, t.oldest(), regs, obs);
+            t.pop();
+            t.set_reg(rd, 0);
+            t.set_reg(rs, 0);
         }
         Instr::Jmp {
             color: Color::Green,
             rd,
         } => {
-            if u.d {
-                // jmpG requires d = 0; a corrupt d faults here.
-                probe.checked = true;
+            // jmpG requires d = 0; a corrupt d faults here.
+            if t.d() != 0 {
+                obs.guard(t.d());
             }
-            let mut o = *t;
-            for l in o.iter_mut() {
-                l.d = l.tr(rd);
-            }
-            Ok(fall(o))
+            t.set_d(t.reg(rd));
         }
         Instr::Jmp {
             color: Color::Blue,
             rd,
         } => {
-            let d = lanes(t, |l| l.d);
-            let regs = lanes(t, |l| l.tr(rd));
-            if d != 0 && regs != 0 {
-                return Err(Vuln {
-                    at: a,
-                    kind: VulnKind::JmpCompare,
-                    green: d,
-                    blue: regs,
-                });
-            }
-            if d != 0 {
-                probe.touch(a, Side::Green);
-            }
-            if regs != 0 {
-                probe.touch(a, Side::Blue);
-            }
-            let mut o = *t;
-            for l in o.iter_mut() {
-                l.d = false;
-                l.clear(rd);
-            }
-            goto_blue(o)
+            compare(a, VulnKind::JmpCompare, t.d(), t.reg(rd), obs);
+            t.set_d(0);
+            t.set_reg(rd, 0);
+            goto_blue(cx, a, t, obs, &mut edge);
+            return;
         }
         Instr::Bz {
             color: Color::Green,
             rz,
             rd,
         } => {
-            if u.d {
-                // Both arms of bzG require d = 0.
-                probe.checked = true;
+            // Both arms of bzG require d = 0.
+            if t.d() != 0 {
+                obs.guard(t.d());
             }
-            let mut o = *t;
-            for l in o.iter_mut() {
-                // A corrupt rz flips whether d latches; a corrupt rd
-                // latches a wrong target. Either way d may now differ
-                // from golden.
-                l.d = l.tr(rz) || l.tr(rd);
-            }
-            Ok(fall(o))
+            // A corrupt rz flips whether d latches; a corrupt rd latches a
+            // wrong target. Either way d may now differ from golden.
+            t.set_d(t.reg(rz) | t.reg(rd));
         }
         Instr::Bz {
             color: Color::Blue,
             rz,
             rd,
         } => {
-            let d = lanes(t, |l| l.d);
-            let regs = lanes(t, |l| l.tr(rz) || l.tr(rd));
-            if d != 0 && regs != 0 {
-                // d plus a blue operand corrupt: a wrong-target commit or
-                // a silent wrong-direction fall-through becomes possible.
-                return Err(Vuln {
-                    at: a,
-                    kind: VulnKind::BzCompare,
-                    green: d,
-                    blue: regs,
-                });
-            }
-            if d != 0 {
-                probe.touch(a, Side::Green);
-            }
-            if regs != 0 {
-                probe.touch(a, Side::Blue);
-            }
+            // d plus a blue operand corrupt: a wrong-target commit or a
+            // silent wrong-direction fall-through becomes possible.
+            let regs = t.reg(rz) | t.reg(rd);
+            compare(a, VulnKind::BzCompare, t.d(), regs, obs);
             // One-sided taint cannot flip the branch direction (the d
             // guard catches it), so both CFG edges correspond to golden
             // directions. Untaken keeps operand taint; taken compares
             // rd = d and rz = 0, proving them golden.
-            let mut untaken = *t;
-            for l in untaken.iter_mut() {
-                l.d = false;
+            t.set_d(0);
+            if fall {
+                edge(a + 1, t);
             }
-            let mut taken = *t;
-            for l in taken.iter_mut() {
-                l.d = false;
-                l.clear(rz);
-                l.clear(rd);
-            }
-            let mut edges = fall(untaken);
-            edges.extend(goto_blue(taken)?);
-            Ok(edges)
+            t.set_reg(rz, 0);
+            t.set_reg(rd, 0);
+            goto_blue(cx, a, t, obs, &mut edge);
+            return;
         }
-        Instr::Halt => Ok(Vec::new()),
+        Instr::Halt => return,
+    }
+    if fall {
+        edge(a + 1, t);
+    }
+}
+
+/// The dual-compare at `a` between the `green` and `blue` lanes: the lanes
+/// `obs` finds defeated touch nothing, the others the sides they taint.
+fn compare(a: i64, kind: VulnKind, green: u64, blue: u64, obs: &mut impl Observe) {
+    let mut defeated = 0;
+    if green != 0 && blue != 0 {
+        defeated = obs.defeat(Vuln {
+            at: a,
+            kind,
+            green,
+            blue,
+        });
+    }
+    if green & !defeated != 0 {
+        obs.touch(a, Side::Green, green & !defeated);
+    }
+    if blue & !defeated != 0 {
+        obs.touch(a, Side::Blue, blue & !defeated);
+    }
+}
+
+/// Follow a committed blue transfer; with an unresolved target the
+/// analysis cannot continue — surviving taint means "anything may
+/// happen", so its lanes are defeated.
+fn goto_blue<S: Lanes>(
+    cx: &Ctx,
+    a: i64,
+    t: &mut S,
+    obs: &mut impl Observe,
+    edge: &mut impl FnMut(i64, &S),
+) {
+    match cx.cfg.blue_target[ix(a)] {
+        Some(tgt) if cx.program.is_code_addr(tgt) => edge(tgt, t),
+        _ if t.tainted() != 0 => {
+            obs.defeat(Vuln {
+                at: a,
+                kind: VulnKind::UnresolvedTarget,
+                green: t.tainted(),
+                blue: 0,
+            });
+        }
+        _ => {}
     }
 }
 
@@ -823,9 +1091,36 @@ mod tests {
     use talft_suite::{kernels, Scale};
     use talft_testutil::{wile, SplitMix64};
 
-    /// Brute-force oracle for pass-through chaining: every live GPR cell's
-    /// class must be the one its own fixpoint gives. Returns how many of
-    /// those cells the report answered by chaining.
+    /// The class of `cell` from its own fixpoint: one lane of per-lane
+    /// `Taint`s on `run_lanes`'s LIFO worklist, the oracle for batching
+    /// and chaining.
+    fn one_seed(cx: &Ctx, cell: Seed) -> ZapClass {
+        let seed = match cell {
+            Seed::Gpr(_, g) => Taint {
+                regs: RegMask::bit(g),
+                ..Taint::default()
+            },
+            Seed::Slot(_, slot) => Taint {
+                queue: 1 << slot,
+                ..Taint::default()
+            },
+        };
+        let mut obs = PerLane::default();
+        run_lanes(cx, cell.addr(), [seed], &mut obs, false);
+        if obs.vuln != 0 {
+            ZapClass::Vulnerable
+        } else if obs.checked != 0 {
+            ZapClass::Detected
+        } else {
+            ZapClass::Benign
+        }
+    }
+
+    /// Brute-force oracle for batching and pass-through chaining: every
+    /// live GPR cell and every queue slot below 64 gets the class of its
+    /// own fixpoint, in the report and in batches of 1, 7 and 64 cells
+    /// with the cell in every lane position. Returns how many of those
+    /// cells the report answered by chaining.
     fn assert_matches_own_runs(program: &Program, what: &str) -> usize {
         let cfg = Cfg::build(program);
         let live = liveness(program, &cfg).expect("fits the taint mask");
@@ -836,23 +1131,55 @@ mod tests {
             cfg: &cfg,
             pessimistic: &pessimistic,
         };
+        let mut cells = Vec::new();
         let mut chained = 0;
-        for (&(a, g), &class) in &report.gpr {
-            if !live.live_in[ix(a)].test(g) {
-                continue;
+        for a in (1..=cfg.n as i64).filter(|&a| cfg.reachable[ix(a)]) {
+            for g in 0..program.num_gprs {
+                if live.live_in[ix(a)].test(g) {
+                    cells.push(Seed::Gpr(a, g));
+                    chained += usize::from(pass_through(program, a).test(g));
+                }
             }
-            let seed = Taint {
-                regs: RegMask::bit(g),
-                ..Taint::default()
+            let depth = cfg.depth_in[ix(a)].unwrap_or(0).min(64);
+            cells.extend((0..depth).map(|slot| Seed::Slot(a, slot)));
+        }
+        let want: Vec<ZapClass> = cells.iter().map(|&c| one_seed(&cx, c)).collect();
+        for (&cell, &class) in cells.iter().zip(&want) {
+            let got = match cell {
+                Seed::Gpr(a, g) => report.gpr[&(a, g)],
+                Seed::Slot(a, slot) => report.queue[&(a, slot)],
             };
-            assert_eq!(class, run_seed(&cx, a, seed), "{what}: r{g}@{a}");
-            chained += usize::from(pass_through(program, a).test(g));
+            assert_eq!(got, class, "{what}: {cell:?} in the report");
+        }
+        let mut batch = Batch::new(&cx, &cells);
+        for size in [1, 7, LANES] {
+            // Lead with the last `shift` cells: cell `i` rides lane
+            // `(i + shift) % size`.
+            for shift in 0..size.min(cells.len()) {
+                let order: Vec<usize> = (cells.len() - shift..cells.len())
+                    .chain(0..cells.len())
+                    .collect();
+                for lanes in order.chunks(size) {
+                    let seeds: Vec<Seed> = lanes.iter().map(|&i| cells[i]).collect();
+                    for (lane, (&i, got)) in
+                        lanes.iter().zip(batch.classify(&cx, &seeds)).enumerate()
+                    {
+                        assert_eq!(
+                            got,
+                            want[i],
+                            "{what}: {:?} in lane {lane} of a batch of {}",
+                            cells[i],
+                            lanes.len()
+                        );
+                    }
+                }
+            }
         }
         chained
     }
 
     #[test]
-    fn chained_cells_match_their_own_fixpoints() {
+    fn batched_and_chained_cells_match_their_own_fixpoints() {
         let mut chained = 0;
         for k in kernels(Scale::Tiny) {
             let c = compile(&k.source, &CompileOptions::default()).expect("kernels compile");
@@ -866,7 +1193,7 @@ mod tests {
         assert!(chained > 0, "the suite exercises chaining");
         let mut rng = SplitMix64::new(0x0C4A_12E5);
         let mut fuzzed = 0;
-        for round in 0..6 {
+        for round in 0..40 {
             let src = wile::render_program(&wile::random_stmts(&mut rng, 2, 1, 5));
             let Ok(c) = compile(&src, &CompileOptions::default()) else {
                 continue;
@@ -879,7 +1206,42 @@ mod tests {
                 assert_matches_own_runs(p, &format!("wile round {round} ({side})\n{src}"));
             }
         }
-        assert!(fuzzed > 0, "some fuzzed program compiles");
+        assert!(fuzzed >= 30, "most fuzzed programs compile");
+        for (what, src) in [
+            ("wide", WIDE_STORE),
+            ("depth conflict", DEPTH_CONFLICT),
+            ("unresolved target", UNRESOLVED_TARGET),
+        ] {
+            let asm = assemble(src).expect("assembles");
+            assert_matches_own_runs(&asm.program, what);
+        }
+    }
+
+    /// The target of `jmpB` is loaded from memory: constant propagation
+    /// cannot resolve it, so taint surviving the jump escapes.
+    const UNRESOLVED_TARGET: &str = r#"
+.data
+region out at 4096 len 1 : int output
+.code
+main:
+  .pre { forall m:mem; mem: m; }
+  mov r2, B 4096
+  ldB r1, r2
+  jmpB r1
+"#;
+
+    #[test]
+    fn taint_escaping_an_unresolved_target_is_vulnerable() {
+        let asm = assemble(UNRESOLVED_TARGET).expect("assembles");
+        let cfg = Cfg::build(&asm.program);
+        assert!(cfg.unknown_target[ix(3)], "jmpB's target is unresolved");
+        let report = analyze_zaps(&asm.program);
+        // r2 survives the jump; r1 is compared there and sanitized.
+        assert_eq!(report.gpr[&(3, 2)], ZapClass::Vulnerable);
+        assert_eq!(report.gpr[&(3, 1)], ZapClass::Detected);
+        // Every register is live at the unresolved jump, so every other
+        // register's cell escapes too.
+        assert_eq!(report.gpr[&(3, 40)], ZapClass::Vulnerable);
     }
 
     /// r9/r10 are set before a counted loop and stored after it; the loop
@@ -1045,11 +1407,8 @@ main:
         assert!(v > 0);
     }
 
-    /// Satellite: programs wider than 64 GPRs now get real per-cell
-    /// verdicts from the two-word mask instead of a whole-report bail.
-    #[test]
-    fn wide_programs_are_classified_not_bailed() {
-        let src = r#"
+    /// A protected store through registers past the first mask word.
+    const WIDE_STORE: &str = r#"
 .gprs 128
 .data
 region out at 4096 len 1 : int output
@@ -1064,7 +1423,12 @@ main:
   stB r4, r101
   halt
 "#;
-        let asm = assemble(src).expect("assembles");
+
+    /// Programs wider than 64 GPRs get real per-cell verdicts from the
+    /// two-word mask instead of a whole-report bail.
+    #[test]
+    fn wide_programs_are_classified_not_bailed() {
+        let asm = assemble(WIDE_STORE).expect("assembles");
         assert!(asm.program.num_gprs > 64);
         let report = analyze_zaps(&asm.program);
         assert!(report.bailed.is_none(), "two-word mask covers 128 GPRs");
@@ -1075,21 +1439,15 @@ main:
         // by the stB compare, exactly like its low-word twin.
         assert_eq!(report.gpr.get(&(2, 100)), Some(&ZapClass::Detected));
         // Past MAX_GPRS the analyzer still bails.
-        let too_wide = src.replace(".gprs 128", ".gprs 200");
+        let too_wide = WIDE_STORE.replace(".gprs 128", ".gprs 200");
         let asm = assemble(&too_wide).expect("assembles");
         assert!(analyze_zaps(&asm.program).bailed.is_some());
     }
 
-    /// Satellite: a depth-conflicting join pessimizes only its downstream
-    /// blocks; protected stores upstream keep precise verdicts.
-    #[test]
-    fn queue_pessimism_is_per_block() {
-        // `main` is the protected STORE block; it falls through into
-        // `mid`, whose annotation claims queue depth 1 while propagation
-        // says 0 — a conflict at `mid`. Under the old whole-program bail
-        // every tainted push turned Vulnerable; now only `mid` and its
-        // successors are pessimized.
-        let src = r#"
+    /// `main` is the protected STORE block; it falls through into `mid`,
+    /// whose annotation claims queue depth 1 while propagation says 0 — a
+    /// conflict at `mid`.
+    const DEPTH_CONFLICT: &str = r#"
 .data
 region out at 4096 len 2 : int output
 .code
@@ -1111,7 +1469,14 @@ mid:
   stB r8, r7
   halt
 "#;
-        let asm = assemble(src).expect("assembles");
+
+    /// A depth-conflicting join pessimizes only its downstream blocks;
+    /// protected stores upstream keep precise verdicts.
+    #[test]
+    fn queue_pessimism_is_per_block() {
+        // Under a whole-program bail every tainted push would turn
+        // Vulnerable; only `mid` and its successors are pessimized.
+        let asm = assemble(DEPTH_CONFLICT).expect("assembles");
         let cfg = Cfg::build(&asm.program);
         assert!(
             !cfg.depth_conflicts.is_empty(),
