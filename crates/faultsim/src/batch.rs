@@ -58,12 +58,16 @@
 //!   registers (`Masked`/`DissimilarState`), the same case split as the
 //!   scalar engine's convergence exit. The settle scan is event-driven
 //!   (dirty lanes plus holders of just-died registers), so wide groups
-//!   cost O(events), not O(lanes), per step;
-//! * **quiet steps are walked, not executed** — a step with no strike
+//!   cost O(events), not O(lanes), per step. A k=1 strike on a register
+//!   that is already dead at its step settles before it takes a lane:
+//!   `run_batched` counts it `Masked` at admission;
+//! * **quiet steps are skipped, not executed** — a step with no strike
 //!   due, no dirty lane, no diverged register dying, and a pending action
 //!   that touches no diverged register (nor `d` or the queue while a lane
-//!   shadows them) provably changes no lane, so `Shadow::skip_quiet`
-//!   only steps the replay across it (DESIGN.md §12 has the argument);
+//!   shadows them) provably changes no lane. `Shadow::skip_quiet` finds
+//!   the end of such a stretch in golden's per-step action records and
+//!   moves the replay there, through the checkpoint ring when the stretch
+//!   is long (DESIGN.md §12 has the argument);
 //! * only a divergence the packed form cannot express **demotes**: the
 //!   lane's exact faulty state is reconstructed — clone the replay (CoW),
 //!   re-apply the packed payloads under golden's color tags, the `d`
@@ -105,13 +109,14 @@
 //! and to [`run_plan_campaign_reference`](crate::run_plan_campaign_reference)
 //! at every thread count, and the batched-differential test layer
 //! (`tests/batch_differential.rs`, `tests/batch_demotion.rs`) re-proves it
-//! per release rather than assuming it.
+//! per release rather than assuming it; `tests/campaign_pins.rs` holds the
+//! reports themselves to literals across builds.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use talft_isa::{CVal, Color, Gpr, Instr, OpSrc, Program, Reg};
-use talft_machine::{action_gpr_masks, step, FaultSite, Machine, OobLoadPolicy};
+use talft_machine::{step, FaultSite, Machine, OobLoadPolicy};
 use talft_obs::{LazyCounter, LazyHistogram};
 
 use crate::{
@@ -127,6 +132,8 @@ static BATCH_SCALAR_ROUTED: LazyCounter = LazyCounter::new("faultsim.batch.scala
 static BATCH_RATE: LazyHistogram = LazyHistogram::new("faultsim.batch.plans_per_sec");
 static BATCH_REPLAY_STEPS: LazyCounter = LazyCounter::new("faultsim.batch.replay_steps");
 static BATCH_QUIET_STEPS: LazyCounter = LazyCounter::new("faultsim.batch.quiet_steps");
+static BATCH_QUIET_JUMPS: LazyCounter = LazyCounter::new("faultsim.batch.quiet_jumps");
+static BATCH_ADMISSION_SETTLED: LazyCounter = LazyCounter::new("faultsim.batch.admission_settled");
 
 /// Why a lane left the packed representation for the scalar continuation.
 /// Indexes [`DEMOTE_COUNTERS`]; the taxonomy is documented in the module
@@ -167,6 +174,45 @@ const LANES_PER_GROUP: usize = 64 * LANE_WORDS;
 /// claim over adjacent strike steps shares a single replay walk.
 const GROUP_CLAIM: usize = LANES_PER_GROUP;
 
+/// [`StepAction::kind`] bit: the action is a `jmp` or `bz`, which reads `d`.
+const READS_D: u8 = 1;
+/// [`StepAction::kind`] bit: the action is an `st` or a green `ld`, which
+/// reads the store queue.
+const READS_QUEUE: u8 = 2;
+
+/// One golden step's pending action as the quiet-stretch scan reads it
+/// (`Shadow::skip_quiet`): the GPRs it reads or writes, and whether it
+/// reads `d` or the store queue. [`golden_run`](crate::golden_run) keeps
+/// one per step beside the liveness masks; 16 bytes a step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StepAction {
+    /// `reads | writes` of `action_gpr_masks`.
+    gprs: u64,
+    /// [`READS_D`] and [`READS_QUEUE`] bits.
+    kind: u8,
+}
+
+impl StepAction {
+    /// The record of pending action `ir`, whose GPR masks are `masks`.
+    pub(crate) fn new(ir: Option<&Instr>, (reads, writes): (u64, u64)) -> Self {
+        let kind = match ir {
+            Some(Instr::Jmp { .. } | Instr::Bz { .. }) => READS_D,
+            Some(
+                Instr::St { .. }
+                | Instr::Ld {
+                    color: Color::Green,
+                    ..
+                },
+            ) => READS_QUEUE,
+            _ => 0,
+        };
+        Self {
+            gprs: reads | writes,
+            kind,
+        }
+    }
+}
+
 /// A packed set of lanes within one group.
 type LaneSet = [u64; LANE_WORDS];
 
@@ -174,15 +220,6 @@ const EMPTY_SET: LaneSet = [0; LANE_WORDS];
 
 fn lane_set_any(s: &LaneSet) -> bool {
     s.iter().any(|&w| w != 0)
-}
-
-/// A plan admitted to the packed representation. Its strikes become timed
-/// [`Ev`]s on the group's shared replay walk.
-struct Lane {
-    /// Position in the frozen sorted order (report identity).
-    pos: usize,
-    /// Index into `plans`.
-    idx: usize,
 }
 
 /// One strike of an admitted lane, scheduled on the shared replay walk.
@@ -199,7 +236,7 @@ struct Ev {
 
 /// One classified lane, in the same shape the scalar worker loop produces.
 struct Outcome {
-    pos: usize,
+    /// Index into `plans`.
     idx: usize,
     verdict: Verdict,
     end_steps: u64,
@@ -225,6 +262,31 @@ fn admissible(plan: &FaultPlan, golden: &Golden, num_gprs: u16) -> bool {
         })
 }
 
+/// Whether a plan settles at admission: one strike, on a GPR the lane
+/// could hold (< 64, inside the register file) that golden's liveness says
+/// is not live at the strike step. Its lane would fire the strike and
+/// settle at the same step — one diverged register, not live, no `d` or
+/// queue shadow — with `settled_verdict` over at most that one register,
+/// which is `Masked`: end step `golden.steps`, one strike applied (a
+/// value equal to golden's heals on the spot, with the same outcome).
+/// With two or more strikes the lane cannot settle before its last one
+/// fires, and registers of both colors left behind are `DissimilarState`,
+/// so only k=1 plans settle here (DESIGN.md §12).
+fn settles_at_admission(plan: &FaultPlan, golden: &Golden, num_gprs: u16) -> bool {
+    let [s] = plan.strikes() else {
+        return false;
+    };
+    let FaultSite::Reg(Reg::Gpr(g)) = s.site else {
+        return false;
+    };
+    g.0 < num_gprs
+        && g.0 < 64
+        && usize::try_from(s.at_step)
+            .ok()
+            .and_then(|at| golden.reg_liveness.get(at))
+            .is_some_and(|&(live, _)| live >> g.0 & 1 == 0)
+}
+
 /// The bit-parallel batched campaign engine. Same contract as
 /// [`run_plan_campaign_scalar`](crate::run_plan_campaign_scalar) —
 /// bit-identical reports at every thread count — at a fraction of the
@@ -232,7 +294,9 @@ fn admissible(plan: &FaultPlan, golden: &Golden, num_gprs: u16) -> bool {
 /// strike count) ride one shared golden replay per worker as packed shadow
 /// deltas, classifying at their heal, blue-compare, or liveness-settle
 /// point, and only lanes whose divergence escapes the packed components pay
-/// for a scalar continuation. The caller guarantees an ungated config and a
+/// for a scalar continuation. k=1 strikes on dead registers settle before
+/// any worker starts (`settles_at_admission`), so every group holds only
+/// lanes that need a walk. The caller guarantees an ungated config and a
 /// `Halted` golden run with liveness.
 pub(crate) fn run_batched(
     program: &Arc<Program>,
@@ -242,15 +306,30 @@ pub(crate) fn run_batched(
 ) -> CampaignReport {
     let _span = CAMPAIGN_NS.span();
     let num_gprs = program.num_gprs;
-    let mut order: Vec<usize> = (0..plans.len()).collect();
-    order.sort_by_key(|&i| plans[i].first_step());
-    let order = order; // frozen: positions in this order are the report order
-    let threads = cfg.threads.max(1).min(plans.len().max(1));
+    let mut order: Vec<usize> = (0..plans.len())
+        .filter(|&i| !settles_at_admission(&plans[i], golden, num_gprs))
+        .collect();
+    let settled = (plans.len() - order.len()) as u64;
+    // `(first_step, index)` is the order every engine reports in (a stable
+    // sort by first step); the keys are unique, so an in-place unstable
+    // sort gives it with no scratch buffer. Violations sort by the same key.
+    order.sort_unstable_by_key(|&i| (plans[i].first_step(), i));
+    let threads = cfg.threads.max(1).min(order.len().div_ceil(GROUP_CLAIM));
     let cursor = AtomicUsize::new(0);
     let mut report = CampaignReport {
         fault_order: plans.iter().map(|p| p.order() as u32).max().unwrap_or(0),
+        total: settled,
+        masked: settled,
         ..CampaignReport::default()
     };
+    if talft_obs::enabled() {
+        PLANS.add(settled);
+        let mut tally = [0u64; 7];
+        tally[verdict_slot(Verdict::Masked)] = settled;
+        note_verdicts(&tally);
+        BATCH_LANES.add(settled);
+        BATCH_ADMISSION_SETTLED.add(settled);
+    }
     let mut counts: Vec<CampaignReport> = Vec::new();
     let mut violations: Vec<(usize, Injection)> = Vec::new();
     std::thread::scope(|scope| {
@@ -270,7 +349,7 @@ pub(crate) fn run_batched(
                 // One shadow per worker: `untrack` leaves it empty at group
                 // end, so reuse avoids re-zeroing the payload plane.
                 let mut sh = Shadow::new();
-                let mut group: Vec<Lane> = Vec::with_capacity(GROUP_CLAIM);
+                let mut group: Vec<usize> = Vec::with_capacity(GROUP_CLAIM);
                 let mut events: Vec<Ev> = Vec::with_capacity(GROUP_CLAIM);
                 let mut outcomes: Vec<Outcome> = Vec::with_capacity(GROUP_CLAIM);
                 loop {
@@ -282,8 +361,8 @@ pub(crate) fn run_batched(
                     group.clear();
                     events.clear();
                     outcomes.clear();
-                    let mut scalars: Vec<(usize, usize)> = Vec::new();
-                    for (pos, &idx) in order.iter().enumerate().take(hi).skip(lo) {
+                    let mut scalars: Vec<usize> = Vec::new();
+                    for &idx in &order[lo..hi] {
                         let plan = &plans[idx];
                         if admissible(plan, golden, num_gprs) {
                             let l = group.len() as u32;
@@ -297,9 +376,9 @@ pub(crate) fn run_batched(
                             if plan.order() >= 2 {
                                 multi_n += 1;
                             }
-                            group.push(Lane { pos, idx });
+                            group.push(idx);
                         } else {
-                            scalars.push((pos, idx));
+                            scalars.push(idx);
                         }
                     }
                     // Stable by strike step: per-lane strike order (already
@@ -321,7 +400,7 @@ pub(crate) fn run_batched(
                     );
                     // Whole plans the packed shape cannot express run on the
                     // scalar path, same frontier, ascending strike step.
-                    for (pos, idx) in scalars {
+                    for idx in scalars {
                         let plan = &plans[idx];
                         let first = plan.first_step();
                         advance_frontier(&mut frontier, first, program, cfg, golden);
@@ -338,7 +417,6 @@ pub(crate) fn run_batched(
                         let (verdict, end_steps, applied) =
                             outcome.unwrap_or((Verdict::EngineError, first, 0));
                         outcomes.push(Outcome {
-                            pos,
                             idx,
                             verdict,
                             end_steps,
@@ -359,7 +437,7 @@ pub(crate) fn run_batched(
                         }
                         counts.absorb_counts(o.verdict);
                         if o.verdict.is_violation() {
-                            viols.push((o.pos, lead_injection(plan, o.verdict)));
+                            viols.push((o.idx, lead_injection(plan, o.verdict)));
                         }
                     }
                 }
@@ -375,6 +453,7 @@ pub(crate) fn run_batched(
                     BATCH_SCALAR_ROUTED.add(scalar_n);
                     BATCH_REPLAY_STEPS.add(sh.replay_steps);
                     BATCH_QUIET_STEPS.add(sh.quiet_steps);
+                    BATCH_QUIET_JUMPS.add(sh.quiet_jumps);
                     let secs = start.elapsed().as_secs_f64();
                     if secs > 0.0 {
                         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -399,7 +478,7 @@ pub(crate) fn run_batched(
     for c in counts {
         report.merge(c);
     }
-    violations.sort_by_key(|(pos, _)| *pos);
+    violations.sort_by_key(|&(idx, _)| (plans[idx].first_step(), idx));
     for (_, inj) in violations {
         report.keep(inj);
     }
@@ -471,11 +550,13 @@ struct Shadow {
     /// the only lanes (beyond those holding a register that just went
     /// dead) whose settle condition can newly hold.
     dirty: LaneSet,
-    /// Replay steps taken with lanes in flight, on either path — the
+    /// Replay steps covered with lanes in flight, stepped or jumped — the
     /// worker's `faultsim.batch.replay_steps` tally.
     replay_steps: u64,
-    /// The share of `replay_steps` taken by [`Shadow::skip_quiet`].
+    /// The share of `replay_steps` covered by [`Shadow::skip_quiet`].
     quiet_steps: u64,
+    /// Quiet stretches [`Shadow::skip_quiet`] crossed by a checkpoint seek.
+    quiet_jumps: u64,
     /// Live mask at the previous settle scan, for dead-transition
     /// detection. `u64::MAX` conservatively marks every register as
     /// possibly-just-died.
@@ -504,6 +585,7 @@ impl Shadow {
             dirty: EMPTY_SET,
             replay_steps: 0,
             quiet_steps: 0,
+            quiet_jumps: 0,
             prev_live: u64::MAX,
         }
     }
@@ -518,7 +600,7 @@ impl Shadow {
     /// replays golden's remainder, so it halts at `golden.steps` with
     /// golden's trace and final state — exactly where the scalar engine's
     /// convergence exit (`diff = 0`) or terminal `sim_some_color` lands.
-    fn resolve(&mut self, l: usize, lanes: &[Lane], golden: &Golden, out: &mut Vec<Outcome>) {
+    fn resolve(&mut self, l: usize, lanes: &[usize], golden: &Golden, out: &mut Vec<Outcome>) {
         let (w, b) = (l >> 6, 1u64 << (l & 63));
         let tracked = self.by_lane[l] != 0 || self.ddiv[w] & b != 0 || self.qdiv[w] & b != 0;
         if tracked {
@@ -528,8 +610,7 @@ impl Shadow {
             if self.pending[l] == 0 && self.done[w] & b == 0 {
                 self.done[w] |= b;
                 out.push(Outcome {
-                    pos: lanes[l].pos,
-                    idx: lanes[l].idx,
+                    idx: lanes[l],
                     verdict: Verdict::Masked,
                     end_steps: golden.steps,
                     applied: self.eff[l] as usize,
@@ -622,7 +703,7 @@ impl Shadow {
         g: u16,
         diverged: bool,
         v: i64,
-        lanes: &[Lane],
+        lanes: &[usize],
         golden: &Golden,
         out: &mut Vec<Outcome>,
     ) {
@@ -657,11 +738,11 @@ impl Shadow {
         }
     }
 
-    /// The quiet-step fast path: step the replay over every step, up to
+    /// The quiet-step fast path: move the replay over every step, up to
     /// (not including) `until`, on which the full step — strike firing,
     /// settle scan, [`Shadow::advance`] — provably changes no lane, and
-    /// return at the first step where it might. A step is quiet when no
-    /// lane is dirty (the caller checks) and:
+    /// stop at the first step where it might. A step is quiet when no lane
+    /// is dirty (the caller checks) and:
     ///
     /// * no register any lane diverges in dies here, so the settle scan
     ///   has no candidate;
@@ -671,40 +752,61 @@ impl Shadow {
     ///   or green `ld` while a lane holds a queue shadow, so the `d` and
     ///   queue-driven affected sets are empty too.
     ///
-    /// Such a step only moves `prev_live`, the replay, and on a blue store
-    /// `qbase` — exactly what the full step would do to them.
-    fn skip_quiet(&mut self, replay: &mut Machine, golden: &Golden, until: u64) {
+    /// The stretch's end comes from a scan of golden's per-step
+    /// [`StepAction`] records, not from stepping and decoding. A register
+    /// can die only at the stretch's first step: a death at a later step
+    /// `t` means the action at `t − 1` read it, which ends the stretch
+    /// there. Quiet steps change only `prev_live`, the replay and `qbase`.
+    /// When the stretch is longer than the checkpoint stride and no lane
+    /// holds a `d` or queue shadow, the replay jumps there by a ring seek
+    /// plus less than one stride of steps; otherwise it steps. With no
+    /// queue shadow held `qbase` is re-originated, as after a frontier
+    /// jump; with one held the stretch has no `st`, so `qbase` stays.
+    fn skip_quiet(
+        &mut self,
+        replay: &mut Machine,
+        golden: &Golden,
+        until: u64,
+        oob: OobLoadPolicy,
+    ) {
+        let from = replay.steps();
+        let end = until.min(golden.steps);
+        if from >= end {
+            return;
+        }
+        // Step counts index golden's per-step vectors, so they fit.
+        let (s, e) = (from as usize, end as usize);
         let div = self.div_regs;
+        if self.prev_live & !golden.reg_liveness[s].0 & div != 0 {
+            return;
+        }
         let d_held = lane_set_any(&self.ddiv);
         let q_held = lane_set_any(&self.qdiv);
-        while replay.steps() < until && replay.status().is_running() {
-            let s = usize::try_from(replay.steps()).unwrap_or(usize::MAX);
-            let live = golden.reg_liveness.get(s).map_or(0, |&(live, _)| live);
-            let ins = replay.ir();
-            let (reads, writes) = action_gpr_masks(ins);
-            if ((self.prev_live & !live) | reads | writes) & div != 0 {
-                return;
-            }
-            let pops = match ins {
-                Some(Instr::Jmp { .. } | Instr::Bz { .. }) if d_held => return,
-                Some(
-                    Instr::St { .. }
-                    | Instr::Ld {
-                        color: Color::Green,
-                        ..
-                    },
-                ) if q_held => return,
-                Some(Instr::St { color, .. }) => *color == Color::Blue,
-                _ => false,
-            };
-            self.prev_live = live;
-            step(replay);
-            self.replay_steps += 1;
-            self.quiet_steps += 1;
-            if pops {
-                self.qbase += 1;
+        let stops = if d_held { READS_D } else { 0 } | if q_held { READS_QUEUE } else { 0 };
+        let stretch = &golden.quiet[s..e];
+        let n = stretch
+            .iter()
+            .position(|a| a.gprs & div != 0 || a.kind & stops != 0)
+            .unwrap_or(stretch.len());
+        if n == 0 {
+            return;
+        }
+        let to = from + n as u64;
+        if n as u64 > golden.checkpoints.stride() && !d_held && !q_held {
+            if let Some(cp) = golden.checkpoints.seek(to).filter(|cp| cp.steps() > from) {
+                *replay = cp.clone().with_oob_policy(oob);
+                self.quiet_jumps += 1;
             }
         }
+        while replay.steps() < to {
+            step(replay);
+        }
+        self.prev_live = golden.reg_liveness[s + n - 1].0;
+        if !q_held {
+            self.qbase = 0;
+        }
+        self.replay_steps += n as u64;
+        self.quiet_steps += n as u64;
     }
 
     /// Record lane `l`'s `d` latch as `lane_d` against golden's (post-
@@ -714,7 +816,7 @@ impl Shadow {
         l: usize,
         lane_d: CVal,
         golden_d: CVal,
-        lanes: &[Lane],
+        lanes: &[usize],
         golden: &Golden,
         out: &mut Vec<Outcome>,
     ) {
@@ -739,7 +841,7 @@ impl Shadow {
         seq: u64,
         v: i64,
         golden_v: i64,
-        lanes: &[Lane],
+        lanes: &[usize],
         golden: &Golden,
         out: &mut Vec<Outcome>,
     ) {
@@ -771,7 +873,7 @@ impl Shadow {
         seq: u64,
         a: i64,
         golden_a: i64,
-        lanes: &[Lane],
+        lanes: &[usize],
         golden: &Golden,
         out: &mut Vec<Outcome>,
     ) {
@@ -807,7 +909,7 @@ impl Shadow {
         site: FaultSite,
         value: i64,
         replay: &Machine,
-        lanes: &[Lane],
+        lanes: &[usize],
         golden: &Golden,
         out: &mut Vec<Outcome>,
     ) {
@@ -876,7 +978,7 @@ impl Shadow {
         &mut self,
         replay: &Machine,
         oob: OobLoadPolicy,
-        lanes: &[Lane],
+        lanes: &[usize],
         golden: &Golden,
         out: &mut Vec<Outcome>,
     ) -> (LaneSet, LaneSet) {
@@ -1393,7 +1495,7 @@ fn run_lockstep(
     cfg: &CampaignConfig,
     golden: &Golden,
     plans: &[FaultPlan],
-    lanes: &[Lane],
+    lanes: &[usize],
     events: &[Ev],
     frontier: &mut Option<Machine>,
     sh: &mut Shadow,
@@ -1402,8 +1504,8 @@ fn run_lockstep(
 ) {
     debug_assert!(lanes.len() <= LANES_PER_GROUP);
     debug_assert!(!lane_set_any(&sh.tracking));
-    for (l, lane) in lanes.iter().enumerate() {
-        sh.pending[l] = plans[lane.idx].order() as u16;
+    for (l, &idx) in lanes.iter().enumerate() {
+        sh.pending[l] = plans[idx].order() as u16;
         sh.eff[l] = 0;
     }
     sh.done = EMPTY_SET;
@@ -1419,9 +1521,10 @@ fn run_lockstep(
         }
         let replay = frontier.as_mut().expect("advance_frontier populates");
         if lane_set_any(&sh.tracking) && !lane_set_any(&sh.dirty) {
-            // Lanes in flight and nothing changed last step: walk the
+            // Lanes in flight and nothing changed last step: skip the
             // replay across the quiet stretch before the next strike.
-            sh.skip_quiet(replay, golden, events.get(i).map_or(u64::MAX, |e| e.at));
+            let until = events.get(i).map_or(u64::MAX, |e| e.at);
+            sh.skip_quiet(replay, golden, until, cfg.oob);
         }
         // Fire strikes due now — before the pending action executes,
         // exactly where the scalar loop injects them.
@@ -1432,16 +1535,17 @@ fn run_lockstep(
             if sh.is_done(l) {
                 continue;
             }
-            let s = &plans[lanes[l].idx].strikes()[ev.strike as usize];
+            let s = &plans[lanes[l]].strikes()[ev.strike as usize];
             sh.apply_event(l, s.site, s.value, replay, lanes, golden, out);
         }
         if lane_set_any(&sh.tracking) {
             // Liveness settle: once none of a lane's diverged registers is
             // read before overwrite in golden's future, no strike is
             // pending, and no `d`/queue shadow is held, its verdict is
-            // decided — see `settled_verdict`. This is also how strikes on
-            // dead registers classify in O(1) at admission. The scan is
-            // event-driven: a lane's settle condition can newly hold only
+            // decided — see `settled_verdict`. k=1 strikes on registers
+            // already dead at their step never get here: the same rule
+            // settles them at admission (`settles_at_admission`). The scan
+            // is event-driven: a lane's settle condition can newly hold only
             // if its divergence set changed (`dirty`, set by every shadow
             // transition) or a register it holds just left the live mask
             // (`died`) — so only those candidates are checked, keeping
@@ -1463,8 +1567,7 @@ fn run_lockstep(
                     m &= m - 1;
                     if sh.by_lane[l] & live == 0 && sh.pending[l] == 0 {
                         out.push(Outcome {
-                            pos: lanes[l].pos,
-                            idx: lanes[l].idx,
+                            idx: lanes[l],
                             verdict: settled_verdict(sh.by_lane[l] & !deadwrite, replay),
                             end_steps: golden.steps,
                             applied: sh.eff[l] as usize,
@@ -1493,12 +1596,11 @@ fn run_lockstep(
                     let l = w * 64 + m.trailing_zeros() as usize;
                     m &= m - 1;
                     demote_tally[DemoteCause::Terminal as usize] += 1;
-                    let lane = &lanes[l];
+                    let lane = lanes[l];
                     let (verdict, end_steps, applied) =
-                        demote_lane(replay, sh, l, &plans[lane.idx], cfg, golden);
+                        demote_lane(replay, sh, l, &plans[lane], cfg, golden);
                     out.push(Outcome {
-                        pos: lane.pos,
-                        idx: lane.idx,
+                        idx: lane,
                         verdict,
                         end_steps,
                         applied,
@@ -1519,7 +1621,7 @@ fn run_lockstep(
                 // lands at `steps() + 1`, with the trace a verified golden
                 // prefix.
                 let end_steps = replay.steps() + 1;
-                let plan = &plans[lanes[l].idx];
+                let plan = &plans[lanes[l]];
                 let mut applied = sh.eff[l] as usize;
                 if sh.pending[l] > 0 {
                     // The scalar loop drains strikes due at or before the
@@ -1552,8 +1654,7 @@ fn run_lockstep(
                     }
                 }
                 out.push(Outcome {
-                    pos: lanes[l].pos,
-                    idx: lanes[l].idx,
+                    idx: lanes[l],
                     verdict: Verdict::Detected,
                     end_steps,
                     applied,
@@ -1566,13 +1667,12 @@ fn run_lockstep(
             while dm != 0 {
                 let l = w * 64 + dm.trailing_zeros() as usize;
                 dm &= dm - 1;
-                let lane = &lanes[l];
+                let lane = lanes[l];
                 demote_tally[sh.cause[l] as usize] += 1;
                 let (verdict, end_steps, applied) =
-                    demote_lane(replay, sh, l, &plans[lane.idx], cfg, golden);
+                    demote_lane(replay, sh, l, &plans[lane], cfg, golden);
                 out.push(Outcome {
-                    pos: lane.pos,
-                    idx: lane.idx,
+                    idx: lane,
                     verdict,
                     end_steps,
                     applied,

@@ -570,6 +570,10 @@ pub struct Golden {
     /// the dominant masked-fault shape (a corrupted value that is dead or
     /// about to be overwritten).
     pub reg_liveness: Vec<(u64, u64)>,
+    /// Per-step record of the pending action, for the batched engine's
+    /// quiet-stretch scan (DESIGN.md §12): entry `s` is the action golden
+    /// executes at step `s`, 16 bytes a step. Empty without liveness.
+    pub(crate) quiet: Vec<batch::StepAction>,
 }
 
 /// Run the fault-free execution (also the Corollary 3 check: a well-typed
@@ -592,13 +596,16 @@ pub fn golden_run(program: &Arc<Program>, cfg: &CampaignConfig) -> Result<Golden
     let mut m = Machine::boot(Arc::clone(program)).with_oob_policy(cfg.oob);
     let mask_regs = program.num_gprs <= 64;
     let mut actions: Vec<(u64, u64)> = Vec::new();
+    let mut quiet: Vec<batch::StepAction> = Vec::new();
     loop {
         checkpoints.offer(&m);
         if !(m.status().is_running() && m.steps() < cfg.max_steps) {
             break;
         }
         if mask_regs {
-            actions.push(action_gpr_masks(m.ir()));
+            let masks = action_gpr_masks(m.ir());
+            actions.push(masks);
+            quiet.push(batch::StepAction::new(m.ir(), masks));
         }
         step(&mut m);
     }
@@ -609,6 +616,7 @@ pub fn golden_run(program: &Arc<Program>, cfg: &CampaignConfig) -> Result<Golden
         });
     }
     checkpoints.index_pcs();
+    quiet.shrink_to_fit();
     // Backward scan: liveness[s] classifies each GPR by its first access in
     // actions s.. — read first (live), written first (heals), or untouched.
     let reg_liveness = if mask_regs {
@@ -630,6 +638,7 @@ pub fn golden_run(program: &Arc<Program>, cfg: &CampaignConfig) -> Result<Golden
         machine: m,
         checkpoints,
         reg_liveness,
+        quiet,
     })
 }
 

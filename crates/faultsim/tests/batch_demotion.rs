@@ -430,6 +430,158 @@ fn demotion_counters_advance() {
     );
 }
 
+/// A protected store pair with dead registers around it: `r5` (green) and
+/// `r7` (blue) are written and never touched again, and `r6` is written
+/// twice with no read in between.
+const DEAD: &str = "
+.data
+region out at 4096 len 1 : int output
+.code
+main:
+  .pre { forall m:mem; mem: m; }
+  mov r1, G 5
+  mov r2, G 4096
+  mov r3, B 5
+  mov r4, B 4096
+  mov r5, G 7
+  mov r7, B 3
+  mov r6, B 8
+  mov r6, B 9
+  stG r2, r1
+  stB r4, r3
+  halt
+";
+
+/// First golden step at which `pred` holds.
+fn first_step(program: &Arc<talft_isa::Program>, pred: impl Fn(&Machine) -> bool) -> u64 {
+    let mut m = Machine::boot(Arc::clone(program));
+    while !pred(&m) {
+        assert!(m.status().is_running(), "fixture never reaches the state");
+        step(&mut m);
+    }
+    m.steps()
+}
+
+/// k=1 strikes on registers golden never reads again settle at admission,
+/// before they take a lane, with the outcome their lane would reach: a
+/// register never touched again, one overwritten before any read, any
+/// register of the halted state, and golden's own value on a dead
+/// register. A strike on a live register at the same step still takes a
+/// lane. Every report equals the reference's and the scalar engine's, and
+/// `admission_settled` counts exactly the strikes golden's liveness calls
+/// dead.
+#[test]
+fn dead_register_strikes_settle_at_admission() {
+    let p = arc(DEAD);
+    let golden = golden_run(&p, &cfg()).expect("golden halts");
+    let after_r7 = first_step(&p, |m| m.rval(Reg::r(7)) == 3);
+    let between_r6 = first_step(&p, |m| m.rval(Reg::r(6)) == 8);
+    let gpr = |at: u64, g: u16, v: i64| (at, FaultSite::Reg(Reg::r(g)), v);
+    let cases = [
+        (
+            "never touched again",
+            gpr(after_r7, 5, 1234),
+            Verdict::Masked,
+        ),
+        (
+            "overwritten before a read",
+            gpr(between_r6, 6, -1),
+            Verdict::Masked,
+        ),
+        ("halted state", gpr(golden.steps, 1, 99), Verdict::Masked),
+        ("golden's own value", gpr(after_r7, 5, 7), Verdict::Masked),
+        (
+            "live at the same step",
+            gpr(after_r7, 1, 1234),
+            Verdict::Detected,
+        ),
+    ];
+    let live_at = |at: u64, g: u16| golden.reg_liveness[at as usize].0 >> g & 1 == 1;
+    let mut dead = 0;
+    for (name, (at, site, value), expect) in cases {
+        let FaultSite::Reg(Reg::Gpr(g)) = site else {
+            unreachable!("every case strikes a GPR")
+        };
+        let plans = vec![FaultPlan::single(at, site, value)];
+        let reference = run_plan_campaign_reference(&p, &cfg(), &golden, &plans);
+        let ((batched, scalar), before, after) = with_obs(|| {
+            (
+                run_plan_campaign(&p, &cfg(), &golden, &plans),
+                run_plan_campaign_scalar(&p, &cfg(), &golden, &plans),
+            )
+        });
+        assert_eq!(batched, reference, "{name}: batched report");
+        assert_eq!(scalar, reference, "{name}: scalar report");
+        assert_eq!(sole_verdict(&reference), expect, "{name}");
+        let settled = u64::from(!live_at(at, g.0));
+        dead += settled;
+        assert_eq!(
+            delta(&before, &after, "faultsim.batch.admission_settled"),
+            settled,
+            "{name}: settles at admission iff golden never reads r{} again",
+            g.0
+        );
+        assert_eq!(delta(&before, &after, "faultsim.batch.lanes"), 1, "{name}");
+    }
+    assert_eq!(dead, 4, "four of the five strikes hit dead registers");
+    // All five in one campaign: the settled plans leave the sorted order,
+    // and the report is still the reference's.
+    let plans: Vec<FaultPlan> = cases
+        .iter()
+        .map(|&(_, (at, site, value), _)| FaultPlan::single(at, site, value))
+        .collect();
+    let reference = run_plan_campaign_reference(&p, &cfg(), &golden, &plans);
+    let (batched, before, after) = with_obs(|| run_plan_campaign(&p, &cfg(), &golden, &plans));
+    assert_eq!(batched, reference);
+    assert_eq!((reference.masked, reference.detected), (4, 1));
+    assert_eq!(
+        delta(&before, &after, "faultsim.batch.admission_settled"),
+        dead
+    );
+    assert_eq!(delta(&before, &after, "faultsim.batch.lanes"), 5);
+    assert_eq!(delta(&before, &after, "campaign.plans"), 5);
+}
+
+/// Settlement at admission is k=1 only: a k=2 plan zapping a dead green
+/// and a dead blue register, both persisting to halt, leaves registers of
+/// both colors diverged, which is `DissimilarState`. It takes a lane and
+/// ends there, as the reference does.
+#[test]
+fn two_dead_strikes_of_both_colors_take_a_lane() {
+    let p = arc(DEAD);
+    let golden = golden_run(&p, &cfg()).expect("golden halts");
+    let at = first_step(&p, |m| m.rval(Reg::r(7)) == 3);
+    for g in [5, 7] {
+        assert_eq!(
+            golden.reg_liveness[at as usize].0 >> g & 1,
+            0,
+            "r{g} is dead"
+        );
+    }
+    let plans = vec![FaultPlan::new(vec![
+        Strike {
+            at_step: at,
+            site: FaultSite::Reg(Reg::r(5)),
+            value: 1,
+        },
+        Strike {
+            at_step: at + 1,
+            site: FaultSite::Reg(Reg::r(7)),
+            value: 2,
+        },
+    ])];
+    let reference = run_plan_campaign_reference(&p, &cfg(), &golden, &plans);
+    let (batched, before, after) = with_obs(|| run_plan_campaign(&p, &cfg(), &golden, &plans));
+    assert_eq!(batched, reference);
+    assert_eq!(sole_verdict(&reference), Verdict::DissimilarState);
+    assert_eq!(
+        delta(&before, &after, "faultsim.batch.admission_settled"),
+        0
+    );
+    assert_eq!(delta(&before, &after, "faultsim.batch.lanes"), 1);
+    assert_eq!(delta(&before, &after, "faultsim.batch.multi_lanes"), 1);
+}
+
 /// One quiet-stretch case from `tests/common`: its program and plan.
 fn quiet_case(name: &str) -> (Arc<talft_isa::Program>, FaultPlan) {
     common::quiet_fixtures()
@@ -456,7 +608,11 @@ fn live_untouched_register_rides_the_fast_path_to_its_compare() {
     assert_eq!(delta(&before, &after, "faultsim.batch.demotions"), 0);
     assert!(
         delta(&before, &after, "faultsim.batch.quiet_steps") >= 2500,
-        "the loop must be walked on the fast path"
+        "the loop must be skipped on the fast path"
+    );
+    assert!(
+        delta(&before, &after, "faultsim.batch.quiet_jumps") >= 1,
+        "a stretch this long crosses the checkpoint ring"
     );
 }
 
@@ -488,6 +644,11 @@ fn d_shadow_survives_a_skipped_store_pop() {
     assert_eq!(delta(&before, &after, "faultsim.batch.multi_lanes"), 1);
     assert_eq!(delta(&before, &after, "faultsim.batch.demotions"), 0);
     assert!(delta(&before, &after, "faultsim.batch.quiet_steps") > 0);
+    assert_eq!(
+        delta(&before, &after, "faultsim.batch.quiet_jumps"),
+        0,
+        "the lane holds its `d` shadow throughout, so every stretch is stepped"
+    );
 }
 
 /// Quiet-step fast path (d): a k=2 lane walks the loop quietly after its
