@@ -11,6 +11,7 @@ use talft_obs::Json;
 use talft_suite::Scale;
 
 fn main() {
+    let json = report::json_path();
     println!("# Ablation: geomean overhead vs issue width");
     println!("| width | TAL-FT | TAL-FT w/o ordering | gap |");
     println!("|---:|---:|---:|---:|");
@@ -19,7 +20,7 @@ fn main() {
             for &(w, go, gu) in &rows {
                 println!("| {w} | {go:.3}x | {gu:.3}x | {:.1}% |", (go - gu) * 100.0);
             }
-            report::emit(|| {
+            report::emit(json, || {
                 Report::new("talft.ablation.v1")
                     .field(
                         "rows",

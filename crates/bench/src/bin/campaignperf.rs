@@ -1,8 +1,7 @@
 //! **campaignperf** — the E16/E19 engine differential: the bit-parallel
-//! batched campaign engine timed three-way against the scalar checkpointed
-//! work-stealing engine and the sequential reference on the same plan
-//! sets, plus the entailment-cache hit rate over the suite checker
-//! workload.
+//! batched campaign engine timed against the sequential reference on the
+//! same plan sets, plus the entailment-cache hit rate over the suite
+//! checker workload.
 //!
 //! Two phases, each preceded by a registry reset so its numbers are
 //! attributable:
@@ -12,12 +11,11 @@
 //!    `logic.cache.hit` / `logic.cache.miss` and the derived hit rate;
 //! 2. **campaign** — per kernel, build the k=1 plan set once, then run
 //!    the sequential [`run_plan_campaign_reference`] on it, and
-//!    [`run_plan_campaign_scalar`] and [`run_plan_campaign`] (batched for
-//!    this ungated config) at the pinned thread count. All three reports
-//!    must be bit-identical and SDC must be zero (Theorem 4); the row
-//!    records each engine's wall time and plans/sec, and the document
-//!    carries per-engine verdict totals so `--check` can re-prove the
-//!    agreement offline. The `batch` object breaks demotions
+//!    [`run_plan_campaign`] (the batched engine) at the pinned thread
+//!    count. Both reports must be bit-identical and SDC must be zero
+//!    (Theorem 4); the row records each engine's wall time and plans/sec,
+//!    and the document carries per-engine verdict totals so `--check` can
+//!    re-prove the agreement offline. The `batch` object breaks demotions
 //!    down by cause (the `faultsim.batch.demote.*` counters) and records
 //!    the multi-strike lane count, so the residual scalar work is
 //!    attributable from the report alone.
@@ -26,9 +24,10 @@
 //!          [--json <path>] [--check <path>] [--threads N] [--stride N]
 //!          [--checkpoint-stride N]`
 //!
-//! `--json` defaults to `BENCH_campaign.json`; `--threads` (the scalar and
-//! batched engines') defaults to 4 (pinned, not `available_parallelism`,
-//! so rows are comparable across machines); `--stride` (campaign time stride) defaults to 3;
+//! `--json` defaults to `BENCH_campaign.json`; `--threads` (the batched
+//! engine's) defaults to 4 (pinned, not `available_parallelism`, so rows
+//! are comparable across machines); `--stride` (campaign time stride)
+//! defaults to 3;
 //! `--checkpoint-stride` defaults to 0 (engine auto). `--check <path>`
 //! parses an existing report with the dep-free [`talft_obs::Json`] parser
 //! and gates on the *count* invariants — nonzero checkpoint reuse, nonzero
@@ -43,13 +42,16 @@ use talft_bench::report::{self, campaign_json, Report};
 use talft_compiler::{compile, CompileOptions};
 use talft_core::check_program;
 use talft_faultsim::{
-    golden_run, run_plan_campaign, run_plan_campaign_reference, run_plan_campaign_scalar,
-    single_fault_plans, CampaignConfig, CampaignReport,
+    golden_run, run_plan_campaign, run_plan_campaign_reference, single_fault_plans, CampaignConfig,
+    CampaignReport,
 };
 use talft_obs::Json;
 use talft_suite::{kernels, Scale};
 
-/// Required top-level keys of a `talft.campaignperf.v4` document.
+/// The schema tag this bin writes and `--check` accepts.
+const SCHEMA: &str = "talft.campaignperf.v5";
+
+/// Required top-level keys of a [`SCHEMA`] document.
 const REQUIRED: &[&str] = &[
     "schema",
     "threads",
@@ -62,7 +64,7 @@ const REQUIRED: &[&str] = &[
     "batch",
 ];
 
-/// The verdict-count fields every engine must agree on, exactly. These are
+/// The verdict-count fields both engines must agree on, exactly. These are
 /// the u64 fields of [`campaign_json`]; timings are deliberately absent.
 const VERDICT_FIELDS: &[&str] = &[
     "total",
@@ -119,7 +121,7 @@ fn main() {
         check_existing(&path);
         return;
     }
-    let threads = usize::try_from(report::arg("--threads").unwrap_or(4)).unwrap_or(4);
+    let threads: usize = report::arg("--threads").unwrap_or(4);
     let stride = report::arg("--stride").unwrap_or(3);
     let checkpoint_stride = report::arg("--checkpoint-stride").unwrap_or(0);
     let path = report::json_path().unwrap_or_else(|| "BENCH_campaign.json".into());
@@ -161,12 +163,8 @@ fn main() {
     };
     talft_obs::reset_all();
     let mut rows = Vec::new();
-    let (mut tot_plans, mut tot_ref_ns, mut tot_eng_ns, mut tot_bat_ns) = (0u64, 0u64, 0u64, 0u64);
-    let (mut ref_tot, mut eng_tot, mut bat_tot) = (
-        VerdictTotals::default(),
-        VerdictTotals::default(),
-        VerdictTotals::default(),
-    );
+    let (mut tot_plans, mut tot_ref_ns, mut tot_bat_ns) = (0u64, 0u64, 0u64);
+    let (mut ref_tot, mut bat_tot) = (VerdictTotals::default(), VerdictTotals::default());
     for (name, c) in &compiled {
         let golden = match golden_run(&c.protected.program, &cfg) {
             Ok(g) => g,
@@ -180,59 +178,46 @@ fn main() {
         let ref_rep = run_plan_campaign_reference(&c.protected.program, &cfg, &golden, &plans);
         let ref_ns = ns(t0.elapsed());
         let t0 = Instant::now();
-        let eng_rep = run_plan_campaign_scalar(&c.protected.program, &cfg, &golden, &plans);
-        let eng_ns = ns(t0.elapsed());
-        let t0 = Instant::now();
         let bat_rep = run_plan_campaign(&c.protected.program, &cfg, &golden, &plans);
         let bat_ns = ns(t0.elapsed());
-        if eng_rep != ref_rep {
-            eprintln!("error: {name}: scalar engine report diverged from the reference engine");
-            std::process::exit(1);
-        }
         if bat_rep != ref_rep {
             eprintln!("error: {name}: batched engine report diverged from the reference engine");
             std::process::exit(1);
         }
-        if eng_rep.sdc != 0 {
+        if bat_rep.sdc != 0 {
             eprintln!("error: {name}: SDC on a protected binary (Theorem 4 violated)");
             std::process::exit(1);
         }
         let plans_n = plans.len() as u64;
         tot_plans += plans_n;
         tot_ref_ns += ref_ns;
-        tot_eng_ns += eng_ns;
         tot_bat_ns += bat_ns;
         ref_tot.add(&ref_rep);
-        eng_tot.add(&eng_rep);
         bat_tot.add(&bat_rep);
         eprintln!(
-            "{name:>10}: {plans_n:>6} plans  reference {:>10.0} plans/s  scalar {:>10.0} plans/s  batched {:>10.0} plans/s  ({:.2}x)",
+            "{name:>10}: {plans_n:>6} plans  reference {:>10.0} plans/s  batched {:>10.0} plans/s  ({:.2}x)",
             per_sec(plans_n, ref_ns),
-            per_sec(plans_n, eng_ns),
             per_sec(plans_n, bat_ns),
-            ratio(eng_ns, bat_ns),
+            ratio(ref_ns, bat_ns),
         );
         rows.push(Json::obj([
             ("name", Json::str(*name)),
             ("plans", Json::U64(plans_n)),
             ("reference_ns", Json::U64(ref_ns)),
-            ("engine_ns", Json::U64(eng_ns)),
             ("batched_ns", Json::U64(bat_ns)),
             (
                 "reference_plans_per_sec",
                 Json::F64(per_sec(plans_n, ref_ns)),
             ),
-            ("engine_plans_per_sec", Json::F64(per_sec(plans_n, eng_ns))),
             ("batched_plans_per_sec", Json::F64(per_sec(plans_n, bat_ns))),
-            ("speedup", Json::F64(ratio(ref_ns, eng_ns))),
-            ("batched_speedup", Json::F64(ratio(eng_ns, bat_ns))),
-            ("sdc", Json::U64(eng_rep.sdc)),
-            ("report", campaign_json(&eng_rep)),
+            ("speedup", Json::F64(ratio(ref_ns, bat_ns))),
+            ("sdc", Json::U64(bat_rep.sdc)),
+            ("report", campaign_json(&bat_rep)),
         ]));
     }
     let campaign = talft_obs::snapshot();
 
-    let json = Report::new("talft.campaignperf.v4")
+    let json = Report::new(SCHEMA)
         .field("threads", Json::U64(threads as u64))
         .field("stride", Json::U64(stride))
         .field("checkpoint_stride", Json::U64(checkpoint_stride))
@@ -251,29 +236,19 @@ fn main() {
             Json::obj([
                 ("plans", Json::U64(tot_plans)),
                 ("reference_ns", Json::U64(tot_ref_ns)),
-                ("engine_ns", Json::U64(tot_eng_ns)),
                 ("batched_ns", Json::U64(tot_bat_ns)),
                 (
                     "reference_plans_per_sec",
                     Json::F64(per_sec(tot_plans, tot_ref_ns)),
                 ),
                 (
-                    "engine_plans_per_sec",
-                    Json::F64(per_sec(tot_plans, tot_eng_ns)),
-                ),
-                (
                     "batched_plans_per_sec",
                     Json::F64(per_sec(tot_plans, tot_bat_ns)),
                 ),
-                ("speedup", Json::F64(ratio(tot_ref_ns, tot_eng_ns))),
-                ("batched_speedup", Json::F64(ratio(tot_eng_ns, tot_bat_ns))),
+                ("speedup", Json::F64(ratio(tot_ref_ns, tot_bat_ns))),
                 (
                     "verdicts",
-                    Json::obj([
-                        ("reference", ref_tot.json()),
-                        ("engine", eng_tot.json()),
-                        ("batched", bat_tot.json()),
-                    ]),
+                    Json::obj([("reference", ref_tot.json()), ("batched", bat_tot.json())]),
                 ),
             ]),
         )
@@ -332,10 +307,8 @@ fn main() {
     report::write_json(&json, &path);
 
     eprintln!(
-        "totals: {tot_plans} plans, engine speedup {:.2}x, batched {:.2}x over engine, \
-         cache hit rate {:.1}%",
-        ratio(tot_ref_ns, tot_eng_ns),
-        ratio(tot_eng_ns, tot_bat_ns),
+        "totals: {tot_plans} plans, batched {:.2}x over the reference, cache hit rate {:.1}%",
+        ratio(tot_ref_ns, tot_bat_ns),
         hit_rate * 100.0
     );
 }
@@ -395,7 +368,7 @@ fn check_existing(path: &str) {
             std::process::exit(1);
         }
     }
-    if json.get("schema").and_then(Json::as_str) != Some("talft.campaignperf.v4") {
+    if json.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
         eprintln!("campaignperf: {path} has an unexpected schema tag");
         std::process::exit(1);
     }
@@ -472,8 +445,8 @@ fn check_existing(path: &str) {
             fail(&format!("kernel {name} is missing batched_ns"));
         }
     }
-    // The three-way differential, re-proved offline: every engine's summed
-    // verdict counts must agree field-by-field. Any divergence is a
+    // The differential, re-proved offline: both engines' summed verdict
+    // counts must agree field-by-field. Any divergence is a
     // verdict-exactness regression, not a tuning matter — exit nonzero and
     // name the field.
     let Some(verdicts) = json.get("totals").and_then(|t| t.get("verdicts")) else {
@@ -490,10 +463,10 @@ fn check_existing(path: &str) {
                 None => fail(&format!("missing totals.verdicts.{engine}.{field}")),
             }
         };
-        let (r, e, b) = (at("reference"), at("engine"), at("batched"));
-        if e != r || b != r {
+        let (r, b) = (at("reference"), at("batched"));
+        if b != r {
             fail(&format!(
-                "engines disagree on {field}: reference={r} engine={e} batched={b}"
+                "engines disagree on {field}: reference={r} batched={b}"
             ));
         }
     }
@@ -505,5 +478,5 @@ fn check_existing(path: &str) {
     {
         fail("protected-suite totals report nonzero SDC");
     }
-    println!("campaignperf: {path} OK (schema talft.campaignperf.v4, engines agree)");
+    println!("campaignperf: {path} OK (schema {SCHEMA}, engines agree)");
 }

@@ -20,6 +20,7 @@ use talft_suite::{kernels, Scale};
 fn main() {
     let stride: u64 = report::arg("--stride").unwrap_or(11);
     let stop = std::env::args().any(|a| a == "--stop-on-violation");
+    let json = report::json_path();
     let cfg = CampaignConfig {
         stride,
         mutations_per_site: 3,
@@ -44,7 +45,7 @@ fn main() {
     }
     print!("{}", render_coverage(&rows));
     println!();
-    report::emit(|| {
+    report::emit(json, || {
         Report::new("talft.coverage.v1")
             .field("stride", Json::U64(stride))
             .field("fault_tolerant", Json::Bool(all_ft))

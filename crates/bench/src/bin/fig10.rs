@@ -16,8 +16,13 @@ fn main() {
     let (scale, scale_name) = match report::arg_str("--scale").as_deref() {
         Some("tiny") => (Scale::Tiny, "tiny"),
         Some("small") => (Scale::Small, "small"),
-        _ => (Scale::Full, "full"),
+        None | Some("full") => (Scale::Full, "full"),
+        Some(other) => {
+            eprintln!("fig10: cannot parse the value `{other}` of `--scale`");
+            std::process::exit(1);
+        }
     };
+    let json = report::json_path();
     let model = MachineModel::default();
     println!("# Figure 10 — Performance normalized to unprotected version");
     println!(
@@ -32,7 +37,7 @@ fn main() {
     match fig10_rows(scale, &model) {
         Ok(rows) => {
             print!("{}", render_fig10(&rows));
-            report::emit(|| {
+            report::emit(json, || {
                 Report::new("talft.fig10.v1")
                     .field("scale", Json::str(scale_name))
                     .field("width", Json::U64(u64::from(model.width)))

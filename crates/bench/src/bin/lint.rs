@@ -56,6 +56,7 @@ fn main() {
         return;
     }
     let stride = report::arg("--stride").unwrap_or(1);
+    let json = report::json_path();
     let cfg = CampaignConfig {
         stride,
         mutations_per_site: 1,
@@ -169,7 +170,7 @@ fn main() {
         ("protected", total_for("protected")),
         ("baseline", total_for("baseline")),
     ]);
-    report::emit(|| {
+    report::emit(json, || {
         Report::new("talft.lint.grid.v1")
             .field("kernels", Json::U64(ks.len() as u64))
             .field("stride", Json::U64(cfg.effective_stride()))

@@ -18,11 +18,12 @@ use talft_obs::Json;
 use talft_suite::{kernels, Scale};
 
 fn main() {
-    let k = arg("--k").map_or(2, |v| u32::try_from(v).unwrap_or(2));
-    let samples = arg("--samples").unwrap_or(4096) as usize;
+    let k: u32 = arg("--k").unwrap_or(2);
+    let samples: usize = arg("--samples").unwrap_or(4096);
     let seed = arg("--seed").unwrap_or(0x7A1F_F00D);
     let stride = arg("--stride").unwrap_or(17);
-    let threads = arg("--threads").map_or(1, |v| (v as usize).max(1));
+    let threads = arg("--threads").map_or(1, |v: usize| v.max(1));
+    let json = report::json_path();
     let cfg = CampaignConfig {
         stride,
         pair_samples: samples,
@@ -68,8 +69,8 @@ fn main() {
     } else {
         kn_det as f64 / kn_exposed as f64
     };
-    report::emit(|| {
-        Report::new("talft.multifault.v2")
+    report::emit(json, || {
+        Report::new("talft.multifault.v3")
             .field("k", Json::U64(u64::from(k)))
             .field("seed", Json::U64(seed))
             .field("stride", Json::U64(stride))

@@ -30,14 +30,16 @@ use talft_oracle::OracleConfig;
 use talft_suite::{kernels, Scale};
 
 fn main() {
-    let cap = arg("--cap").unwrap_or(0) as usize;
+    let cap = arg("--cap").unwrap_or(0);
     let stride = arg("--stride").unwrap_or(17);
     let seed = arg("--seed").unwrap_or(0x0E14_0E14);
-    let mutations = arg("--mutations").unwrap_or(1) as usize;
-    let threads = arg("--threads").unwrap_or(1) as usize;
+    let mutations: usize = arg("--mutations").unwrap_or(1);
+    let threads: usize = arg("--threads").unwrap_or(1);
+    let kernel_cap = arg("--kernels");
+    let json = report::json_path();
     let mut ks = kernels(Scale::Tiny);
-    if let Some(n) = arg("--kernels") {
-        ks.truncate(n as usize);
+    if let Some(n) = kernel_cap {
+        ks.truncate(n);
     }
     let cfg = OracleConfig {
         campaign: CampaignConfig {
@@ -71,7 +73,7 @@ fn main() {
     };
     print!("{}", render_mutation(&summary));
     println!();
-    report::emit(|| {
+    report::emit(json, || {
         Report::new("talft.mutation.v1")
             .field("kernels", Json::U64(ks.len() as u64))
             .field("cap", Json::U64(cap as u64))

@@ -14,6 +14,7 @@ use talft_sim::{simulate, MachineModel};
 use talft_suite::{kernels, Scale};
 
 fn main() {
+    let json = report::json_path();
     let model = MachineModel::default();
     println!("# Optimization-level ablation: geomean TAL-FT overhead");
     println!("| pipeline | geomean | baseline cyc (sum) | TAL-FT cyc (sum) |");
@@ -51,7 +52,7 @@ fn main() {
         println!("| {label} | {g:.3}x | {base_sum} | {prot_sum} |");
         json_rows.push(sweep_row_json(label, g, base_sum, prot_sum));
     }
-    report::emit(|| {
+    report::emit(json, || {
         Report::new("talft.optlevel.v1")
             .field("rows", Json::Array(json_rows))
             .build()

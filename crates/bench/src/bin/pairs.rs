@@ -69,8 +69,9 @@ fn main() {
         return;
     }
     let stride = report::arg("--stride").unwrap_or(17);
-    let samples = report::arg("--samples").unwrap_or(128) as usize;
-    let exhaustive_kernels = report::arg("--exhaustive").unwrap_or(2) as usize;
+    let samples = report::arg("--samples").unwrap_or(128);
+    let exhaustive_kernels = report::arg("--exhaustive").unwrap_or(2);
+    let json = report::json_path();
     let cfg = CampaignConfig {
         stride,
         mutations_per_site: 1,
@@ -192,7 +193,7 @@ fn main() {
         ("protected", total_for("protected")),
         ("baseline", total_for("baseline")),
     ]);
-    report::emit(|| {
+    report::emit(json, || {
         Report::new("talft.pairs.v2")
             .field("kernels", Json::U64(ks.len() as u64))
             .field("stride", Json::U64(cfg.effective_stride()))

@@ -65,10 +65,10 @@ fn complete_shard(
 }
 
 fn main() {
-    let n_kernels = arg("--kernels").map_or(3, |v| (v as usize).max(1));
+    let n_kernels = arg("--kernels").map_or(3, |v: usize| v.max(1));
     let stride = arg("--stride").unwrap_or(31);
-    let threads = arg("--threads").map_or(2, |v| (v as usize).max(1));
-    let every = arg("--every").map_or(64, |v| (v as usize).max(1));
+    let threads = arg("--threads").map_or(2, |v: usize| v.max(1));
+    let every = arg("--every").map_or(64, |v: usize| v.max(1));
     let cfg = CampaignConfig {
         stride,
         mutations_per_site: 2,

@@ -13,6 +13,7 @@ use talft_obs::Json;
 use talft_suite::{kernels, Scale};
 
 fn main() {
+    let json = report::json_path();
     println!("# Program characterization (Tiny scale)");
     println!(
         "| benchmark | base instrs | prot instrs | growth | dyn steps | max queue | det. latency mean | max |"
@@ -70,7 +71,7 @@ fn main() {
             ),
         ]));
     }
-    report::emit(|| {
+    report::emit(json, || {
         Report::new("talft.stats.v1")
             .field("rows", Json::Array(json_rows))
             .build()

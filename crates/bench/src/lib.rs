@@ -19,7 +19,7 @@ pub mod report;
 
 use talft_compiler::{compile, vir::interpret, CompileOptions, Compiled};
 use talft_faultsim::{
-    golden_run, multi_fault_plans, run_campaign, run_plan_campaign, run_plan_campaign_scalar,
+    golden_run, multi_fault_plans, run_campaign, run_plan_campaign, run_plan_campaign_reference,
     CampaignConfig, CampaignReport,
 };
 use talft_oracle::{run_oracle, MutantOutcome, MutationOp, OpScore, OracleConfig};
@@ -191,45 +191,27 @@ pub fn render_coverage(rows: &[CoverageRow]) -> String {
     s
 }
 
-/// One row of the k-fault boundary table (E13/E20): the protected binary
+/// One row of the k-fault boundary table (E13): the protected binary
 /// under a sampled `k`-fault campaign, where Theorem 4 makes no promise.
-/// The same plan set is run through the batched *and* the scalar engine
-/// ([`multifault_row`] fails on any report mismatch), so each row doubles
-/// as an E20 timing sample of the `k ≥ 2` lane-admission path.
 #[derive(Debug, Clone)]
 pub struct MultifaultRow {
     /// Benchmark name.
     pub name: &'static str,
     /// Fault multiplicity of the campaign.
     pub k: u32,
-    /// Campaign over the protected binary (batched report; the scalar
-    /// report is bit-identical by construction).
+    /// Campaign over the protected binary.
     pub protected: CampaignReport,
-    /// Wall-clock seconds of the batched engine over the row's plan set.
-    pub batched_secs: f64,
-    /// Wall-clock seconds of the scalar engine over the same plans.
-    pub scalar_secs: f64,
 }
 
-impl MultifaultRow {
-    /// Batched-over-scalar speedup for this row's plan set.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        if self.batched_secs <= 0.0 {
-            return 1.0;
-        }
-        self.scalar_secs / self.batched_secs
-    }
-}
-
-/// Run a sampled `k`-fault campaign over one kernel's protected binary
-/// through both plan engines, timing each.
+/// Run a sampled `k`-fault campaign over one kernel's protected binary.
+/// A `k ≥ 2` plan set also runs through the sequential reference
+/// (`campaignperf` cross-checks `k = 1` on every Tiny kernel).
 ///
 /// # Errors
 ///
-/// Fails on compile/golden errors, and on a batched/scalar report
-/// mismatch — verdict exactness is part of the row's contract, so a
-/// disagreement poisons the whole table rather than one engine's numbers.
+/// Fails on compile/golden errors, and on a report that differs from the
+/// reference's — verdict exactness is part of the row's contract, so a
+/// disagreement poisons the whole table.
 pub fn multifault_row(
     kernel: &Kernel,
     cfg: &CampaignConfig,
@@ -240,54 +222,40 @@ pub fn multifault_row(
     let program = &c.protected.program;
     let golden = golden_run(program, cfg).map_err(|e| format!("{}: {e}", kernel.name))?;
     let plans = multi_fault_plans(program, cfg, &golden, k);
-    let t0 = std::time::Instant::now();
-    let batched = run_plan_campaign(program, cfg, &golden, &plans);
-    let batched_secs = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    let scalar = run_plan_campaign_scalar(program, cfg, &golden, &plans);
-    let scalar_secs = t1.elapsed().as_secs_f64();
-    if batched != scalar {
-        return Err(format!(
-            "{} (k={k}): batched and scalar reports diverged\nbatched: {batched:?}\nscalar:  {scalar:?}",
-            kernel.name
-        ));
+    let report = run_plan_campaign(program, cfg, &golden, &plans);
+    if k >= 2 {
+        let reference = run_plan_campaign_reference(program, cfg, &golden, &plans);
+        if report != reference {
+            return Err(format!(
+                "{} (k={k}): report diverged from the reference\nbatched:   {report:?}\nreference: {reference:?}",
+                kernel.name
+            ));
+        }
     }
     Ok(MultifaultRow {
         name: kernel.name,
         k,
-        protected: batched,
-        batched_secs,
-        scalar_secs,
+        protected: report,
     })
 }
 
 /// Render the k-fault boundary table as markdown. SDC here is *expected*
 /// for `k ≥ 2` — it quantifies the edge of the single-event-upset model,
 /// not a Theorem 4 violation — so the table leads with detection coverage.
-/// The trailing columns are the E20 engine timings (plans/sec through the
-/// batched and scalar engines over the identical plan set).
 #[must_use]
 pub fn render_multifault(rows: &[MultifaultRow]) -> String {
     use std::fmt::Write;
     let mut s = String::new();
     writeln!(
         s,
-        "| benchmark | k | plans | masked | detected | SDC | other | coverage | batched/s | scalar/s | speedup |"
+        "| benchmark | k | plans | masked | detected | SDC | other | coverage |"
     )
     .expect("write to string");
-    writeln!(s, "|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|")
-        .expect("write to string");
+    writeln!(s, "|---|---:|---:|---:|---:|---:|---:|---:|").expect("write to string");
     for r in rows {
-        let rate = |secs: f64| {
-            if secs > 0.0 {
-                r.protected.total as f64 / secs
-            } else {
-                0.0
-            }
-        };
         writeln!(
             s,
-            "| {} | {} | {} | {} | {} | {} | {} | {:.1}% | {:.0} | {:.0} | {:.2}x |",
+            "| {} | {} | {} | {} | {} | {} | {} | {:.1}% |",
             r.name,
             r.k,
             r.protected.total,
@@ -296,9 +264,6 @@ pub fn render_multifault(rows: &[MultifaultRow]) -> String {
             r.protected.sdc,
             r.protected.other_violations,
             100.0 * r.protected.coverage(),
-            rate(r.batched_secs),
-            rate(r.scalar_secs),
-            r.speedup(),
         )
         .expect("write to string");
     }

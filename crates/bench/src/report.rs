@@ -15,27 +15,49 @@ use talft_obs::Json;
 
 use crate::{CoverageRow, Fig10Row, MultifaultRow, MutationSummary};
 
-/// Parse `--name N` or `--name=N` from the process arguments.
+/// Parse `--name N` or `--name=N` from the process arguments; `None` when
+/// the flag is absent. A value that does not parse as `T` is a usage
+/// error, like a missing one (see [`arg_str`]).
 #[must_use]
-pub fn arg(name: &str) -> Option<u64> {
-    arg_str(name).and_then(|s| s.parse().ok())
+pub fn arg<T: std::str::FromStr>(name: &str) -> Option<T> {
+    let v = arg_str(name)?;
+    match v.parse() {
+        Ok(n) => Some(n),
+        Err(_) => usage_error(&format!("cannot parse the value `{v}` of `{name}`")),
+    }
 }
 
-/// Parse `--name VALUE` or `--name=VALUE` from the process arguments.
+/// Parse `--name VALUE` or `--name=VALUE` from the process arguments;
+/// `None` when the flag is absent. A flag with no value — last on the
+/// line, followed by another `--flag`, or `--name=` — is a usage error:
+/// the bin exits 1 naming the flag instead of running its default.
 #[must_use]
 pub fn arg_str(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let spaced = args
-        .iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned());
-    spaced.or_else(|| {
-        args.iter()
-            .find_map(|a| a.strip_prefix(name)?.strip_prefix('=').map(str::to_owned))
-    })
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let value = match args.iter().position(|a| a == name) {
+        Some(i) => args.get(i + 1).filter(|v| !v.starts_with("--")).cloned(),
+        None => Some(
+            args.iter()
+                .find_map(|a| a.strip_prefix(name)?.strip_prefix('='))?
+                .to_owned(),
+        ),
+    };
+    match value {
+        Some(v) if !v.is_empty() => Some(v),
+        _ => usage_error(&format!("`{name}` needs a value")),
+    }
+}
+
+/// Report a command-line usage error, naming the bin, and exit 1.
+fn usage_error(msg: &str) -> ! {
+    let argv0 = std::env::args().next().unwrap_or_default();
+    let bin = std::path::Path::new(&argv0).file_name().unwrap_or_default();
+    eprintln!("{}: {msg}", bin.to_string_lossy());
+    std::process::exit(1);
 }
 
 /// The `--json <path>` destination, if requested on the command line.
+/// Bins read it before they start work, so a bad flag fails fast.
 #[must_use]
 pub fn json_path() -> Option<PathBuf> {
     arg_str("--json").map(PathBuf::from)
@@ -51,10 +73,10 @@ pub fn write_json(json: &Json, path: &std::path::Path) {
     eprintln!("wrote {}", path.display());
 }
 
-/// If `--json <path>` was given, build the report with `make` and write it.
-/// `make` runs only when a destination was requested.
-pub fn emit(make: impl FnOnce() -> Json) {
-    if let Some(path) = json_path() {
+/// If a `--json` destination was given ([`json_path`]), build the report
+/// with `make` and write it there. `make` runs only when one was.
+pub fn emit(path: Option<PathBuf>, make: impl FnOnce() -> Json) {
+    if let Some(path) = path {
         write_json(&make(), &path);
     }
 }
@@ -173,7 +195,7 @@ pub fn coverage_json(rows: &[CoverageRow]) -> Json {
     )
 }
 
-/// Multifault rows (`talft.multifault.v2` payload).
+/// Multifault rows (`talft.multifault.v3` payload).
 #[must_use]
 pub fn multifault_json(rows: &[MultifaultRow]) -> Json {
     Json::Array(
@@ -183,9 +205,6 @@ pub fn multifault_json(rows: &[MultifaultRow]) -> Json {
                     ("name", Json::str(r.name)),
                     ("k", Json::U64(u64::from(r.k))),
                     ("protected", campaign_json(&r.protected)),
-                    ("batched_secs", Json::F64(r.batched_secs)),
-                    ("scalar_secs", Json::F64(r.scalar_secs)),
-                    ("speedup", Json::F64(r.speedup())),
                 ])
             })
             .collect(),

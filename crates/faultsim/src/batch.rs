@@ -1,6 +1,7 @@
-//! Bit-parallel batched campaign execution (DESIGN.md §12).
+//! Bit-parallel batched campaign execution (DESIGN.md §12), the one
+//! parallel campaign loop.
 //!
-//! The E16 scalar engine simulates one faulty machine per plan. But on a
+//! A scalar run simulates one faulty machine per plan. But on a
 //! well-typed program almost every fault is *masked* or *detected*, and
 //! faulty runs share a shape while undecided: after `reg-zap` / `Q-zap2`
 //! the faulty state equals the golden state everywhere except a small set
@@ -56,7 +57,7 @@
 //!   and no `d`/queue shadow is held, the remaining run replays golden
 //!   verbatim and the verdict is decided by the colors of the persisting
 //!   registers (`Masked`/`DissimilarState`), the same case split as the
-//!   scalar engine's convergence exit. The settle scan is event-driven
+//!   scalar continuation's convergence exit. The settle scan is event-driven
 //!   (dirty lanes plus holders of just-died registers), so wide groups
 //!   cost O(events), not O(lanes), per step. A k=1 strike on a register
 //!   that is already dead at its step settles before it takes a lane:
@@ -95,18 +96,21 @@
 //! shared replay walk, so the `k = 2` E13 grids ride the batched path
 //! whenever both strikes hit packed sites. Only plans with a pc-register
 //! strike (a diverged pc forks the action sequence itself) or a strike
-//! past golden termination route to the scalar path whole. Campaigns the
-//! packed form cannot serve at all never reach this module:
-//! [`run_plan_campaign`](crate::run_plan_campaign) runs the scalar engine
-//! for a gated (`stop_on_first_violation`) config (the batched engine has
-//! no deterministic abort order), a golden run that did not halt (the
-//! convergence exit is only exact against a halted golden), or missing
-//! liveness.
+//! past golden termination route to the scalar path whole. A campaign the
+//! packed form cannot serve at all — a golden run that did not halt (the
+//! blue-compare and settle rules are only exact against a halted golden)
+//! or one without liveness (more than 64 GPRs) — settles and admits
+//! nothing: `run_batched` checks this once, and every plan takes the
+//! whole-plan scalar route of its worker. The pass has no deterministic
+//! abort order, so it always runs whole;
+//! [`run_plan_campaign`](crate::run_plan_campaign) answers a gated
+//! (`stop_on_first_violation`) config from it and walks the prefix
+//! sequentially only when the pass holds a violation.
 //!
 //! **Verdict exactness is the contract**: the report — counts, retained
 //! violations, latency histogram, incomplete-plan accounting — is
-//! bit-identical to [`run_plan_campaign_scalar`](crate::run_plan_campaign_scalar)
-//! and to [`run_plan_campaign_reference`](crate::run_plan_campaign_reference)
+//! bit-identical to
+//! [`run_plan_campaign_reference`](crate::run_plan_campaign_reference)
 //! at every thread count, and the batched-differential test layer
 //! (`tests/batch_differential.rs`, `tests/batch_demotion.rs`) re-proves it
 //! per release rather than assuming it; `tests/campaign_pins.rs` holds the
@@ -116,7 +120,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use talft_isa::{CVal, Color, Gpr, Instr, OpSrc, Program, Reg};
-use talft_machine::{step, FaultSite, Machine, OobLoadPolicy};
+use talft_machine::{step, FaultSite, Machine, OobLoadPolicy, Status};
 use talft_obs::{LazyCounter, LazyHistogram};
 
 use crate::{
@@ -234,7 +238,7 @@ struct Ev {
     strike: u32,
 }
 
-/// One classified lane, in the same shape the scalar worker loop produces.
+/// One classified plan, packed lane or scalar-routed.
 struct Outcome {
     /// Index into `plans`.
     idx: usize,
@@ -248,7 +252,7 @@ struct Outcome {
 /// a queue slot — value *or* address) at or before golden's halt. Only pc
 /// strikes route scalar: a diverged pc forks the action sequence itself,
 /// which the lockstep walk cannot express. The golden-run preconditions
-/// (`Halted`, liveness present) are checked once by the caller.
+/// (`Halted`, liveness present) are checked once by `run_batched`.
 fn admissible(plan: &FaultPlan, golden: &Golden, num_gprs: u16) -> bool {
     !plan.strikes().is_empty()
         && plan.strikes().iter().all(|s| {
@@ -287,17 +291,20 @@ fn settles_at_admission(plan: &FaultPlan, golden: &Golden, num_gprs: u16) -> boo
             .is_some_and(|&(live, _)| live >> g.0 & 1 == 0)
 }
 
-/// The bit-parallel batched campaign engine. Same contract as
-/// [`run_plan_campaign_scalar`](crate::run_plan_campaign_scalar) —
-/// bit-identical reports at every thread count — at a fraction of the
-/// simulated steps: faults on packed sites (GPRs, `d`, queue values; any
-/// strike count) ride one shared golden replay per worker as packed shadow
-/// deltas, classifying at their heal, blue-compare, or liveness-settle
-/// point, and only lanes whose divergence escapes the packed components pay
-/// for a scalar continuation. k=1 strikes on dead registers settle before
-/// any worker starts (`settles_at_admission`), so every group holds only
-/// lanes that need a walk. The caller guarantees an ungated config and a
-/// `Halted` golden run with liveness.
+/// The bit-parallel batched campaign engine: reports bit-identical to
+/// [`run_plan_campaign_reference`](crate::run_plan_campaign_reference)'s
+/// at every thread count, at a fraction of the simulated steps. Faults on
+/// packed sites (GPRs, `d`, queue values; any strike count) ride one
+/// shared golden replay per worker as packed shadow deltas, classifying at
+/// their heal, blue-compare, or liveness-settle point, and only lanes whose
+/// divergence escapes the packed components pay for a scalar continuation.
+/// k=1 strikes on dead registers settle before any worker starts
+/// (`settles_at_admission`), so every group holds only lanes that need a
+/// walk. Any golden run and plan set may be passed: a golden that is not
+/// packable (`Halted`, with liveness) settles and admits nothing, so every
+/// plan takes its worker's whole-plan scalar route. The gate is the
+/// caller's: the pass ignores `stop_on_first_violation` and always runs
+/// whole.
 pub(crate) fn run_batched(
     program: &Arc<Program>,
     cfg: &CampaignConfig,
@@ -306,8 +313,9 @@ pub(crate) fn run_batched(
 ) -> CampaignReport {
     let _span = CAMPAIGN_NS.span();
     let num_gprs = program.num_gprs;
+    let packable = golden.status == Status::Halted && !golden.reg_liveness.is_empty();
     let mut order: Vec<usize> = (0..plans.len())
-        .filter(|&i| !settles_at_admission(&plans[i], golden, num_gprs))
+        .filter(|&i| !(packable && settles_at_admission(&plans[i], golden, num_gprs)))
         .collect();
     let settled = (plans.len() - order.len()) as u64;
     // `(first_step, index)` is the order every engine reports in (a stable
@@ -364,7 +372,7 @@ pub(crate) fn run_batched(
                     let mut scalars: Vec<usize> = Vec::new();
                     for &idx in &order[lo..hi] {
                         let plan = &plans[idx];
-                        if admissible(plan, golden, num_gprs) {
+                        if packable && admissible(plan, golden, num_gprs) {
                             let l = group.len() as u32;
                             for (k, s) in plan.strikes().iter().enumerate() {
                                 events.push(Ev {
@@ -536,7 +544,7 @@ struct Shadow {
     /// Strikes of lane `l` not yet fired (`plan.order() - fired`).
     pending: Vec<u16>,
     /// Strikes of lane `l` whose injection took effect (`inject` returned
-    /// true) — the scalar engine's `applied` count.
+    /// true) — the scalar continuation's `applied` count.
     eff: Vec<u16>,
     /// Lanes with an emitted [`Outcome`]; their remaining events are
     /// skipped.
@@ -598,8 +606,9 @@ impl Shadow {
     /// emit its `Masked` outcome if it just fully healed with no strike
     /// pending: the lane re-equals golden and deterministic stepping
     /// replays golden's remainder, so it halts at `golden.steps` with
-    /// golden's trace and final state — exactly where the scalar engine's
-    /// convergence exit (`diff = 0`) or terminal `sim_some_color` lands.
+    /// golden's trace and final state — exactly where the scalar
+    /// continuation's convergence exit (`diff = 0`) or terminal
+    /// `sim_some_color` lands.
     fn resolve(&mut self, l: usize, lanes: &[usize], golden: &Golden, out: &mut Vec<Outcome>) {
         let (w, b) = (l >> 6, 1u64 << (l & 63));
         let tracked = self.by_lane[l] != 0 || self.ddiv[w] & b != 0 || self.qdiv[w] & b != 0;
@@ -1412,8 +1421,8 @@ fn or_assign(dst: &mut LaneSet, src: &LaneSet) {
 /// and `persist` (the rest) survives to the final state. `Masked` if
 /// nothing survives or the survivors are all one color (`sim-val-zap`
 /// under that color's tag), `DissimilarState` otherwise — the identical
-/// case split, on the identical masks and colors, as the scalar engine's
-/// `convergence_verdict` and terminal `sim_some_color`.
+/// case split, on the identical masks and colors, as the scalar
+/// continuation's `persisting_verdict` and terminal `sim_some_color`.
 fn settled_verdict(persist: u64, replay: &Machine) -> Verdict {
     let mut zap: Option<talft_isa::Color> = None;
     let mut bits = persist;
@@ -1433,7 +1442,7 @@ fn settled_verdict(persist: u64, replay: &Machine) -> Verdict {
 /// Reconstruct lane `l`'s exact faulty machine — the replay plus its
 /// packed GPR payloads (golden's color tags intact), `d` shadow, and
 /// queue value/address shadows — and run the scalar continuation from the
-/// next unfired strike. This is the state the scalar engine holds at this step,
+/// next unfired strike. This is the state a scalar run holds at this step,
 /// so the continuation is exact.
 fn demote_lane(
     replay: &Machine,

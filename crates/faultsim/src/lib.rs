@@ -27,13 +27,14 @@
 //! single-event-upset model rather than falsify the theorem
 //! ([`CampaignReport::within_fault_model`]).
 //!
-//! Six executors make up the campaign surface. [`run_plan_campaign`]
-//! chooses between two engines from its inputs — the bit-parallel batched
-//! engine ([`mod@batch`]) and the work-stealing scalar engine
-//! ([`run_plan_campaign_scalar`]); [`run_plan_campaign_reference`] is the
-//! sequential oracle both are tested against, and [`plan_fault_grid`]
-//! shares its walk to return every plan's verdict. [`run_campaign`] is the
-//! `k = 1` convenience and [`run_shard_campaign`] the durable shard path.
+//! Five executors over two loops make up the campaign surface.
+//! [`run_plan_campaign`] runs the bit-parallel batched engine
+//! ([`mod@batch`]), whose workers run every plan they cannot pack on the
+//! scalar continuation; [`run_plan_campaign_reference`] is the sequential
+//! oracle it is tested against, and [`plan_fault_grid`] shares its walk
+//! to return every plan's verdict. [`run_campaign`] is the `k = 1`
+//! convenience and [`run_shard_campaign`] the durable shard path, both
+//! over [`run_plan_campaign`].
 //!
 //! The runtime is hardened for long campaigns: each injection runs under
 //! `catch_unwind` so a harness panic becomes a recorded
@@ -75,7 +76,6 @@ pub use shard::{
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use talft_isa::Program;
@@ -235,8 +235,10 @@ pub struct CampaignConfig {
     pub pair_samples: usize,
     /// Window (in steps) for correlated cross-color pair search.
     pub pair_window: u64,
-    /// Abort the campaign at the first Theorem 4 violation (go/no-go mode).
-    /// Counts in the report then cover only the injections performed.
+    /// Report only the campaign's prefix, in first-strike order, that ends
+    /// at its first Theorem 4 violation (go/no-go mode); counts then cover
+    /// that prefix. [`run_plan_campaign`] runs the full batched pass first
+    /// and walks the prefix only when the pass holds a violation.
     pub stop_on_first_violation: bool,
     /// Initial snapshot interval for the golden [`CheckpointRing`]
     /// (0 = auto, currently 16). The ring is bounded; when full it drops
@@ -510,9 +512,10 @@ impl CampaignReport {
         }
     }
 
-    /// Count a verdict without retaining a counterexample — workers of the
-    /// work-stealing engine tally counts commutatively and hand violations
-    /// (tagged with their deterministic position) to the final assembly.
+    /// Count a verdict without retaining a counterexample — batched
+    /// workers tally counts commutatively and hand violations (tagged with
+    /// their plan index) to the final assembly, which keeps them in
+    /// first-strike order.
     fn absorb_counts(&mut self, verdict: Verdict) {
         self.total += 1;
         match verdict {
@@ -681,12 +684,6 @@ pub fn run_campaign(
     Ok(run_plan_campaign(program, cfg, &golden, &plans))
 }
 
-/// Contiguous positions a worker claims per fetch from the shared cursor.
-/// Large enough to amortize the atomic and keep claimed plans step-adjacent
-/// (frontier moves monotonically within a batch), small enough that a
-/// worker stuck on slow continuations cannot hoard the tail.
-const STEAL_BATCH: usize = 32;
-
 /// Target step interval between same-step rejoin checks in [`resume_plan`]
 /// (rounded up to a ring-grid multiple). A rejoin at offset 0 is absorbing,
 /// so on golden's path a sparser cadence misses nothing — it only delays
@@ -710,21 +707,12 @@ fn lead_injection(plan: &FaultPlan, verdict: Verdict) -> Injection {
     }
 }
 
-/// One classified continuation tagged with its position in the sorted plan
-/// order, so gated (`stop_on_first_violation`) campaigns can be reassembled
-/// in deterministic sequential order regardless of which worker ran what.
-struct TaggedOutcome {
-    pos: usize,
-    inj: Injection,
-    latency: Option<u64>,
-    incomplete: bool,
-}
-
 /// Advance (or reseed) a worker frontier to the golden prefix at `target`
 /// steps. Prefers the latest checkpoint at or before `target` over stepping
 /// from the current frontier whenever the checkpoint is further along; a
-/// frontier past `target` (possible only when batches arrive out of step
-/// order) is discarded and reseeded.
+/// frontier past `target` (a lockstep walk has carried it beyond a
+/// scalar-routed plan of its claim, or claims arrived out of step order) is
+/// discarded and reseeded.
 fn advance_frontier(
     frontier: &mut Option<Machine>,
     target: u64,
@@ -754,15 +742,18 @@ fn advance_frontier(
 
 /// Execute an arbitrary set of fault plans and classify every continuation.
 ///
-/// The engine is chosen from the inputs. The bit-parallel batched engine
-/// ([`mod@batch`]) classifies most masked faults in O(1) against one shared
-/// golden replay and demotes the rest to the scalar continuation; it needs
-/// a `Halted` golden run with register liveness, and it has no
-/// deterministic abort order. So a gated config
-/// ([`CampaignConfig::stop_on_first_violation`]), a golden run that did not
-/// halt, or missing liveness (more than 64 GPRs) runs the scalar engine
-/// ([`run_plan_campaign_scalar`]) instead. Reports are bit-identical either
-/// way, at every thread count, and equal [`run_plan_campaign_reference`]'s.
+/// Every campaign runs on the bit-parallel batched engine ([`mod@batch`]),
+/// which classifies most masked faults in O(1) against one shared golden
+/// replay and runs the rest on the scalar continuation. A golden run the
+/// packed form cannot serve (one that did not halt, or no liveness: more
+/// than 64 GPRs) packs nothing, and every plan takes a worker's whole-plan
+/// scalar route. A gated config
+/// ([`CampaignConfig::stop_on_first_violation`]) runs the same full pass:
+/// with no violation in it, that report is already the gated one; with
+/// one, the sequential walk with the checkpoint ring finds the prefix that
+/// ends at the first violation in first-strike order. Reports are
+/// bit-identical at every thread count and equal
+/// [`run_plan_campaign_reference`]'s.
 #[must_use]
 pub fn run_plan_campaign(
     program: &Arc<Program>,
@@ -770,213 +761,41 @@ pub fn run_plan_campaign(
     golden: &Golden,
     plans: &[FaultPlan],
 ) -> CampaignReport {
-    if cfg.stop_on_first_violation
-        || golden.status != Status::Halted
-        || golden.reg_liveness.is_empty()
-    {
-        return run_plan_campaign_scalar(program, cfg, golden, plans);
-    }
-    batch::run_batched(program, cfg, golden, plans)
-}
-
-/// The E16 checkpointed work-stealing engine: one faulty machine simulated
-/// per plan.
-///
-/// The engine sorts plans by first-strike step (stable) and runs them under
-/// a **work-stealing scheduler**: workers claim contiguous batches of the
-/// sorted order from a shared atomic cursor, so load imbalance (one batch
-/// full of long-running continuations) does not idle the other workers.
-/// Each worker keeps a *frontier* machine seeded from the golden
-/// [`CheckpointRing`] and advanced monotonically — a plan's continuation is
-/// a copy-on-write clone of the frontier at its first strike, so the
-/// fault-free prefix is neither re-stepped from boot nor deep-copied.
-/// Continuations that have applied every strike and converged back onto a
-/// golden checkpoint stop immediately (masked by determinism; see
-/// [`Machine::execution_eq`]).
-///
-/// Each continuation runs under `catch_unwind`: a panic in the harness is
-/// recorded as [`Verdict::EngineError`] and the worker carries on.
-///
-/// The report is **bit-identical** to the sequential
-/// [`run_plan_campaign_reference`] for every thread count: counts and
-/// histograms merge commutatively, retained violations are assembled in
-/// sorted-order position, and gated campaigns
-/// ([`CampaignConfig::stop_on_first_violation`]) reduce to the outcome
-/// prefix ending at the globally first violation. Public so the
-/// differential tests and `campaignperf` can run it head-to-head with the
-/// batched engine; [`run_plan_campaign`] picks the engine.
-#[must_use]
-pub fn run_plan_campaign_scalar(
-    program: &Arc<Program>,
-    cfg: &CampaignConfig,
-    golden: &Golden,
-    plans: &[FaultPlan],
-) -> CampaignReport {
-    let _span = CAMPAIGN_NS.span();
-    let mut order: Vec<usize> = (0..plans.len()).collect();
-    order.sort_by_key(|&i| plans[i].first_step());
-    let order = order; // frozen: positions in this order are the report order
-    let threads = cfg.threads.max(1).min(plans.len().max(1));
-    let gated = cfg.stop_on_first_violation;
-    let cursor = AtomicUsize::new(0);
-    // Position of the earliest known violation (gated mode only);
-    // `u64::MAX` = none found yet. `fetch_min` keeps it exact under races.
-    let stop_pos = AtomicU64::new(u64::MAX);
-    let mut report = CampaignReport {
-        fault_order: plans.iter().map(|p| p.order() as u32).max().unwrap_or(0),
-        ..CampaignReport::default()
-    };
-    let mut counts: Vec<CampaignReport> = Vec::new();
-    let mut violations: Vec<(usize, Injection)> = Vec::new();
-    let mut outcomes: Vec<TaggedOutcome> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let order = &order;
-            let cursor = &cursor;
-            let stop_pos = &stop_pos;
-            handles.push(scope.spawn(move || {
-                let mut counts = CampaignReport::default();
-                let mut viols: Vec<(usize, Injection)> = Vec::new();
-                let mut outs: Vec<TaggedOutcome> = Vec::new();
-                let worker_start = talft_obs::enabled().then(std::time::Instant::now);
-                let mut executed = 0u64;
-                let mut verdict_tally = [0u64; 7];
-                let mut frontier: Option<Machine> = None;
-                loop {
-                    let lo = cursor.fetch_add(STEAL_BATCH, Ordering::Relaxed);
-                    if lo >= order.len() {
-                        break;
-                    }
-                    let hi = (lo + STEAL_BATCH).min(order.len());
-                    for pos in lo..hi {
-                        // Past the earliest known violation nothing can be
-                        // reported; skipping is safe because positions at or
-                        // before the final stop position are never skipped
-                        // (stop_pos only decreases).
-                        if gated && pos as u64 > stop_pos.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        let plan = &plans[order[pos]];
-                        let first = plan.first_step();
-                        advance_frontier(&mut frontier, first, program, cfg, golden);
-                        let fr = frontier.as_ref().expect("advance_frontier populates");
-                        // Transient panics are retried with deterministic
-                        // backoff (satellite: `faultsim.retry.*`); each
-                        // attempt re-clones the pristine frontier, and a
-                        // deterministic panic converges to the same
-                        // `EngineError` at every retry budget — reports stay
-                        // bit-identical.
-                        let outcome = run_isolated(cfg.retry, || {
-                            let mut faulty = fr.clone();
-                            execute_plan(&mut faulty, plan, golden, Some(&golden.checkpoints))
-                        });
-                        let (verdict, end_steps, applied) =
-                            outcome.unwrap_or((Verdict::EngineError, first, 0));
-                        executed += 1;
-                        verdict_tally[verdict_slot(verdict)] += 1;
-                        let latency =
-                            (verdict == Verdict::Detected).then(|| end_steps.saturating_sub(first));
-                        let incomplete = verdict != Verdict::EngineError && applied < plan.order();
-                        if gated {
-                            if verdict.is_violation() {
-                                stop_pos.fetch_min(pos as u64, Ordering::Relaxed);
-                            }
-                            outs.push(TaggedOutcome {
-                                pos,
-                                inj: lead_injection(plan, verdict),
-                                latency,
-                                incomplete,
-                            });
-                        } else {
-                            if let Some(l) = latency {
-                                counts.detection_latency.record(l);
-                            }
-                            if incomplete {
-                                counts.incomplete_plans += 1;
-                            }
-                            counts.absorb_counts(verdict);
-                            if verdict.is_violation() {
-                                viols.push((pos, lead_injection(plan, verdict)));
-                            }
-                        }
-                    }
-                }
-                if let Some(start) = worker_start {
-                    // Counters are flushed once per worker, not per plan —
-                    // contended atomics in the classification loop would
-                    // charge the engine for its own instrumentation.
-                    PLANS.add(executed);
-                    note_verdicts(&verdict_tally);
-                    let secs = start.elapsed().as_secs_f64();
-                    if secs > 0.0 {
-                        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                        WORKER_RATE.record((executed as f64 / secs) as u64);
-                    }
-                }
-                (counts, viols, outs)
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok((c, v, o)) => {
-                    counts.push(c);
-                    violations.extend(v);
-                    outcomes.extend(o);
-                }
-                // A worker dying outside the per-plan catch_unwind (should
-                // not happen) still must not poison the whole campaign.
-                Err(_) => report.engine_errors += 1,
-            }
-        }
-    });
-    if gated {
-        // Reassemble the sequential prefix: absorb outcomes in sorted-order
-        // position up to and including the earliest violation. Workers may
-        // have executed plans past it; those outcomes are discarded, exactly
-        // as a sequential gated run would never have reached them.
-        let v_star = stop_pos.load(Ordering::Relaxed);
-        outcomes.sort_by_key(|o| o.pos);
-        let mut executed = 0usize;
-        for o in outcomes {
-            if o.pos as u64 > v_star {
-                break;
-            }
-            executed += 1;
-            if let Some(l) = o.latency {
-                report.detection_latency.record(l);
-            }
-            if o.incomplete {
-                report.incomplete_plans += 1;
-            }
-            report.absorb(o.inj);
-        }
-        report.stopped_early = executed < plans.len();
-    } else {
-        for c in counts {
-            report.merge(c);
-        }
-        violations.sort_by_key(|(pos, _)| *pos);
-        for (_, inj) in violations {
-            report.keep(inj);
-        }
+    let report = batch::run_batched(program, cfg, golden, plans);
+    if cfg.stop_on_first_violation && !report.fault_tolerant() {
+        return walk_report(program, cfg, golden, plans, Some(&golden.checkpoints));
     }
     report
 }
 
-/// The sequential **oracle** the engines are tested against: one frontier
-/// stepped from boot, plans in first-strike order, each continuation run
-/// to its end with no checkpoint seeking and no convergence early-exit.
-/// A gated config stops after the first violation. No threads, so the
-/// report is the definition of what [`run_plan_campaign`] and
-/// [`run_plan_campaign_scalar`] must reproduce bit for bit at every thread
-/// count; `campaignperf` times it as the unoptimized baseline.
+/// The sequential **oracle** the batched engine is tested against: one
+/// frontier stepped from boot, plans in first-strike order, each
+/// continuation run to its end with no checkpoint seeking and no
+/// convergence early-exit. A gated config stops after the first violation.
+/// No threads, so the report is the definition of what
+/// [`run_plan_campaign`] must reproduce bit for bit at every thread count;
+/// `campaignperf` times it as the unoptimized baseline.
 #[must_use]
 pub fn run_plan_campaign_reference(
     program: &Arc<Program>,
     cfg: &CampaignConfig,
     golden: &Golden,
     plans: &[FaultPlan],
+) -> CampaignReport {
+    walk_report(program, cfg, golden, plans, None)
+}
+
+/// [`walk_plans`] folded into a report, stopping after the first violation
+/// under a gated config. The reference walks without a ring; a gated
+/// [`run_plan_campaign`] whose batched pass found a violation walks with
+/// golden's, which ends converged continuations early with the same
+/// verdicts.
+fn walk_report(
+    program: &Arc<Program>,
+    cfg: &CampaignConfig,
+    golden: &Golden,
+    plans: &[FaultPlan],
+    ring: Option<&CheckpointRing>,
 ) -> CampaignReport {
     let mut report = CampaignReport {
         fault_order: plans.iter().map(|p| p.order() as u32).max().unwrap_or(0),
@@ -988,7 +807,7 @@ pub fn run_plan_campaign_reference(
         cfg,
         golden,
         plans,
-        None,
+        ring,
         |i, (verdict, end_steps, applied)| {
             let plan = &plans[i];
             executed += 1;
@@ -1008,8 +827,8 @@ pub fn run_plan_campaign_reference(
     report
 }
 
-/// The sequential walk shared by [`run_plan_campaign_reference`] and
-/// [`plan_fault_grid`]: plans in first-strike order (stable), one frontier
+/// The sequential walk shared by [`run_plan_campaign_reference`], the
+/// gated fallback of [`run_plan_campaign`] and [`plan_fault_grid`]: plans in first-strike order (stable), one frontier
 /// stepped monotonically from boot, each continuation a clone of it run
 /// under `catch_unwind` ([`Verdict::EngineError`] once retries are spent).
 /// `visit` gets each plan's index with its `(verdict, end_steps, applied)`
@@ -1269,6 +1088,7 @@ pub(crate) fn resume_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
     use talft_isa::assemble;
 
     fn arc(src: &str) -> Arc<Program> {
@@ -1478,8 +1298,9 @@ main:
             },
         )
         .expect("ok");
-        // Bit-identical, not just same counts: the work-stealing engine
-        // reassembles violations in sorted-plan order for any thread count.
+        // Bit-identical, not just same counts: the batched workers'
+        // violations are reassembled in first-strike order at any thread
+        // count.
         assert_eq!(one, many);
     }
 
@@ -1714,8 +1535,8 @@ main:
 
     /// A run that rejoins a golden run ending in `fault` ends the way that
     /// golden run does: `Detected`, with the reference's latency, not
-    /// `Masked`. (The batched engine needs a halted golden, so this is the
-    /// scalar engine's rejoin.)
+    /// `Masked`. (A faulting golden packs nothing, so this is the rejoin of
+    /// the batched worker's whole-plan scalar route.)
     #[test]
     fn rejoining_a_faulting_golden_is_detected() {
         let p = arc("

@@ -1,8 +1,8 @@
 //! Targeted lane-shadow and demotion tests for the batched engine:
 //! hand-built `.talft` fixtures that force each exit from the packed
-//! representation and prove the batched report is exactly the scalar
-//! engine's. `run_plan_campaign` runs the batched engine on every fixture
-//! here: the configs are ungated and each golden run halts. With the
+//! representation and prove the batched report is exactly the sequential
+//! reference's. `run_plan_campaign` runs the batched engine on every
+//! fixture here, and each golden run halts, so lanes pack. With the
 //! queue/`d` shadows a corrupted value flowing into a blue compare is not
 //! a demotion — the lane resolves it *in place*: a failing compare on the
 //! lane while golden passes is an instant in-lane `Detected`, and only a
@@ -22,8 +22,8 @@ mod common;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use talft_faultsim::{
-    golden_run, plan_fault_grid, run_plan_campaign, run_plan_campaign_reference,
-    run_plan_campaign_scalar, CampaignConfig, CampaignReport, FaultPlan, Strike, Verdict,
+    golden_run, plan_fault_grid, run_plan_campaign, run_plan_campaign_reference, CampaignConfig,
+    CampaignReport, FaultPlan, Strike, Verdict,
 };
 use talft_isa::{assemble, Color, Reg};
 use talft_machine::{inject, step, FaultSite, Machine};
@@ -79,16 +79,17 @@ fn sole_verdict(report: &CampaignReport) -> Verdict {
     }
 }
 
-/// Run one plan through both engines; assert bit-identical reports and
-/// return the (shared) verdict of its lead injection.
+/// Run one plan through the batched engine and the reference; assert
+/// bit-identical reports and return the (shared) verdict of its lead
+/// injection.
 fn agreed_verdict(program: &Arc<talft_isa::Program>, plan: FaultPlan) -> Verdict {
     let golden = golden_run(program, &cfg()).expect("golden halts");
     let plans = vec![plan];
-    let scalar = run_plan_campaign_scalar(program, &cfg(), &golden, &plans);
+    let reference = run_plan_campaign_reference(program, &cfg(), &golden, &plans);
     let batched = run_plan_campaign(program, &cfg(), &golden, &plans);
     assert_eq!(
-        batched, scalar,
-        "batched plan's report diverged from the scalar engine"
+        batched, reference,
+        "batched plan's report diverged from the reference"
     );
     sole_verdict(&batched)
 }
@@ -128,7 +129,7 @@ fn run_until(
 /// the `stG`, and at the `stB` the lane *passes* the compare (both the
 /// register and the shadowed queue entry hold the same corrupt value) while
 /// committing a diverged word — the `mem_commit` demotion, whose
-/// continuation must land on the scalar engine's `Sdc`.
+/// continuation must land on the reference's `Sdc`.
 #[test]
 fn memory_divergence_demotes_to_sdc() {
     let src = format!(
@@ -190,8 +191,8 @@ fn protected_store_detects_in_lane() {
 /// run skip the latch golden performs at the `bzG` — the missing `d` rides
 /// as a `d`-latch shadow to the `bzB`, where golden commits a transfer the
 /// lane coherently refuses: control forks without a failing compare, the
-/// `control_fork` demotion. The demoted continuation must match the scalar
-/// engine verdict-for-verdict.
+/// `control_fork` demotion. The demoted continuation must match the
+/// reference verdict-for-verdict.
 ///
 /// Both `bz` halves read the *same* condition register so the corruption
 /// flips them coherently: the machine's `rval` is color-blind, and a
@@ -211,15 +212,13 @@ fn control_flow_split_demotes_and_matches_scalar() {
     // Corrupt r1 to nonzero right after its mov: both bz halves go untaken
     // together while golden jumps — control forks cleanly and the faulty
     // run commits a store golden never performs. The exact verdict is the
-    // scalar engine's business; the batched engine must only *agree*.
+    // reference's business; the batched engine must only *agree*.
     let at = 2; // after `mov r1` executed, before the branch pair reads it
     let plan = FaultPlan::single(at, FaultSite::Reg(Reg::r(1)), 1);
-    let ((scalar, batched), before, after) = with_obs(|| {
-        let scalar = run_plan_campaign_scalar(&p, &cfg(), &golden_rep, std::slice::from_ref(&plan));
-        let batched = run_plan_campaign(&p, &cfg(), &golden_rep, &[plan]);
-        (scalar, batched)
-    });
-    assert_eq!(batched, scalar, "control split changed the verdict");
+    let reference =
+        run_plan_campaign_reference(&p, &cfg(), &golden_rep, std::slice::from_ref(&plan));
+    let (batched, before, after) = with_obs(|| run_plan_campaign(&p, &cfg(), &golden_rep, &[plan]));
+    assert_eq!(batched, reference, "control split changed the verdict");
     assert_eq!(batched.total, 1);
     assert_eq!(
         batched.masked, 0,
@@ -285,10 +284,13 @@ fn queue_window_strike_detects_in_lane() {
     let ((), before, after) = with_obs(|| {
         for (reg, val) in [(Reg::r(3), 9), (Reg::r(4), 5000)] {
             let plan = FaultPlan::single(at, FaultSite::Reg(reg), val);
-            let scalar =
-                run_plan_campaign_scalar(&p, &cfg(), &golden_rep, std::slice::from_ref(&plan));
+            let reference =
+                run_plan_campaign_reference(&p, &cfg(), &golden_rep, std::slice::from_ref(&plan));
             let batched = run_plan_campaign(&p, &cfg(), &golden_rep, &[plan]);
-            assert_eq!(batched, scalar, "queue-window strike on {reg:?} diverged");
+            assert_eq!(
+                batched, reference,
+                "queue-window strike on {reg:?} diverged"
+            );
             assert_eq!(batched.detected, 1, "stB must catch the {reg:?} corruption");
         }
     });
@@ -341,12 +343,9 @@ fn queue_shadow_spans_block_boundary() {
         // Queue value corrupted after the boundary crossing.
         FaultPlan::single(in_block2, FaultSite::QueueVal(0), -1),
     ];
-    let ((scalar, batched), before, after) = with_obs(|| {
-        let scalar = run_plan_campaign_scalar(&p, &cfg(), &golden_rep, &plans);
-        let batched = run_plan_campaign(&p, &cfg(), &golden_rep, &plans);
-        (scalar, batched)
-    });
-    assert_eq!(batched, scalar, "spanning shadow changed a verdict");
+    let reference = run_plan_campaign_reference(&p, &cfg(), &golden_rep, &plans);
+    let (batched, before, after) = with_obs(|| run_plan_campaign(&p, &cfg(), &golden_rep, &plans));
+    assert_eq!(batched, reference, "spanning shadow changed a verdict");
     assert_eq!(batched.total, 2);
     assert_eq!(batched.detected, 2, "the stB catches both corruptions");
     assert_eq!(delta(&before, &after, "faultsim.batch.lanes"), 2);
@@ -360,7 +359,9 @@ fn queue_shadow_spans_block_boundary() {
 /// The demotion paths are *exercised*, not skipped: with instrumentation
 /// on, the full k=1 grid over a protected store pair must count packed
 /// lanes, per-cause demotions that sum to the demotion total, and scalar
-/// routes — and a k=2 sampled set must admit multi-strike lanes.
+/// routes — and a k=2 sampled set must admit multi-strike lanes. The same
+/// pair in a 200-register file, or with a golden run that faults, packs
+/// nothing: every plan is scalar-routed.
 #[test]
 fn demotion_counters_advance() {
     let src = format!(
@@ -413,12 +414,9 @@ fn demotion_counters_advance() {
         ..cfg()
     };
     let k2 = talft_faultsim::multi_fault_plans(&p, &k2_cfg, &golden, 2);
-    let ((scalar2, batched2), before2, after2) = with_obs(|| {
-        let scalar = run_plan_campaign_scalar(&p, &k2_cfg, &golden, &k2);
-        let batched = run_plan_campaign(&p, &k2_cfg, &golden, &k2);
-        (scalar, batched)
-    });
-    assert_eq!(batched2, scalar2, "k=2 engines diverged");
+    let reference2 = run_plan_campaign_reference(&p, &k2_cfg, &golden, &k2);
+    let (batched2, before2, after2) = with_obs(|| run_plan_campaign(&p, &k2_cfg, &golden, &k2));
+    assert_eq!(batched2, reference2, "k=2 engines diverged");
     let d2 = |name: &str| delta(&before2, &after2, name);
     assert!(
         d2("faultsim.batch.multi_lanes") > 0,
@@ -428,6 +426,20 @@ fn demotion_counters_advance() {
         d2("faultsim.batch.lanes") + d2("faultsim.batch.scalar_routed"),
         batched2.total
     );
+    for (what, src) in [
+        ("200 GPRs", src.replacen(".data", ".gprs 200\n.data", 1)),
+        ("faulting golden", src.replace("mov r3, B 5", "mov r3, B 6")),
+    ] {
+        let p = arc(&src);
+        let golden = golden_run(&p, &cfg()).expect("golden ends");
+        let plans = talft_faultsim::single_fault_plans(&p, &cfg(), &golden);
+        let reference = run_plan_campaign_reference(&p, &cfg(), &golden, &plans);
+        let (rep, before, after) = with_obs(|| run_plan_campaign(&p, &cfg(), &golden, &plans));
+        assert_eq!(rep, reference, "{what}");
+        let d = |name: &str| delta(&before, &after, name);
+        assert_eq!(d("faultsim.batch.scalar_routed"), rep.total, "{what}");
+        assert_eq!(d("faultsim.batch.lanes"), 0, "{what}");
+    }
 }
 
 /// A protected store pair with dead registers around it: `r5` (green) and
@@ -467,9 +479,8 @@ fn first_step(program: &Arc<talft_isa::Program>, pred: impl Fn(&Machine) -> bool
 /// register never touched again, one overwritten before any read, any
 /// register of the halted state, and golden's own value on a dead
 /// register. A strike on a live register at the same step still takes a
-/// lane. Every report equals the reference's and the scalar engine's, and
-/// `admission_settled` counts exactly the strikes golden's liveness calls
-/// dead.
+/// lane. Every report equals the reference's, and `admission_settled`
+/// counts exactly the strikes golden's liveness calls dead.
 #[test]
 fn dead_register_strikes_settle_at_admission() {
     let p = arc(DEAD);
@@ -504,14 +515,8 @@ fn dead_register_strikes_settle_at_admission() {
         };
         let plans = vec![FaultPlan::single(at, site, value)];
         let reference = run_plan_campaign_reference(&p, &cfg(), &golden, &plans);
-        let ((batched, scalar), before, after) = with_obs(|| {
-            (
-                run_plan_campaign(&p, &cfg(), &golden, &plans),
-                run_plan_campaign_scalar(&p, &cfg(), &golden, &plans),
-            )
-        });
+        let (batched, before, after) = with_obs(|| run_plan_campaign(&p, &cfg(), &golden, &plans));
         assert_eq!(batched, reference, "{name}: batched report");
-        assert_eq!(scalar, reference, "{name}: scalar report");
         assert_eq!(sole_verdict(&reference), expect, "{name}");
         let settled = u64::from(!live_at(at, g.0));
         dead += settled;
@@ -599,7 +604,7 @@ fn quiet_case(name: &str) -> (Arc<talft_isa::Program>, FaultPlan) {
 /// Quiet-step fast path (a): a corrupted blue store operand stays live,
 /// and untouched, across the whole loop. The lane rides the fast path for
 /// the loop's ~3000 steps and is still caught at the `stB`, with the
-/// scalar engine's detection latency.
+/// reference's detection latency.
 #[test]
 fn live_untouched_register_rides_the_fast_path_to_its_compare() {
     let (p, plan) = quiet_case("live_untouched");
@@ -714,25 +719,23 @@ fn unbounded_halt(program: &Arc<talft_isa::Program>, plan: &FaultPlan) -> u64 {
     m.steps()
 }
 
-/// Run one plan through every engine and the grid: the grid's verdict and
-/// the batched and scalar reports must equal the sequential reference's.
+/// Run one plan through the batched engine and the grid: the grid's
+/// verdict and the batched report must equal the sequential reference's.
 /// Returns the verdict and how many runs ended at a rejoin
 /// (`campaign.converged_early`).
 fn rejoin_case(program: &Arc<talft_isa::Program>, plan: FaultPlan) -> (Verdict, u64) {
     let golden = golden_run(program, &cfg()).expect("golden halts");
     let plans = vec![plan];
     let reference = run_plan_campaign_reference(program, &cfg(), &golden, &plans);
-    let ((grid, batched, scalar), before, after) = with_obs(|| {
+    let ((grid, batched), before, after) = with_obs(|| {
         (
             plan_fault_grid(program, &cfg(), &golden, &plans),
             run_plan_campaign(program, &cfg(), &golden, &plans),
-            run_plan_campaign_scalar(program, &cfg(), &golden, &plans),
         )
     });
     let verdict = sole_verdict(&reference);
     assert_eq!(grid.outcomes[0].verdict, verdict, "grid verdict");
     assert_eq!(batched, reference, "batched report");
-    assert_eq!(scalar, reference, "scalar report");
     assert_eq!(
         delta(&before, &after, "faultsim.batch.demote.control_fork"),
         1,
@@ -744,7 +747,7 @@ fn rejoin_case(program: &Arc<talft_isa::Program>, plan: FaultPlan) -> (Verdict, 
 /// Rejoin ahead of golden: the faulty run skips a three-instruction arm
 /// that changes nothing, so it re-enters golden's state six steps early
 /// and halts six steps before golden does — `Masked`, ended at the rejoin
-/// by the grid, the demoted lane and the scalar engine alike.
+/// by the grid and the demoted lane alike.
 #[test]
 fn rejoin_ahead_of_golden_is_masked() {
     let arm = "  mov r20, G 4096\n  mov r20, G 4096\n  mov r20, G 4096\n";
@@ -754,10 +757,7 @@ fn rejoin_ahead_of_golden_is_masked() {
     assert_eq!(unbounded_halt(&p, &plan), golden - 6);
     let (verdict, rejoined) = rejoin_case(&p, plan);
     assert_eq!(verdict, Verdict::Masked);
-    assert_eq!(
-        rejoined, 3,
-        "grid, batched and scalar each end at the rejoin"
-    );
+    assert_eq!(rejoined, 2, "grid and batched each end at the rejoin");
 }
 
 /// Rejoin behind golden at k=1: the faulty run executes a one-instruction
@@ -772,7 +772,7 @@ fn rejoin_two_steps_behind_overruns_at_k1() {
     assert_eq!(unbounded_halt(&p, &plan), golden + 2);
     let (verdict, rejoined) = rejoin_case(&p, plan);
     assert_eq!(verdict, Verdict::Overrun);
-    assert_eq!(rejoined, 3);
+    assert_eq!(rejoined, 2);
 }
 
 /// Rejoin exactly at the bound: the same two-step lag under a k=2 plan
@@ -792,7 +792,7 @@ fn rejoin_halting_at_the_bound_is_not_overrun() {
     assert_eq!(unbounded_halt(&p, &plan), golden + 2);
     let (verdict, rejoined) = rejoin_case(&p, plan);
     assert_eq!(verdict, Verdict::Masked);
-    assert_eq!(rejoined, 3);
+    assert_eq!(rejoined, 2);
 }
 
 /// Rejoin with a divergence left behind: golden's arm writes `r20` green
@@ -811,7 +811,7 @@ fn rejoin_with_a_dead_divergence_ends_by_the_colour_split() {
         assert_eq!(unbounded_halt(&p, &plan), golden - 4);
         let (verdict, rejoined) = rejoin_case(&p, plan);
         assert_eq!(verdict, expect, "arm {arm:?}");
-        assert_eq!(rejoined, 3, "arm {arm:?}");
+        assert_eq!(rejoined, 2, "arm {arm:?}");
     }
 }
 

@@ -1,12 +1,13 @@
 //! The batched-engine differential harness: for fuzzed Wile programs —
 //! protected *and* unprotected baseline, so every verdict class is on the
-//! table — the bit-parallel batched engine (what `run_plan_campaign` runs
-//! for these ungated configs), the scalar work-stealing engine, and the
+//! table — the bit-parallel batched engine (`run_plan_campaign`) and the
 //! sequential reference must produce **bit-identical**
-//! [`CampaignReport`]s at threads ∈ {1, 3, 8}. This is
-//! the "re-prove the guarantee per execution path" layer the batched
-//! engine ships with (ISSUE 7): verdict-exactness is a tested theorem,
-//! not a benchmark footnote. Failures shrink to a minimal Wile witness.
+//! [`CampaignReport`]s at threads ∈ {1, 3, 8}. This is the "re-prove the
+//! guarantee per execution path" layer the batched engine ships with:
+//! verdict-exactness is a tested theorem, not a benchmark footnote.
+//! Failures shrink to a minimal Wile witness. Campaigns the packed form
+//! cannot serve (more than 64 GPRs, a golden run that faults) and gated
+//! campaigns take the same test.
 
 mod common;
 
@@ -15,7 +16,7 @@ use std::sync::Arc;
 use talft_compiler::{compile, CompileOptions};
 use talft_faultsim::{
     golden_run, multi_fault_plans, run_plan_campaign, run_plan_campaign_reference,
-    run_plan_campaign_scalar, single_fault_plans, CampaignConfig, CampaignReport, FaultPlan,
+    single_fault_plans, CampaignConfig, CampaignReport, FaultPlan, Golden,
 };
 use talft_isa::Program;
 use talft_testutil::wile::{random_stmts, render_program, shrink_candidates, StmtR};
@@ -30,26 +31,21 @@ fn base_cfg() -> CampaignConfig {
     }
 }
 
-/// Run one plan set through all three engines at every thread count and
-/// demand bit-identical reports. Returns the agreed report.
-fn three_way(
+/// Run one plan set through the batched engine under `base` at every
+/// thread count and demand the sequential reference's report, bit for
+/// bit. Returns it.
+fn matches_reference(
     program: &Arc<Program>,
+    base: &CampaignConfig,
     plans: &[FaultPlan],
-    golden: &talft_faultsim::Golden,
+    golden: &Golden,
 ) -> Result<CampaignReport, String> {
-    let reference = run_plan_campaign_reference(program, &base_cfg(), golden, plans);
+    let reference = run_plan_campaign_reference(program, base, golden, plans);
     for threads in [1usize, 3, 8] {
         let cfg = CampaignConfig {
             threads,
-            ..base_cfg()
+            ..base.clone()
         };
-        let scalar = run_plan_campaign_scalar(program, &cfg, golden, plans);
-        if scalar != reference {
-            return Err(format!(
-                "scalar engine (threads={threads}) diverged from reference:\n\
-                 scalar:    {scalar:?}\nreference: {reference:?}"
-            ));
-        }
         let batched = run_plan_campaign(program, &cfg, golden, plans);
         if batched != reference {
             return Err(format!(
@@ -61,17 +57,18 @@ fn three_way(
     Ok(reference)
 }
 
-/// The property over one compiled binary: all engines agree on the k=1
-/// grid and on a sampled k=2 set. Multi-strike plans whose strikes all hit
-/// packed sites (GPRs, `d`, queue slots) ride the batched lanes as timed
-/// events; the rest route scalar — both paths land in the same report.
+/// The property over one compiled binary: the batched engine and the
+/// reference agree on the k=1 grid and on a sampled k=2 set. Multi-strike
+/// plans whose strikes all hit packed sites (GPRs, `d`, queue slots) ride
+/// the batched lanes as timed events; the rest route scalar — both paths
+/// land in the same report.
 fn engines_agree(program: &Arc<Program>, protected: bool) -> Result<(), String> {
     let golden = match golden_run(program, &base_cfg()) {
         Ok(g) => g,
         Err(_) => return Ok(()), // divergent fuzz shape: nothing to campaign
     };
     let plans = single_fault_plans(program, &base_cfg(), &golden);
-    let report = three_way(program, &plans, &golden)?;
+    let report = matches_reference(program, &base_cfg(), &plans, &golden)?;
     if protected && report.sdc != 0 {
         return Err(format!(
             "Theorem 4: protected binary reported SDC: {:?}",
@@ -83,7 +80,7 @@ fn engines_agree(program: &Arc<Program>, protected: bool) -> Result<(), String> 
         ..base_cfg()
     };
     let k2 = multi_fault_plans(program, &k2_cfg, &golden, 2);
-    three_way(program, &k2, &golden)?;
+    matches_reference(program, &base_cfg(), &k2, &golden)?;
     Ok(())
 }
 
@@ -108,7 +105,7 @@ fn fuzzed_programs_run_bit_identically_on_all_three_engines() {
             let min = minimize(stmts, |s| shrink_candidates(s), |s| holds(s).is_err(), 64);
             let err = holds(&min).err().unwrap_or(first);
             panic!(
-                "round {round}: batched/scalar/reference reports diverged\n\
+                "round {round}: batched and reference reports diverged\n\
                  {err}\nminimal wile program:\n{}",
                 render_program(&min)
             );
@@ -248,20 +245,169 @@ fn adversarial_plan_shapes_agree_across_engines() {
         ]),
         FaultPlan::single(n, FaultSite::QueueVal(0), -1),
     ];
-    let report = three_way(&p, &plans, &golden).expect("engines agree");
+    let report = matches_reference(&p, &base_cfg(), &plans, &golden).expect("engines agree");
     assert_eq!(report.total, plans.len() as u64);
     assert_eq!(report.engine_errors, 1);
     // The past-termination strike and the queue-value strike on a drained
     // queue both fail to apply.
     assert_eq!(report.incomplete_plans, 2);
+    // Gated, the engine error is the only violation, and the run stops
+    // there as the reference does.
+    let gated = CampaignConfig {
+        stop_on_first_violation: true,
+        ..base_cfg()
+    };
+    let report = matches_reference(&p, &gated, &plans, &golden).expect("engines agree");
+    assert!(report.stopped_early && report.sdc == 0, "{report:?}");
     // The quiet-step fast path's corner cases (`tests/common`): lanes that
     // walk long stretches of untouched replay steps, all of one program's
     // plans sharing a lockstep group.
     for fixture in common::quiet_fixtures() {
         let golden = golden_run(&fixture.program, &base_cfg()).expect("halts");
         let plans: Vec<FaultPlan> = fixture.plans.into_iter().map(|(_, plan)| plan).collect();
-        let report = three_way(&fixture.program, &plans, &golden).expect("engines agree");
+        let report = matches_reference(&fixture.program, &base_cfg(), &plans, &golden)
+            .expect("engines agree");
         assert_eq!(report.total, plans.len() as u64);
         assert_eq!(report.sdc, 0);
     }
+}
+
+/// The protected store pair in a 200-register file, its operands on both
+/// sides of r64. The file is too wide for liveness masks.
+const WIDE_PROTECTED: &str = "
+.gprs 200
+.data
+region out at 4096 len 1 : int output
+.code
+main:
+  .pre { forall m:mem; mem: m; }
+  mov r1, G 5
+  mov r100, G 4096
+  stG r100, r1
+  mov r70, B 5
+  mov r3, B 4096
+  stB r3, r70
+  halt
+";
+
+/// One pair of registers feeds both halves of the store: single zaps
+/// already produce SDC.
+const WIDE_UNPROTECTED: &str = "
+.gprs 200
+.data
+region out at 4096 len 1 : int output
+.code
+main:
+  .pre { forall m:mem; mem: m; }
+  mov r1, G 5
+  mov r100, G 4096
+  stG r100, r1
+  stB r100, r1
+  halt
+";
+
+/// An unprotected store commits the output, a countdown loop runs, and an
+/// unpaired `stB` faults: the golden run ends `Fault`, with liveness.
+const FAULTING: &str = "
+.data
+region out at 4096 len 1 : int output
+.code
+main:
+  .pre { forall m:mem; mem: m; }
+  mov r1, G 5
+  mov r2, G 4096
+  stG r2, r1
+  stB r2, r1
+  mov r10, G 12
+  mov r11, B 12
+  mov r12, G @done
+  mov r13, B @done
+  mov r14, G @loop
+  mov r15, B @loop
+loop:
+  .pre { forall m:mem; mem: m; }
+  sub r10, r10, G 1
+  sub r11, r11, B 1
+  bzG r10, r12
+  bzB r11, r13
+  jmpG r14
+  jmpB r15
+done:
+  .pre { forall m:mem; mem: m; }
+  mov r3, B 5
+  mov r4, B 4096
+  stB r4, r3
+  halt
+";
+
+/// Campaigns the packed form cannot serve go through `run_plan_campaign`
+/// like any other and must land on the reference's report at threads 1, 3
+/// and 8, ungated and gated: the store pairs in a 200-register file (no
+/// liveness) at k=1 and sampled k=2, with strikes on registers past r63,
+/// and a program whose golden run ends `Fault`. Every plan takes its
+/// worker's whole-plan scalar route; a gated run whose batched pass holds
+/// a violation falls back to the sequential walk with the checkpoint ring.
+#[test]
+fn unpackable_campaigns_match_the_reference_ungated_and_gated() {
+    use talft_isa::{assemble, Reg};
+    use talft_machine::{FaultSite, Status};
+    let cfg = CampaignConfig {
+        stride: 1,
+        mutations_per_site: 3,
+        pair_samples: 96,
+        ..base_cfg()
+    };
+    let gated = CampaignConfig {
+        stop_on_first_violation: true,
+        ..cfg.clone()
+    };
+    let both = |p: &Arc<Program>, plans: &[FaultPlan], golden: &Golden, what: &str| {
+        let ungated = matches_reference(p, &cfg, plans, golden)
+            .unwrap_or_else(|e| panic!("{what}, ungated: {e}"));
+        let gated = matches_reference(p, &gated, plans, golden)
+            .unwrap_or_else(|e| panic!("{what}, gated: {e}"));
+        assert_eq!(ungated.total, plans.len() as u64, "{what}");
+        if ungated.fault_tolerant() {
+            assert!(!gated.stopped_early, "{what}: nothing to stop on");
+            assert_eq!(gated, ungated, "{what}: a clean gated run is the full run");
+        } else {
+            assert!(gated.stopped_early, "{what}: the gate cut the run short");
+        }
+        ungated
+    };
+    let high = |plans: &[FaultPlan]| {
+        plans.iter().any(|pl| {
+            pl.strikes()
+                .iter()
+                .any(|s| matches!(s.site, FaultSite::Reg(Reg::Gpr(g)) if g.0 >= 64))
+        })
+    };
+    for (src, protected) in [(WIDE_PROTECTED, true), (WIDE_UNPROTECTED, false)] {
+        let p = Arc::new(assemble(src).expect("assembles").program);
+        let golden = golden_run(&p, &cfg).expect("golden halts");
+        assert!(golden.reg_liveness.is_empty(), "200 GPRs leave no liveness");
+        let k1 = single_fault_plans(&p, &cfg, &golden);
+        let k2 = multi_fault_plans(&p, &cfg, &golden, 2);
+        assert!(high(&k1) && high(&k2), "strikes past r63");
+        let what = if protected {
+            "protected"
+        } else {
+            "unprotected"
+        };
+        let rep = both(&p, &k1, &golden, &format!("{what} k=1"));
+        assert_eq!(rep.fault_tolerant(), protected, "{what} k=1: {rep:?}");
+        both(&p, &k2, &golden, &format!("{what} k=2"));
+    }
+    let p = Arc::new(assemble(FAULTING).expect("assembles").program);
+    let golden = golden_run(&p, &cfg).expect("golden ends");
+    assert_eq!(golden.status, Status::Fault, "the unpaired stB faults");
+    assert!(!golden.reg_liveness.is_empty());
+    let thinned = CampaignConfig {
+        stride: 2,
+        mutations_per_site: 2,
+        ..cfg.clone()
+    };
+    let plans = single_fault_plans(&p, &thinned, &golden);
+    let rep = both(&p, &plans, &golden, "faulting golden");
+    assert!(rep.detected > 0 && rep.sdc > 0, "{rep:?}");
 }

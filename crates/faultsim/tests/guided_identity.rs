@@ -1,18 +1,16 @@
-//! The k=2 engine identity: on sampled pair plans the campaign
-//! dispatcher ([`run_plan_campaign`], batched when ungated), the scalar
-//! work-stealing engine, and the sequential reference must produce
-//! bit-identical reports at every thread count, gated or not. The
-//! `guided_*` test names predate the removal of static-guided claim
-//! ordering and are kept so test history stays comparable. The file also
-//! pins the exhaustive pair-plan generator and the plan grid against the
-//! campaign.
+//! The k=2 engine identity: on sampled pair plans the batched engine
+//! ([`run_plan_campaign`], with its sequential fallback when gated) and
+//! the sequential reference must produce bit-identical reports at every
+//! thread count, gated or not. The `guided_*` test names predate the
+//! removal of static-guided claim ordering and are kept so test history
+//! stays comparable. The file also pins the exhaustive pair-plan
+//! generator and the plan grid against the campaign.
 
 use std::sync::Arc;
 
 use talft_faultsim::{
     exhaustive_pair_plans, golden_run, multi_fault_plans, plan_fault_grid, run_plan_campaign,
-    run_plan_campaign_reference, run_plan_campaign_scalar, CampaignConfig, CampaignReport,
-    FaultPlan, Golden, Verdict,
+    run_plan_campaign_reference, CampaignConfig, CampaignReport, FaultPlan, Golden, Verdict,
 };
 use talft_isa::assemble;
 use talft_isa::Program;
@@ -55,8 +53,8 @@ main:
   halt
 "#;
 
-/// The sequential reference's report, after checking that the dispatcher
-/// and the scalar engine reproduce it bit for bit at threads 1, 3 and 8.
+/// The sequential reference's report, after checking that
+/// [`run_plan_campaign`] reproduces it bit for bit at threads 1, 3 and 8.
 fn engines_agree(
     p: &Arc<Program>,
     cfg: &CampaignConfig,
@@ -69,10 +67,8 @@ fn engines_agree(
             threads,
             ..cfg.clone()
         };
-        let dispatched = run_plan_campaign(p, &cfg, golden, plans);
-        assert_eq!(dispatched, reference, "dispatcher at threads={threads}");
-        let scalar = run_plan_campaign_scalar(p, &cfg, golden, plans);
-        assert_eq!(scalar, reference, "scalar engine at threads={threads}");
+        let engine = run_plan_campaign(p, &cfg, golden, plans);
+        assert_eq!(engine, reference, "engine at threads={threads}");
     }
     reference
 }

@@ -10,16 +10,16 @@
 //!   successor process would read it off disk — resumes and merges to the
 //!   same bit-identical report, at threads 1 and 8 and fault orders
 //!   `k ∈ {1, 2}`, even when the resumed run uses a *different* chunk size;
-//! * the shard layer ties to both engines: whole grid, shard union, and
-//!   interrupt/resume land on the scalar engine's report as well as the
-//!   batched one.
+//! * the shard layer ties to the oracle: whole grid, shard union, and
+//!   interrupt/resume land on the sequential reference's report as well
+//!   as the batched one.
 
 use std::sync::Arc;
 
 use talft_compiler::{compile, CompileOptions};
 use talft_faultsim::{
     golden_run, grid_fingerprint, merge_shard_reports, multi_fault_plans, run_plan_campaign,
-    run_plan_campaign_scalar, run_shard_campaign, single_fault_plans, CampaignCheckpoint,
+    run_plan_campaign_reference, run_shard_campaign, single_fault_plans, CampaignCheckpoint,
     CampaignConfig, CampaignReport, FaultPlan, Golden, ShardControl, ShardOutcome, ShardPart,
     ShardSpec,
 };
@@ -235,12 +235,14 @@ fn interrupted_shard_resumes_bit_identically() {
     );
 }
 
-/// The shard layer ties to both engines. For a protected and an
-/// unprotected binary, the whole-grid report (batched, since the config is
-/// ungated), the scalar engine's report, the 4-way shard union, and an
-/// interrupted-then-resumed 2-way merge must all be bit-identical. The same
-/// holds for a sampled k = 2 pair grid: multi-strike shard jobs ride the
-/// batched lane-admission path and still merge to the scalar report.
+/// The shard layer ties to the oracle. For a protected and an unprotected
+/// binary, the whole-grid report (batched), the sequential reference's
+/// report, the 4-way shard union, and an interrupted-then-resumed 2-way
+/// merge must all be bit-identical. The same holds for a sampled k = 2
+/// pair grid: multi-strike shard jobs ride the batched lane-admission path
+/// and still merge to the reference's report. The test name predates the
+/// scalar executor's retirement and is kept so test history stays
+/// comparable.
 #[test]
 fn shard_paths_are_bit_identical_with_batching_on_and_off() {
     let k = &kernels(Scale::Tiny)[0];
@@ -261,9 +263,9 @@ fn shard_paths_are_bit_identical_with_batching_on_and_off() {
             assert_eq!(whole.sdc, 0, "{}: Theorem 4 violated", k.name);
         }
         assert_eq!(
-            run_plan_campaign_scalar(p, &cfg, &golden, &plans),
+            run_plan_campaign_reference(p, &cfg, &golden, &plans),
             whole,
-            "{}: scalar engine diverged from the batched whole grid",
+            "{}: reference diverged from the batched whole grid",
             k.name
         );
         let merged = merged_over_shards(p, &cfg, &golden, &plans, 4);
@@ -293,9 +295,9 @@ fn shard_paths_are_bit_identical_with_batching_on_and_off() {
         assert!(k2.len() >= 16, "{}: k=2 grid too small", k.name);
         let whole2 = run_plan_campaign(p, &cfg, &golden, &k2);
         assert_eq!(
-            run_plan_campaign_scalar(p, &cfg, &golden, &k2),
+            run_plan_campaign_reference(p, &cfg, &golden, &k2),
             whole2,
-            "{}: k=2 scalar engine diverged from the batched whole grid",
+            "{}: k=2 reference diverged from the batched whole grid",
             k.name
         );
         let merged2 = merged_over_shards(p, &cfg, &golden, &k2, 4);
