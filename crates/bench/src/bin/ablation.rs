@@ -11,6 +11,7 @@ use talft_obs::Json;
 use talft_suite::Scale;
 
 fn main() {
+    report::flags(&["--json"], &[]);
     let json = report::json_path();
     println!("# Ablation: geomean overhead vs issue width");
     println!("| width | TAL-FT | TAL-FT w/o ordering | gap |");

@@ -21,20 +21,18 @@
 //!    attributable from the report alone.
 //!
 //! Usage: `cargo run --release -p talft-bench --bin campaignperf
-//!          [--json <path>] [--check <path>] [--threads N] [--stride N]
-//!          [--checkpoint-stride N]`
+//!          [--json <path>] [--check <path>] [--threads N] [--stride N]`
 //!
 //! `--json` defaults to `BENCH_campaign.json`; `--threads` (the batched
 //! engine's) defaults to 4 (pinned, not `available_parallelism`, so rows
 //! are comparable across machines); `--stride` (campaign time stride)
-//! defaults to 3;
-//! `--checkpoint-stride` defaults to 0 (engine auto). `--check <path>`
-//! parses an existing report with the dep-free [`talft_obs::Json`] parser
-//! and gates on the *count* invariants — nonzero checkpoint reuse, nonzero
-//! cache hits, nonzero batched lanes, a per-cause demotion breakdown that
-//! sums to the demotion total, a demoted-lane fraction of at most 2%, zero
-//! SDC, and field-by-field equality of the per-engine verdict totals —
-//! never on timings, which vary by machine.
+//! defaults to 3. `--check <path>` validates an existing report through
+//! [`report::check`] and gates on the *count* invariants — nonzero
+//! checkpoint reuse, nonzero cache hits, nonzero batched lanes, a
+//! per-cause demotion breakdown that sums to the demotion total, a
+//! demoted-lane fraction of at most 2%, zero SDC, and field-by-field
+//! equality of the per-engine verdict totals — never on timings, which
+//! vary by machine.
 
 use std::time::Instant;
 
@@ -49,14 +47,13 @@ use talft_obs::Json;
 use talft_suite::{kernels, Scale};
 
 /// The schema tag this bin writes and `--check` accepts.
-const SCHEMA: &str = "talft.campaignperf.v5";
+const SCHEMA: &str = "talft.campaignperf.v6";
 
 /// Required top-level keys of a [`SCHEMA`] document.
 const REQUIRED: &[&str] = &[
     "schema",
     "threads",
     "stride",
-    "checkpoint_stride",
     "cache",
     "rows",
     "totals",
@@ -117,13 +114,12 @@ impl VerdictTotals {
 }
 
 fn main() {
-    if let Some(path) = report::arg_str("--check") {
-        check_existing(&path);
-        return;
+    report::flags(&["--check", "--json", "--threads", "--stride"], &[]);
+    if let Some(path) = report::arg::<String>("--check") {
+        report::check(&path, SCHEMA, REQUIRED, gate);
     }
     let threads: usize = report::arg("--threads").unwrap_or(4);
     let stride = report::arg("--stride").unwrap_or(3);
-    let checkpoint_stride = report::arg("--checkpoint-stride").unwrap_or(0);
     let path = report::json_path().unwrap_or_else(|| "BENCH_campaign.json".into());
 
     talft_obs::set_enabled(true);
@@ -158,7 +154,6 @@ fn main() {
         stride,
         mutations_per_site: 2,
         threads,
-        checkpoint_stride,
         ..CampaignConfig::default()
     };
     talft_obs::reset_all();
@@ -220,7 +215,6 @@ fn main() {
     let json = Report::new(SCHEMA)
         .field("threads", Json::U64(threads as u64))
         .field("stride", Json::U64(stride))
-        .field("checkpoint_stride", Json::U64(checkpoint_stride))
         .field("kernels", Json::U64(ks.len() as u64))
         .field(
             "cache",
@@ -304,7 +298,7 @@ fn main() {
             ]),
         )
         .build();
-    report::write_json(&json, &path);
+    report::emit(Some(path), || json);
 
     eprintln!(
         "totals: {tot_plans} plans, batched {:.2}x over the reference, cache hit rate {:.1}%",
@@ -345,138 +339,75 @@ fn rate(hits: u64, misses: u64) -> f64 {
     }
 }
 
-/// Validate an existing report: parse, check the schema contract, then gate
-/// on the machine-independent count invariants. Exit 0 on success.
-fn check_existing(path: &str) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("campaignperf: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
+/// The `--check` gate: the count invariants, never timings. Sums and
+/// products are taken in `u128`, so a forged count cannot wrap past them.
+fn gate(json: &Json) -> Result<(), String> {
+    let count = |path: &str| -> Result<u64, String> {
+        path.split('.')
+            .try_fold(json, |j, key| j.get(key))
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("missing {path}"))
     };
-    let json = match Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("campaignperf: {path} is not valid JSON: {e}");
-            std::process::exit(1);
-        }
-    };
-    for key in REQUIRED {
-        if json.get(key).is_none() {
-            eprintln!("campaignperf: {path} is missing required key {key:?}");
-            std::process::exit(1);
-        }
+    if count("checkpoints.seeks")? == 0 {
+        return Err("checkpoint ring was never used (checkpoints.seeks == 0)".into());
     }
-    if json.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
-        eprintln!("campaignperf: {path} has an unexpected schema tag");
-        std::process::exit(1);
+    if count("cache.hits")? == 0 {
+        return Err("entailment cache recorded zero hits".into());
     }
-    let fail = |msg: &str| -> ! {
-        eprintln!("campaignperf: {path}: {msg}");
-        std::process::exit(1);
-    };
-    let u64_at = |j: &Json, outer: &str, key: &str| -> u64 {
-        match j.get(outer).and_then(|o| o.get(key)).and_then(Json::as_u64) {
-            Some(v) => v,
-            None => fail(&format!("missing {outer}.{key}")),
-        }
-    };
-    // Count invariants — machine-independent, unlike the timings.
-    if u64_at(&json, "checkpoints", "seeks") == 0 {
-        fail("checkpoint ring was never used (checkpoints.seeks == 0)");
-    }
-    if u64_at(&json, "cache", "hits") == 0 {
-        fail("entailment cache recorded zero hits");
-    }
-    if u64_at(&json, "batch", "lanes") == 0 {
-        fail("batched engine never packed a lane (batch.lanes == 0)");
+    let lanes = count("batch.lanes")?;
+    if lanes == 0 {
+        return Err("batched engine never packed a lane (batch.lanes == 0)".into());
     }
     // The demotion-cause taxonomy is total, and the queue/`d` shadows keep
     // the residual scalar work small: at most 2% of admitted lanes may
     // demote. Both are count invariants — a regression here means shadow
     // coverage shrank, not that the machine got slower.
-    let lanes = u64_at(&json, "batch", "lanes");
-    let demotions = u64_at(&json, "batch", "demotions");
-    let cause_sum: u64 = DEMOTE_CAUSES
-        .iter()
-        .map(|c| {
-            match json
-                .get("batch")
-                .and_then(|b| b.get("demote"))
-                .and_then(|d| d.get(c))
-                .and_then(Json::as_u64)
-            {
-                Some(v) => v,
-                None => fail(&format!("missing batch.demote.{c}")),
-            }
-        })
-        .sum();
-    if cause_sum != demotions {
-        fail(&format!(
+    let demotions = count("batch.demotions")?;
+    let mut cause_sum = 0u128;
+    for c in DEMOTE_CAUSES {
+        cause_sum += u128::from(count(&format!("batch.demote.{c}"))?);
+    }
+    if cause_sum != u128::from(demotions) {
+        return Err(format!(
             "per-cause demotions sum to {cause_sum} but batch.demotions is {demotions}"
         ));
     }
-    if demotions * 50 > lanes {
-        fail(&format!(
-            "demoted-lane fraction {demotions}/{lanes} exceeds the 2% budget"
+    if u128::from(demotions) * 50 > u128::from(lanes) {
+        return Err(format!(
+            "batch.demotions {demotions} exceeds the 2% budget of batch.lanes {lanes}"
         ));
     }
-    if json
-        .get("batch")
-        .and_then(|b| b.get("multi_lanes"))
-        .and_then(Json::as_u64)
-        .is_none()
-    {
-        fail("missing batch.multi_lanes");
-    }
-    let Some(Json::Array(rows)) = json.get("rows") else {
-        fail("rows is not an array");
-    };
+    count("batch.multi_lanes")?;
+    let rows = json
+        .get("rows")
+        .and_then(Json::as_array)
+        .ok_or("rows is not an array")?;
     if rows.is_empty() {
-        fail("rows is empty");
+        return Err("rows is empty".into());
     }
     for row in rows {
         let name = row.get("name").and_then(Json::as_str).unwrap_or("?");
         if row.get("sdc").and_then(Json::as_u64) != Some(0) {
-            fail(&format!("kernel {name} reports SDC on a protected binary"));
+            return Err(format!("kernel {name} reports SDC on a protected binary"));
         }
         if row.get("batched_ns").and_then(Json::as_u64).is_none() {
-            fail(&format!("kernel {name} is missing batched_ns"));
+            return Err(format!("kernel {name} is missing batched_ns"));
         }
     }
     // The differential, re-proved offline: both engines' summed verdict
     // counts must agree field-by-field. Any divergence is a
-    // verdict-exactness regression, not a tuning matter — exit nonzero and
-    // name the field.
-    let Some(verdicts) = json.get("totals").and_then(|t| t.get("verdicts")) else {
-        fail("missing totals.verdicts");
-    };
+    // verdict-exactness regression, not a tuning matter.
     for field in VERDICT_FIELDS {
-        let at = |engine: &str| -> u64 {
-            match verdicts
-                .get(engine)
-                .and_then(|e| e.get(field))
-                .and_then(Json::as_u64)
-            {
-                Some(v) => v,
-                None => fail(&format!("missing totals.verdicts.{engine}.{field}")),
-            }
-        };
-        let (r, b) = (at("reference"), at("batched"));
+        let r = count(&format!("totals.verdicts.reference.{field}"))?;
+        let b = count(&format!("totals.verdicts.batched.{field}"))?;
         if b != r {
-            fail(&format!(
+            return Err(format!(
                 "engines disagree on {field}: reference={r} batched={b}"
             ));
         }
     }
-    if verdicts
-        .get("reference")
-        .and_then(|e| e.get("sdc"))
-        .and_then(Json::as_u64)
-        != Some(0)
-    {
-        fail("protected-suite totals report nonzero SDC");
+    if count("totals.verdicts.reference.sdc")? != 0 {
+        return Err("protected-suite totals report nonzero SDC".into());
     }
-    println!("campaignperf: {path} OK (schema {SCHEMA}, engines agree)");
+    Ok(())
 }

@@ -18,6 +18,7 @@ use talft_obs::Json;
 use talft_suite::{kernels, Scale};
 
 fn main() {
+    report::flags(&["--stride", "--json"], &["--stop-on-violation"]);
     let stride: u64 = report::arg("--stride").unwrap_or(11);
     let stop = std::env::args().any(|a| a == "--stop-on-violation");
     let json = report::json_path();

@@ -1,6 +1,7 @@
 //! E1 / **Figure 10**: execution time of TAL-FT (with and without the
 //! green≺blue scheduling constraint) normalized to the unprotected baseline,
-//! per benchmark, on the 6-wide in-order model.
+//! per benchmark, on the default 3-wide in-order model
+//! (`MachineModel::default()`).
 //!
 //! Paper's result: 1.34x geomean (ordered), 1.30x (without ordering).
 //! Usage: `cargo run --release -p talft-bench --bin fig10
@@ -13,7 +14,8 @@ use talft_sim::MachineModel;
 use talft_suite::Scale;
 
 fn main() {
-    let (scale, scale_name) = match report::arg_str("--scale").as_deref() {
+    report::flags(&["--scale", "--json"], &[]);
+    let (scale, scale_name) = match report::arg::<String>("--scale").as_deref() {
         Some("tiny") => (Scale::Tiny, "tiny"),
         Some("small") => (Scale::Small, "small"),
         None | Some("full") => (Scale::Full, "full"),

@@ -21,8 +21,8 @@
 //!
 //! `--stride N` (default 1 = exhaustive grid) samples every Nth step;
 //! `TALFT_STRIDE_SCALE` scales it as everywhere else. `--check <path>`
-//! re-validates an existing report with the dep-free JSON parser and gates
-//! on the same count invariants — never on timings.
+//! re-validates an existing report through [`report::check`] and gates on
+//! the same count invariants — never on timings.
 
 use std::sync::Arc;
 
@@ -35,7 +35,10 @@ use talft_isa::Program;
 use talft_obs::Json;
 use talft_suite::{kernels, Scale};
 
-/// Required top-level keys of a `talft.lint.grid.v1` document.
+/// The schema tag this bin writes and `--check` accepts.
+const SCHEMA: &str = "talft.lint.grid.v1";
+
+/// Required top-level keys of a [`SCHEMA`] document.
 const REQUIRED: &[&str] = &["schema", "kernels", "stride", "rows", "totals"];
 
 /// One side (protected or baseline) of a kernel row.
@@ -51,9 +54,9 @@ struct Side {
 }
 
 fn main() {
-    if let Some(path) = report::arg_str("--check") {
-        check_existing(&path);
-        return;
+    report::flags(&["--check", "--stride", "--json"], &[]);
+    if let Some(path) = report::arg::<String>("--check") {
+        report::check(&path, SCHEMA, REQUIRED, gate);
     }
     let stride = report::arg("--stride").unwrap_or(1);
     let json = report::json_path();
@@ -171,7 +174,7 @@ fn main() {
         ("baseline", total_for("baseline")),
     ]);
     report::emit(json, || {
-        Report::new("talft.lint.grid.v1")
+        Report::new(SCHEMA)
             .field("kernels", Json::U64(ks.len() as u64))
             .field("stride", Json::U64(cfg.effective_stride()))
             .field("rows", Json::Array(rows.clone()))
@@ -252,74 +255,45 @@ fn side_json(s: &Side) -> Json {
     ])
 }
 
-/// Validate an existing report: parse, check the schema contract, then gate
-/// on the machine-independent count invariants. Exit 0 on success.
-fn check_existing(path: &str) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("lint: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let json = match Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("lint: {path} is not valid JSON: {e}");
-            std::process::exit(1);
-        }
-    };
-    for key in REQUIRED {
-        if json.get(key).is_none() {
-            eprintln!("lint: {path} is missing required key {key:?}");
-            std::process::exit(1);
-        }
-    }
-    if json.get("schema").and_then(Json::as_str) != Some("talft.lint.grid.v1") {
-        eprintln!("lint: {path} has an unexpected schema tag");
-        std::process::exit(1);
-    }
-    let fail = |msg: &str| -> ! {
-        eprintln!("lint: {path}: {msg}");
-        std::process::exit(1);
-    };
-    let Some(Json::Array(rows)) = json.get("rows") else {
-        fail("rows is not an array");
-    };
+/// The `--check` gate: the same count invariants the run enforces.
+fn gate(json: &Json) -> Result<(), String> {
+    let rows = json
+        .get("rows")
+        .and_then(Json::as_array)
+        .ok_or("rows is not an array")?;
     if rows.is_empty() {
-        fail("rows is empty");
+        return Err("rows is empty".into());
     }
     for row in rows {
         let name = row.get("name").and_then(Json::as_str).unwrap_or("?");
         for side in ["protected", "baseline"] {
             let s = row
                 .get(side)
-                .unwrap_or_else(|| fail(&format!("kernel {name} is missing side {side}")));
-            let n = |key: &str| -> u64 {
-                match s.get(key).and_then(Json::as_u64) {
-                    Some(v) => v,
-                    None => fail(&format!("kernel {name} ({side}) is missing {key}")),
-                }
+                .ok_or_else(|| format!("kernel {name} is missing side {side}"))?;
+            let n = |key: &str| {
+                s.get(key)
+                    .and_then(Json::as_u64)
+                    .ok_or_else(|| format!("kernel {name} ({side}) is missing {key}"))
             };
-            if n("mismatches") != 0 {
-                fail(&format!(
+            if n("mismatches")? != 0 {
+                return Err(format!(
                     "kernel {name} ({side}) reports differential mismatches"
                 ));
             }
-            if n("checked") == 0 {
-                fail(&format!("kernel {name} ({side}) compared zero grid cells"));
+            if n("checked")? == 0 {
+                return Err(format!("kernel {name} ({side}) compared zero grid cells"));
             }
             if side == "protected" {
-                if n("grid_sdc") != 0 {
-                    fail(&format!("kernel {name}: SDC on a protected grid"));
+                if n("grid_sdc")? != 0 {
+                    return Err(format!("kernel {name}: SDC on a protected grid"));
                 }
-                if n("lint_errors") != 0 {
-                    fail(&format!(
+                if n("lint_errors")? != 0 {
+                    return Err(format!(
                         "kernel {name}: error lints on checker-accepted output"
                     ));
                 }
             }
         }
     }
-    println!("lint: {path} OK (schema talft.lint.grid.v1)");
+    Ok(())
 }

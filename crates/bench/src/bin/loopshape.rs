@@ -13,6 +13,7 @@ use talft_sim::{simulate, MachineModel};
 use talft_suite::{kernels, Scale};
 
 fn main() {
+    report::flags(&["--json"], &[]);
     let json = report::json_path();
     let model = MachineModel::default();
     println!("# Loop-shape ablation: geomean TAL-FT overhead");

@@ -18,6 +18,17 @@ use talft_obs::Json;
 use talft_suite::{kernels, Scale};
 
 fn main() {
+    report::flags(
+        &[
+            "--k",
+            "--samples",
+            "--seed",
+            "--stride",
+            "--threads",
+            "--json",
+        ],
+        &[],
+    );
     let k: u32 = arg("--k").unwrap_or(2);
     let samples: usize = arg("--samples").unwrap_or(4096);
     let seed = arg("--seed").unwrap_or(0x7A1F_F00D);

@@ -30,6 +30,18 @@ use talft_oracle::OracleConfig;
 use talft_suite::{kernels, Scale};
 
 fn main() {
+    report::flags(
+        &[
+            "--kernels",
+            "--cap",
+            "--stride",
+            "--seed",
+            "--mutations",
+            "--threads",
+            "--json",
+        ],
+        &[],
+    );
     let cap = arg("--cap").unwrap_or(0);
     let stride = arg("--stride").unwrap_or(17);
     let seed = arg("--seed").unwrap_or(0x0E14_0E14);

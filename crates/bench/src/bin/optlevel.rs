@@ -14,6 +14,7 @@ use talft_sim::{simulate, MachineModel};
 use talft_suite::{kernels, Scale};
 
 fn main() {
+    report::flags(&["--json"], &[]);
     let json = report::json_path();
     let model = MachineModel::default();
     println!("# Optimization-level ablation: geomean TAL-FT overhead");

@@ -25,8 +25,9 @@
 //! (default 128) caps the stratified k=2 sample; `--exhaustive N`
 //! (default 2) exhaustively pairs the first N kernels.
 //! `TALFT_STRIDE_SCALE` scales the stride as everywhere else.
-//! `--check <path>` re-validates an existing report with the dep-free
-//! JSON parser and gates on the same count invariants — never timings.
+//! `--check <path>` re-validates an existing report through
+//! [`report::check`] and gates on the same count invariants — never
+//! timings.
 
 use std::sync::Arc;
 
@@ -41,7 +42,10 @@ use talft_isa::Program;
 use talft_obs::Json;
 use talft_suite::{kernels, Scale};
 
-/// Required top-level keys of a `talft.pairs.v2` document.
+/// The schema tag this bin writes and `--check` accepts.
+const SCHEMA: &str = "talft.pairs.v2";
+
+/// Required top-level keys of a [`SCHEMA`] document.
 const REQUIRED: &[&str] = &[
     "schema",
     "kernels",
@@ -64,9 +68,12 @@ struct Side {
 }
 
 fn main() {
-    if let Some(path) = report::arg_str("--check") {
-        check_existing(&path);
-        return;
+    report::flags(
+        &["--check", "--stride", "--samples", "--exhaustive", "--json"],
+        &[],
+    );
+    if let Some(path) = report::arg::<String>("--check") {
+        report::check(&path, SCHEMA, REQUIRED, gate);
     }
     let stride = report::arg("--stride").unwrap_or(17);
     let samples = report::arg("--samples").unwrap_or(128);
@@ -194,7 +201,7 @@ fn main() {
         ("baseline", total_for("baseline")),
     ]);
     report::emit(json, || {
-        Report::new("talft.pairs.v2")
+        Report::new(SCHEMA)
             .field("kernels", Json::U64(ks.len() as u64))
             .field("stride", Json::U64(cfg.effective_stride()))
             .field("samples", Json::U64(samples as u64))
@@ -300,112 +307,82 @@ fn side_json(s: &Side) -> Json {
     ])
 }
 
-/// Validate an existing report: parse, check the schema contract, then gate
-/// on the machine-independent count invariants. Exit 0 on success.
-fn check_existing(path: &str) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("pairs: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let json = match Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("pairs: {path} is not valid JSON: {e}");
-            std::process::exit(1);
-        }
-    };
-    for key in REQUIRED {
-        if json.get(key).is_none() {
-            eprintln!("pairs: {path} is missing required key {key:?}");
-            std::process::exit(1);
-        }
-    }
-    if json.get("schema").and_then(Json::as_str) != Some("talft.pairs.v2") {
-        eprintln!("pairs: {path} has an unexpected schema tag");
-        std::process::exit(1);
-    }
-    let fail = |msg: &str| -> ! {
-        eprintln!("pairs: {path}: {msg}");
-        std::process::exit(1);
-    };
-    let Some(Json::Array(rows)) = json.get("rows") else {
-        fail("rows is not an array");
-    };
+/// The `--check` gate: the same count invariants the run enforces. Sums
+/// are taken in `u128`, so a forged count cannot wrap past them.
+fn gate(json: &Json) -> Result<(), String> {
+    let rows = json
+        .get("rows")
+        .and_then(Json::as_array)
+        .ok_or("rows is not an array")?;
     if rows.is_empty() {
-        fail("rows is empty");
+        return Err("rows is empty".into());
     }
-    let mut sum_pairs = [0u64; 2];
+    let mut sum_pairs = [0u128; 2];
     for row in rows {
         let name = row.get("name").and_then(Json::as_str).unwrap_or("?");
         for (i, side) in ["protected", "baseline"].into_iter().enumerate() {
             let s = row
                 .get(side)
-                .unwrap_or_else(|| fail(&format!("kernel {name} is missing side {side}")));
-            let n = |key: &str| -> u64 {
-                match s.get(key).and_then(Json::as_u64) {
-                    Some(v) => v,
-                    None => fail(&format!("kernel {name} ({side}) is missing {key}")),
-                }
+                .ok_or_else(|| format!("kernel {name} is missing side {side}"))?;
+            let n = |key: &str| {
+                s.get(key)
+                    .and_then(Json::as_u64)
+                    .map(u128::from)
+                    .ok_or_else(|| format!("kernel {name} ({side}) is missing {key}"))
             };
-            if n("mismatches") != 0 {
-                fail(&format!(
+            if n("mismatches")? != 0 {
+                return Err(format!(
                     "kernel {name} ({side}) reports a statically-safe SDC pair"
                 ));
             }
-            if n("detected") + n("benign") + n("vulnerable") != n("pairs") {
-                fail(&format!(
-                    "kernel {name} ({side}): pair classes do not sum to the pair count"
+            if n("detected")? + n("benign")? + n("vulnerable")? != n("pairs")? {
+                return Err(format!(
+                    "kernel {name} ({side}): detected + benign + vulnerable != pairs"
                 ));
             }
-            if n("pairs") == 0 || n("cells") == 0 {
-                fail(&format!("kernel {name} ({side}) classified nothing"));
+            if n("pairs")? == 0 || n("cells")? == 0 {
+                return Err(format!("kernel {name} ({side}) classified nothing"));
             }
-            if n("checked") + n("degenerate") > n("plans") {
-                fail(&format!(
-                    "kernel {name} ({side}): validated more plans than ran"
+            if n("checked")? + n("degenerate")? > n("plans")? {
+                return Err(format!(
+                    "kernel {name} ({side}): checked + degenerate > plans"
                 ));
             }
-            sum_pairs[i] += n("pairs");
+            sum_pairs[i] += n("pairs")?;
         }
     }
-    let Some(Json::Array(exhaustive)) = json.get("exhaustive") else {
-        fail("exhaustive is not an array");
-    };
+    let exhaustive = json
+        .get("exhaustive")
+        .and_then(Json::as_array)
+        .ok_or("exhaustive is not an array")?;
     for ex in exhaustive {
         let name = ex.get("name").and_then(Json::as_str).unwrap_or("?");
-        let n = |key: &str| -> u64 {
-            match ex.get(key).and_then(Json::as_u64) {
-                Some(v) => v,
-                None => fail(&format!("exhaustive {name} is missing {key}")),
-            }
+        let n = |key: &str| {
+            ex.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("exhaustive {name} is missing {key}"))
         };
-        if n("mismatches") != 0 {
-            fail(&format!(
+        if n("mismatches")? != 0 {
+            return Err(format!(
                 "exhaustive {name}: statically-safe SDC pair in the full grid"
             ));
         }
-        if n("plans") == 0 {
-            fail(&format!("exhaustive {name} ran no plans"));
+        if n("plans")? == 0 {
+            return Err(format!("exhaustive {name} ran no plans"));
         }
     }
-    let totals = json
-        .get("totals")
-        .unwrap_or_else(|| fail("totals is missing"));
+    let totals = json.get("totals").ok_or("totals is missing")?;
     for (i, side) in ["protected", "baseline"].into_iter().enumerate() {
         let t = totals
             .get(side)
-            .unwrap_or_else(|| fail(&format!("totals is missing side {side}")));
-        if t.get("pairs").and_then(Json::as_u64) != Some(sum_pairs[i]) {
-            fail(&format!(
-                "totals ({side}): pairs does not equal the row sum"
-            ));
+            .ok_or_else(|| format!("totals is missing side {side}"))?;
+        let pairs = t.get("pairs").and_then(Json::as_u64).map(u128::from);
+        if pairs != Some(sum_pairs[i]) {
+            return Err(format!("totals ({side}): pairs does not equal the row sum"));
         }
         if t.get("mismatches").and_then(Json::as_u64) != Some(0) {
-            fail(&format!("totals ({side}): mismatches present"));
+            return Err(format!("totals ({side}): mismatches present"));
         }
     }
-    println!("pairs: {path} OK (schema talft.pairs.v2)");
+    Ok(())
 }

@@ -22,7 +22,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use talft_bench::report::arg;
+use talft_bench::report::{self, arg};
 use talft_compiler::{compile, CompileOptions};
 use talft_faultsim::{
     golden_run, grid_fingerprint, merge_shard_reports, run_plan_campaign, run_shard_campaign,
@@ -65,6 +65,7 @@ fn complete_shard(
 }
 
 fn main() {
+    report::flags(&["--kernels", "--stride", "--threads", "--every"], &[]);
     let n_kernels = arg("--kernels").map_or(3, |v: usize| v.max(1));
     let stride = arg("--stride").unwrap_or(31);
     let threads = arg("--threads").map_or(2, |v: usize| v.max(1));

@@ -13,6 +13,7 @@ use talft_obs::Json;
 use talft_suite::{kernels, Scale};
 
 fn main() {
+    report::flags(&["--json"], &[]);
     let json = report::json_path();
     println!("# Program characterization (Tiny scale)");
     println!(

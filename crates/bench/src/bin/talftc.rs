@@ -35,10 +35,6 @@
 //!                     (default `<input>.shards`)
 //!   --checkpoint-every=M
 //!                     plans between durable checkpoints (default 256)
-//!   --checkpoint-stride=N
-//!                     golden checkpoint interval in steps for the campaign
-//!                     engine (default 0 = auto); performance knob only —
-//!                     reports are stride-invariant
 //!   --max-steps=N     step budget for the golden run
 //!   --baseline        operate on the unprotected baseline instead
 //!   --time            report Figure 10-style cycles for this program
@@ -102,7 +98,6 @@ struct Flags {
     campaign_k: u32,
     seed: Option<u64>,
     threads: Option<usize>,
-    checkpoint_stride: Option<u64>,
     max_steps: Option<u64>,
     shards: Option<u32>,
     shard: Option<u32>,
@@ -152,7 +147,6 @@ impl Flags {
                 ("--campaign-k", Some(v)) => f.campaign_k = number(arg, v)?,
                 ("--seed", Some(v)) => f.seed = Some(number(arg, v)?),
                 ("--threads", Some(v)) => f.threads = Some(number(arg, v)?),
-                ("--checkpoint-stride", Some(v)) => f.checkpoint_stride = Some(number(arg, v)?),
                 ("--max-steps", Some(v)) => f.max_steps = Some(number(arg, v)?),
                 ("--shards", Some(v)) => f.shards = Some(number(arg, v)?),
                 ("--shard", Some(v)) => f.shard = Some(number(arg, v)?),
@@ -206,7 +200,7 @@ fn main() -> ExitCode {
                 "usage: talftc <file.wile|file.talft> [--emit-asm] [--disasm] [--lint] \
                  [--zap-report=PATH] [--no-check] \
                  [--run] [--campaign[=N]] [--campaign-k=K] [--seed=N] [--threads=N] \
-                 [--checkpoint-stride=N] [--max-steps=N] [--shards=N] [--shard=I] \
+                 [--max-steps=N] [--shards=N] [--shard=I] \
                  [--resume] [--checkpoint-dir=D] [--checkpoint-every=M] [--baseline] [--time] \
                  [--profile] [--json=PATH]"
             );
@@ -355,9 +349,6 @@ fn real_main(path: &str, flags: &Flags) -> ExitCode {
         }
         if let Some(max_steps) = flags.max_steps {
             cfg.max_steps = max_steps;
-        }
-        if let Some(cp) = flags.checkpoint_stride {
-            cfg.checkpoint_stride = cp;
         }
         let k = flags.campaign_k.max(1);
         let t0 = std::time::Instant::now();

@@ -422,7 +422,7 @@ mod tests {
         let model = MachineModel::default();
         let row = fig10_row(&ks[0], &model).expect("row");
         // Protected code must not be faster than baseline, and the overhead
-        // must be well under the naive 2×+ bound on a 6-wide machine.
+        // must stay under 2.5× on the default 3-wide machine.
         assert!(row.talft_cycles >= row.base_cycles);
         assert!(row.ratio_ordered() < 2.5, "ratio {}", row.ratio_ordered());
         assert!(row.ratio_unordered() <= row.ratio_ordered() + 1e-9);

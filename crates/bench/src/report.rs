@@ -15,9 +15,34 @@ use talft_obs::Json;
 
 use crate::{CoverageRow, Fig10Row, MultifaultRow, MutationSummary};
 
+/// Refuse every command-line argument the bin does not name. `flags` take
+/// a value (`--name V` or `--name=V`), `switches` take none. Anything else
+/// (a misspelt flag, a stray word, a flag without its value, a switch
+/// given one) is a usage error: the bin exits 1 naming it, before any work
+/// and without writing a file. Every bin calls this first.
+pub fn flags(flags: &[&str], switches: &[&str]) {
+    let mut args = std::env::args().skip(1).peekable();
+    while let Some(arg) = args.next() {
+        let (name, value) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value.to_owned())),
+            None => (arg.as_str(), None),
+        };
+        if flags.contains(&name) {
+            let value = value.or_else(|| args.next_if(|v| !v.starts_with("--")));
+            if value.is_none_or(|v| v.is_empty()) {
+                usage_error(&format!("`{name}` needs a value"));
+            }
+        } else if !switches.contains(&name) {
+            usage_error(&format!("unknown argument `{name}`"));
+        } else if value.is_some() {
+            usage_error(&format!("`{name}` takes no value"));
+        }
+    }
+}
+
 /// Parse `--name N` or `--name=N` from the process arguments; `None` when
 /// the flag is absent. A value that does not parse as `T` is a usage
-/// error, like a missing one (see [`arg_str`]).
+/// error, like a missing one (see [`flags`]).
 #[must_use]
 pub fn arg<T: std::str::FromStr>(name: &str) -> Option<T> {
     let v = arg_str(name)?;
@@ -27,32 +52,29 @@ pub fn arg<T: std::str::FromStr>(name: &str) -> Option<T> {
     }
 }
 
-/// Parse `--name VALUE` or `--name=VALUE` from the process arguments;
-/// `None` when the flag is absent. A flag with no value — last on the
-/// line, followed by another `--flag`, or `--name=` — is a usage error:
-/// the bin exits 1 naming the flag instead of running its default.
-#[must_use]
-pub fn arg_str(name: &str) -> Option<String> {
+/// Read `--name VALUE` or `--name=VALUE` from the process arguments, which
+/// [`flags`] has already checked; `None` when the flag is absent.
+fn arg_str(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let value = match args.iter().position(|a| a == name) {
-        Some(i) => args.get(i + 1).filter(|v| !v.starts_with("--")).cloned(),
-        None => Some(
-            args.iter()
-                .find_map(|a| a.strip_prefix(name)?.strip_prefix('='))?
-                .to_owned(),
-        ),
-    };
-    match value {
-        Some(v) if !v.is_empty() => Some(v),
-        _ => usage_error(&format!("`{name}` needs a value")),
+    match args.iter().position(|a| a == name) {
+        Some(i) => args.get(i + 1).cloned(),
+        None => args
+            .iter()
+            .find_map(|a| a.strip_prefix(name)?.strip_prefix('='))
+            .map(str::to_owned),
     }
+}
+
+/// The name the bin was invoked as, for its error messages.
+fn bin_name() -> String {
+    let argv0 = std::env::args().next().unwrap_or_default();
+    let bin = std::path::Path::new(&argv0).file_name().unwrap_or_default();
+    bin.to_string_lossy().into_owned()
 }
 
 /// Report a command-line usage error, naming the bin, and exit 1.
 fn usage_error(msg: &str) -> ! {
-    let argv0 = std::env::args().next().unwrap_or_default();
-    let bin = std::path::Path::new(&argv0).file_name().unwrap_or_default();
-    eprintln!("{}: {msg}", bin.to_string_lossy());
+    eprintln!("{}: {msg}", bin_name());
     std::process::exit(1);
 }
 
@@ -63,22 +85,51 @@ pub fn json_path() -> Option<PathBuf> {
     arg_str("--json").map(PathBuf::from)
 }
 
-/// Write a report to `path` (pretty-printed, trailing newline). Exits the
-/// process with an error on I/O failure — bins have no recovery story.
-pub fn write_json(json: &Json, path: &std::path::Path) {
-    if let Err(e) = std::fs::write(path, format!("{json}\n")) {
+/// If a `--json` destination was given ([`json_path`]), build the report
+/// with `make` and write it there (pretty-printed, trailing newline).
+/// `make` runs only when one was. Exits 1 on an I/O failure — bins have
+/// no recovery story.
+pub fn emit(path: Option<PathBuf>, make: impl FnOnce() -> Json) {
+    let Some(path) = path else { return };
+    if let Err(e) = std::fs::write(&path, format!("{}\n", make())) {
         eprintln!("error: cannot write {}: {e}", path.display());
         std::process::exit(1);
     }
     eprintln!("wrote {}", path.display());
 }
 
-/// If a `--json` destination was given ([`json_path`]), build the report
-/// with `make` and write it there. `make` runs only when one was.
-pub fn emit(path: Option<PathBuf>, make: impl FnOnce() -> Json) {
-    if let Some(path) = path {
-        write_json(&make(), &path);
+/// The `--check <path>` reader every bin that has one shares: read and
+/// parse the report at `path`, demand the schema tag `schema` and every
+/// key in `required`, then run the bin's `gate` over its count invariants
+/// (never timings, which vary by machine). Exits 0 after an OK line on
+/// stdout, or 1 with the reason on stderr. The file may be forged: the
+/// parser bounds nesting, and gates widen the sums and products they
+/// compare so no count can wrap or overflow.
+pub fn check(
+    path: &str,
+    schema: &str,
+    required: &[&str],
+    gate: impl FnOnce(&Json) -> Result<(), String>,
+) -> ! {
+    let bin = bin_name();
+    let fail = |msg: &str| -> ! {
+        eprintln!("{bin}: {path}: {msg}");
+        std::process::exit(1);
+    };
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read: {e}")));
+    let json = Json::parse(&text).unwrap_or_else(|e| fail(&format!("not valid JSON: {e}")));
+    let found = json.get("schema").and_then(Json::as_str).unwrap_or("");
+    if found != schema {
+        fail(&format!("schema tag {found:?}, expected {schema:?}"));
     }
+    if let Some(key) = required.iter().find(|k| json.get(k).is_none()) {
+        fail(&format!("missing required key {key:?}"));
+    }
+    if let Err(msg) = gate(&json) {
+        fail(&msg);
+    }
+    println!("{bin}: {path} OK (schema {schema})");
+    std::process::exit(0);
 }
 
 /// A report under construction: a `"schema"`-tagged ordered JSON object.
@@ -103,13 +154,6 @@ impl Report {
         self
     }
 
-    /// Append the current observability snapshot under `"obs"` (only
-    /// meaningful when the bin enabled instrumentation).
-    #[must_use]
-    pub fn with_obs(self) -> Self {
-        self.field("obs", talft_obs::snapshot().to_json())
-    }
-
     /// Finish the report.
     #[must_use]
     pub fn build(self) -> Json {
@@ -118,7 +162,7 @@ impl Report {
 }
 
 /// A [`CampaignReport`] as JSON (shared by the coverage / multifault /
-/// perfreport schemas).
+/// campaignperf schemas).
 #[must_use]
 pub fn campaign_json(r: &CampaignReport) -> Json {
     Json::obj([

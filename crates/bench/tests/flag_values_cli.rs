@@ -1,24 +1,24 @@
-//! A bench bin refuses a value-taking flag that has no value, is followed
-//! by another `--flag`, or has a value that does not parse: it exits 1
-//! naming the flag, before any work and without writing a file, instead
-//! of running its default.
+//! A bench bin refuses an argument it does not name, and a value-taking
+//! flag that has no value, is followed by another `--flag`, or has a value
+//! that does not parse: it exits 1 naming the flag, before any work and
+//! without writing a file, instead of running its default.
 
 use std::process::Command;
 
 #[test]
-fn missing_or_unparsable_flag_values_are_usage_errors() {
-    let cases: [(&str, &[&str], &str); 3] = [
-        (
-            env!("CARGO_BIN_EXE_coverage"),
-            &["--stride=abc"],
-            "`--stride`",
-        ),
+fn unknown_flags_and_bad_flag_values_are_usage_errors() {
+    let (coverage, fig10) = (env!("CARGO_BIN_EXE_coverage"), env!("CARGO_BIN_EXE_fig10"));
+    let cases: [(&str, &[&str], &str); 6] = [
+        (coverage, &["--stride=abc"], "`--stride`"),
         (env!("CARGO_BIN_EXE_multifault"), &["--k=x"], "`--k`"),
+        (coverage, &["--json", "--stride", "97"], "`--json`"),
+        (coverage, &["--strid=97"], "unknown argument `--strid`"),
         (
-            env!("CARGO_BIN_EXE_coverage"),
-            &["--json", "--stride", "97"],
-            "`--json`",
+            coverage,
+            &["--stop-on-violaton"],
+            "unknown argument `--stop-on-violaton`",
         ),
+        (fig10, &["--bogus"], "unknown argument `--bogus`"),
     ];
     for (i, (bin, args, flag)) in cases.into_iter().enumerate() {
         let dir = std::env::temp_dir().join(format!("talft-flags-{}-{i}", std::process::id()));

@@ -24,8 +24,8 @@
 use talft_isa::{Color, Reg};
 use talft_machine::Machine;
 
-/// Default snapshot interval when [`crate::CampaignConfig::checkpoint_stride`]
-/// is 0 (auto).
+/// Snapshot interval the golden run's ring starts at; thinning doubles it
+/// on long runs, so it is a floor, not an exact interval.
 pub(crate) const DEFAULT_STRIDE: u64 = 16;
 
 /// Maximum snapshots retained (must be even — thinning halves it exactly).

@@ -240,11 +240,6 @@ pub struct CampaignConfig {
     /// that prefix. [`run_plan_campaign`] runs the full batched pass first
     /// and walks the prefix only when the pass holds a violation.
     pub stop_on_first_violation: bool,
-    /// Initial snapshot interval for the golden [`CheckpointRing`]
-    /// (0 = auto, currently 16). The ring is bounded; when full it drops
-    /// every other snapshot and doubles the stride, so this is a floor, not
-    /// an exact interval, on long runs.
-    pub checkpoint_stride: u64,
     /// Backoff policy for transient failures (harness/golden panics).
     pub retry: RetryPolicy,
 }
@@ -261,7 +256,6 @@ impl Default for CampaignConfig {
             pair_samples: 4096,
             pair_window: 24,
             stop_on_first_violation: false,
-            checkpoint_stride: 0,
             retry: RetryPolicy::default(),
         }
     }
@@ -589,13 +583,19 @@ pub struct Golden {
 /// campaign baseline. A run that ends `Fault` or `Stuck` is returned `Ok`
 /// (callers checking Corollary 3 inspect [`Golden::status`] themselves).
 pub fn golden_run(program: &Arc<Program>, cfg: &CampaignConfig) -> Result<Golden, GoldenError> {
+    golden_run_strided(program, cfg, checkpoint::DEFAULT_STRIDE)
+}
+
+/// [`golden_run`] with the checkpoint ring starting at `checkpoint_stride`
+/// steps instead of [`checkpoint::DEFAULT_STRIDE`]; reports do not depend
+/// on it, which the in-crate tests check at other strides.
+pub(crate) fn golden_run_strided(
+    program: &Arc<Program>,
+    cfg: &CampaignConfig,
+    checkpoint_stride: u64,
+) -> Result<Golden, GoldenError> {
     let _span = GOLDEN_NS.span();
-    let stride = if cfg.checkpoint_stride == 0 {
-        checkpoint::DEFAULT_STRIDE
-    } else {
-        cfg.checkpoint_stride
-    };
-    let mut checkpoints = CheckpointRing::new(stride, checkpoint::CAPACITY);
+    let mut checkpoints = CheckpointRing::new(checkpoint_stride, checkpoint::CAPACITY);
     let mut m = Machine::boot(Arc::clone(program)).with_oob_policy(cfg.oob);
     let mask_regs = program.num_gprs <= 64;
     let mut actions: Vec<(u64, u64)> = Vec::new();
@@ -1473,10 +1473,9 @@ main:
         for stride in [1u64, 3, 1000] {
             let cfg = CampaignConfig {
                 threads: 2,
-                checkpoint_stride: stride,
                 ..CampaignConfig::default()
             };
-            let golden = golden_run(&p, &cfg).expect("golden halts");
+            let golden = golden_run_strided(&p, &cfg, stride).expect("golden halts");
             let plans = single_fault_plans(&p, &cfg, &golden);
             let reference = run_plan_campaign_reference(&p, &cfg, &golden, &plans);
             let engine = run_plan_campaign(&p, &cfg, &golden, &plans);
@@ -1503,10 +1502,9 @@ main:
             threads: 2,
             stride: 7,
             mutations_per_site: 1,
-            checkpoint_stride: 4,
             ..CampaignConfig::default()
         };
-        let golden = golden_run(&c.protected.program, &cfg).expect("golden halts");
+        let golden = golden_run_strided(&c.protected.program, &cfg, 4).expect("golden halts");
         assert!(
             golden.steps > 2 * CONVERGENCE_CHECK_EVERY,
             "kernel too short ({} steps) to reach a convergence check",

@@ -27,7 +27,8 @@ use crate::interval::{self, IntervalEnv};
 use crate::norm::{norm_int, Monomial, Poly};
 
 /// Solver-query metrics (DESIGN.md §Observability). Zero-cost while
-/// `talft_obs` is disabled; `perfreport` and `talftc --profile` read them.
+/// `talft_obs` is disabled; `talftc --profile`, the benchmark's traced
+/// runs and `tests/fm_giveups.rs` read them.
 static Q_EQ: LazyCounter = LazyCounter::new("logic.query.eq");
 static Q_NEQ: LazyCounter = LazyCounter::new("logic.query.neq");
 static Q_GE: LazyCounter = LazyCounter::new("logic.query.ge");

@@ -41,7 +41,7 @@ use talft_obs::LazyCounter;
 use crate::expr::{BinOp, ExprArena, ExprId, ExprNode};
 
 /// Interval-layer metrics (DESIGN.md §Observability). The invariant
-/// `hit + miss == queries` is validated by `perfreport --check`.
+/// `hit + miss == queries` is asserted by `tests/fm_giveups.rs`.
 static IV_QUERIES: LazyCounter = LazyCounter::new("logic.interval.queries");
 static IV_HIT: LazyCounter = LazyCounter::new("logic.interval.hit");
 static IV_MISS: LazyCounter = LazyCounter::new("logic.interval.miss");

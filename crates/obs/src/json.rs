@@ -5,8 +5,8 @@
 //! machine-readable `--json` report and CI must be able to *validate* that
 //! output without external tooling. [`Json`] covers both directions:
 //! objects keep insertion order so report schemas serialize byte-stably,
-//! and [`Json::parse`] accepts exactly RFC 8259 documents (it is used by
-//! `perfreport --check` as the CI smoke gate).
+//! and [`Json::parse`] accepts exactly RFC 8259 documents (the bench bins'
+//! `--check` reader, which CI's smoke jobs run, uses it).
 //!
 //! ```
 //! use talft_obs::Json;

@@ -14,11 +14,12 @@
 //! Instrumentation is **compiled in unconditionally** but gated on one
 //! process-global `AtomicBool` ([`set_enabled`]). While disabled — the
 //! default — every recording path is a single relaxed load plus a
-//! well-predicted branch, spans read no clock, and nothing registers; the
-//! `mutation` campaign gate measures this at under 2% wall-time overhead
-//! (EXPERIMENTS.md E15). A feature flag was rejected deliberately: metrics
-//! compiled out cannot be flipped on in the field, and dual compilation
-//! modes would double the test matrix.
+//! well-predicted branch, spans read no clock, and nothing registers. That
+//! disabled cost is not measured or gated on its own; what is measured is
+//! the cost of recording, as the benchmark's `bench.trace_overhead` (its
+//! traced passes against its untraced ones, DESIGN.md §8). A feature flag
+//! was rejected deliberately: metrics compiled out cannot be flipped on in
+//! the field, and dual compilation modes would double the test matrix.
 //!
 //! Instrumented crates declare hot-path handles statically; the registry is
 //! consulted once, on first *enabled* use:
@@ -45,7 +46,7 @@
 //! [`snapshot`] copies every registered metric into deterministically
 //! ordered maps; [`Snapshot::to_json`] serializes them under the stable
 //! schema documented in DESIGN.md (§Observability), and [`Json::parse`]
-//! validates any such report — CI's `perfreport --check` smoke gate runs on
+//! validates any such report — the bench bins' `--check` reader runs on
 //! exactly that parser, so the toolchain needs no external JSON tooling:
 //!
 //! ```
@@ -87,7 +88,7 @@ pub fn enabled() -> bool {
 }
 
 /// Turn instrumentation on or off process-wide. Off by default; bins flip
-/// it on under `--profile`/`--json`, `perfreport` always records.
+/// it on under `--profile`/`--json`, `campaignperf` always records.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

@@ -86,7 +86,7 @@ pub fn histogram(name: &'static str) -> &'static Histogram {
     }
 }
 
-/// Reset every registered metric to zero (report sectioning: `perfreport`
+/// Reset every registered metric to zero (report sectioning: `campaignperf`
 /// resets between phases so each phase's numbers are attributable).
 pub fn reset_all() {
     for m in registry().read().expect("obs registry poisoned").values() {

@@ -388,7 +388,7 @@ mod mem_port_tests {
 
     #[test]
     fn mem_ports_throttle_memory_streams() {
-        let model = MachineModel::default(); // 2 mem ports, 6 wide
+        let model = MachineModel::default(); // 2 mem ports, 3 wide
         let loads: Vec<TimedOp> = (0..8)
             .map(|i| TimedOp::new(OpKind::Load, Some(i), vec![]))
             .collect();
@@ -399,7 +399,7 @@ mod mem_port_tests {
             block: 0,
             taken_exit: false,
         }];
-        // 8 loads / 2 ports = 4 cycles even on a 6-wide machine.
+        // 8 loads / 2 ports = 4 cycles, not the 3 the width alone allows.
         assert_eq!(simulate(&prog, &visits, &model), 4);
         // With 8 ports they fit the width limit instead.
         let wide = MachineModel {

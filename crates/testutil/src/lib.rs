@@ -1,17 +1,15 @@
-//! Dependency-free deterministic randomness and timing helpers.
+//! Dependency-free deterministic randomness and Wile program generators.
 //!
 //! The repository must build in hermetic environments with no registry
 //! access, so randomized tests, the fault-plan samplers, and the
-//! micro-benchmarks all draw from this tiny crate instead of external
-//! `rand`/`proptest`/`criterion`. Everything here is seed-reproducible:
-//! the same seed always yields the same stream on every platform.
+//! benchmark's fuzz workloads all draw from this tiny crate instead of
+//! external `rand`/`proptest`. Everything here is seed-reproducible: the
+//! same seed always yields the same stream on every platform.
 
 #![warn(missing_docs)]
 
 pub mod shrink;
 pub mod wile;
-
-use std::time::Instant;
 
 /// SplitMix64 — a tiny, high-quality, splittable PRNG (Steele et al.,
 /// OOPSLA 2014). Deterministic across platforms; **not** cryptographic.
@@ -71,30 +69,6 @@ impl SplitMix64 {
     /// Pick a uniform element of a nonempty slice.
     pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         &xs[self.index(xs.len())]
-    }
-}
-
-/// Time `f` over `iters` iterations and return mean nanoseconds per
-/// iteration — the plain-`Instant` stand-in for the criterion harness.
-pub fn bench_ns<F: FnMut()>(iters: u32, mut f: F) -> f64 {
-    // one warmup pass keeps cold-start noise out of the mean
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / f64::from(iters.max(1))
-}
-
-/// Render a mean-ns measurement the way the bench bins print rows.
-#[must_use]
-pub fn fmt_bench(name: &str, ns: f64) -> String {
-    if ns >= 1_000_000.0 {
-        format!("{name:<40} {:>12.3} ms/iter", ns / 1_000_000.0)
-    } else if ns >= 1_000.0 {
-        format!("{name:<40} {:>12.3} µs/iter", ns / 1_000.0)
-    } else {
-        format!("{name:<40} {ns:>12.1} ns/iter")
     }
 }
 
