@@ -4,9 +4,11 @@
 //! * **E1 / Figure 10** — [`fig10_rows`]: per-benchmark execution time of
 //!   TAL-FT (ordered) and TAL-FT-without-ordering, normalized to the
 //!   unprotected baseline, plus the geometric mean (paper: 1.34× / 1.30×).
-//! * **E2–E4 / Theorems** — [`coverage_row`]: exhaustive-in-sites,
-//!   strided-in-time single-fault campaigns over protected and baseline
-//!   binaries (protected must show zero SDC; baseline must not).
+//! * **E2–E4, E13, E16, E18 / campaigns** — the `campaign` bin: one
+//!   per-kernel loop of exhaustive-in-sites, strided-in-time single-fault
+//!   campaigns over protected and baseline binaries (protected must show
+//!   zero SDC; baseline must not), sampled k≥2 campaigns, and the
+//!   reference-engine and shard legs on the same plans.
 //! * **E6 / ablation** — [`width_sweep`]: the Figure 10 ratio as a function
 //!   of issue width.
 //! * **E14 / mutation oracle** — [`mutation_summary`]: per-operator
@@ -18,10 +20,6 @@
 pub mod report;
 
 use talft_compiler::{compile, vir::interpret, CompileOptions, Compiled};
-use talft_faultsim::{
-    golden_run, multi_fault_plans, run_campaign, run_plan_campaign, run_plan_campaign_reference,
-    CampaignConfig, CampaignReport,
-};
 use talft_oracle::{run_oracle, MutantOutcome, MutationOp, OpScore, OracleConfig};
 use talft_sim::{simulate, BlockVisit, MachineModel};
 use talft_suite::{Kernel, Scale};
@@ -132,141 +130,6 @@ pub fn render_fig10(rows: &[Fig10Row]) -> String {
             .collect::<Vec<_>>(),
     );
     writeln!(s, "| **geomean** | | | | **{go:.3}x** | **{gu:.3}x** |").expect("write to string");
-    s
-}
-
-/// One row of the fault-coverage table (E2/E3/E4).
-#[derive(Debug, Clone)]
-pub struct CoverageRow {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Campaign over the protected binary.
-    pub protected: CampaignReport,
-    /// Campaign over the unprotected baseline.
-    pub baseline: CampaignReport,
-}
-
-/// Run the injection campaigns for one kernel.
-pub fn coverage_row(kernel: &Kernel, cfg: &CampaignConfig) -> Result<CoverageRow, String> {
-    let c = compile(&kernel.source, &CompileOptions::default())
-        .map_err(|e| format!("{}: {e}", kernel.name))?;
-    Ok(CoverageRow {
-        name: kernel.name,
-        protected: run_campaign(&c.protected.program, cfg)
-            .map_err(|e| format!("{} (protected): {e}", kernel.name))?,
-        baseline: run_campaign(&c.baseline.program, cfg)
-            .map_err(|e| format!("{} (baseline): {e}", kernel.name))?,
-    })
-}
-
-/// Render the coverage table as markdown. The `CEs dropped` column counts
-/// counterexamples beyond the 32-entry cap (`prot/base`), so a truncated
-/// violation list is visible rather than silent.
-#[must_use]
-pub fn render_coverage(rows: &[CoverageRow]) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    writeln!(
-        s,
-        "| benchmark | inj (prot) | masked | detected | SDC | inj (base) | SDC (base) | CEs dropped |"
-    )
-    .expect("write to string");
-    writeln!(s, "|---|---:|---:|---:|---:|---:|---:|---:|").expect("write to string");
-    for r in rows {
-        writeln!(
-            s,
-            "| {} | {} | {} | {} | **{}** | {} | {} | {}/{} |",
-            r.name,
-            r.protected.total,
-            r.protected.masked,
-            r.protected.detected,
-            r.protected.sdc + r.protected.other_violations,
-            r.baseline.total,
-            r.baseline.sdc,
-            r.protected.violations_truncated,
-            r.baseline.violations_truncated,
-        )
-        .expect("write to string");
-    }
-    s
-}
-
-/// One row of the k-fault boundary table (E13): the protected binary
-/// under a sampled `k`-fault campaign, where Theorem 4 makes no promise.
-#[derive(Debug, Clone)]
-pub struct MultifaultRow {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Fault multiplicity of the campaign.
-    pub k: u32,
-    /// Campaign over the protected binary.
-    pub protected: CampaignReport,
-}
-
-/// Run a sampled `k`-fault campaign over one kernel's protected binary.
-/// A `k ≥ 2` plan set also runs through the sequential reference
-/// (`campaignperf` cross-checks `k = 1` on every Tiny kernel).
-///
-/// # Errors
-///
-/// Fails on compile/golden errors, and on a report that differs from the
-/// reference's — verdict exactness is part of the row's contract, so a
-/// disagreement poisons the whole table.
-pub fn multifault_row(
-    kernel: &Kernel,
-    cfg: &CampaignConfig,
-    k: u32,
-) -> Result<MultifaultRow, String> {
-    let c = compile(&kernel.source, &CompileOptions::default())
-        .map_err(|e| format!("{}: {e}", kernel.name))?;
-    let program = &c.protected.program;
-    let golden = golden_run(program, cfg).map_err(|e| format!("{}: {e}", kernel.name))?;
-    let plans = multi_fault_plans(program, cfg, &golden, k);
-    let report = run_plan_campaign(program, cfg, &golden, &plans);
-    if k >= 2 {
-        let reference = run_plan_campaign_reference(program, cfg, &golden, &plans);
-        if report != reference {
-            return Err(format!(
-                "{} (k={k}): report diverged from the reference\nbatched:   {report:?}\nreference: {reference:?}",
-                kernel.name
-            ));
-        }
-    }
-    Ok(MultifaultRow {
-        name: kernel.name,
-        k,
-        protected: report,
-    })
-}
-
-/// Render the k-fault boundary table as markdown. SDC here is *expected*
-/// for `k ≥ 2` — it quantifies the edge of the single-event-upset model,
-/// not a Theorem 4 violation — so the table leads with detection coverage.
-#[must_use]
-pub fn render_multifault(rows: &[MultifaultRow]) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    writeln!(
-        s,
-        "| benchmark | k | plans | masked | detected | SDC | other | coverage |"
-    )
-    .expect("write to string");
-    writeln!(s, "|---|---:|---:|---:|---:|---:|---:|---:|").expect("write to string");
-    for r in rows {
-        writeln!(
-            s,
-            "| {} | {} | {} | {} | {} | {} | {} | {:.1}% |",
-            r.name,
-            r.k,
-            r.protected.total,
-            r.protected.masked,
-            r.protected.detected,
-            r.protected.sdc,
-            r.protected.other_violations,
-            100.0 * r.protected.coverage(),
-        )
-        .expect("write to string");
-    }
     s
 }
 

@@ -10,10 +10,9 @@
 
 use std::path::PathBuf;
 
-use talft_faultsim::CampaignReport;
 use talft_obs::Json;
 
-use crate::{CoverageRow, Fig10Row, MultifaultRow, MutationSummary};
+use crate::{Fig10Row, MutationSummary};
 
 /// Refuse every command-line argument the bin does not name. `flags` take
 /// a value (`--name V` or `--name=V`), `switches` take none. Anything else
@@ -161,32 +160,6 @@ impl Report {
     }
 }
 
-/// A [`CampaignReport`] as JSON (shared by the coverage / multifault /
-/// campaignperf schemas).
-#[must_use]
-pub fn campaign_json(r: &CampaignReport) -> Json {
-    Json::obj([
-        ("total", Json::U64(r.total)),
-        ("masked", Json::U64(r.masked)),
-        ("detected", Json::U64(r.detected)),
-        ("sdc", Json::U64(r.sdc)),
-        ("other_violations", Json::U64(r.other_violations)),
-        ("engine_errors", Json::U64(r.engine_errors)),
-        ("incomplete_plans", Json::U64(r.incomplete_plans)),
-        ("fault_order", Json::U64(u64::from(r.fault_order))),
-        ("stopped_early", Json::Bool(r.stopped_early)),
-        ("coverage", Json::F64(r.coverage())),
-        ("fault_tolerant", Json::Bool(r.fault_tolerant())),
-        (
-            "detection_latency",
-            Json::obj([
-                ("mean", Json::F64(r.detection_latency.mean())),
-                ("max", Json::U64(r.detection_latency.max)),
-            ]),
-        ),
-    ])
-}
-
 /// Figure 10 rows plus geomeans (`talft.fig10.v1` payload).
 #[must_use]
 pub fn fig10_json(rows: &[Fig10Row]) -> Json {
@@ -221,38 +194,6 @@ pub fn fig10_json(rows: &[Fig10Row]) -> Json {
         ("geomean_ordered", Json::F64(go)),
         ("geomean_unordered", Json::F64(gu)),
     ])
-}
-
-/// Coverage rows (`talft.coverage.v1` payload).
-#[must_use]
-pub fn coverage_json(rows: &[CoverageRow]) -> Json {
-    Json::Array(
-        rows.iter()
-            .map(|r| {
-                Json::obj([
-                    ("name", Json::str(r.name)),
-                    ("protected", campaign_json(&r.protected)),
-                    ("baseline", campaign_json(&r.baseline)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Multifault rows (`talft.multifault.v3` payload).
-#[must_use]
-pub fn multifault_json(rows: &[MultifaultRow]) -> Json {
-    Json::Array(
-        rows.iter()
-            .map(|r| {
-                Json::obj([
-                    ("name", Json::str(r.name)),
-                    ("k", Json::U64(u64::from(r.k))),
-                    ("protected", campaign_json(&r.protected)),
-                ])
-            })
-            .collect(),
-    )
 }
 
 /// Mutation-oracle summary (`talft.mutation.v1` payload).
@@ -322,23 +263,5 @@ mod tests {
             parsed.get("schema").and_then(Json::as_str),
             Some("talft.test.v1")
         );
-    }
-
-    #[test]
-    fn campaign_json_has_stable_keys() {
-        let rep = CampaignReport::default();
-        let j = campaign_json(&rep);
-        for key in [
-            "total",
-            "masked",
-            "detected",
-            "sdc",
-            "other_violations",
-            "coverage",
-            "fault_tolerant",
-            "detection_latency",
-        ] {
-            assert!(j.get(key).is_some(), "missing key {key}");
-        }
     }
 }

@@ -1,22 +1,29 @@
 //! A bench bin refuses an argument it does not name, and a value-taking
 //! flag that has no value, is followed by another `--flag`, or has a value
 //! that does not parse: it exits 1 naming the flag, before any work and
-//! without writing a file, instead of running its default.
+//! without writing a file, instead of running its default. `campaign`
+//! refuses `--shards` with `--stop-on-violation` the same way, because
+//! sharding refuses gated campaigns.
 
 use std::process::Command;
 
 #[test]
 fn unknown_flags_and_bad_flag_values_are_usage_errors() {
-    let (coverage, fig10) = (env!("CARGO_BIN_EXE_coverage"), env!("CARGO_BIN_EXE_fig10"));
-    let cases: [(&str, &[&str], &str); 6] = [
-        (coverage, &["--stride=abc"], "`--stride`"),
-        (env!("CARGO_BIN_EXE_multifault"), &["--k=x"], "`--k`"),
-        (coverage, &["--json", "--stride", "97"], "`--json`"),
-        (coverage, &["--strid=97"], "unknown argument `--strid`"),
+    let (campaign, fig10) = (env!("CARGO_BIN_EXE_campaign"), env!("CARGO_BIN_EXE_fig10"));
+    let cases: [(&str, &[&str], &str); 7] = [
+        (campaign, &["--stride=abc"], "`--stride`"),
+        (campaign, &["--k=x"], "`--k`"),
+        (campaign, &["--json", "--stride", "97"], "`--json`"),
+        (campaign, &["--strid=97"], "unknown argument `--strid`"),
         (
-            coverage,
+            campaign,
             &["--stop-on-violaton"],
             "unknown argument `--stop-on-violaton`",
+        ),
+        (
+            campaign,
+            &["--shards", "--stop-on-violation", "--json", "out.json"],
+            "`--shards` refuses `--stop-on-violation`",
         ),
         (fig10, &["--bogus"], "unknown argument `--bogus`"),
     ];

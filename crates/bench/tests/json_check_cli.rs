@@ -1,4 +1,4 @@
-//! The `--check` readers (`campaignperf`, `lint` and `pairs`, all through
+//! The `--check` readers (`campaign`, `lint` and `pairs`, all through
 //! `report::check`) turn a hostile JSON file into a typed error: exit 1
 //! with the reason on stderr, never a crash and never a pass. Every
 //! `--check`, checkpoint, shard report and `talftd` file goes through
@@ -13,9 +13,9 @@ use talft_obs::Json;
 /// Each reader with its schema tag and first required key after `schema`.
 const READERS: [(&str, &str, &str); 3] = [
     (
-        env!("CARGO_BIN_EXE_campaignperf"),
-        "talft.campaignperf.v6",
-        "threads",
+        env!("CARGO_BIN_EXE_campaign"),
+        "talft.campaign.v1",
+        "stride",
     ),
     (env!("CARGO_BIN_EXE_lint"), "talft.lint.grid.v1", "kernels"),
     (env!("CARGO_BIN_EXE_pairs"), "talft.pairs.v2", "kernels"),
@@ -55,36 +55,106 @@ fn every_reader_refuses_deep_nesting_a_wrong_tag_and_a_missing_key() {
     }
 }
 
-/// Set the count at `path` in a parsed report.
+/// Set the count at `path` in a parsed report; a numeric key indexes an
+/// array.
 fn set(json: &mut Json, path: &[&str], value: u64) {
     let slot = path.iter().fold(json, |j, key| match j {
         Json::Object(fields) => {
             let field = fields.iter_mut().find(|(k, _)| k == key);
             &mut field.unwrap_or_else(|| panic!("no key {key}")).1
         }
+        Json::Array(items) => &mut items[key.parse::<usize>().expect("an index")],
         _ => panic!("{key}: not an object"),
     });
     *slot = Json::U64(value);
 }
 
-#[test]
-fn campaignperf_refuses_demotions_forged_to_wrap_the_budget() {
-    let bin = env!("CARGO_BIN_EXE_campaignperf");
+/// The committed `BENCH_campaign.json`, parsed, after asserting that it
+/// passes `campaign --check` (`case` names the test's scratch file).
+fn committed_campaign(case: &str) -> Json {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_campaign.json");
     let committed = std::fs::read_to_string(path).expect("committed report");
-    let out = check(bin, "committed", &committed);
+    let out = check(env!("CARGO_BIN_EXE_campaign"), case, &committed);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
+    Json::parse(&committed).expect("valid JSON")
+}
+
+#[test]
+fn campaign_refuses_demotions_forged_to_wrap_the_budget() {
+    let mut json = committed_campaign("committed-demotions");
     // 50 times this wraps a u64 to 84, under the committed lane count; the
     // per-cause sum still equals the total.
     let forged = 368_934_881_474_191_034;
-    let mut json = Json::parse(&committed).expect("valid JSON");
     set(&mut json, &["batch", "demotions"], forged);
     for cause in ["mem_commit", "gpr_hi", "control_fork", "terminal"] {
         set(&mut json, &["batch", "demote", cause], 0);
     }
     set(&mut json, &["batch", "demote", "terminal"], forged);
     let budget = format!("batch.demotions {forged} exceeds the 2% budget");
+    let bin = env!("CARGO_BIN_EXE_campaign");
     assert_refused(&check(bin, "forged-demotions", &json.to_string()), &budget);
+}
+
+#[test]
+fn campaign_refuses_a_row_off_its_reference_or_with_protected_sdc() {
+    let bin = env!("CARGO_BIN_EXE_campaign");
+    let committed = committed_campaign("committed-rows");
+    let row = committed
+        .get("rows")
+        .and_then(|rows| rows.as_array()?.first())
+        .expect("a first row");
+    let name = row.get("name").and_then(Json::as_str).expect("a name");
+    let label = format!("kernel {name} (protected k=1)");
+    let mut off = committed.clone();
+    set(&mut off, &["rows", "0", "reference", "masked"], 0);
+    let differs = format!("{label}: the reference report differs from the batched one");
+    assert_refused(&check(bin, "off-reference", &off.to_string()), &differs);
+    // Both engines agree on the forged SDC, so only the Theorem 4 gate
+    // can refuse it.
+    let mut sdc = committed;
+    for report in ["report", "reference"] {
+        set(&mut sdc, &["rows", "0", report, "sdc"], 1);
+    }
+    let violated = format!("{label}: not fault-tolerant on a protected binary");
+    assert_refused(&check(bin, "protected-sdc", &sdc.to_string()), &violated);
+}
+
+#[test]
+fn small_campaigns_pass_their_own_check() {
+    let bin = env!("CARGO_BIN_EXE_campaign");
+    // Without `--reference` the k=2 rows still run the reference leg,
+    // which `--check` demands of every k≥2 row.
+    for (i, legs) in [&["--reference", "--shards"][..], &[]]
+        .into_iter()
+        .enumerate()
+    {
+        let name = format!("talft-campaign-{}-{i}.json", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        let out = Command::new(bin)
+            .args([
+                "--kernels",
+                "1",
+                "--k",
+                "2",
+                "--samples",
+                "64",
+                "--stride",
+                "97",
+            ])
+            .args(legs)
+            .arg("--json")
+            .arg(&path)
+            .output()
+            .expect("bin runs");
+        assert_eq!(out.status.code(), Some(0), "{legs:?}: {out:?}");
+        let checked = Command::new(bin)
+            .arg("--check")
+            .arg(&path)
+            .output()
+            .expect("bin runs");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(checked.status.code(), Some(0), "{legs:?}: {checked:?}");
+    }
 }
 
 /// A one-kernel `pairs` report whose protected side classifies its six

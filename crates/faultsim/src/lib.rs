@@ -774,7 +774,8 @@ pub fn run_plan_campaign(
 /// convergence early-exit. A gated config stops after the first violation.
 /// No threads, so the report is the definition of what
 /// [`run_plan_campaign`] must reproduce bit for bit at every thread count;
-/// `campaignperf` times it as the unoptimized baseline.
+/// the `campaign` bench bin's reference leg times it as the unoptimized
+/// baseline.
 #[must_use]
 pub fn run_plan_campaign_reference(
     program: &Arc<Program>,

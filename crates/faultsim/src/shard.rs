@@ -23,8 +23,8 @@
 //!    (same grid fingerprint, same shard count, every index exactly once,
 //!    every shard complete). Because shards are contiguous in sorted order,
 //!    the in-order fold equals the whole-grid report **bit for bit** —
-//!    the cross-process extension of the `campaignperf` differential,
-//!    asserted by `tests/shard_resume.rs` on suite kernels.
+//!    the cross-process extension of the reference-vs-batched
+//!    differential, asserted by `tests/shard_resume.rs` on suite kernels.
 //!
 //! Checkpoints ([`CampaignCheckpoint`]) are schema-tagged JSON
 //! (`talft.checkpoint.v1`, full-fidelity via [`crate::wire`]) written

@@ -1,12 +1,12 @@
 //! Wire format: **full-fidelity** JSON encoding of campaign results, for
 //! durable checkpoints and cross-process shard reports.
 //!
-//! The bench-side `campaign_json` (in `talft-bench`) is a *display* format —
-//! derived ratios, no counterexample payloads. This module is the opposite
-//! contract: every field of [`CampaignReport`] round-trips **bit-exactly**
+//! Every field of [`CampaignReport`] round-trips **bit-exactly**
 //! (`from_json(to_json(r)) == r`), because the shard/resume layer's central
 //! invariant — merged shard reports are bit-identical to a whole-grid run —
 //! is only checkable across process boundaries if serialization is lossless.
+//! The `campaign` bench bin writes its rows in it for the same reason: its
+//! `--check` re-proves each row's reference report equal to its batched one.
 //!
 //! Schema tags: `talft.campaign-report.v1` ([`report_to_json`]),
 //! `talft.checkpoint.v1` ([`crate::CampaignCheckpoint::to_json`]),

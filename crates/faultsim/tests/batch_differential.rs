@@ -402,8 +402,16 @@ fn unpackable_campaigns_match_the_reference_ungated_and_gated() {
     let golden = golden_run(&p, &cfg).expect("golden ends");
     assert_eq!(golden.status, Status::Fault, "the unpaired stB faults");
     assert!(!golden.reg_liveness.is_empty());
+    // This fixture keeps SDC plans only at effective strides 1 to 5.
+    // `TALFT_STRIDE_SCALE` multiplies the configured stride, so divide it
+    // back out: stride 2 unscaled, the scale itself up to 5.
+    let scale = CampaignConfig {
+        stride: 1,
+        ..CampaignConfig::default()
+    }
+    .effective_stride();
     let thinned = CampaignConfig {
-        stride: 2,
+        stride: (2 / scale).max(1),
         mutations_per_site: 2,
         ..cfg.clone()
     };

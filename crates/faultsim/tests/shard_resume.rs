@@ -2,7 +2,7 @@
 //! (ISSUE 6 / DESIGN.md §11): on real suite kernels,
 //!
 //! * the union of `N ∈ {1, 2, 4, 8}` shard reports is **bit-identical** to
-//!   the whole-grid [`run_plan_campaign`] report (the `campaignperf`
+//!   the whole-grid [`run_plan_campaign`] report (the reference-vs-batched
 //!   differential extended across the partition boundary), and the
 //!   protected binaries still report zero SDC through the sharded path;
 //! * a shard interrupted mid-grid — at several checkpoint strides, with the

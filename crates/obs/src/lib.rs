@@ -88,7 +88,7 @@ pub fn enabled() -> bool {
 }
 
 /// Turn instrumentation on or off process-wide. Off by default; bins flip
-/// it on under `--profile`/`--json`, `campaignperf` always records.
+/// it on under `--profile`/`--json`.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

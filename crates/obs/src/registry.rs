@@ -86,8 +86,9 @@ pub fn histogram(name: &'static str) -> &'static Histogram {
     }
 }
 
-/// Reset every registered metric to zero (report sectioning: `campaignperf`
-/// resets between phases so each phase's numbers are attributable).
+/// Reset every registered metric to zero (report sectioning: the `campaign`
+/// bench bin resets before each row's batched pass so the pass's numbers
+/// are attributable).
 pub fn reset_all() {
     for m in registry().read().expect("obs registry poisoned").values() {
         match m {

@@ -57,7 +57,7 @@ fn every_kernel_runs_with_reference_trace() {
 #[test]
 fn sampled_campaign_finds_no_sdc_in_protected_kernels() {
     // A strided campaign over three representative kernels (the full
-    // exhaustive campaign is the `coverage` bench harness).
+    // exhaustive campaign is the `campaign` bench harness).
     let cfg = CampaignConfig {
         stride: 97,
         mutations_per_site: 2,

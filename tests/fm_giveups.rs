@@ -13,6 +13,15 @@
 //! The pinned counts are machine-independent; EXPERIMENTS.md E21's count
 //! columns come from them. The obs registry is process-global, hence one
 //! test in a dedicated integration-test binary.
+//!
+//! The on row also gates the entailment cache (E16): it must hit. Both
+//! rows' cache hit and miss counts are pinned as this process reads them:
+//! the off row checks first in a fresh process, the on row after it. The
+//! cache's slot index hashes the process-global facts generation
+//! (`FACTS_GEN` in `talft-logic`), so which slot a query lands in, and so
+//! what a colliding query evicts, depends on what the process checked
+//! before; a process that checked other programs first may read other
+//! counts.
 
 use talft::compiler::{compile, CompileOptions};
 use talft::core::check_program;
@@ -26,6 +35,8 @@ struct Row {
     interval_queries: u64,
     interval_hit: u64,
     interval_miss: u64,
+    cache_hit: u64,
+    cache_miss: u64,
 }
 
 /// Check every Tiny kernel on freshly compiled arenas with the interval
@@ -53,6 +64,8 @@ fn check_suite(interval: bool) -> Row {
         interval_queries: n("logic.interval.queries"),
         interval_hit: n("logic.interval.hit"),
         interval_miss: n("logic.interval.miss"),
+        cache_hit: n("logic.cache.hit"),
+        cache_miss: n("logic.cache.miss"),
     }
 }
 
@@ -88,13 +101,16 @@ fn fm_never_gives_up_on_suite_kernels() {
         on.interval_queries > 0,
         "the interval tier was never asked while switched on"
     );
-    let pinned = |fm_runs, interval_queries, interval_hit| Row {
+    assert!(on.cache_hit > 0, "the entailment cache recorded zero hits");
+    let pinned = |fm_runs, interval_queries, interval_hit, cache_hit, cache_miss| Row {
         fm_runs,
         fm_giveups: 0,
         interval_queries,
         interval_hit,
         interval_miss: interval_queries - interval_hit,
+        cache_hit,
+        cache_miss,
     };
-    assert_eq!(off, pinned(840, 0, 0), "interval off");
-    assert_eq!(on, pinned(0, 1399, 1239), "interval on");
+    assert_eq!(off, pinned(840, 0, 0, 853, 179), "interval off");
+    assert_eq!(on, pinned(0, 1399, 1239, 853, 179), "interval on");
 }
