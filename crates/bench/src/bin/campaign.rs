@@ -39,7 +39,7 @@
 //! a usage error, a compile or golden failure, or a report that differs
 //! from the reference or from the whole grid; 0 otherwise.
 //!
-//! `--json` writes `talft.campaign.v1`: the effective stride, every row's
+//! `--json` writes `talft.campaign.v2`: the effective stride, every row's
 //! report in the lossless [`talft_faultsim::wire`] encoding (the
 //! reference's too, where it ran), and the `checkpoints` and `batch`
 //! counters of the rows' batched passes only, not of the shard legs.
@@ -48,8 +48,8 @@
 //! re-proves a file offline through [`report::check`]: each row's
 //! reference report equals its batched one, every k≥2 row has one,
 //! protected k=1 rows are fault-tolerant, the checkpoint ring was used,
-//! lanes were packed, and the demotion causes sum to the total and stay
-//! within 2% of the lanes.
+//! lanes were packed, the plans settled at admission are among them, and
+//! the demotion causes sum to the total and stay within 2% of the lanes.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -69,7 +69,7 @@ use talft_obs::Json;
 use talft_suite::{kernels, Scale};
 
 /// The schema tag this bin writes and `--check` accepts.
-const SCHEMA: &str = "talft.campaign.v1";
+const SCHEMA: &str = "talft.campaign.v2";
 
 /// Required top-level keys of a [`SCHEMA`] document.
 const REQUIRED: &[&str] = &[
@@ -91,8 +91,9 @@ const CHECKPOINTS: [(&str, &str); 4] = [
 ];
 
 /// The `batch` object's counts: key and obs counter.
-const BATCH: [(&str, &str); 4] = [
+const BATCH: [(&str, &str); 5] = [
     ("lanes", "faultsim.batch.lanes"),
+    ("admission_settled", "faultsim.batch.admission_settled"),
     ("multi_lanes", "faultsim.batch.multi_lanes"),
     ("demotions", "faultsim.batch.demotions"),
     ("scalar_routed", "faultsim.batch.scalar_routed"),
@@ -482,7 +483,7 @@ fn print_totals(rows: &[Row]) {
     }
 }
 
-/// The `talft.campaign.v1` document.
+/// The `talft.campaign.v2` document.
 fn document(
     cfg: &CampaignConfig,
     k: u32,
@@ -530,6 +531,13 @@ fn gate(json: &Json) -> Result<(), String> {
     let lanes = count("batch.lanes")?;
     if lanes == 0 {
         return Err("batched engine never packed a lane (batch.lanes == 0)".into());
+    }
+    // `lanes` counts every admitted plan, the settled ones included.
+    let settled = count("batch.admission_settled")?;
+    if u128::from(settled) > u128::from(lanes) {
+        return Err(format!(
+            "batch.admission_settled {settled} exceeds batch.lanes {lanes}"
+        ));
     }
     // The demotion-cause taxonomy is total, and the queue/`d` shadows keep
     // the residual scalar work small: at most 2% of admitted lanes may

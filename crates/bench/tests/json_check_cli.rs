@@ -14,7 +14,7 @@ use talft_obs::Json;
 const READERS: [(&str, &str, &str); 3] = [
     (
         env!("CARGO_BIN_EXE_campaign"),
-        "talft.campaign.v1",
+        "talft.campaign.v2",
         "stride",
     ),
     (env!("CARGO_BIN_EXE_lint"), "talft.lint.grid.v1", "kernels"),
@@ -93,6 +93,22 @@ fn campaign_refuses_demotions_forged_to_wrap_the_budget() {
     let budget = format!("batch.demotions {forged} exceeds the 2% budget");
     let bin = env!("CARGO_BIN_EXE_campaign");
     assert_refused(&check(bin, "forged-demotions", &json.to_string()), &budget);
+}
+
+#[test]
+fn campaign_refuses_more_settled_plans_than_lanes() {
+    let mut json = committed_campaign("committed-settled");
+    let lanes = json
+        .get("batch")
+        .and_then(|b| b.get("lanes")?.as_u64())
+        .expect("a lane count");
+    set(&mut json, &["batch", "admission_settled"], lanes + 1);
+    let reason = format!(
+        "batch.admission_settled {} exceeds batch.lanes {lanes}",
+        lanes + 1
+    );
+    let bin = env!("CARGO_BIN_EXE_campaign");
+    assert_refused(&check(bin, "forged-settled", &json.to_string()), &reason);
 }
 
 #[test]

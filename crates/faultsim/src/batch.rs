@@ -61,7 +61,9 @@
 //!   (dirty lanes plus holders of just-died registers), so wide groups
 //!   cost O(events), not O(lanes), per step. A k=1 strike on a register
 //!   that is already dead at its step settles before it takes a lane:
-//!   `run_batched` counts it `Masked` at admission;
+//!   `run_batched` counts it `Masked` at admission. So does a k=1 strike
+//!   that changes `pcG` or `pcB` at an even step before golden's halt,
+//!   which fails the fetch due next: `Detected` one step later;
 //! * **quiet steps are skipped, not executed** — a step with no strike
 //!   due, no dirty lane, no diverged register dying, and a pending action
 //!   that touches no diverged register (nor `d` or the queue while a lane
@@ -95,8 +97,9 @@
 //! golden's halt. Strikes are folded into the lane as timed events on the
 //! shared replay walk, so the `k = 2` E13 grids ride the batched path
 //! whenever both strikes hit packed sites. Only plans with a pc-register
-//! strike (a diverged pc forks the action sequence itself) or a strike
-//! past golden termination route to the scalar path whole. A campaign the
+//! strike that does not settle at admission (a diverged pc forks the
+//! action sequence itself) or a strike past golden termination route to
+//! the scalar path whole. A campaign the
 //! packed form cannot serve at all — a golden run that did not halt (the
 //! blue-compare and settle rules are only exact against a halted golden)
 //! or one without liveness (more than 64 GPRs) — settles and admits
@@ -186,19 +189,27 @@ const READS_QUEUE: u8 = 2;
 
 /// One golden step's pending action as the quiet-stretch scan reads it
 /// (`Shadow::skip_quiet`): the GPRs it reads or writes, and whether it
-/// reads `d` or the store queue. [`golden_run`](crate::golden_run) keeps
-/// one per step beside the liveness masks; 16 bytes a step.
+/// reads `d` or the store queue; and golden's green pc at the step, which
+/// admission compares pc strikes against. [`golden_run`](crate::golden_run)
+/// keeps one per step beside the liveness masks; 16 bytes a step.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StepAction {
     /// `reads | writes` of `action_gpr_masks`.
     gprs: u64,
     /// [`READS_D`] and [`READS_QUEUE`] bits.
     kind: u8,
+    /// Golden's `pcG` at the step, or 0 if it does not fit: 0 is never a
+    /// code address, so never the pc of a fetch that succeeded.
+    pc: u32,
 }
 
+// One record per golden step: the pc rides in what was padding.
+const _: () = assert!(std::mem::size_of::<StepAction>() == 16);
+
 impl StepAction {
-    /// The record of pending action `ir`, whose GPR masks are `masks`.
-    pub(crate) fn new(ir: Option<&Instr>, (reads, writes): (u64, u64)) -> Self {
+    /// The record of pending action `ir`, whose GPR masks are `masks`, at
+    /// green pc `pc`.
+    pub(crate) fn new(ir: Option<&Instr>, (reads, writes): (u64, u64), pc: i64) -> Self {
         let kind = match ir {
             Some(Instr::Jmp { .. } | Instr::Bz { .. }) => READS_D,
             Some(
@@ -213,6 +224,7 @@ impl StepAction {
         Self {
             gprs: reads | writes,
             kind,
+            pc: u32::try_from(pc).unwrap_or(0),
         }
     }
 }
@@ -251,7 +263,8 @@ struct Outcome {
 /// hit a packed site (GPR < 64 within the register file, the `d` latch, or
 /// a queue slot — value *or* address) at or before golden's halt. Only pc
 /// strikes route scalar: a diverged pc forks the action sequence itself,
-/// which the lockstep walk cannot express. The golden-run preconditions
+/// which the lockstep walk cannot express (k=1 ones that fail the next
+/// fetch settle first, `admission_verdict`). The golden-run preconditions
 /// (`Halted`, liveness present) are checked once by `run_batched`.
 fn admissible(plan: &FaultPlan, golden: &Golden, num_gprs: u16) -> bool {
     !plan.strikes().is_empty()
@@ -266,29 +279,48 @@ fn admissible(plan: &FaultPlan, golden: &Golden, num_gprs: u16) -> bool {
         })
 }
 
-/// Whether a plan settles at admission: one strike, on a GPR the lane
-/// could hold (< 64, inside the register file) that golden's liveness says
-/// is not live at the strike step. Its lane would fire the strike and
-/// settle at the same step — one diverged register, not live, no `d` or
-/// queue shadow — with `settled_verdict` over at most that one register,
-/// which is `Masked`: end step `golden.steps`, one strike applied (a
-/// value equal to golden's heals on the spot, with the same outcome).
+/// The verdict a k=1 plan settles with at admission, if it settles there
+/// (DESIGN.md §12):
+///
+/// * `Masked` for a strike on a GPR the lane could hold (< 64, inside the
+///   register file) that golden's liveness says is not live at the strike
+///   step. Its lane would fire the strike and settle at the same step —
+///   one diverged register, not live, no `d` or queue shadow — with
+///   `settled_verdict` over at most that one register, which is
+///   `Masked`: end step `golden.steps`, one strike applied (a value equal
+///   to golden's heals on the spot, with the same outcome).
+/// * `Detected` for a strike on `pcG` or `pcB` at an even step below
+///   `golden.steps` whose value is not golden's pc there. From boot a
+///   step fetches iff `ir` is empty, and every exec empties it again, so
+///   an even step of a running machine fetches. Golden's fetch there
+///   succeeded, so its two pcs agreed, and a strike that changes one of
+///   them fails this fetch (`fetch-fail`): end step `at_step + 1`, one
+///   strike applied.
+///
 /// With two or more strikes the lane cannot settle before its last one
 /// fires, and registers of both colors left behind are `DissimilarState`,
-/// so only k=1 plans settle here (DESIGN.md §12).
-fn settles_at_admission(plan: &FaultPlan, golden: &Golden, num_gprs: u16) -> bool {
+/// so only k=1 plans settle here.
+fn admission_verdict(plan: &FaultPlan, golden: &Golden, num_gprs: u16) -> Option<Verdict> {
     let [s] = plan.strikes() else {
-        return false;
+        return None;
     };
-    let FaultSite::Reg(Reg::Gpr(g)) = s.site else {
-        return false;
-    };
-    g.0 < num_gprs
-        && g.0 < 64
-        && usize::try_from(s.at_step)
-            .ok()
-            .and_then(|at| golden.reg_liveness.get(at))
-            .is_some_and(|&(live, _)| live >> g.0 & 1 == 0)
+    let at = usize::try_from(s.at_step).ok()?;
+    match s.site {
+        FaultSite::Reg(Reg::Gpr(g)) => (g.0 < num_gprs
+            && g.0 < 64
+            && golden
+                .reg_liveness
+                .get(at)
+                .is_some_and(|&(live, _)| live >> g.0 & 1 == 0))
+        .then_some(Verdict::Masked),
+        // `quiet` holds one record per step below `golden.steps`.
+        FaultSite::Reg(Reg::Pc(_)) => golden
+            .quiet
+            .get(at)
+            .is_some_and(|a| at.is_multiple_of(2) && a.pc != 0 && s.value != i64::from(a.pc))
+            .then_some(Verdict::Detected),
+        _ => None,
+    }
 }
 
 /// The bit-parallel batched campaign engine: reports bit-identical to
@@ -298,13 +330,13 @@ fn settles_at_admission(plan: &FaultPlan, golden: &Golden, num_gprs: u16) -> boo
 /// shared golden replay per worker as packed shadow deltas, classifying at
 /// their heal, blue-compare, or liveness-settle point, and only lanes whose
 /// divergence escapes the packed components pay for a scalar continuation.
-/// k=1 strikes on dead registers settle before any worker starts
-/// (`settles_at_admission`), so every group holds only lanes that need a
-/// walk. Any golden run and plan set may be passed: a golden that is not
-/// packable (`Halted`, with liveness) settles and admits nothing, so every
-/// plan takes its worker's whole-plan scalar route. The gate is the
-/// caller's: the pass ignores `stop_on_first_violation` and always runs
-/// whole.
+/// k=1 strikes on dead registers, and k=1 pc strikes that fail the next
+/// fetch, settle before any worker starts (`admission_verdict`), so every
+/// group holds only lanes that need a walk. Any golden run and plan set
+/// may be passed: a golden that is not packable (`Halted`, with liveness)
+/// settles and admits nothing, so every plan takes its worker's
+/// whole-plan scalar route. The gate is the caller's: the pass ignores
+/// `stop_on_first_violation` and always runs whole.
 pub(crate) fn run_batched(
     program: &Arc<Program>,
     cfg: &CampaignConfig,
@@ -314,26 +346,53 @@ pub(crate) fn run_batched(
     let _span = CAMPAIGN_NS.span();
     let num_gprs = program.num_gprs;
     let packable = golden.status == Status::Halted && !golden.reg_liveness.is_empty();
-    let mut order: Vec<usize> = (0..plans.len())
-        .filter(|&i| !(packable && settles_at_admission(&plans[i], golden, num_gprs)))
-        .collect();
-    let settled = (plans.len() - order.len()) as u64;
-    // `(first_step, index)` is the order every engine reports in (a stable
-    // sort by first step); the keys are unique, so an in-place unstable
-    // sort gives it with no scratch buffer. Violations sort by the same key.
-    order.sort_unstable_by_key(|&i| (plans[i].first_step(), i));
+    // One scan of the plan set: the fault order, the plans that settle at
+    // admission, and the survivors in report order — `(first_step,
+    // index)`, the order a stable sort by first step makes. Plan sets
+    // usually arrive in step order, so the survivors need no sort.
+    let mut fault_order = 0;
+    let (mut masked, mut detected) = (0u64, 0u64);
+    let mut order: Vec<usize> = Vec::new();
+    let (mut sorted, mut prev) = (true, 0);
+    for (i, plan) in plans.iter().enumerate() {
+        fault_order = fault_order.max(plan.order());
+        let settles = if packable {
+            admission_verdict(plan, golden, num_gprs)
+        } else {
+            None
+        };
+        match settles {
+            Some(Verdict::Masked) => masked += 1,
+            Some(_) => detected += 1,
+            None => {
+                let first = plan.first_step();
+                sorted &= prev <= first;
+                prev = first;
+                order.push(i);
+            }
+        }
+    }
+    if !sorted {
+        // The keys are unique, so an unstable sort gives the stable order
+        // with no scratch buffer. Violations sort by the same key.
+        order.sort_unstable_by_key(|&i| (plans[i].first_step(), i));
+    }
+    let settled = masked + detected;
     let threads = cfg.threads.max(1).min(order.len().div_ceil(GROUP_CLAIM));
     let cursor = AtomicUsize::new(0);
     let mut report = CampaignReport {
-        fault_order: plans.iter().map(|p| p.order() as u32).max().unwrap_or(0),
+        fault_order: fault_order as u32,
         total: settled,
-        masked: settled,
+        masked,
+        detected,
         ..CampaignReport::default()
     };
+    report.detection_latency.record_n(1, detected);
     if talft_obs::enabled() {
         PLANS.add(settled);
         let mut tally = [0u64; 7];
-        tally[verdict_slot(Verdict::Masked)] = settled;
+        tally[verdict_slot(Verdict::Masked)] = masked;
+        tally[verdict_slot(Verdict::Detected)] = detected;
         note_verdicts(&tally);
         BATCH_LANES.add(settled);
         BATCH_ADMISSION_SETTLED.add(settled);
@@ -1553,7 +1612,7 @@ fn run_lockstep(
             // pending, and no `d`/queue shadow is held, its verdict is
             // decided — see `settled_verdict`. k=1 strikes on registers
             // already dead at their step never get here: the same rule
-            // settles them at admission (`settles_at_admission`). The scan
+            // settles them at admission (`admission_verdict`). The scan
             // is event-driven: a lane's settle condition can newly hold only
             // if its divergence set changed (`dirty`, set by every shadow
             // transition) or a register it holds just left the live mask

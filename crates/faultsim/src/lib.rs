@@ -382,11 +382,19 @@ pub struct LatencyHistogram {
 impl LatencyHistogram {
     /// Record one detection latency (in machine steps).
     pub fn record(&mut self, latency: u64) {
+        self.record_n(latency, 1);
+    }
+
+    /// Record `n` detections of the same latency.
+    fn record_n(&mut self, latency: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let k = (64 - latency.max(1).leading_zeros() as usize - 1).min(23);
-        self.buckets[k] += 1;
+        self.buckets[k] += n;
         self.max = self.max.max(latency);
-        self.sum += latency;
-        self.count += 1;
+        self.sum += latency * n;
+        self.count += n;
     }
 
     /// Mean detection latency.
@@ -608,7 +616,11 @@ pub(crate) fn golden_run_strided(
         if mask_regs {
             let masks = action_gpr_masks(m.ir());
             actions.push(masks);
-            quiet.push(batch::StepAction::new(m.ir(), masks));
+            quiet.push(batch::StepAction::new(
+                m.ir(),
+                masks,
+                checkpoint::green_pc(&m),
+            ));
         }
         step(&mut m);
     }
@@ -1345,20 +1357,23 @@ main:
             fault_order: 1,
             ..CampaignReport::default()
         };
-        plan::for_each_strided_strike(program, cfg, &golden, |frontier, s| {
-            let mut faulty = frontier.clone();
-            assert!(inject(&mut faulty, s.site, s.value));
-            let verdict = classify_batch(&mut faulty, &golden.trace, golden.steps, &golden.machine);
-            if verdict == Verdict::Detected {
-                rep.detection_latency
-                    .record(faulty.steps().saturating_sub(s.at_step));
-            }
-            rep.absorb(Injection {
-                at_step: s.at_step,
-                site: s.site,
-                value: s.value,
-                followups: Vec::new(),
-                verdict,
+        plan::for_each_strided_step(program, cfg, &golden, |frontier| {
+            plan::for_each_strike_at(frontier, cfg.mutations_per_site, |s| {
+                let mut faulty = frontier.clone();
+                assert!(inject(&mut faulty, s.site, s.value));
+                let verdict =
+                    classify_batch(&mut faulty, &golden.trace, golden.steps, &golden.machine);
+                if verdict == Verdict::Detected {
+                    rep.detection_latency
+                        .record(faulty.steps().saturating_sub(s.at_step));
+                }
+                rep.absorb(Injection {
+                    at_step: s.at_step,
+                    site: s.site,
+                    value: s.value,
+                    followups: Vec::new(),
+                    verdict,
+                });
             });
         });
         rep

@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use talft_isa::{CVal, Color, Program, Reg};
-use talft_machine::{mutations, read_site, sites, step, FaultSite, Machine};
+use talft_machine::{mutations, read_site, sites, step, FaultSite, Machine, BIT_FLIPS};
 use talft_testutil::SplitMix64;
 
 use crate::{CampaignConfig, Golden};
@@ -109,46 +109,82 @@ impl std::fmt::Debug for FaultPlan {
     }
 }
 
-/// Walk the strided strike universe of a golden run: for every dynamic
-/// step `≡ 0 (mod stride)` (including the final, halted state), every fault
-/// site of that state, and up to `cfg.mutations_per_site` corrupted values,
-/// call `f` with the golden state at that step and the strike — in step
-/// order, then site order, then value order. The one walk behind
-/// [`single_fault_plans`] and [`exhaustive_pair_plans`]; it allocates
-/// nothing per step or site.
-pub(crate) fn for_each_strided_strike(
+/// Walk the strided steps of a golden run: call `f` with the golden state
+/// at every dynamic step `≡ 0 (mod stride)`, including the final, halted
+/// state, in step order. The one walk behind [`single_fault_plans`] (which
+/// makes it twice, to count and then to fill), [`exhaustive_pair_plans`]
+/// and the in-crate reference sweep.
+pub(crate) fn for_each_strided_step(
     program: &Arc<Program>,
     cfg: &CampaignConfig,
     golden: &Golden,
-    mut f: impl FnMut(&Machine, Strike),
+    mut f: impl FnMut(&Machine),
 ) {
     let stride = cfg.effective_stride();
     let n = golden.steps;
     let mut frontier = Machine::boot(Arc::clone(program)).with_oob_policy(cfg.oob);
-    let mut at = frontier.steps();
     loop {
+        let at = frontier.steps();
         if at.is_multiple_of(stride) {
-            for site in sites(&frontier) {
-                let Some(old) = read_site(&frontier, site) else {
-                    continue;
-                };
-                for value in mutations(old).into_iter().take(cfg.mutations_per_site) {
-                    f(
-                        &frontier,
-                        Strike {
-                            at_step: at,
-                            site,
-                            value,
-                        },
-                    );
-                }
-            }
+            f(&frontier);
         }
         if at >= n || !frontier.status().is_running() {
             break;
         }
         step(&mut frontier);
-        at = frontier.steps();
+    }
+}
+
+/// The strikes of one golden state: every fault site of `m`, in [`sites`]
+/// order, with up to `per_site` corrupted values each, in [`mutations`]
+/// order. Allocates nothing.
+pub(crate) fn for_each_strike_at(m: &Machine, per_site: usize, mut f: impl FnMut(Strike)) {
+    let at_step = m.steps();
+    for site in sites(m) {
+        let Some(old) = read_site(m, site) else {
+            continue;
+        };
+        for value in mutations(old).into_iter().take(per_site) {
+            f(Strike {
+                at_step,
+                site,
+                value,
+            });
+        }
+    }
+}
+
+/// The number of strikes [`for_each_strike_at`] makes at `m`.
+fn strike_count_at(m: &Machine, per_site: usize) -> usize {
+    if per_site <= BIT_FLIPS.len() {
+        return sites(m).len() * per_site;
+    }
+    sites(m)
+        .filter_map(|site| read_site(m, site))
+        .map(|old| mutations(old).len().min(per_site))
+        .sum()
+}
+
+/// Append the strikes of `m` with the values `old ^ flip` for each of
+/// `flips` (a prefix of [`BIT_FLIPS`]): what [`for_each_strike_at`] makes
+/// for `per_site = flips.len()`, read straight off the register file and
+/// the queue.
+fn push_flips(plans: &mut Vec<FaultPlan>, m: &Machine, flips: &[i64]) {
+    let at = m.steps();
+    let mut push = |site: FaultSite, old: i64| {
+        for &flip in flips {
+            plans.push(FaultPlan::single(at, site, old ^ flip));
+        }
+    };
+    for (r, v) in (0..m.num_gprs()).map(Reg::r).zip(m.gprs()) {
+        push(FaultSite::Reg(r), v.val);
+    }
+    for r in [Reg::Dst, Reg::Pc(Color::Green), Reg::Pc(Color::Blue)] {
+        push(FaultSite::Reg(r), m.rval(r));
+    }
+    for (i, &(addr, val)) in m.queue().iter().enumerate() {
+        push(FaultSite::QueueAddr(i), addr);
+        push(FaultSite::QueueVal(i), val);
     }
 }
 
@@ -157,16 +193,32 @@ pub(crate) fn for_each_strided_strike(
 /// dynamic step `≡ 0 (mod stride)` of the golden run (including the final,
 /// halted state), every fault site of that state, and up to
 /// `mutations_per_site` corrupted values.
+///
+/// One walk counts the plans, the `Vec` is allocated once at exactly that
+/// size, and a second walk fills it. Up to four values per site are the
+/// [`BIT_FLIPS`] that open every [`mutations`] list, written without
+/// building the list.
 #[must_use]
 pub fn single_fault_plans(
     program: &Arc<Program>,
     cfg: &CampaignConfig,
     golden: &Golden,
 ) -> Vec<FaultPlan> {
-    let mut plans = Vec::new();
-    for_each_strided_strike(program, cfg, golden, |_, s| {
-        plans.push(FaultPlan(Strikes::One(s)));
-    });
+    let per_site = cfg.mutations_per_site;
+    let mut n = 0;
+    for_each_strided_step(program, cfg, golden, |m| n += strike_count_at(m, per_site));
+    let mut plans = Vec::with_capacity(n);
+    if n == 0 {
+        return plans;
+    }
+    if let Some(flips) = BIT_FLIPS.get(..per_site) {
+        for_each_strided_step(program, cfg, golden, |m| push_flips(&mut plans, m, flips));
+    } else {
+        for_each_strided_step(program, cfg, golden, |m| {
+            for_each_strike_at(m, per_site, |s| plans.push(FaultPlan(Strikes::One(s))));
+        });
+    }
+    debug_assert_eq!(plans.len(), n, "the count walk and the fill walk agree");
     plans
 }
 
@@ -184,7 +236,9 @@ pub fn exhaustive_pair_plans(
     golden: &Golden,
 ) -> Vec<FaultPlan> {
     let mut strikes = Vec::new();
-    for_each_strided_strike(program, cfg, golden, |_, s| strikes.push(s));
+    for_each_strided_step(program, cfg, golden, |m| {
+        for_each_strike_at(m, cfg.mutations_per_site, |s| strikes.push(s));
+    });
     let mut plans = Vec::with_capacity(strikes.len() * (strikes.len().saturating_sub(1)) / 2);
     for (i, &a) in strikes.iter().enumerate() {
         for &b in &strikes[i + 1..] {

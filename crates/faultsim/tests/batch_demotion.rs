@@ -380,7 +380,18 @@ fn demotion_counters_advance() {
     let routed = d("faultsim.batch.scalar_routed");
     assert!(lanes > 0, "no plan entered the packed representation");
     assert!(demotions > 0, "no lane demoted on an all-live fixture");
-    assert!(routed > 0, "pc sites must take the scalar route");
+    let pc_routed = plans
+        .iter()
+        .filter(|plan| {
+            let s = plan.strikes()[0];
+            matches!(s.site, FaultSite::Reg(Reg::Pc(_)))
+                && (!s.at_step.is_multiple_of(2) || s.at_step == golden.steps)
+        })
+        .count() as u64;
+    assert_eq!(
+        routed, pc_routed,
+        "pc strikes at odd steps and on the halted state take the scalar route"
+    );
     assert_eq!(
         lanes + routed,
         rep.total,
@@ -585,6 +596,111 @@ fn two_dead_strikes_of_both_colors_take_a_lane() {
     );
     assert_eq!(delta(&before, &after, "faultsim.batch.lanes"), 1);
     assert_eq!(delta(&before, &after, "faultsim.batch.multi_lanes"), 1);
+}
+
+/// A two-iteration protected countdown loop, then a store pair: golden's
+/// pcs move by increments, a taken `bzB` and a `jmpB` before it halts.
+const PC_LOOP: &str = "
+.data
+region out at 4096 len 1 : int output
+.code
+main:
+  .pre { forall m:mem; mem: m; }
+  mov r1, G 2
+  mov r2, B 2
+loop:
+  .pre { forall m:mem; mem: m; }
+  sub r1, r1, G 1
+  sub r2, r2, B 1
+  mov r3, G @done
+  mov r4, B @done
+  bzG r1, r3
+  bzB r2, r4
+  mov r3, G @loop
+  mov r4, B @loop
+  jmpG r3
+  jmpB r4
+done:
+  .pre { forall m:mem; mem: m; }
+  mov r5, G 4096
+  mov r6, B 4096
+  stG r5, r1
+  stB r6, r2
+  halt
+";
+
+/// k=1 strikes on `pcG` and `pcB` settle at admission exactly when the
+/// next step is a fetch that must fail: an even step below `golden.steps`
+/// (every even step of a running machine fetches) and a value other than
+/// golden's pc there. They count `Detected` at `at_step + 1`, latency 1.
+/// Strikes at odd steps, on the halted state, or writing golden's own pc
+/// take the scalar route, and the own-pc ones end `Masked`. Every report
+/// equals the reference's at threads 1 and 3, and `admission_settled` and
+/// `scalar_routed` move by exactly the strikes counted here.
+#[test]
+fn pc_strikes_that_fail_the_next_fetch_settle_at_admission() {
+    let p = arc(PC_LOOP);
+    let golden = golden_run(&p, &cfg()).expect("golden halts");
+    // Every step's pc strikes, each with whether it settles and whether it
+    // writes golden's own pc.
+    let mut m = Machine::boot(Arc::clone(&p));
+    let mut cases = Vec::new();
+    loop {
+        let at = m.steps();
+        let pc = m.rval(Reg::Pc(Color::Green));
+        for color in [Color::Green, Color::Blue] {
+            assert_eq!(m.rval(Reg::Pc(color)), pc, "golden's pcs agree");
+            for value in [pc, pc + 1, -pc] {
+                let plan = FaultPlan::single(at, FaultSite::Reg(Reg::Pc(color)), value);
+                let settles = at.is_multiple_of(2) && at < golden.steps && value != pc;
+                cases.push((plan, settles, value == pc));
+            }
+        }
+        if !m.status().is_running() {
+            break;
+        }
+        step(&mut m);
+    }
+    assert_eq!(m.steps(), golden.steps);
+    let settled = cases.iter().filter(|c| c.1).count() as u64;
+    let routed = cases.len() as u64 - settled;
+    assert!(
+        settled > 0 && routed > settled,
+        "{settled} settle, {routed} route"
+    );
+    let at_threads = |plans: &[FaultPlan], threads| {
+        let cfg = CampaignConfig { threads, ..cfg() };
+        let reference = run_plan_campaign_reference(&p, &cfg, &golden, plans);
+        let (batched, before, after) = with_obs(|| run_plan_campaign(&p, &cfg, &golden, plans));
+        assert_eq!(batched, reference, "threads {threads}: {plans:?}");
+        let d = |name: &str| delta(&before, &after, name);
+        let counts = (
+            d("faultsim.batch.admission_settled"),
+            d("faultsim.batch.scalar_routed"),
+            d("faultsim.batch.lanes"),
+        );
+        (reference, counts)
+    };
+    for (plan, settles, own) in &cases {
+        for threads in [1, 3] {
+            let (rep, counts) = at_threads(std::slice::from_ref(plan), threads);
+            let settled = u64::from(*settles);
+            assert_eq!(counts, (settled, 1 - settled, settled), "{plan:?}");
+            if *settles {
+                assert_eq!(sole_verdict(&rep), Verdict::Detected, "{plan:?}");
+                assert_eq!(rep.detection_latency.max, 1, "{plan:?}");
+            }
+            if *own {
+                assert_eq!(sole_verdict(&rep), Verdict::Masked, "{plan:?}");
+            }
+        }
+    }
+    let plans: Vec<FaultPlan> = cases.into_iter().map(|c| c.0).collect();
+    for threads in [1, 3] {
+        let (rep, counts) = at_threads(&plans, threads);
+        assert_eq!(rep.total, plans.len() as u64);
+        assert_eq!(counts, (settled, routed, settled), "threads {threads}");
+    }
 }
 
 /// One quiet-stretch case from `tests/common`: its program and plan.

@@ -116,8 +116,9 @@ fn fuzzed_programs_run_bit_identically_on_all_three_engines() {
 /// Hand-written adversarial plan shapes the fuzzer cannot produce: strikes
 /// at golden termination, strikes past it (incomplete plans), equal-payload
 /// strikes, out-of-file GPR indices (harness panic → EngineError), `d` and
-/// queue value/address strikes (packed since ISSUE 8), pc strikes (the one
-/// remaining scalar route), multi-strike packed/mixed plans, and the
+/// queue value/address strikes (packed by the queue and `d` shadows), pc
+/// strikes (settled at admission at an even step, else the one remaining
+/// scalar route), multi-strike packed/mixed plans, and the
 /// quiet-step fast path's corner cases — each must take the same route to
 /// the same report.
 #[test]
@@ -155,11 +156,18 @@ fn adversarial_plan_shapes_agree_across_engines() {
         FaultPlan::single(2, FaultSite::Reg(talft_isa::Reg::Dst), 3),
         FaultPlan::single(q_step, FaultSite::QueueVal(0), -1),
         // Queue *addresses* pack too (resolved at the stB compare or a
-        // forwarding load); only the pcs stay on the scalar route.
+        // forwarding load); only the pcs never take a lane. At an even step
+        // a changed pc fails the next fetch and settles at admission; at
+        // an odd one it takes the scalar route.
         FaultPlan::single(q_step, FaultSite::QueueAddr(0), 4097),
         FaultPlan::single(
             2,
             FaultSite::Reg(talft_isa::Reg::Pc(talft_isa::Color::Green)),
+            1,
+        ),
+        FaultPlan::single(
+            3,
+            FaultSite::Reg(talft_isa::Reg::Pc(talft_isa::Color::Blue)),
             1,
         ),
         // Live-register strike: rides the shadow to its blue compare.

@@ -148,17 +148,25 @@ pub fn inject(m: &mut Machine, site: FaultSite, new_val: i64) -> bool {
 /// Most corrupted values [`mutations`] proposes for one site.
 const MAX_MUTATIONS: usize = 10;
 
+/// The single-bit flips that open every [`mutations`] list: `old ^ flip`
+/// for bits 0, 7, 31 and 62. The masks are nonzero and pairwise distinct,
+/// so the four values are pairwise distinct and never `old`, and every
+/// list keeps all four, first and in this order; a k=1 plan builder can
+/// write them without building the list.
+pub const BIT_FLIPS: [i64; 4] = [1, 1 << 7, 1 << 31, 1 << 62];
+
 /// Representative corrupted values to try at a site holding `old`:
-/// single-bit flips of low/high/sign bits, small offsets, zero, and a
-/// large-magnitude constant. All distinct from `old` and from each other,
-/// in that order, held inline (no allocation).
+/// single-bit flips of low/high/sign bits ([`BIT_FLIPS`]), small offsets,
+/// zero, and a large-magnitude constant. All distinct from `old` and from
+/// each other, in that order, held inline (no allocation).
 #[must_use]
 pub fn mutations(old: i64) -> Mutations {
+    let [b0, b7, b31, b62] = BIT_FLIPS.map(|flip| old ^ flip);
     let candidates = [
-        old ^ 1,
-        old ^ (1 << 7),
-        old ^ (1 << 31),
-        old ^ (1i64 << 62),
+        b0,
+        b7,
+        b31,
+        b62,
         old.wrapping_add(1),
         old.wrapping_sub(1),
         0,
@@ -276,11 +284,19 @@ mod tests {
         assert_eq!(read_site(&m, FaultSite::QueueVal(0)), Some(9));
     }
 
+    /// Every list is distinct and never holds `old`, and it always opens
+    /// with the four bit flips of bits 0, 7, 31 and 62 ([`BIT_FLIPS`]),
+    /// which the k=1 plan builder writes without building the list.
     #[test]
     fn mutations_are_distinct_and_nontrivial() {
-        for old in [0i64, 1, -1, 4096, i64::MAX, i64::MIN] {
+        let edges = [0i64, 1, -1, 4096, i64::MAX, i64::MIN, 1 << 62, 0x7fff_ffff];
+        let mut rng = talft_testutil::SplitMix64::new(0x5eed);
+        #[allow(clippy::cast_possible_wrap)]
+        let draws = (0..10_000).map(|_| rng.next_u64() as i64);
+        for old in edges.into_iter().chain(draws) {
             let ms = mutations(old);
-            assert!(!ms.is_empty());
+            assert!(ms.len() >= 4, "{old}");
+            assert_eq!(ms[..4], BIT_FLIPS.map(|flip| old ^ flip), "{old}");
             assert!(ms.iter().all(|&v| v != old));
             for (i, v) in ms.iter().enumerate() {
                 assert!(!ms[..i].contains(v), "{v} repeats for {old}");
