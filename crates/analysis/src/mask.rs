@@ -64,6 +64,19 @@ impl RegMask {
     pub fn is_empty(self) -> bool {
         self.0 == [0, 0]
     }
+
+    /// The registers in the set, ascending.
+    #[cfg(test)]
+    pub(crate) fn iter(self) -> impl Iterator<Item = u16> {
+        (0..2u16).flat_map(move |word| {
+            let mut m = self.0[usize::from(word)];
+            std::iter::from_fn(move || {
+                let bit = m.trailing_zeros() as u16;
+                m &= m.wrapping_sub(1);
+                (bit < 64).then_some(word * 64 + bit)
+            })
+        })
+    }
 }
 
 impl std::ops::BitOr for RegMask {
@@ -124,6 +137,17 @@ mod tests {
             }
         }
         assert_eq!(RegMask::all(200), RegMask::all(128), "saturates");
+    }
+
+    #[test]
+    fn iter_lists_the_set_ascending() {
+        let mut m = RegMask::EMPTY;
+        assert_eq!(m.iter().count(), 0);
+        for i in [0, 5, 63, 64, 100, 127] {
+            m.set(i);
+        }
+        assert_eq!(m.iter().collect::<Vec<_>>(), [0, 5, 63, 64, 100, 127]);
+        assert_eq!(RegMask::all(128).iter().count(), 128);
     }
 
     #[test]

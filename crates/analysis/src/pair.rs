@@ -9,7 +9,9 @@
 //! mode, producing a [`Touch`] set (which dual-compares the cell's taint
 //! can reach, and on which side — green compare state or blue register
 //! operands — after all sanitizing pass-edges) plus the full *entry-state
-//! reach map*: the joined taint surviving at entry to every address. A
+//! reach map*: the joined taint surviving at entry to every address. The
+//! runs ride 64-lane k=1 batches: a summarized cell never defeats a
+//! compare on its own, so each lane reaches its own least fixpoint. A
 //! k=1-Benign cell's solo run met no compare, so its touch set is empty
 //! and no pair ever composes with it: it gets no summary run.
 //!
@@ -55,7 +57,7 @@
 //! [`cross_validate_pairs`](crate::diff::cross_validate_pairs) checks
 //! against exhaustive and sampled k=2 campaign grids.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use talft_core::Diagnostic;
 use talft_isa::Program;
@@ -65,8 +67,8 @@ use crate::cfg::Cfg;
 use crate::lint::LINT_PAIR_HOTSPOT;
 use crate::live::liveness;
 use crate::zap::{
-    analyze_zaps_with, queue_pessimism, run_lanes, too_wide, Ctx, Taint, Touch, Union, Vuln,
-    VulnKind, ZapClass, ZapReport,
+    analyze_zaps_with, queue_pessimism, run_lanes, too_wide, Batch, Ctx, Rows, Seed, Taint, Touch,
+    Union, Vuln, VulnKind, ZapClass, ZapReport, LANES,
 };
 
 static SUMMARY_RUNS: LazyCounter = LazyCounter::new("analysis.pair.summary_runs");
@@ -195,15 +197,13 @@ pub struct PairVerdict {
     pub rule: Option<PairRule>,
 }
 
-/// Phase-1 summary of one cell's solo taint run (its class lives in the
-/// k=1 report), and the memo of the compositions that strike it second.
+/// Phase-1 summary of one k=1-Detected cell's solo taint run (its class
+/// lives in the k=1 report; its reach in its batch's [`Rows`]), and the
+/// memo of the compositions that strike it second.
 struct Summary {
     cell: Cell,
     /// Sorted and deduplicated.
     touches: Box<[Touch]>,
-    /// Entry-state may-taint wherever the cell's corruption survives, by
-    /// ascending address.
-    reach: Box<[(i64, Taint)]>,
     /// Composition results with this cell struck second, by the first
     /// cell's residual taint at its address, ascending. The residual, this
     /// cell's address and its seed are all a composition depends on.
@@ -217,9 +217,13 @@ pub struct PairAnalyzer<'a> {
     cfg: Cfg,
     pessimistic: Vec<bool>,
     k1: ZapReport,
+    /// The summaries of every k=1-Detected data cell, in
+    /// [`PairAnalyzer::cells`] order, once phase 1 has run.
     summaries: Vec<Summary>,
-    /// Each summarized cell's index in `summaries`.
-    summary_of: HashMap<Cell, usize>,
+    /// The reach of summary `i` is lane `i % LANES` of `rows[i / LANES]`.
+    rows: Vec<Rows>,
+    /// Whether phase 1 has run.
+    summarized: bool,
     /// Two-lane fixpoints actually run (memo misses) — a cost diagnostic.
     fixpoints: u64,
 }
@@ -242,7 +246,8 @@ impl<'a> PairAnalyzer<'a> {
             pessimistic,
             k1,
             summaries: Vec::new(),
-            summary_of: HashMap::new(),
+            rows: Vec::new(),
+            summarized: false,
             fixpoints: 0,
         }
     }
@@ -263,7 +268,7 @@ impl<'a> PairAnalyzer<'a> {
     #[must_use]
     pub fn cells(&self) -> Vec<Cell> {
         let mut v = Vec::new();
-        v.extend(self.k1.pc.keys().map(|&addr| Cell::Pc { addr }));
+        v.extend(self.k1.pc().map(|(addr, _)| Cell::Pc { addr }));
         v.extend(self.data_cells().map(|(c, _)| c));
         v
     }
@@ -272,15 +277,13 @@ impl<'a> PairAnalyzer<'a> {
     /// in [`PairAnalyzer::cells`] order.
     fn data_cells(&self) -> impl Iterator<Item = (Cell, ZapClass)> + '_ {
         let k1 = &self.k1;
-        let dst = k1.dst.iter().map(|(&addr, &c)| (Cell::D { addr }, c));
+        let dst = k1.dst().map(|(addr, c)| (Cell::D { addr }, c));
         let gpr = k1
-            .gpr
-            .iter()
-            .map(|(&(addr, reg), &c)| (Cell::Gpr { addr, reg }, c));
+            .gpr()
+            .map(|((addr, reg), c)| (Cell::Gpr { addr, reg }, c));
         let queue = k1
-            .queue
-            .iter()
-            .map(|(&(addr, slot), &c)| (Cell::Queue { addr, slot }, c));
+            .queue()
+            .map(|((addr, slot), c)| (Cell::Queue { addr, slot }, c));
         dst.chain(gpr).chain(queue)
     }
 
@@ -288,30 +291,6 @@ impl<'a> PairAnalyzer<'a> {
     #[must_use]
     pub fn k1_class(&self, cell: Cell) -> Option<ZapClass> {
         self.k1.class(cell)
-    }
-
-    fn seed(cell: Cell) -> Option<Taint> {
-        match cell {
-            Cell::Gpr { reg, .. } => Some(Taint {
-                regs: crate::mask::RegMask::bit(reg),
-                ..Taint::default()
-            }),
-            Cell::Queue { slot, .. } => {
-                if slot < 64 {
-                    Some(Taint {
-                        queue: 1u64 << slot,
-                        ..Taint::default()
-                    })
-                } else {
-                    None
-                }
-            }
-            Cell::D { .. } => Some(Taint {
-                d: true,
-                ..Taint::default()
-            }),
-            Cell::Pc { .. } => None,
-        }
     }
 
     fn ctx(&self) -> Ctx<'_> {
@@ -322,30 +301,48 @@ impl<'a> PairAnalyzer<'a> {
         }
     }
 
-    /// The index of `cell`'s summary, running its phase-1 fixpoint first
-    /// if needed.
-    fn summary(&mut self, cell: Cell) -> usize {
-        if let Some(&s) = self.summary_of.get(&cell) {
-            return s;
+    /// Phase 1, once: summarize every k=1-Detected data cell, 64 lanes to
+    /// a batched fixpoint, in [`PairAnalyzer::cells`] order.
+    fn summarize(&mut self) {
+        if self.summarized {
+            return;
         }
-        let seed = Self::seed(cell).expect("summaries only for data cells");
-        SUMMARY_RUNS.inc();
-        let mut obs = Union {
-            touches: Some(Vec::new()),
-            ..Union::default()
-        };
-        let reach = run_lanes(&self.ctx(), cell.addr(), [seed], &mut obs, true);
-        let mut touches = obs.touches.expect("recorded");
-        touches.sort_unstable();
-        touches.dedup();
-        self.summaries.push(Summary {
-            cell,
-            touches: touches.into(),
-            reach: reach.into_iter().map(|(a, [t])| (a, t)).collect(),
-            composed: Vec::new(),
-        });
-        self.summary_of.insert(cell, self.summaries.len() - 1);
-        self.summaries.len() - 1
+        let cells: Vec<Cell> = self
+            .data_cells()
+            .filter(|&(_, class)| class == ZapClass::Detected)
+            .map(|(cell, _)| cell)
+            .collect();
+        // Queue slots past 64 are Vulnerable, so every Detected cell seeds.
+        let seeds: Vec<Seed> = cells
+            .iter()
+            .map(|&c| Seed::of(c).expect("Detected data cells seed a lane"))
+            .collect();
+        SUMMARY_RUNS.add(seeds.len() as u64);
+        let cx = self.ctx();
+        let mut batch = Batch::new(&cx, &seeds);
+        let mut summaries = Vec::with_capacity(seeds.len());
+        let mut rows = Vec::with_capacity(seeds.len().div_ceil(LANES));
+        for (cells, seeds) in cells.chunks(LANES).zip(seeds.chunks(LANES)) {
+            let (touches, reach) = batch.summarize(&cx, seeds);
+            rows.push(reach);
+            for (&cell, touches) in cells.iter().zip(touches) {
+                summaries.push(Summary {
+                    cell,
+                    touches,
+                    composed: Vec::new(),
+                });
+            }
+        }
+        self.summaries = summaries;
+        self.rows = rows;
+        self.summarized = true;
+    }
+
+    /// The index of a k=1-Detected data cell's summary, phase 1 done.
+    fn summary(&self, cell: Cell) -> usize {
+        self.summaries
+            .binary_search_by_key(&cells_order(cell), |s| cells_order(s.cell))
+            .expect("Detected cells are summarized")
     }
 
     /// Phase 2 for one ordered `(first strike, second strike)` of
@@ -354,8 +351,7 @@ impl<'a> PairAnalyzer<'a> {
     /// interact (rule c).
     fn compose(&mut self, first: usize, second: usize) -> Option<Vuln> {
         let addr = self.summaries[second].cell.addr();
-        let reach = &self.summaries[first].reach;
-        let residual = reach[reach.binary_search_by_key(&addr, |&(a, _)| a).ok()?].1;
+        let residual = self.rows[first / LANES].taint(first % LANES, addr)?;
         let pos = match self.summaries[second]
             .composed
             .binary_search_by(|(r, _)| r.cmp(&residual))
@@ -363,10 +359,11 @@ impl<'a> PairAnalyzer<'a> {
             Ok(k) => return self.summaries[second].composed[k].1,
             Err(k) => k,
         };
-        let seed =
-            Self::seed(self.summaries[second].cell).expect("summarized cells are data cells");
+        let seed = Seed::of(self.summaries[second].cell)
+            .expect("summarized cells are data cells")
+            .taint();
         let mut obs = Union::default();
-        run_lanes(&self.ctx(), addr, [residual, seed], &mut obs, false);
+        run_lanes(&self.ctx(), addr, [residual, seed], &mut obs);
         self.fixpoints += 1;
         self.summaries[second]
             .composed
@@ -446,6 +443,7 @@ impl<'a> PairAnalyzer<'a> {
         if ca == ZapClass::Benign || cb == ZapClass::Benign {
             return Some(safe);
         }
+        self.summarize();
         let sa = self.summary(a);
         let sb = self.summary(b);
         if !opposite_overlap(&self.summaries[sa].touches, &self.summaries[sb].touches) {
@@ -483,27 +481,19 @@ impl<'a> PairAnalyzer<'a> {
         if report.bailed.is_some() {
             return report;
         }
-        let pc_cells = self.k1.pc.len() as u64;
-        let (mut benign_cells, mut vuln_cells) = (0u64, 0u64);
-        // k=1-Detected cells bucketed by touch signature (their summaries'
-        // indices): every member composes identically at the screen level.
-        // A Benign cell met no compare, so it has no touch and no summary,
-        // and no pair with it is a candidate.
-        let mut groups: BTreeMap<Box<[Touch]>, Vec<usize>> = BTreeMap::new();
-        let data: Vec<(Cell, ZapClass)> = self.data_cells().collect();
-        for &(c, class) in &data {
+        self.summarize();
+        let pc_cells = self.k1.pc().count() as u64;
+        let (mut data_cells, mut benign_cells, mut vuln_cells) = (0u64, 0u64, 0u64);
+        for (_, class) in self.data_cells() {
+            data_cells += 1;
             match class {
                 ZapClass::Vulnerable => vuln_cells += 1,
                 ZapClass::Benign => benign_cells += 1,
-                ZapClass::Detected => {
-                    let s = self.summary(c);
-                    let sig = self.summaries[s].touches.clone();
-                    groups.entry(sig).or_default().push(s);
-                }
+                ZapClass::Detected => {}
             }
         }
-        report.cells = self.k1.pc.len() + data.len();
-        let n = report.cells as u64;
+        let n = pc_cells + data_cells;
+        report.cells = n as usize;
         report.pairs = n * (n + 1) / 2;
         let safe_cells = n - pc_cells - vuln_cells;
         let detected_cells = safe_cells - benign_cells;
@@ -518,10 +508,24 @@ impl<'a> PairAnalyzer<'a> {
         // Safe pairs with a Benign member.
         report.benign += benign_cells * (benign_cells + 1) / 2;
         report.detected += benign_cells * detected_cells;
-        // Detected × Detected, group-wise.
-        let groups: Vec<(Box<[Touch]>, Vec<usize>)> = groups.into_iter().collect();
-        for (i, (sig_i, gi)) in groups.iter().enumerate() {
-            for (j, (sig_j, gj)) in groups.iter().enumerate().skip(i) {
+        // Detected × Detected, group-wise. The k=1-Detected cells' summaries
+        // grouped by touch signature, ascending, each group in summary
+        // order: every member composes identically at the screen level. A
+        // Benign cell met no compare, so it has no touch and no summary,
+        // and no pair with it is a candidate.
+        let mut order: Vec<usize> = (0..self.summaries.len()).collect();
+        let touches = |s: usize| &self.summaries[s].touches;
+        order.sort_by(|&x, &y| touches(x).cmp(touches(y)));
+        let groups: Vec<&[usize]> = order.chunk_by(|&x, &y| touches(x) == touches(y)).collect();
+        // Cooperative defeats and first witnesses, by compare address.
+        let mut defeats = vec![0u64; self.cfg.n + 1];
+        let mut witness: Vec<Option<(Cell, Cell)>> = vec![None; self.cfg.n + 1];
+        for (i, gi) in groups.iter().enumerate() {
+            for (j, gj) in groups.iter().enumerate().skip(i) {
+                let (sig_i, sig_j) = (
+                    &self.summaries[gi[0]].touches,
+                    &self.summaries[gj[0]].touches,
+                );
                 if !opposite_overlap(sig_i, sig_j) {
                     report.detected += if i == j {
                         let g = gi.len() as u64;
@@ -541,9 +545,10 @@ impl<'a> PairAnalyzer<'a> {
                                 report.vulnerable += 1;
                                 report.cooperative += 1;
                                 if let Some(at) = rule.compare_addr() {
-                                    *report.per_compare.entry(at).or_insert(0) += 1;
-                                    let cells = (self.summaries[a].cell, self.summaries[b].cell);
-                                    report.witness.entry(at).or_insert(cells);
+                                    defeats[at as usize] += 1;
+                                    witness[at as usize].get_or_insert_with(|| {
+                                        (self.summaries[a].cell, self.summaries[b].cell)
+                                    });
                                 }
                             }
                             None => report.detected += 1,
@@ -552,8 +557,24 @@ impl<'a> PairAnalyzer<'a> {
                 }
             }
         }
+        report.per_compare = (0..).zip(defeats).filter(|&(_, count)| count > 0).collect();
+        report.witness = (0..)
+            .zip(witness)
+            .filter_map(|(at, w)| Some((at, w?)))
+            .collect();
         report.fixpoints = self.fixpoints;
         report
+    }
+}
+
+/// A cell's place in [`PairAnalyzer::cells`] order: pc cells, then `d`
+/// cells, GPRs and queue slots, each by address.
+fn cells_order(cell: Cell) -> (u8, i64, usize) {
+    match cell {
+        Cell::Pc { addr } => (0, addr, 0),
+        Cell::D { addr } => (1, addr, 0),
+        Cell::Gpr { addr, reg } => (2, addr, usize::from(reg)),
+        Cell::Queue { addr, slot } => (3, addr, slot),
     }
 }
 
@@ -602,14 +623,18 @@ pub struct PairReport {
 
 impl PairReport {
     /// Fraction of pairs provably safe (Detected + Benign) — the static
-    /// k=2 coverage. 1.0 for an empty report.
+    /// k=2 coverage. `None` when the analyzer bailed, 1.0 for a report
+    /// without pairs.
     #[must_use]
-    pub fn coverage(&self) -> f64 {
-        if self.pairs == 0 {
+    pub fn coverage(&self) -> Option<f64> {
+        if self.bailed.is_some() {
+            return None;
+        }
+        Some(if self.pairs == 0 {
             1.0
         } else {
             (self.detected + self.benign) as f64 / self.pairs as f64
-        }
+        })
     }
 }
 
@@ -657,9 +682,12 @@ pub fn lint_pairs(program: &Program, report: &PairReport) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::zap::tests::{DEPTH_CONFLICT, UNRESOLVED_TARGET};
+    use crate::zap::{reach_bits, Observe, Side};
     use talft_compiler::{compile, CompileOptions};
     use talft_isa::assemble;
     use talft_suite::{kernels, Scale};
+    use talft_testutil::{wile, SplitMix64};
 
     /// An unprotected-feeling but k=1-safe block: r1 feeds the green
     /// side, r3 the blue side of one store pair.
@@ -780,18 +808,169 @@ main:
         for k in kernels(Scale::Tiny).iter().take(3) {
             let c = compile(&k.source, &CompileOptions::default()).expect("kernels compile");
             for p in [&c.protected.program, &c.baseline.program] {
-                let mut pa = PairAnalyzer::new(p);
-                let mut benign = 0;
-                for cell in pa.cells() {
-                    if pa.k1_class(cell) == Some(ZapClass::Benign) {
-                        let s = pa.summary(cell);
-                        assert!(pa.summaries[s].touches.is_empty(), "{}: {cell}", k.name);
-                        benign += 1;
+                let pa = PairAnalyzer::new(p);
+                // Queue slots past 64 are Vulnerable, so every Benign cell
+                // seeds a lane.
+                let benign: Vec<Seed> = pa
+                    .data_cells()
+                    .filter(|&(_, class)| class == ZapClass::Benign)
+                    .map(|(cell, _)| Seed::of(cell).expect("a seed"))
+                    .collect();
+                assert!(!benign.is_empty(), "{} has Benign cells", k.name);
+                let cx = pa.ctx();
+                let mut batch = Batch::new(&cx, &benign);
+                for seeds in benign.chunks(LANES) {
+                    for (seed, touches) in seeds.iter().zip(batch.summarize(&cx, seeds).0) {
+                        assert!(touches.is_empty(), "{}: {seed:?}", k.name);
                     }
                 }
-                assert!(benign > 0, "{} has Benign cells", k.name);
             }
         }
+    }
+
+    /// The summary oracle's observer: every touch in event order, and
+    /// whether a defeat stopped the run.
+    #[derive(Default)]
+    struct Record {
+        touches: Vec<Touch>,
+        defeated: bool,
+    }
+
+    impl Observe for Record {
+        fn defeat(&mut self, _: Vuln) -> u64 {
+            self.defeated = true;
+            u64::MAX
+        }
+
+        fn touch(&mut self, at: i64, side: Side, _: u64) {
+            self.touches.push(Touch { at, side });
+        }
+
+        fn guard(&mut self, _: u64) {}
+
+        fn stopped(&self) -> bool {
+            self.defeated
+        }
+    }
+
+    /// A cell's summary from its own fixpoint: one lane on `run_lanes`'
+    /// LIFO worklist, touches sorted and deduplicated, reach by ascending
+    /// address. The run must not defeat a compare, or a batch, which runs
+    /// a defeated lane no further, could not match it.
+    fn own_summary(cx: &Ctx, seed: Seed) -> (Vec<Touch>, Vec<(i64, Taint)>) {
+        let mut obs = Record::default();
+        let state = run_lanes(cx, seed.addr(), [seed.taint()], &mut obs);
+        assert!(!obs.defeated, "{seed:?} defeats a compare on its own");
+        obs.touches.sort_unstable();
+        obs.touches.dedup();
+        let reach = (1..)
+            .zip(state)
+            .filter_map(|(a, t)| Some((a, t?[0])))
+            .collect();
+        (obs.touches, reach)
+    }
+
+    /// Phase-1 differential on one program. Every k=1-Detected data cell's
+    /// summary in the analyzer, kept in [`PairAnalyzer::cells`] order,
+    /// equals its own one-lane run; so does every `every`-th cell's in
+    /// batches of 1, 7 and 64 cells with the cell in every lane position.
+    /// Returns how many `d` cells it covered.
+    fn assert_summaries_match_own_runs(program: &Program, what: &str, every: usize) -> usize {
+        let mut pa = PairAnalyzer::new(program);
+        pa.summarize();
+        let cx = pa.ctx();
+        let cells: Vec<Cell> = pa
+            .data_cells()
+            .filter(|&(_, class)| class == ZapClass::Detected)
+            .map(|(cell, _)| cell)
+            .collect();
+        assert_eq!(
+            pa.summaries.len(),
+            cells.len(),
+            "{what}: one per Detected cell"
+        );
+        // `(cell, touches, reach bits)` of the cells batched below.
+        let mut want = Vec::new();
+        let mut batch_bits = Vec::new();
+        for (i, &cell) in cells.iter().enumerate() {
+            // A `d` cell is classified by reachability, not by a fixpoint:
+            // `own_summary` shows its lane never defeats a compare either.
+            let (touches, reach) = own_summary(&cx, Seed::of(cell).expect("a seed"));
+            let (s, lane, rows) = (&pa.summaries[i], i % LANES, &pa.rows[i / LANES]);
+            assert_eq!(s.cell, cell, "{what}: summaries in cell order");
+            assert_eq!(pa.summary(cell), i, "{what}: {cell} indexed");
+            assert_eq!(*s.touches, touches[..], "{what}: {cell} touches");
+            if lane == 0 {
+                batch_bits = rows.bits(LANES);
+            }
+            let bits = reach_bits(&reach);
+            assert_eq!(batch_bits[lane], bits, "{what}: {cell} reach");
+            if i % every == 0 {
+                for &(a, t) in &reach {
+                    assert_eq!(rows.taint(lane, a), Some(t), "{what}: {cell} at {a}");
+                }
+                let reached = (1..=cx.cfg.n as i64).filter(|&a| rows.taint(lane, a).is_some());
+                assert_eq!(reached.count(), reach.len(), "{what}: {cell} reach");
+                want.push((cell, touches, bits));
+            }
+        }
+        let seeds: Vec<Seed> = want
+            .iter()
+            .map(|w| Seed::of(w.0).expect("a seed"))
+            .collect();
+        let mut batch = Batch::new(&cx, &seeds);
+        for size in [1, 7, LANES] {
+            // Lead with the last `shift` cells: cell `i` rides lane
+            // `(i + shift) % size`.
+            for shift in 0..size.min(seeds.len()) {
+                let order: Vec<usize> = (seeds.len() - shift..seeds.len())
+                    .chain(0..seeds.len())
+                    .collect();
+                for lanes in order.chunks(size) {
+                    let batch_seeds: Vec<Seed> = lanes.iter().map(|&i| seeds[i]).collect();
+                    let (touches, rows) = batch.summarize(&cx, &batch_seeds);
+                    let bits = rows.bits(lanes.len());
+                    for (lane, &i) in lanes.iter().enumerate() {
+                        let (cell, want_touches, want_bits) = &want[i];
+                        assert!(
+                            *touches[lane] == want_touches[..] && bits[lane] == *want_bits,
+                            "{what}: {cell} in lane {lane} of a batch of {}",
+                            lanes.len()
+                        );
+                    }
+                }
+            }
+        }
+        cells.iter().filter(|c| matches!(c, Cell::D { .. })).count()
+    }
+
+    #[test]
+    fn batched_summaries_match_their_own_runs() {
+        let mut d_cells = 0;
+        for k in kernels(Scale::Tiny) {
+            let c = compile(&k.source, &CompileOptions::default()).expect("kernels compile");
+            for (side, p) in [
+                ("protected", &c.protected.program),
+                ("baseline", &c.baseline.program),
+            ] {
+                let what = format!("{} ({side})", k.name);
+                d_cells += assert_summaries_match_own_runs(p, &what, 1);
+            }
+        }
+        assert!(d_cells > 0, "the suite has Detected d cells");
+        // The program `zap_pins` pins: 32,055 Detected cells, whose reach
+        // batched at every lane position would cost 72 times its 21.4M
+        // tainted addresses; every 64th cell rides every lane position.
+        let mut rng = SplitMix64::new(0x2A9_0003);
+        let src = wile::render_program(&wile::random_stmts(&mut rng, 3, 16, 24));
+        let c = compile(&src, &CompileOptions::default()).expect("compiles");
+        assert_eq!(c.protected.program.instrs.len(), 2093);
+        assert_summaries_match_own_runs(&c.protected.program, "2,093-instruction program", 64);
+        let asm = assemble(DEPTH_CONFLICT).expect("assembles");
+        assert_summaries_match_own_runs(&asm.program, "depth conflict", 1);
+        let asm = assemble(UNRESOLVED_TARGET).expect("assembles");
+        let d_cells = assert_summaries_match_own_runs(&asm.program, "unresolved target", 1);
+        assert!(d_cells > 0, "the jmpB guards d");
     }
 
     /// The `PairReport` fields a pair-analysis change must not move.

@@ -64,8 +64,6 @@
 //! ([`crate::pair`]), where the union check is exactly the cooperation
 //! condition: two one-sided taints meeting opposite sides of one compare.
 
-use std::collections::BTreeMap;
-
 use talft_isa::{Color, Gpr, Instr, OpSrc, Program};
 use talft_obs::LazyCounter;
 
@@ -79,7 +77,7 @@ static ZAP_CHAINED: LazyCounter = LazyCounter::new("analysis.zap.chained");
 static ZAP_BATCHES: LazyCounter = LazyCounter::new("analysis.zap.batches");
 
 /// Cells per batched fixpoint: one lane per bit of a `u64` mask.
-const LANES: usize = 64;
+pub(crate) const LANES: usize = 64;
 
 /// Static verdict for one (address, site) cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -102,74 +100,150 @@ impl std::fmt::Display for ZapClass {
     }
 }
 
-/// Static coverage over every reachable cell of a program.
-#[derive(Debug, Clone, Default)]
+/// Static coverage over every reachable cell of a program, kept as the
+/// dense rows the classifier fills: one row of register classes and one
+/// run of queue-slot classes per address, plus the reachability facts that
+/// decide the pc and `d` cells. Only reachable addresses are covered.
+#[derive(Clone, Default)]
 pub struct ZapReport {
-    /// GPR cells, keyed `(addr, register index)`.
-    pub gpr: BTreeMap<(i64, u16), ZapClass>,
-    /// Store-queue slot cells, keyed `(addr, slot index from the back)`
-    /// (slot 0 = oldest = next to be popped by `stB`).
-    pub queue: BTreeMap<(i64, usize), ZapClass>,
-    /// pc cells (one per address; green and blue are symmetric).
-    pub pc: BTreeMap<i64, ZapClass>,
-    /// `d` (destination latch) cells.
-    pub dst: BTreeMap<i64, ZapClass>,
-    /// Set when the analyzer refused to classify (then all maps are empty).
+    /// Registers per row (the program's `num_gprs`).
+    gprs: u16,
+    /// `reachable[ix(a)]`: the report covers address `a`.
+    reachable: Vec<bool>,
+    /// `gclass[ix(a) * gprs + r]`: the class of `r` at `a`.
+    gclass: Vec<ZapClass>,
+    /// The queue cells at `a` are `qclass[qrow[ix(a)]..qrow[ix(a) + 1]]`,
+    /// slot 0 (the oldest, next popped by `stB`) first; unreachable
+    /// addresses hold none.
+    qrow: Vec<usize>,
+    /// Queue-slot classes, address by address.
+    qclass: Vec<ZapClass>,
+    /// `reaches_check[ix(a)]`: a `jmp`/`bz` is reachable from `a`, so the
+    /// `d` cell there is Detected (else Benign).
+    reaches_check: Vec<bool>,
+    /// Set when the analyzer refused to classify (then no cell is covered).
     pub bailed: Option<String>,
 }
 
 impl ZapReport {
-    fn classes(&self) -> impl Iterator<Item = ZapClass> + '_ {
-        self.gpr
-            .values()
-            .chain(self.queue.values())
-            .chain(self.pc.values())
-            .chain(self.dst.values())
-            .copied()
+    /// The covered addresses, ascending.
+    fn addrs(&self) -> impl Iterator<Item = i64> + '_ {
+        (1..=self.reachable.len() as i64).filter(|&a| self.reachable[ix(a)])
+    }
+
+    /// The row of register classes at a covered address.
+    fn gpr_row(&self, a: i64) -> &[ZapClass] {
+        let gprs = usize::from(self.gprs);
+        &self.gclass[ix(a) * gprs..][..gprs]
+    }
+
+    /// The queue-slot classes at an address, slot 0 first.
+    fn queue_row(&self, a: i64) -> &[ZapClass] {
+        &self.qclass[self.qrow[ix(a)]..self.qrow[ix(a) + 1]]
+    }
+
+    /// GPR cells, keyed `(addr, register index)`, ascending.
+    pub fn gpr(&self) -> impl Iterator<Item = ((i64, u16), ZapClass)> + '_ {
+        self.addrs().flat_map(move |a| {
+            (0..self.gprs)
+                .zip(self.gpr_row(a))
+                .map(move |(g, &c)| ((a, g), c))
+        })
+    }
+
+    /// Store-queue slot cells, keyed `(addr, slot index from the back)`
+    /// (slot 0 = oldest = next to be popped by `stB`), ascending.
+    pub fn queue(&self) -> impl Iterator<Item = ((i64, usize), ZapClass)> + '_ {
+        self.addrs().flat_map(move |a| {
+            self.queue_row(a)
+                .iter()
+                .enumerate()
+                .map(move |(slot, &c)| ((a, slot), c))
+        })
+    }
+
+    /// pc cells (one per address; green and blue are symmetric), ascending:
+    /// every one is Detected.
+    pub fn pc(&self) -> impl Iterator<Item = (i64, ZapClass)> + '_ {
+        self.addrs().map(|a| (a, ZapClass::Detected))
+    }
+
+    /// `d` (destination latch) cells, ascending.
+    pub fn dst(&self) -> impl Iterator<Item = (i64, ZapClass)> + '_ {
+        self.addrs().map(|a| (a, self.dst_class(a)))
+    }
+
+    fn dst_class(&self, a: i64) -> ZapClass {
+        if self.reaches_check[ix(a)] {
+            ZapClass::Detected
+        } else {
+            ZapClass::Benign
+        }
+    }
+
+    /// Whether the report covers address `a`.
+    fn covers(&self, a: i64) -> bool {
+        a >= 1 && self.reachable.get(ix(a)).copied().unwrap_or(false)
     }
 
     /// The class of one cell, when the report covers it.
     #[must_use]
     pub fn class(&self, cell: Cell) -> Option<ZapClass> {
+        let a = cell.addr();
+        if !self.covers(a) {
+            return None;
+        }
         match cell {
-            Cell::Gpr { addr, reg } => self.gpr.get(&(addr, reg)).copied(),
-            Cell::Queue { addr, slot } => self.queue.get(&(addr, slot)).copied(),
-            Cell::Pc { addr } => self.pc.get(&addr).copied(),
-            Cell::D { addr } => self.dst.get(&addr).copied(),
+            Cell::Gpr { reg, .. } => self.gpr_row(a).get(usize::from(reg)).copied(),
+            Cell::Queue { slot, .. } => self.queue_row(a).get(slot).copied(),
+            Cell::Pc { .. } => Some(ZapClass::Detected),
+            Cell::D { .. } => Some(self.dst_class(a)),
         }
     }
 
     /// Cell counts as `(detected, benign, vulnerable)`.
     #[must_use]
     pub fn tally(&self) -> (usize, usize, usize) {
-        let mut t = (0, 0, 0);
-        for c in self.classes() {
-            match c {
-                ZapClass::Detected => t.0 += 1,
-                ZapClass::Benign => t.1 += 1,
-                ZapClass::Vulnerable => t.2 += 1,
-            }
+        let mut t = [0; 3];
+        let mut count = |c: ZapClass| {
+            t[match c {
+                ZapClass::Detected => 0,
+                ZapClass::Benign => 1,
+                ZapClass::Vulnerable => 2,
+            }] += 1;
+        };
+        for a in self.addrs() {
+            self.gpr_row(a).iter().for_each(|&c| count(c));
+            count(ZapClass::Detected);
+            count(self.dst_class(a));
         }
-        t
+        // Unreachable addresses hold no queue cells.
+        self.qclass.iter().for_each(|&c| count(c));
+        (t[0], t[1], t[2])
     }
 
     /// Total classified cells.
     #[must_use]
     pub fn cells(&self) -> usize {
-        self.classes().count()
+        let addrs = self.addrs().count();
+        addrs * (usize::from(self.gprs) + 2) + self.qclass.len()
     }
 
     /// Fraction of cells provably safe (detected or benign); the static
-    /// analogue of campaign fault coverage. 1.0 for an empty report.
+    /// analogue of campaign fault coverage. `None` when the analyzer
+    /// bailed, 1.0 for a report without cells.
     #[must_use]
-    pub fn coverage(&self) -> f64 {
+    pub fn coverage(&self) -> Option<f64> {
+        if self.bailed.is_some() {
+            return None;
+        }
         let (d, b, v) = self.tally();
         let total = d + b + v;
-        if total == 0 {
+        Some(if total == 0 {
             1.0
         } else {
             (d + b) as f64 / total as f64
-        }
+        })
     }
 
     /// Fraction of cells classified `Detected`.
@@ -182,6 +256,35 @@ impl ZapReport {
         } else {
             d as f64 / total as f64
         }
+    }
+}
+
+/// Each family as a map from its keys, ascending: the text the `zap_pins`
+/// fingerprints were taken on, when the report held one map per family.
+impl std::fmt::Debug for ZapReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ZapReport")
+            .field("gpr", &DebugMap(|| self.gpr()))
+            .field("queue", &DebugMap(|| self.queue()))
+            .field("pc", &DebugMap(|| self.pc()))
+            .field("dst", &DebugMap(|| self.dst()))
+            .field("bailed", &self.bailed)
+            .finish()
+    }
+}
+
+/// Debug-prints the `(key, value)` pairs a closure yields as a map.
+struct DebugMap<F>(F);
+
+impl<F, I, K, V> std::fmt::Debug for DebugMap<F>
+where
+    F: Fn() -> I,
+    I: Iterator<Item = (K, V)>,
+    K: std::fmt::Debug,
+    V: std::fmt::Debug,
+{
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries((self.0)()).finish()
     }
 }
 
@@ -369,6 +472,7 @@ pub fn analyze_zaps_with(program: &Program, cfg: &Cfg, live: &Liveness) -> ZapRe
             match *cell {
                 Seed::Gpr(a, g) => gclass[ix(a) * gprs + usize::from(g)] = class,
                 Seed::Slot(a, slot) => qclass[qrow[ix(a)] + slot] = class,
+                Seed::D(_) => unreachable!("d cells are classified by reachability"),
             }
         }
     }
@@ -382,34 +486,13 @@ pub fn analyze_zaps_with(program: &Program, cfg: &Cfg, live: &Liveness) -> ZapRe
     ZAP_RUNS.add(fixpoint.len() as u64);
     ZAP_CHAINED.add(chained);
     ZAP_BATCHES.add(fixpoint.len().div_ceil(LANES) as u64);
-    // Every map is built from its keys in ascending order.
-    let reachable = || (1..=cfg.n as i64).filter(|&a| cfg.reachable[ix(a)]);
     ZapReport {
-        gpr: reachable()
-            .flat_map(|a| {
-                let row = &gclass[ix(a) * gprs..][..gprs];
-                (0..program.num_gprs)
-                    .zip(row)
-                    .map(move |(g, &c)| ((a, g), c))
-            })
-            .collect(),
-        queue: reachable()
-            .flat_map(|a| {
-                let row = &qclass[qrow[ix(a)]..qrow[ix(a) + 1]];
-                row.iter().enumerate().map(move |(slot, &c)| ((a, slot), c))
-            })
-            .collect(),
-        pc: reachable().map(|a| (a, ZapClass::Detected)).collect(),
-        dst: reachable()
-            .map(|a| {
-                let class = if reaches_check[ix(a)] {
-                    ZapClass::Detected
-                } else {
-                    ZapClass::Benign
-                };
-                (a, class)
-            })
-            .collect(),
+        gprs: program.num_gprs,
+        reachable: cfg.reachable.clone(),
+        gclass,
+        qrow,
+        qclass,
+        reaches_check,
         bailed: None,
     }
 }
@@ -469,21 +552,148 @@ pub(crate) struct Ctx<'a> {
     pub pessimistic: &'a [bool],
 }
 
-/// A k=1 cell that needs a fixpoint, as its batch lane is seeded.
+/// A k=1 cell as its batch lane is seeded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Seed {
     /// `(addr, register)`.
     Gpr(i64, u16),
     /// `(addr, queue slot from the back)`, the slot below 64.
     Slot(i64, usize),
+    /// The `d` latch at `addr`: classified without a fixpoint, but
+    /// summarized with one for the pair analyzer.
+    D(i64),
 }
 
 impl Seed {
-    fn addr(self) -> i64 {
-        match self {
-            Seed::Gpr(a, _) | Seed::Slot(a, _) => a,
+    /// The seed of a data cell, when it has one (queue slots below 64).
+    pub(crate) fn of(cell: Cell) -> Option<Seed> {
+        match cell {
+            Cell::Gpr { addr, reg } => Some(Seed::Gpr(addr, reg)),
+            Cell::Queue { addr, slot } => (slot < 64).then_some(Seed::Slot(addr, slot)),
+            Cell::D { addr } => Some(Seed::D(addr)),
+            Cell::Pc { .. } => None,
         }
     }
+
+    pub(crate) fn addr(self) -> i64 {
+        match self {
+            Seed::Gpr(a, _) | Seed::Slot(a, _) | Seed::D(a) => a,
+        }
+    }
+
+    /// The seed as one lane's taint.
+    pub(crate) fn taint(self) -> Taint {
+        match self {
+            Seed::Gpr(_, g) => Taint {
+                regs: RegMask::bit(g),
+                ..Taint::default()
+            },
+            Seed::Slot(_, slot) => Taint {
+                queue: 1 << slot,
+                ..Taint::default()
+            },
+            Seed::D(_) => Taint {
+                d: true,
+                ..Taint::default()
+            },
+        }
+    }
+}
+
+/// The reach of one summarizing batch: its final bit-sliced state at every
+/// address its lanes reached, copied off the batch before the rows clear.
+/// Lane `i`'s reach is the entry-state may-taint of the `i`-th cell
+/// wherever its corruption survives.
+pub(crate) struct Rows {
+    /// Register words per row.
+    gprs: usize,
+    /// Words per row.
+    width: usize,
+    /// `at[ix(a)]`: the index of address `a`'s row, or `u32::MAX` where
+    /// no lane reached it.
+    at: Vec<u32>,
+    /// The lanes each row holds any taint of.
+    lanes: Vec<u64>,
+    /// The rows, `width` words each, by ascending address.
+    words: Vec<u64>,
+}
+
+impl Rows {
+    /// Lane `lane`'s may-taint at entry to code address `a`, when its
+    /// corruption survives there.
+    pub(crate) fn taint(&self, lane: usize, a: i64) -> Option<Taint> {
+        // `u32::MAX` is past every row.
+        let r = self.at[ix(a)] as usize;
+        if self.lanes.get(r)? >> lane & 1 == 0 {
+            return None;
+        }
+        let row = &self.words[r * self.width..][..self.width];
+        let (regs, rest) = row.split_at(self.gprs);
+        let mut t = Taint::default();
+        for (g, &w) in (0..).zip(regs) {
+            if w >> lane & 1 != 0 {
+                t.regs.set(g);
+            }
+        }
+        t.d = rest[0] >> lane & 1 != 0;
+        for (slot, &w) in rest[1..].iter().enumerate() {
+            t.queue |= (w >> lane & 1) << slot;
+        }
+        Some(t)
+    }
+
+    /// Every lane's reach as sorted [`reach_bits`], lanes `0..lanes`.
+    #[cfg(test)]
+    pub(crate) fn bits(&self, lanes: usize) -> Vec<Vec<u32>> {
+        let mut bits = vec![Vec::new(); lanes];
+        for (i, &r) in self.at.iter().enumerate() {
+            if r == u32::MAX {
+                continue;
+            }
+            let row = &self.words[r as usize * self.width..][..self.width];
+            for (word, &w) in row.iter().enumerate() {
+                let (kind, index) = if word < self.gprs {
+                    (0, word)
+                } else if word == self.gprs {
+                    (1, 0)
+                } else {
+                    (2, word - self.gprs - 1)
+                };
+                let mut m = w;
+                while m != 0 {
+                    bits[m.trailing_zeros() as usize].push(bit(i as i64 + 1, kind, index));
+                    m &= m - 1;
+                }
+            }
+        }
+        bits
+    }
+}
+
+/// One tainted location of a reach: `addr << 10 | kind << 8 | index`, kind
+/// 0 for a register, 1 for `d`, 2 for a queue slot.
+#[cfg(test)]
+fn bit(addr: i64, kind: u32, index: usize) -> u32 {
+    (addr as u32) << 10 | kind << 8 | index as u32
+}
+
+/// A reach's tainted locations in the order a batch row holds them: by
+/// address, then registers, `d` and queue slots, each ascending.
+#[cfg(test)]
+pub(crate) fn reach_bits(reach: &[(i64, Taint)]) -> Vec<u32> {
+    let mut bits = Vec::new();
+    for &(a, t) in reach {
+        bits.extend(t.regs.iter().map(|g| bit(a, 0, g.into())));
+        if t.d {
+            bits.push(bit(a, 1, 0));
+        }
+        let mut m = t.queue;
+        while m != 0 {
+            bits.push(bit(a, 2, m.trailing_zeros() as usize));
+            m &= m - 1;
+        }
+    }
+    bits
 }
 
 /// A reusable batched fixpoint: the bit-sliced state of up to 64 k=1 cells
@@ -519,7 +729,7 @@ impl Batch {
         // destination; every other register reads clean.
         let seeded = cells.iter().filter_map(|&c| match c {
             Seed::Gpr(_, g) => Some(g),
-            Seed::Slot(..) => None,
+            Seed::Slot(..) | Seed::D(_) => None,
         });
         let defined = cx.program.instrs.iter().filter_map(Instr::def).map(|g| g.0);
         let gprs = seeded
@@ -554,6 +764,76 @@ impl Batch {
     /// Run one fixpoint with lane `i` seeded by `cells[i]` (at most 64)
     /// and return each lane's class.
     pub(crate) fn classify(&mut self, cx: &Ctx, cells: &[Seed]) -> impl Iterator<Item = ZapClass> {
+        let mut obs = PerLane::default();
+        self.run(cx, cells, &mut obs);
+        self.clear();
+        (0..cells.len()).map(move |lane| {
+            if obs.vuln >> lane & 1 != 0 {
+                ZapClass::Vulnerable
+            } else if obs.checked >> lane & 1 != 0 {
+                ZapClass::Detected
+            } else {
+                ZapClass::Benign
+            }
+        })
+    }
+
+    /// Summarize up to 64 cells whose own fixpoints never defeat a compare
+    /// (k=1 Detected or Benign cells), lane `i` seeded by `cells[i]`: each
+    /// lane's touches, sorted, from one lane mask per (compare, side), and
+    /// every lane's reach, read off the rows before they clear.
+    pub(crate) fn summarize(&mut self, cx: &Ctx, cells: &[Seed]) -> (Vec<Box<[Touch]>>, Rows) {
+        let n = cx.cfg.n;
+        let mut obs = PerLane {
+            touched: vec![[0; 2]; n],
+            ..PerLane::default()
+        };
+        self.run(cx, cells, &mut obs);
+        assert_eq!(obs.vuln, 0, "summarized cells never defeat a compare");
+        // Every compare touched, ascending, so each lane's touches come
+        // out sorted.
+        let hits: Vec<(i64, [u64; 2])> = (1..)
+            .zip(obs.touched)
+            .filter(|&(_, lanes)| lanes != [0; 2])
+            .collect();
+        let touches = (0..cells.len())
+            .map(|lane| {
+                let of_lane = |&(at, [green, blue]): &(i64, [u64; 2])| {
+                    [(Side::Green, green), (Side::Blue, blue)]
+                        .into_iter()
+                        .filter(move |&(_, lanes)| lanes >> lane & 1 != 0)
+                        .map(move |(side, _)| Touch { at, side })
+                };
+                // Exact-size, as the summaries keep them.
+                let mut touches = Vec::with_capacity(hits.iter().flat_map(of_lane).count());
+                touches.extend(hits.iter().flat_map(of_lane));
+                touches.into_boxed_slice()
+            })
+            .collect();
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+        let width = self.width;
+        let mut rows = Rows {
+            gprs: self.gprs,
+            width,
+            at: vec![u32::MAX; n],
+            lanes: Vec::with_capacity(self.dirty.len()),
+            words: Vec::with_capacity(self.dirty.len() * width),
+        };
+        for &i in &self.dirty {
+            let row = &self.state[i * width..][..width];
+            rows.at[i] = rows.lanes.len() as u32;
+            rows.lanes.push(row.iter().fold(0, |m, &w| m | w));
+            rows.words.extend_from_slice(row);
+        }
+        self.clear();
+        (touches, rows)
+    }
+
+    /// Run one fixpoint with lane `i` seeded by `cells[i]` (at most 64),
+    /// `obs` seeing its events. The rows keep the final state until
+    /// [`Batch::clear`].
+    fn run(&mut self, cx: &Ctx, cells: &[Seed], obs: &mut PerLane) {
         assert!(cells.len() <= LANES, "one lane per cell");
         let (gprs, width) = (self.gprs, self.width);
         for (lane, &cell) in cells.iter().enumerate() {
@@ -563,11 +843,11 @@ impl Batch {
                     usize::from(g)
                 }
                 Seed::Slot(_, slot) => gprs + 1 + slot,
+                Seed::D(_) => gprs,
             };
             self.state[ix(cell.addr()) * width + word] |= 1 << lane;
             self.list(ix(cell.addr()));
         }
-        let mut obs = PerLane::default();
         let mut cur = std::mem::take(&mut self.cur);
         while let Some(i) = self.next() {
             // A defeated lane's class is settled: stop propagating it.
@@ -579,7 +859,7 @@ impl Batch {
                 words: &mut cur,
                 gprs,
             };
-            transfer(cx, i as i64 + 1, &mut t, &mut obs, |s, out: &Sliced| {
+            transfer(cx, i as i64 + 1, &mut t, obs, |s, out: &Sliced| {
                 let mut grew = false;
                 for (d, &w) in self.state[ix(s) * width..][..width]
                     .iter_mut()
@@ -594,18 +874,13 @@ impl Batch {
             });
         }
         self.cur = cur;
+    }
+
+    /// Zero every row the last run gave state.
+    fn clear(&mut self) {
         for i in self.dirty.drain(..) {
-            self.state[i * width..][..width].fill(0);
+            self.state[i * self.width..][..self.width].fill(0);
         }
-        (0..cells.len()).map(move |lane| {
-            if obs.vuln >> lane & 1 != 0 {
-                ZapClass::Vulnerable
-            } else if obs.checked >> lane & 1 != 0 {
-                ZapClass::Detected
-            } else {
-                ZapClass::Benign
-            }
-        })
     }
 
     /// Put address index `i` on the worklist.
@@ -635,15 +910,14 @@ impl Batch {
 
 /// Propagate `L` independently-seeded taints in lockstep to a fixpoint,
 /// LIFO, stopping when `obs` says so. Returns the may-taint at *entry* to
-/// each address with any surviving taint when `reach` is set (partial if
-/// the run stopped early), else nothing.
+/// each address, `None` where no taint arrived (partial if the run stopped
+/// early).
 pub(crate) fn run_lanes<const L: usize>(
     cx: &Ctx,
     at: i64,
     seed: [Taint; L],
     obs: &mut impl Observe,
-    reach: bool,
-) -> Vec<(i64, [Taint; L])> {
+) -> Vec<Option<[Taint; L]>> {
     let mut state: Vec<Option<[Taint; L]>> = vec![None; cx.cfg.n];
     state[ix(at)] = Some(seed);
     let mut work = vec![at];
@@ -671,12 +945,7 @@ pub(crate) fn run_lanes<const L: usize>(
             break;
         }
     }
-    if !reach {
-        return Vec::new();
-    }
-    (1..=cx.cfg.n as i64)
-        .filter_map(|a| state[ix(a)].map(|t| (a, t)))
-        .collect()
+    state
 }
 
 /// The transfer's view of one address's taint over a set of lanes; lane
@@ -846,15 +1115,12 @@ pub(crate) trait Observe {
 
 /// One dynamic state carrying every lane's corruption at once: a compare
 /// is defeated when the lane union taints both of its sides, and the
-/// first defeat ends the run. The pair analyzer's compositions and
-/// summaries run this way.
+/// first defeat ends the run. The pair analyzer's compositions run this
+/// way.
 #[derive(Default)]
 pub(crate) struct Union {
     /// The first defeat.
     pub vuln: Option<Vuln>,
-    /// Dual-compare touches, when recorded (in event order, repeats
-    /// included).
-    pub touches: Option<Vec<Touch>>,
 }
 
 impl Observe for Union {
@@ -863,11 +1129,7 @@ impl Observe for Union {
         u64::MAX
     }
 
-    fn touch(&mut self, at: i64, side: Side, _: u64) {
-        if let Some(t) = &mut self.touches {
-            t.push(Touch { at, side });
-        }
-    }
+    fn touch(&mut self, _: i64, _: Side, _: u64) {}
 
     fn guard(&mut self, _: u64) {}
 
@@ -884,6 +1146,9 @@ pub(crate) struct PerLane {
     pub vuln: u64,
     /// Lanes whose taint met a compare or a `d` guard.
     pub checked: u64,
+    /// When recording (one entry per address index, else empty): the
+    /// lanes touching the green and the blue side of each compare.
+    pub touched: Vec<[u64; 2]>,
 }
 
 impl Observe for PerLane {
@@ -896,8 +1161,14 @@ impl Observe for PerLane {
         lanes
     }
 
-    fn touch(&mut self, _: i64, _: Side, lanes: u64) {
+    fn touch(&mut self, at: i64, side: Side, lanes: u64) {
         self.checked |= lanes;
+        if let Some(t) = self.touched.get_mut(ix(at)) {
+            t[match side {
+                Side::Green => 0,
+                Side::Blue => 1,
+            }] |= lanes;
+        }
     }
 
     fn guard(&mut self, lanes: u64) {
@@ -1084,29 +1355,30 @@ fn goto_blue<S: Lanes>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use talft_compiler::{compile, CompileOptions};
     use talft_isa::assemble;
     use talft_suite::{kernels, Scale};
     use talft_testutil::{wile, SplitMix64};
 
+    /// The class of GPR cell `r{reg}@{addr}`, which the report covers.
+    fn gpr(report: &ZapReport, addr: i64, reg: u16) -> ZapClass {
+        report.class(Cell::Gpr { addr, reg }).expect("covered")
+    }
+
+    /// The class of queue cell `queue[{slot}]@{addr}`, which the report
+    /// covers.
+    fn slot(report: &ZapReport, addr: i64, slot: usize) -> ZapClass {
+        report.class(Cell::Queue { addr, slot }).expect("covered")
+    }
+
     /// The class of `cell` from its own fixpoint: one lane of per-lane
     /// `Taint`s on `run_lanes`'s LIFO worklist, the oracle for batching
     /// and chaining.
     fn one_seed(cx: &Ctx, cell: Seed) -> ZapClass {
-        let seed = match cell {
-            Seed::Gpr(_, g) => Taint {
-                regs: RegMask::bit(g),
-                ..Taint::default()
-            },
-            Seed::Slot(_, slot) => Taint {
-                queue: 1 << slot,
-                ..Taint::default()
-            },
-        };
         let mut obs = PerLane::default();
-        run_lanes(cx, cell.addr(), [seed], &mut obs, false);
+        run_lanes(cx, cell.addr(), [cell.taint()], &mut obs);
         if obs.vuln != 0 {
             ZapClass::Vulnerable
         } else if obs.checked != 0 {
@@ -1146,10 +1418,11 @@ mod tests {
         let want: Vec<ZapClass> = cells.iter().map(|&c| one_seed(&cx, c)).collect();
         for (&cell, &class) in cells.iter().zip(&want) {
             let got = match cell {
-                Seed::Gpr(a, g) => report.gpr[&(a, g)],
-                Seed::Slot(a, slot) => report.queue[&(a, slot)],
+                Seed::Gpr(addr, reg) => report.class(Cell::Gpr { addr, reg }),
+                Seed::Slot(addr, slot) => report.class(Cell::Queue { addr, slot }),
+                Seed::D(addr) => report.class(Cell::D { addr }),
             };
-            assert_eq!(got, class, "{what}: {cell:?} in the report");
+            assert_eq!(got, Some(class), "{what}: {cell:?} in the report");
         }
         let mut batch = Batch::new(&cx, &cells);
         for size in [1, 7, LANES] {
@@ -1219,7 +1492,7 @@ mod tests {
 
     /// The target of `jmpB` is loaded from memory: constant propagation
     /// cannot resolve it, so taint surviving the jump escapes.
-    const UNRESOLVED_TARGET: &str = r#"
+    pub(crate) const UNRESOLVED_TARGET: &str = r#"
 .data
 region out at 4096 len 1 : int output
 .code
@@ -1237,11 +1510,11 @@ main:
         assert!(cfg.unknown_target[ix(3)], "jmpB's target is unresolved");
         let report = analyze_zaps(&asm.program);
         // r2 survives the jump; r1 is compared there and sanitized.
-        assert_eq!(report.gpr[&(3, 2)], ZapClass::Vulnerable);
-        assert_eq!(report.gpr[&(3, 1)], ZapClass::Detected);
+        assert_eq!(gpr(&report, 3, 2), ZapClass::Vulnerable);
+        assert_eq!(gpr(&report, 3, 1), ZapClass::Detected);
         // Every register is live at the unresolved jump, so every other
         // register's cell escapes too.
-        assert_eq!(report.gpr[&(3, 40)], ZapClass::Vulnerable);
+        assert_eq!(gpr(&report, 3, 40), ZapClass::Vulnerable);
     }
 
     /// r9/r10 are set before a counted loop and stored after it; the loop
@@ -1288,7 +1561,7 @@ done:
         for g in [9, 10] {
             for a in [head - 1, head] {
                 assert!(pass_through(p, a).test(g), "r{g}@{a} chains");
-                assert_eq!(report.gpr[&(a, g)], ZapClass::Detected, "r{g}@{a}");
+                assert_eq!(gpr(&report, a, g), ZapClass::Detected, "r{g}@{a}");
             }
         }
         assert!(assert_matches_own_runs(p, "loop fixture") > 0);
@@ -1337,9 +1610,9 @@ store:
         assert!(pass_through(p, bz).is_empty(), "the chain stops at bzB");
         assert!(pass_through(p, bz - 1).test(9), "bzG falls through");
         let report = analyze_zaps(p);
-        assert_eq!(report.gpr[&(bz, 9)], ZapClass::Detected);
-        assert_eq!(report.gpr[&(bz + 1, 9)], ZapClass::Benign);
-        assert_eq!(report.gpr[&(bz - 1, 9)], ZapClass::Detected);
+        assert_eq!(gpr(&report, bz, 9), ZapClass::Detected);
+        assert_eq!(gpr(&report, bz + 1, 9), ZapClass::Benign);
+        assert_eq!(gpr(&report, bz - 1, 9), ZapClass::Detected);
         assert_matches_own_runs(p, "branch fixture");
     }
 
@@ -1368,11 +1641,11 @@ main:
         assert!(d > 0 && b > 0);
         // r1 feeds the green store side: zapping it right after its def
         // is caught by the stB compare.
-        assert_eq!(report.gpr.get(&(2, 1)), Some(&ZapClass::Detected));
+        assert_eq!(gpr(&report, 2, 1), ZapClass::Detected);
         // The queued pair between stG and stB is guarded by the pop.
-        assert_eq!(report.queue.get(&(4, 0)), Some(&ZapClass::Detected));
+        assert_eq!(slot(&report, 4, 0), ZapClass::Detected);
         // pc zaps always hit the fetch comparison.
-        assert!(report.pc.values().all(|&c| c == ZapClass::Detected));
+        assert!(report.pc().all(|(_, c)| c == ZapClass::Detected));
     }
 
     #[test]
@@ -1396,13 +1669,13 @@ main:
         // Zapping r1 *before* the stG poisons the queued pair and the
         // register the stB will compare against it — both sides corrupt.
         assert_eq!(
-            report.gpr.get(&(3, 1)),
-            Some(&ZapClass::Vulnerable),
+            gpr(&report, 3, 1),
+            ZapClass::Vulnerable,
             "shared store operand defeats the dual compare"
         );
         // Zapping r1 *after* the push only corrupts the register side:
         // the compare against the golden queued pair catches it.
-        assert_eq!(report.gpr.get(&(4, 1)), Some(&ZapClass::Detected));
+        assert_eq!(gpr(&report, 4, 1), ZapClass::Detected);
         let (_, _, v) = report.tally();
         assert!(v > 0);
     }
@@ -1437,7 +1710,7 @@ main:
         assert!(d > 0 && b > 0);
         // The high-word register feeding the green store side is caught
         // by the stB compare, exactly like its low-word twin.
-        assert_eq!(report.gpr.get(&(2, 100)), Some(&ZapClass::Detected));
+        assert_eq!(gpr(&report, 2, 100), ZapClass::Detected);
         // Past MAX_GPRS the analyzer still bails.
         let too_wide = WIDE_STORE.replace(".gprs 128", ".gprs 200");
         let asm = assemble(&too_wide).expect("assembles");
@@ -1447,7 +1720,7 @@ main:
     /// `main` is the protected STORE block; it falls through into `mid`,
     /// whose annotation claims queue depth 1 while propagation says 0 — a
     /// conflict at `mid`.
-    const DEPTH_CONFLICT: &str = r#"
+    pub(crate) const DEPTH_CONFLICT: &str = r#"
 .data
 region out at 4096 len 2 : int output
 .code
@@ -1487,12 +1760,161 @@ mid:
         let report = analyze_zaps(&asm.program);
         assert!(report.bailed.is_none());
         // Upstream protected store: precise, exactly as in STORE.
-        assert_eq!(report.gpr.get(&(2, 1)), Some(&ZapClass::Detected));
-        assert_eq!(report.queue.get(&(4, 0)), Some(&ZapClass::Detected));
+        assert_eq!(gpr(&report, 2, 1), ZapClass::Detected);
+        assert_eq!(slot(&report, 4, 0), ZapClass::Detected);
         // Downstream of the conflict, a tainted push cannot be placed:
         // the store-operand cell before mid's stG goes Vulnerable.
         let jst = 9; // mid's stG address
         assert!(p[ix(jst)], "mid block is pessimized");
-        assert_eq!(report.gpr.get(&(jst - 1, 5)), Some(&ZapClass::Vulnerable));
+        assert_eq!(gpr(&report, jst - 1, 5), ZapClass::Vulnerable);
+    }
+
+    /// The protected STORE block, then a block nothing reaches.
+    const DEAD_TAIL: &str = r#"
+.data
+region out at 4096 len 1 : int output
+.code
+main:
+  .pre { forall m:mem; mem: m; }
+  mov r1, G 5
+  mov r2, G 4096
+  stG r2, r1
+  mov r3, B 5
+  mov r4, B 4096
+  stB r4, r3
+  halt
+dead:
+  .pre { forall m:mem; mem: m; }
+  mov r5, G 1
+  halt
+"#;
+
+    /// `class` answers exactly for the cells the families list: not off
+    /// the code, at an unreachable address, past the registers or past the
+    /// static queue depth.
+    #[test]
+    fn class_is_none_off_the_report() {
+        let asm = assemble(DEAD_TAIL).expect("assembles");
+        let p = &asm.program;
+        let n = p.instrs.len() as i64;
+        let dead = p.labels["dead"];
+        let report = analyze_zaps(p);
+        assert!(report.bailed.is_none());
+        for addr in [0, n + 1, dead, dead + 1, -1] {
+            for cell in [
+                Cell::Gpr { addr, reg: 1 },
+                Cell::Queue { addr, slot: 0 },
+                Cell::Pc { addr },
+                Cell::D { addr },
+            ] {
+                assert_eq!(report.class(cell), None, "{cell}");
+            }
+        }
+        let gprs = p.num_gprs;
+        assert!(report
+            .class(Cell::Gpr {
+                addr: 1,
+                reg: gprs - 1
+            })
+            .is_some());
+        assert_eq!(report.class(Cell::Gpr { addr: 1, reg: gprs }), None);
+        assert_eq!(
+            report.class(Cell::Gpr {
+                addr: 1,
+                reg: u16::MAX
+            }),
+            None
+        );
+        // Depth 0 at entry, 1 between the stG and the stB.
+        assert_eq!(report.class(Cell::Queue { addr: 1, slot: 0 }), None);
+        assert_eq!(slot(&report, 4, 0), ZapClass::Detected);
+        assert_eq!(report.class(Cell::Queue { addr: 4, slot: 1 }), None);
+        // The families list the covered cells once each, ascending, and
+        // every one answers `class`.
+        let mut listed: Vec<(Cell, ZapClass)> = report
+            .pc()
+            .map(|(addr, c)| (Cell::Pc { addr }, c))
+            .chain(report.dst().map(|(addr, c)| (Cell::D { addr }, c)))
+            .chain(
+                report
+                    .gpr()
+                    .map(|((addr, reg), c)| (Cell::Gpr { addr, reg }, c)),
+            )
+            .chain(
+                report
+                    .queue()
+                    .map(|((addr, slot), c)| (Cell::Queue { addr, slot }, c)),
+            )
+            .collect();
+        assert_eq!(listed.len(), report.cells());
+        let (d, b, v) = report.tally();
+        assert_eq!(d + b + v, report.cells());
+        for &(cell, c) in &listed {
+            assert_eq!(report.class(cell), Some(c), "{cell}");
+            assert!(cell.addr() < dead, "{cell} is reachable");
+        }
+        let families = listed.clone();
+        listed.sort_by_key(|&(cell, _)| match cell {
+            Cell::Pc { addr } => (0, addr, 0),
+            Cell::D { addr } => (1, addr, 0),
+            Cell::Gpr { addr, reg } => (2, addr, usize::from(reg)),
+            Cell::Queue { addr, slot } => (3, addr, slot),
+        });
+        assert_eq!(families, listed, "each family ascending");
+    }
+
+    /// The hand-written `Debug` prints what the derived one of the old
+    /// map-per-family report printed, plain and pretty.
+    #[test]
+    fn debug_matches_the_map_report() {
+        use std::collections::BTreeMap;
+        #[derive(Debug)]
+        #[allow(dead_code)]
+        struct ZapReport {
+            gpr: BTreeMap<(i64, u16), ZapClass>,
+            queue: BTreeMap<(i64, usize), ZapClass>,
+            pc: BTreeMap<i64, ZapClass>,
+            dst: BTreeMap<i64, ZapClass>,
+            bailed: Option<String>,
+        }
+        let wide = WIDE_STORE.replace(".gprs 128", ".gprs 200");
+        for src in [DEAD_TAIL, STORE, &wide] {
+            let asm = assemble(src).expect("assembles");
+            let report = analyze_zaps(&asm.program);
+            let maps = ZapReport {
+                gpr: report.gpr().collect(),
+                queue: report.queue().collect(),
+                pc: report.pc().collect(),
+                dst: report.dst().collect(),
+                bailed: report.bailed.clone(),
+            };
+            assert_eq!(format!("{report:?}"), format!("{maps:?}"));
+            assert_eq!(format!("{report:#?}"), format!("{maps:#?}"));
+        }
+    }
+
+    /// A refused program reports nothing: no cell, a zero tally, no
+    /// coverage, and the old report's text.
+    #[test]
+    fn bailed_reports_cover_no_cell() {
+        let too_wide = WIDE_STORE.replace(".gprs 128", ".gprs 200");
+        let asm = assemble(&too_wide).expect("assembles");
+        let report = analyze_zaps(&asm.program);
+        assert_eq!(
+            format!("{report:?}"),
+            "ZapReport { gpr: {}, queue: {}, pc: {}, dst: {}, \
+             bailed: Some(\"200 GPRs exceed the 128-register taint mask\") }"
+        );
+        assert_eq!(report.tally(), (0, 0, 0));
+        assert_eq!(report.cells(), 0);
+        assert_eq!(report.coverage(), None);
+        for cell in [
+            Cell::Gpr { addr: 1, reg: 1 },
+            Cell::Queue { addr: 4, slot: 0 },
+            Cell::Pc { addr: 1 },
+            Cell::D { addr: 1 },
+        ] {
+            assert_eq!(report.class(cell), None, "{cell}");
+        }
     }
 }

@@ -214,7 +214,7 @@ fn analyze_side(program: &Arc<Program>, cfg: &CampaignConfig) -> Result<Side, St
         detected: detected as u64,
         benign: benign as u64,
         vulnerable: vulnerable as u64,
-        coverage: report.coverage(),
+        coverage: report.coverage().expect("bailed reports are refused"),
         grid_sdc: grid.count(Verdict::Sdc) as u64,
         diff,
         lint_errors,

@@ -268,6 +268,11 @@ fn exhaustive_side(
     ))
 }
 
+/// A side's static k=2 coverage; a bailed analyzer never makes a side.
+fn k2_coverage(s: &Side) -> f64 {
+    s.pairs.coverage().expect("bailed sides are refused")
+}
+
 fn print_row(name: &str, side: &str, s: &Side) {
     println!(
         "| {} | {} | {} | {} | {} | {} | {} | {} | {:.1}% | {} | {} | **{}** |",
@@ -279,7 +284,7 @@ fn print_row(name: &str, side: &str, s: &Side) {
         s.pairs.benign,
         s.pairs.vulnerable,
         s.pairs.cooperative,
-        100.0 * s.pairs.coverage(),
+        100.0 * k2_coverage(s),
         s.sampled_sdc,
         s.diff.predicted_sdc,
         s.diff.mismatches.len(),
@@ -295,7 +300,7 @@ fn side_json(s: &Side) -> Json {
         ("vulnerable", Json::U64(s.pairs.vulnerable)),
         ("single_vulnerable", Json::U64(s.pairs.single_vulnerable)),
         ("cooperative", Json::U64(s.pairs.cooperative)),
-        ("k2_coverage", Json::F64(s.pairs.coverage())),
+        ("k2_coverage", Json::F64(k2_coverage(s))),
         ("fixpoints", Json::U64(s.pairs.fixpoints)),
         ("tf008", Json::U64(s.tf008)),
         ("plans", Json::U64(s.diff.plans as u64)),

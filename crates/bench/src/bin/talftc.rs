@@ -13,7 +13,7 @@
 //!   --zap-report=PATH
 //!                     write the static zap-vulnerability report — every
 //!                     per-cell k=1 verdict plus the compositional k=2
-//!                     pair summary — as JSON (schema talft.zap.v1)
+//!                     pair summary — as JSON (schema talft.zap.v2)
 //!   --no-check        skip type checking
 //!   --run             execute and print the observable trace
 //!   --campaign[=N]    run a fault campaign (stride N, default 11)
@@ -627,13 +627,14 @@ fn load_part(
 }
 
 /// `--zap-report=PATH`: dump the per-cell k=1 classification and the
-/// compositional k=2 pair summary as a `talft.zap.v1` document.
+/// compositional k=2 pair summary as a `talft.zap.v2` document; both
+/// coverages are `null` when the analyzer bailed.
 fn write_zap_report(out: &str, input: &str, program: &Arc<Program>) -> Result<(), String> {
     use talft_obs::Json;
     let mut analyzer = talft_analysis::PairAnalyzer::new(program);
     let pairs = analyzer.pair_report();
     let zap = analyzer.k1();
-    let cell = |kind: &str, addr: i64, index: Option<u64>, class: &talft_analysis::ZapClass| {
+    let cell = |kind: &str, addr: i64, index: Option<u64>, class: talft_analysis::ZapClass| {
         let mut fields = vec![
             ("kind".to_owned(), Json::str(kind)),
             ("addr".to_owned(), Json::I64(addr)),
@@ -645,17 +646,15 @@ fn write_zap_report(out: &str, input: &str, program: &Arc<Program>) -> Result<()
         Json::Object(fields)
     };
     let mut cells = Vec::new();
-    cells.extend(zap.pc.iter().map(|(a, c)| cell("pc", *a, None, c)));
-    cells.extend(zap.dst.iter().map(|(a, c)| cell("d", *a, None, c)));
+    cells.extend(zap.pc().map(|(a, c)| cell("pc", a, None, c)));
+    cells.extend(zap.dst().map(|(a, c)| cell("d", a, None, c)));
     cells.extend(
-        zap.gpr
-            .iter()
-            .map(|((a, r), c)| cell("gpr", *a, Some(u64::from(*r)), c)),
+        zap.gpr()
+            .map(|((a, r), c)| cell("gpr", a, Some(u64::from(r)), c)),
     );
     cells.extend(
-        zap.queue
-            .iter()
-            .map(|((a, s), c)| cell("queue", *a, Some(*s as u64), c)),
+        zap.queue()
+            .map(|((a, s), c)| cell("queue", a, Some(s as u64), c)),
     );
     let (detected, benign, vulnerable) = zap.tally();
     let witnesses: Vec<Json> = pairs
@@ -675,7 +674,7 @@ fn write_zap_report(out: &str, input: &str, program: &Arc<Program>) -> Result<()
         .map(|(at, n)| Json::obj([("compare", Json::I64(*at)), ("pairs", Json::U64(*n))]))
         .collect();
     let json = Json::obj([
-        ("schema", Json::str("talft.zap.v1")),
+        ("schema", Json::str("talft.zap.v2")),
         ("file", Json::str(input)),
         (
             "bailed",
@@ -690,7 +689,7 @@ fn write_zap_report(out: &str, input: &str, program: &Arc<Program>) -> Result<()
                 ("detected", Json::U64(detected as u64)),
                 ("benign", Json::U64(benign as u64)),
                 ("vulnerable", Json::U64(vulnerable as u64)),
-                ("coverage", Json::F64(zap.coverage())),
+                ("coverage", zap.coverage().map_or(Json::Null, Json::F64)),
                 ("cells", Json::Array(cells)),
             ]),
         ),
@@ -704,7 +703,7 @@ fn write_zap_report(out: &str, input: &str, program: &Arc<Program>) -> Result<()
                 ("vulnerable", Json::U64(pairs.vulnerable)),
                 ("single_vulnerable", Json::U64(pairs.single_vulnerable)),
                 ("cooperative", Json::U64(pairs.cooperative)),
-                ("coverage", Json::F64(pairs.coverage())),
+                ("coverage", pairs.coverage().map_or(Json::Null, Json::F64)),
                 ("fixpoints", Json::U64(pairs.fixpoints)),
                 ("per_compare", Json::Array(per_compare)),
                 ("witnesses", Json::Array(witnesses)),

@@ -319,7 +319,7 @@ fn zap_report_writes_k1_cells_and_k2_pair_summary() {
     let json = talft_obs::Json::parse(&text).expect("valid JSON");
     assert_eq!(
         json.get("schema").and_then(talft_obs::Json::as_str),
-        Some("talft.zap.v1")
+        Some("talft.zap.v2")
     );
     assert_eq!(json.get("bailed"), Some(&talft_obs::Json::Null));
     let k1 = json.get("k1").expect("k1 summary");
@@ -338,6 +338,10 @@ fn zap_report_writes_k1_cells_and_k2_pair_summary() {
         "pair classes sum to the pair count"
     );
     assert!(n(k2, "pairs") > 0);
+    for k in [k1, k2] {
+        let coverage = k.get("coverage").and_then(talft_obs::Json::as_f64);
+        assert!(coverage.is_some_and(|c| (0.0..=1.0).contains(&c)), "{k}");
+    }
     assert!(
         n(k2, "single_vulnerable") + n(k2, "cooperative") <= n(k2, "vulnerable"),
         "the vulnerable tally covers the single-member and cooperative splits"
@@ -363,7 +367,47 @@ fn zap_report_bails_past_the_taint_mask_with_the_analyzer_wording() {
         json.get("bailed").and_then(talft_obs::Json::as_str),
         Some("200 GPRs exceed the 128-register taint mask")
     );
+    // A refused program claims no coverage at all.
+    for k in ["k1", "k2"] {
+        let summary = json.get(k).expect("summary object");
+        assert_eq!(summary.get("coverage"), Some(&talft_obs::Json::Null), "{k}");
+    }
     std::fs::remove_file(&json_path).ok();
+}
+
+/// FNV-1a over `text`'s bytes.
+fn fnv(text: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in text.as_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// spec_gzip@Tiny's `--zap-report` end to end: one fingerprint of the
+/// text of its `k1` and `k2` objects pins the cell order and classes, both
+/// tallies, `per_compare` and the witnesses.
+#[test]
+fn zap_report_of_a_suite_kernel_is_pinned() {
+    let k = talft_suite::kernels(talft_suite::Scale::Tiny)
+        .into_iter()
+        .find(|k| k.name == "spec_gzip")
+        .expect("suite kernel");
+    let p = write_temp("spec_gzip.wile", &k.source);
+    let json_path =
+        std::env::temp_dir().join(format!("talftc-zap-gzip-{}.json", std::process::id()));
+    let out = talftc(&[
+        p.to_str().unwrap(),
+        &format!("--zap-report={}", json_path.display()),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let text = std::fs::read_to_string(&json_path).expect("zap report written");
+    std::fs::remove_file(&json_path).ok();
+    let json = talft_obs::Json::parse(&text).expect("valid JSON");
+    let k1 = json.get("k1").expect("k1 object");
+    let k2 = json.get("k2").expect("k2 object");
+    assert_eq!(fnv(&format!("{k1} {k2}")), 0xd539_eb16_b358_63d1);
 }
 
 #[test]
