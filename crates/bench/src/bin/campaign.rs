@@ -59,7 +59,7 @@ use talft_bench::report::{self, arg, Report};
 use talft_compiler::{compile, CompileOptions};
 use talft_faultsim::wire::{self, report_from_json, report_to_json};
 use talft_faultsim::{
-    golden_run, grid_fingerprint, merge_shard_reports, multi_fault_plans, run_plan_campaign,
+    golden_run, merge_shard_reports, multi_fault_plans, run_plan_campaign,
     run_plan_campaign_reference, run_shard_campaign, single_fault_plans, CampaignCheckpoint,
     CampaignConfig, CampaignReport, FaultPlan, Golden, ShardControl, ShardOutcome, ShardPart,
     ShardSpec,
@@ -339,15 +339,8 @@ fn shard_legs(
         .map_err(|e| e.to_string())
     };
     let complete = |spec| match run(spec, 0, None, ShardControl::Continue)? {
-        ShardOutcome::Complete(r) => Ok::<_, String>(r),
+        ShardOutcome::Complete(part) => Ok::<_, String>(part),
         ShardOutcome::Interrupted(_) => unreachable!("no Stop issued"),
-    };
-    let fingerprint = grid_fingerprint(golden, plans);
-    let part = |spec: ShardSpec, report| ShardPart {
-        spec,
-        fingerprint,
-        plans: spec.range(plans.len()).len() as u64,
-        report,
     };
     let identical = |parts: &[ShardPart], what: &str| match merge_shard_reports(parts) {
         Ok(merged) if merged == *whole => Ok(()),
@@ -362,11 +355,10 @@ fn shard_legs(
         for i in 0..count {
             let spec = ShardSpec::new(i, count).expect("valid spec");
             let t = Instant::now();
-            let report = complete(spec)?;
+            parts.push(complete(spec)?);
             let shard_ns = ns(t);
             max_ns = max_ns.max(shard_ns);
             sum_ns += shard_ns;
-            parts.push(part(spec, report));
         }
         identical(&parts, &format!("the {count}-way merge"))?;
         partitions.push((count, max_ns, sum_ns));
@@ -387,17 +379,14 @@ fn shard_legs(
                 Some(&restored),
                 ShardControl::Continue,
             )? {
-                ShardOutcome::Complete(r) => (r, cp.done),
+                ShardOutcome::Complete(part) => (part, cp.done),
                 ShardOutcome::Interrupted(_) => unreachable!("no Stop issued on resume"),
             }
         }
         // A shard smaller than one chunk completes before any checkpoint.
-        ShardOutcome::Complete(r) => (r, 0),
+        ShardOutcome::Complete(part) => (part, 0),
     };
-    let parts = [
-        part(halves[0], resumed),
-        part(halves[1], complete(halves[1])?),
-    ];
+    let parts = [resumed, complete(halves[1])?];
     identical(&parts, "the kill/resume merge")?;
     Ok(Shards {
         partitions,

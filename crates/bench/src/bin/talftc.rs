@@ -71,10 +71,10 @@ use std::sync::Arc;
 
 use talft_compiler::{compile, CompileOptions};
 use talft_core::check_program;
+use talft_faultsim::shard::{self, ShardControl, ShardOutcome, ShardSpec};
 use talft_faultsim::{
-    golden_run_retrying, grid_fingerprint, merge_shard_reports, multi_fault_plans,
-    run_plan_campaign, run_shard_campaign, CampaignConfig, CampaignReport, FaultPlan, Golden,
-    GoldenError, ShardControl, ShardOutcome, ShardPart, ShardSpec,
+    golden_run, grid_fingerprint, merge_shard_reports, multi_fault_plans, run_plan_campaign,
+    CampaignConfig, CampaignReport, FaultPlan, Golden, GoldenError,
 };
 use talft_isa::{assemble, print_program, Program};
 use talft_logic::ExprArena;
@@ -352,9 +352,9 @@ fn real_main(path: &str, flags: &Flags) -> ExitCode {
         }
         let k = flags.campaign_k.max(1);
         let t0 = std::time::Instant::now();
-        // One prologue for both paths: a panicking golden runner is retried,
-        // then exits 1; an exhausted budget exits 6.
-        let golden = match golden_run_retrying(&program, &cfg) {
+        // One prologue for both paths: a panicking golden runner exits 1; an
+        // exhausted budget exits 6.
+        let golden = match golden_run(&program, &cfg) {
             Ok(g) => g,
             Err(e @ GoldenError::BudgetExhausted { .. }) => {
                 // Not a verdict and not an error in the program: the run
@@ -429,12 +429,12 @@ fn summarize_campaign(rep: &CampaignReport, k: u32) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The `--shards` campaign path: run the grid through the faultsim
-/// checkpoint/shard/merge layer. Each shard leaves a durable
-/// `talft.shard-report.v1` in the checkpoint dir; SIGTERM/SIGINT lands in
-/// a checkpoint and exit 6; once all N shard reports exist they merge into
-/// a report bit-identical to the whole-grid run and the usual summary and
-/// exit-code contract apply.
+/// The `--shards` campaign path: each shard runs through the faultsim
+/// shard-directory runner, which leaves a durable `talft.shard-report.v1`
+/// in the checkpoint dir; SIGTERM/SIGINT lands in a checkpoint and exit 6;
+/// once all N shard reports exist they merge into a report bit-identical
+/// to the whole-grid run and the usual summary and exit-code contract
+/// apply.
 fn run_sharded(
     program: &Arc<Program>,
     cfg: &CampaignConfig,
@@ -468,55 +468,41 @@ fn run_sharded(
     let fingerprint = grid_fingerprint(golden, plans);
     for &i in &indices {
         let spec = ShardSpec::new(i, count).expect("index checked above");
-        let part_path = dir.join(format!("shard-{i}.json"));
-        if flags.resume && part_path.exists() {
-            match load_part(&part_path, spec, fingerprint) {
-                Ok(_) => {
-                    eprintln!("talftc: shard {spec} already complete — skipping");
-                    continue;
-                }
-                Err(e) => {
-                    eprintln!("talftc: {e}");
-                    eprintln!(
-                        "talftc: stale shard report (different grid?); delete {} and re-run",
-                        dir.display()
-                    );
-                    return ExitCode::FAILURE;
-                }
+        if flags.resume && shard::part_path(&dir, spec).exists() {
+            if let Err(e) = shard::read_part(&dir, spec, fingerprint, plans.len()) {
+                eprintln!("talftc: {e}");
+                eprintln!(
+                    "talftc: stale shard report (different grid?); delete {} and re-run",
+                    dir.display()
+                );
+                return ExitCode::FAILURE;
             }
+            eprintln!("talftc: shard {spec} already complete — skipping");
+            continue;
         }
-        let cp_path = dir.join(format!("checkpoint-{i}.json"));
-        let resume_cp = if flags.resume && cp_path.exists() {
-            match talft_faultsim::CampaignCheckpoint::load(&cp_path) {
-                Ok(cp) => Some(cp),
-                Err(e) => {
-                    eprintln!("talftc: cannot resume shard {spec}: {e}");
-                    return ExitCode::FAILURE;
-                }
+        let resume = match flags.resume.then(|| shard::load_checkpoint(&dir, spec)) {
+            Some(Err(e)) => {
+                eprintln!("talftc: cannot resume shard {spec}: {e}");
+                return ExitCode::FAILURE;
             }
-        } else {
-            None
+            loaded => loaded.and_then(Result::ok).flatten(),
         };
-        if let Some(cp) = &resume_cp {
+        if let Some(cp) = &resume {
             eprintln!(
                 "talftc: resuming shard {spec} from checkpoint ({}/{} plans done)",
                 cp.done, cp.shard_plans
             );
         }
-        let mut save_error: Option<std::io::Error> = None;
-        let outcome = run_shard_campaign(
+        let outcome = shard::run_shard_in_dir(
             program,
             cfg,
             golden,
             plans,
             spec,
+            &dir,
             every,
-            resume_cp.as_ref(),
-            |cp| {
-                if let Err(e) = cp.save(&cp_path) {
-                    save_error = Some(e);
-                    return ShardControl::Stop;
-                }
+            resume.as_ref(),
+            |_| {
                 if INTERRUPTED.load(Ordering::SeqCst) {
                     ShardControl::Stop
                 } else {
@@ -530,10 +516,6 @@ fn run_sharded(
                 return ExitCode::FAILURE;
             }
             Ok(ShardOutcome::Interrupted(cp)) => {
-                if let Some(e) = save_error {
-                    eprintln!("talftc: cannot write checkpoint {}: {e}", cp_path.display());
-                    return ExitCode::FAILURE;
-                }
                 eprintln!(
                     "talftc: campaign interrupted at {}/{} plans of shard {spec}; \
                      checkpoint saved — re-run with --resume to continue",
@@ -541,19 +523,7 @@ fn run_sharded(
                 );
                 return ExitCode::from(EXIT_INTERRUPTED);
             }
-            Ok(ShardOutcome::Complete(report)) => {
-                let part = ShardPart {
-                    spec,
-                    fingerprint,
-                    plans: spec.range(plans.len()).len() as u64,
-                    report,
-                };
-                let text = format!("{}\n", part.to_json());
-                if let Err(e) = talft_faultsim::shard::atomic_write(&part_path, &text) {
-                    eprintln!("talftc: cannot write {}: {e}", part_path.display());
-                    return ExitCode::FAILURE;
-                }
-                let _ = std::fs::remove_file(&cp_path);
+            Ok(ShardOutcome::Complete(part)) => {
                 eprintln!("talftc: shard {spec} complete ({} plans)", part.plans);
             }
         }
@@ -562,8 +532,8 @@ fn run_sharded(
     // only one shard of a cross-process campaign).
     let mut parts = Vec::with_capacity(count as usize);
     for i in 0..count {
-        let path = dir.join(format!("shard-{i}.json"));
-        if !path.exists() {
+        let spec = ShardSpec::new(i, count).expect("i < count");
+        if !shard::part_path(&dir, spec).exists() {
             eprintln!(
                 "talftc: {}/{count} shard report(s) present in {} — run the remaining \
                  shards to merge",
@@ -572,8 +542,7 @@ fn run_sharded(
             );
             return ExitCode::SUCCESS;
         }
-        let spec = ShardSpec::new(i, count).expect("i < count");
-        match load_part(&path, spec, fingerprint) {
+        match shard::read_part(&dir, spec, fingerprint, plans.len()) {
             Ok(p) => parts.push(p),
             Err(e) => {
                 eprintln!("talftc: {e}");
@@ -591,39 +560,6 @@ fn run_sharded(
             ExitCode::FAILURE
         }
     }
-}
-
-/// Load a `talft.shard-report.v1` file and validate it belongs to this
-/// grid (spec + fingerprint + complete coverage of its slice).
-fn load_part(
-    path: &std::path::Path,
-    spec: ShardSpec,
-    fingerprint: u64,
-) -> Result<ShardPart, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let json = talft_obs::Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let part = ShardPart::from_json(&json).map_err(|e| format!("{}: {e}", path.display()))?;
-    if part.spec != spec {
-        return Err(format!("{}: wrong shard {}", path.display(), part.spec));
-    }
-    if part.fingerprint != fingerprint {
-        return Err(format!(
-            "{}: fingerprint {:016x} does not match this grid ({:016x})",
-            path.display(),
-            part.fingerprint,
-            fingerprint
-        ));
-    }
-    if part.report.total != part.plans {
-        return Err(format!(
-            "{}: report covers {} of {} plans",
-            path.display(),
-            part.report.total,
-            part.plans
-        ));
-    }
-    Ok(part)
 }
 
 /// `--zap-report=PATH`: dump the per-cell k=1 classification and the

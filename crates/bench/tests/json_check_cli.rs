@@ -120,16 +120,22 @@ fn campaign_refuses_a_row_off_its_reference_or_with_protected_sdc() {
         .and_then(|rows| rows.as_array()?.first())
         .expect("a first row");
     let name = row.get("name").and_then(Json::as_str).expect("a name");
+    let masked = row.get("report").and_then(|r| r.get("masked")?.as_u64());
+    let masked = masked.expect("a masked count");
     let label = format!("kernel {name} (protected k=1)");
+    // Each forgery keeps the arithmetic every decoded report must keep, so
+    // it reaches the gate under test.
     let mut off = committed.clone();
-    set(&mut off, &["rows", "0", "reference", "masked"], 0);
+    set(&mut off, &["rows", "0", "reference", "incomplete_plans"], 1);
     let differs = format!("{label}: the reference report differs from the batched one");
     assert_refused(&check(bin, "off-reference", &off.to_string()), &differs);
     // Both engines agree on the forged SDC, so only the Theorem 4 gate
     // can refuse it.
     let mut sdc = committed;
     for report in ["report", "reference"] {
+        set(&mut sdc, &["rows", "0", report, "masked"], masked - 1);
         set(&mut sdc, &["rows", "0", report, "sdc"], 1);
+        set(&mut sdc, &["rows", "0", report, "violations_truncated"], 1);
     }
     let violated = format!("{label}: not fault-tolerant on a protected binary");
     assert_refused(&check(bin, "protected-sdc", &sdc.to_string()), &violated);

@@ -16,6 +16,9 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use talft_faultsim::{CampaignReport, ShardPart};
+use talft_obs::Json;
+
 fn talftc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_talftc"))
         .args(args)
@@ -493,6 +496,47 @@ fn cross_process_shards_merge_once_all_reports_exist() {
     assert_eq!(second.status.code(), Some(0), "{second:?}");
     let plain = talftc(&[p.to_str().unwrap(), "--no-check", "--campaign=31"]);
     assert_eq!(summary_line(&second), summary_line(&plain));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--resume` skips only a shard report that is its shard's part. One
+/// whose consistent report covers 10 plans of a larger shard, and one
+/// carrying the other shard's index, each exit 1 naming the file.
+#[test]
+fn resume_refuses_a_shard_report_that_is_not_its_shards_part() {
+    let p = write_temp("refuse.wile", OK_WILE);
+    let dir = fresh_dir("refuse-dir");
+    let dir_flag = format!("--checkpoint-dir={}", dir.display());
+    let args = [
+        p.to_str().unwrap(),
+        "--no-check",
+        "--campaign=31",
+        "--shards=2",
+        &dir_flag,
+    ];
+    let first = talftc(&args);
+    assert_eq!(first.status.code(), Some(0), "{first:?}");
+    let read = |name: &str| {
+        let text = std::fs::read_to_string(dir.join(name)).expect("part written");
+        ShardPart::from_json(&Json::parse(&text).expect("parses")).expect("decodes")
+    };
+    let mut short = read("shard-1.json");
+    assert!(short.plans > 10, "{short:?}");
+    short.plans = 10;
+    short.report = CampaignReport {
+        total: 10,
+        masked: 10,
+        ..CampaignReport::default()
+    };
+    let part1 = dir.join("shard-1.json");
+    for forged in [short, read("shard-0.json")] {
+        std::fs::write(&part1, forged.to_json().to_string()).expect("write part");
+        let out = talftc(&[&args[..], &["--resume"]].concat());
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(part1.to_str().unwrap()), "{stderr}");
+        assert!(!stderr.contains("merged"), "{stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -472,7 +472,7 @@ pub(crate) fn run_batched(
                         let first = plan.first_step();
                         advance_frontier(&mut frontier, first, program, cfg, golden);
                         let fr = frontier.as_ref().expect("advance_frontier populates");
-                        let outcome = run_isolated(cfg.retry, || {
+                        let outcome = run_isolated(|| {
                             let mut faulty = fr.clone();
                             crate::execute_plan(
                                 &mut faulty,
@@ -543,7 +543,7 @@ pub(crate) fn run_batched(
         }
     });
     for c in counts {
-        report.merge(c);
+        report.merge(c).expect("worker counts fit u64");
     }
     violations.sort_by_key(|&(idx, _)| (plans[idx].first_step(), idx));
     for (_, inj) in violations {
@@ -1508,10 +1508,9 @@ fn demote_lane(
     sh: &Shadow,
     l: usize,
     plan: &FaultPlan,
-    cfg: &CampaignConfig,
     golden: &Golden,
 ) -> (Verdict, u64, usize) {
-    let outcome = run_isolated(cfg.retry, || {
+    let outcome = run_isolated(|| {
         let mut faulty = replay.clone();
         let mut gs = sh.by_lane[l];
         while gs != 0 {
@@ -1666,7 +1665,7 @@ fn run_lockstep(
                     demote_tally[DemoteCause::Terminal as usize] += 1;
                     let lane = lanes[l];
                     let (verdict, end_steps, applied) =
-                        demote_lane(replay, sh, l, &plans[lane], cfg, golden);
+                        demote_lane(replay, sh, l, &plans[lane], golden);
                     out.push(Outcome {
                         idx: lane,
                         verdict,
@@ -1738,7 +1737,7 @@ fn run_lockstep(
                 let lane = lanes[l];
                 demote_tally[sh.cause[l] as usize] += 1;
                 let (verdict, end_steps, applied) =
-                    demote_lane(replay, sh, l, &plans[lane], cfg, golden);
+                    demote_lane(replay, sh, l, &plans[lane], golden);
                 out.push(Outcome {
                     idx: lane,
                     verdict,

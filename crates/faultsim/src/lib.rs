@@ -36,14 +36,16 @@
 //! convenience and [`run_shard_campaign`] the durable shard path, both
 //! over [`run_plan_campaign`].
 //!
-//! The runtime is hardened for long campaigns: each injection runs under
-//! `catch_unwind` so a harness panic becomes a recorded
-//! [`Verdict::EngineError`] instead of poisoning the worker; a
+//! The runtime is hardened for long campaigns: each injection runs once
+//! under `catch_unwind`, so a harness panic becomes a recorded
+//! [`Verdict::EngineError`] instead of poisoning the worker (the engine is
+//! deterministic, so a retry would only panic again; retries belong to
+//! `talftd`'s worker processes, where a failure can be transient); a
 //! [`CampaignConfig::stop_on_first_violation`] knob short-circuits sweeps
 //! used as go/no-go gates; and [`golden_run`] returns a hard
 //! [`GoldenError`] when the reference run exhausts its step budget —
 //! campaigning against a truncated golden trace would silently misclassify
-//! every injection.
+//! every injection — or panics.
 //!
 //! For *well-typed* programs the `k = 1` campaign must report zero
 //! violations; for the unprotected baseline it measurably reports SDC — the
@@ -65,11 +67,11 @@ pub use checkpoint::CheckpointRing;
 pub use grid::{golden_trace, plan_fault_grid, GoldenTrace, PlanGrid, PlanOutcome};
 pub use plan::{exhaustive_pair_plans, multi_fault_plans, single_fault_plans, FaultPlan, Strike};
 pub use recovery::{
-    run_supervised, run_with_recovery, storm_from_plan, AttemptRecord, PlannedFault,
-    RecoveryResult, SupervisorConfig, SupervisorOutcome, SupervisorReport,
+    run_supervised, storm_from_plan, AttemptRecord, PlannedFault, SupervisorConfig,
+    SupervisorOutcome, SupervisorReport,
 };
 pub use shard::{
-    grid_fingerprint, merge_shard_reports, merge_surviving_shards, run_shard_campaign, shard_plans,
+    grid_fingerprint, merge_shard_reports, merge_surviving_shards, run_shard_campaign,
     CampaignCheckpoint, MergeError, ShardControl, ShardError, ShardOutcome, ShardPart, ShardSpec,
     DEFAULT_CHECKPOINT_EVERY,
 };
@@ -99,10 +101,6 @@ static V_STUCK: LazyCounter = LazyCounter::new("campaign.verdict.stuck");
 static V_OVERRUN: LazyCounter = LazyCounter::new("campaign.verdict.overrun");
 static V_DISSIMILAR: LazyCounter = LazyCounter::new("campaign.verdict.dissimilar_state");
 static V_ENGINE_ERROR: LazyCounter = LazyCounter::new("campaign.verdict.engine_error");
-static RETRY_ATTEMPTS: LazyCounter = LazyCounter::new("faultsim.retry.attempts");
-static RETRY_RECOVERED: LazyCounter = LazyCounter::new("faultsim.retry.recovered");
-static RETRY_EXHAUSTED: LazyCounter = LazyCounter::new("faultsim.retry.exhausted");
-static RETRY_GOLDEN: LazyCounter = LazyCounter::new("faultsim.retry.golden");
 
 /// Counterexamples a [`CampaignReport`] retains before counting overflow in
 /// [`CampaignReport::violations_truncated`]. Shared by the engine, the
@@ -110,74 +108,12 @@ static RETRY_GOLDEN: LazyCounter = LazyCounter::new("faultsim.retry.golden");
 /// the in-order shard merge equal the whole-grid report bit for bit.
 pub const VIOLATIONS_KEPT: usize = 32;
 
-/// Capped exponential backoff for *transient* engine failures — harness
-/// panics isolated by `catch_unwind` and golden-runner panics. Jitterless
-/// and deterministic by design: retries only change *when* an attempt runs,
-/// never which verdict a deterministic failure converges to, so reports stay
-/// bit-identical at every thread count and retry budget. Permanent errors
-/// ([`GoldenError::BudgetExhausted`]) are never retried.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (0 = fail fast, the old behavior).
-    pub max_retries: u32,
-    /// Delay before the first retry, in milliseconds.
-    pub base_delay_ms: u64,
-    /// Ceiling on the backoff delay, in milliseconds.
-    pub max_delay_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 2,
-            base_delay_ms: 1,
-            max_delay_ms: 50,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Deterministic backoff before retry `attempt` (0-based):
-    /// `min(base · 2^attempt, max)`. No jitter — campaign reproducibility
-    /// outranks thundering-herd concerns on an in-process engine.
-    #[must_use]
-    pub fn delay_ms(&self, attempt: u32) -> u64 {
-        let mult = 1u64.checked_shl(attempt).unwrap_or(u64::MAX);
-        self.base_delay_ms
-            .saturating_mul(mult)
-            .min(self.max_delay_ms)
-    }
-}
-
-/// Run `f` under `catch_unwind`, retrying panics per `policy`. `None` when
-/// every attempt panicked — the caller records the terminal failure
-/// (`EngineError` verdict / [`GoldenError::Panicked`]).
-fn run_isolated<T>(policy: RetryPolicy, f: impl Fn() -> T) -> Option<T> {
-    let mut attempt = 0u32;
-    loop {
-        match catch_unwind(AssertUnwindSafe(&f)) {
-            Ok(v) => {
-                if attempt > 0 {
-                    RETRY_RECOVERED.inc();
-                }
-                return Some(v);
-            }
-            Err(_) => {
-                if attempt >= policy.max_retries {
-                    if policy.max_retries > 0 {
-                        RETRY_EXHAUSTED.inc();
-                    }
-                    return None;
-                }
-                RETRY_ATTEMPTS.inc();
-                let delay = policy.delay_ms(attempt);
-                if delay > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(delay));
-                }
-                attempt += 1;
-            }
-        }
-    }
+/// Run `f` once under `catch_unwind`; `None` when it panicked — the caller
+/// records the failure (`EngineError` verdict / [`GoldenError::Panicked`]).
+/// There is no retry: every caller clones a machine and steps it, which is
+/// deterministic, so a panic would recur on every attempt.
+fn run_isolated<T>(f: impl FnOnce() -> T) -> Option<T> {
+    catch_unwind(AssertUnwindSafe(f)).ok()
 }
 
 /// Slot of a verdict in a worker-local tally array (flushed to the shared
@@ -240,8 +176,6 @@ pub struct CampaignConfig {
     /// that prefix. [`run_plan_campaign`] runs the full batched pass first
     /// and walks the prefix only when the pass holds a violation.
     pub stop_on_first_violation: bool,
-    /// Backoff policy for transient failures (harness/golden panics).
-    pub retry: RetryPolicy,
 }
 
 impl Default for CampaignConfig {
@@ -256,7 +190,6 @@ impl Default for CampaignConfig {
             pair_samples: 4096,
             pair_window: 24,
             stop_on_first_violation: false,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -295,10 +228,8 @@ pub enum GoldenError {
         /// The configured budget.
         max_steps: u64,
     },
-    /// The golden runner panicked on every attempt (retries exhausted per
-    /// [`RetryPolicy`]). Unlike `BudgetExhausted` — a deterministic property
-    /// of the program — this is a harness failure, so it *was* retried
-    /// before being surfaced.
+    /// The golden runner panicked: a harness failure, not a property of the
+    /// program. It is not retried, since the run is deterministic.
     Panicked,
 }
 
@@ -312,7 +243,7 @@ impl fmt::Display for GoldenError {
             ),
             GoldenError::Panicked => write!(
                 f,
-                "golden run panicked on every attempt; no reference trace to campaign against"
+                "golden run panicked; no reference trace to campaign against"
             ),
         }
     }
@@ -416,13 +347,15 @@ impl LatencyHistogram {
             .map(|(k, &c)| (1u64 << k, c))
     }
 
-    fn merge(&mut self, other: &LatencyHistogram) {
+    /// Add `other` in bucketwise; `None` when a sum passes `u64::MAX`.
+    fn merge(&mut self, other: &LatencyHistogram) -> Option<()> {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
+            *a = a.checked_add(*b)?;
         }
         self.max = self.max.max(other.max);
-        self.sum += other.sum;
-        self.count += other.count;
+        self.sum = self.sum.checked_add(other.sum)?;
+        self.count = self.count.checked_add(other.count)?;
+        Some(())
     }
 }
 
@@ -529,21 +462,30 @@ impl CampaignReport {
         }
     }
 
-    fn merge(&mut self, other: CampaignReport) {
-        self.total += other.total;
-        self.masked += other.masked;
-        self.detected += other.detected;
-        self.sdc += other.sdc;
-        self.other_violations += other.other_violations;
-        self.engine_errors += other.engine_errors;
-        self.violations_truncated += other.violations_truncated;
-        self.incomplete_plans += other.incomplete_plans;
+    /// Fold `other` in after `self`: counts and histograms add, and the
+    /// first [`VIOLATIONS_KEPT`] counterexamples stay in order. `None` when
+    /// a sum passes `u64::MAX`, which only reports decoded from files can
+    /// reach; `self` is then partly merged, and every caller drops it.
+    fn merge(&mut self, other: CampaignReport) -> Option<()> {
+        for (sum, add) in [
+            (&mut self.total, other.total),
+            (&mut self.masked, other.masked),
+            (&mut self.detected, other.detected),
+            (&mut self.sdc, other.sdc),
+            (&mut self.other_violations, other.other_violations),
+            (&mut self.engine_errors, other.engine_errors),
+            (&mut self.violations_truncated, other.violations_truncated),
+            (&mut self.incomplete_plans, other.incomplete_plans),
+        ] {
+            *sum = sum.checked_add(add)?;
+        }
         self.fault_order = self.fault_order.max(other.fault_order);
         self.stopped_early |= other.stopped_early;
-        self.detection_latency.merge(&other.detection_latency);
+        self.detection_latency.merge(&other.detection_latency)?;
         for v in other.violations {
             self.keep(v);
         }
+        Some(())
     }
 }
 
@@ -588,10 +530,12 @@ pub struct Golden {
 ///
 /// [`GoldenError::BudgetExhausted`] if the run is still `Running` when
 /// `cfg.max_steps` is reached — a truncated reference is unusable as a
-/// campaign baseline. A run that ends `Fault` or `Stuck` is returned `Ok`
-/// (callers checking Corollary 3 inspect [`Golden::status`] themselves).
+/// campaign baseline — and [`GoldenError::Panicked`] if the run panics. A
+/// run that ends `Fault` or `Stuck` is returned `Ok` (callers checking
+/// Corollary 3 inspect [`Golden::status`] themselves).
 pub fn golden_run(program: &Arc<Program>, cfg: &CampaignConfig) -> Result<Golden, GoldenError> {
-    golden_run_strided(program, cfg, checkpoint::DEFAULT_STRIDE)
+    run_isolated(|| golden_run_strided(program, cfg, checkpoint::DEFAULT_STRIDE))
+        .unwrap_or(Err(GoldenError::Panicked))
 }
 
 /// [`golden_run`] with the checkpoint ring starting at `checkpoint_stride`
@@ -655,29 +599,6 @@ pub(crate) fn golden_run_strided(
         reg_liveness,
         quiet,
     })
-}
-
-/// [`golden_run`] hardened with the config's [`RetryPolicy`]: a panicking
-/// golden runner is retried with capped exponential backoff before the run
-/// is declared [`GoldenError::Panicked`]. [`GoldenError::BudgetExhausted`]
-/// is permanent (a deterministic property of program + budget) and returns
-/// immediately without retry.
-///
-/// # Errors
-///
-/// [`GoldenError::BudgetExhausted`] verbatim from the first attempt;
-/// [`GoldenError::Panicked`] once retries are exhausted.
-pub fn golden_run_retrying(
-    program: &Arc<Program>,
-    cfg: &CampaignConfig,
-) -> Result<Golden, GoldenError> {
-    match run_isolated(cfg.retry, || golden_run(program, cfg)) {
-        Some(result) => result,
-        None => {
-            RETRY_GOLDEN.inc();
-            Err(GoldenError::Panicked)
-        }
-    }
 }
 
 /// Run the full exhaustive single-fault campaign (the `k = 1`
@@ -840,10 +761,19 @@ fn walk_report(
     report
 }
 
+/// The order plans run and report in: a stable sort by first-strike step.
+/// The sequential walk and the shard partition share it.
+pub(crate) fn first_strike_order(plans: &[FaultPlan]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..plans.len()).collect();
+    order.sort_by_key(|&i| plans[i].first_step());
+    order
+}
+
 /// The sequential walk shared by [`run_plan_campaign_reference`], the
-/// gated fallback of [`run_plan_campaign`] and [`plan_fault_grid`]: plans in first-strike order (stable), one frontier
-/// stepped monotonically from boot, each continuation a clone of it run
-/// under `catch_unwind` ([`Verdict::EngineError`] once retries are spent).
+/// gated fallback of [`run_plan_campaign`] and [`plan_fault_grid`]: plans in
+/// [`first_strike_order`], one frontier stepped monotonically from boot,
+/// each continuation a clone of it run once under `catch_unwind`
+/// ([`Verdict::EngineError`] if it panics).
 /// `visit` gets each plan's index with its `(verdict, end_steps, applied)`
 /// and returns whether to go on. `ring` enables [`execute_plan`]'s
 /// convergence exit.
@@ -855,16 +785,14 @@ pub(crate) fn walk_plans(
     ring: Option<&CheckpointRing>,
     mut visit: impl FnMut(usize, (Verdict, u64, usize)) -> bool,
 ) {
-    let mut order: Vec<usize> = (0..plans.len()).collect();
-    order.sort_by_key(|&i| plans[i].first_step());
     let mut frontier = Machine::boot(Arc::clone(program)).with_oob_policy(cfg.oob);
-    for i in order {
+    for i in first_strike_order(plans) {
         let plan = &plans[i];
         let first = plan.first_step();
         while frontier.steps() < first && frontier.status().is_running() {
             step(&mut frontier);
         }
-        let outcome = run_isolated(cfg.retry, || {
+        let outcome = run_isolated(|| {
             let mut faulty = frontier.clone();
             execute_plan(&mut faulty, plan, golden, ring)
         });
@@ -1205,67 +1133,19 @@ main:
         );
         assert!(err.to_string().contains("budget 100"));
         assert_eq!(run_campaign(&p, &cfg).expect_err("propagates"), err);
-        // Budget exhaustion is permanent: the retrying wrapper surfaces it
-        // verbatim instead of burning retries on a deterministic outcome.
-        assert_eq!(golden_run_retrying(&p, &cfg).expect_err("permanent"), err);
     }
 
-    /// Satellite (a): capped exponential backoff is deterministic and the
-    /// retry helper recovers flaky failures / gives up on persistent ones.
+    /// A panicking closure runs exactly once: the engine is deterministic,
+    /// so a second attempt would panic again. Its `None` is the plan's
+    /// `EngineError` (`harness_panic_is_isolated_as_engine_error`).
     #[test]
-    fn retry_policy_backoff_recovery_and_exhaustion() {
-        let pol = RetryPolicy {
-            max_retries: 3,
-            base_delay_ms: 4,
-            max_delay_ms: 10,
-        };
-        assert_eq!(pol.delay_ms(0), 4);
-        assert_eq!(pol.delay_ms(1), 8);
-        assert_eq!(pol.delay_ms(2), 10, "capped");
-        assert_eq!(pol.delay_ms(63), 10);
-        assert_eq!(
-            pol.delay_ms(64),
-            10,
-            "shift overflow saturates, stays capped"
-        );
-        let fast = RetryPolicy {
-            max_retries: 3,
-            base_delay_ms: 0,
-            max_delay_ms: 0,
-        };
-        // Flaky: panics twice, then succeeds — recovered on the third call.
+    fn panicking_closure_runs_once() {
         let calls = std::sync::atomic::AtomicU32::new(0);
-        let got = run_isolated(fast, || {
-            if calls.fetch_add(1, Ordering::Relaxed) < 2 {
-                panic!("flaky");
-            }
-            42
-        });
-        assert_eq!(got, Some(42));
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
-        // Persistent: every attempt panics — None after 1 + max_retries calls.
-        let calls = std::sync::atomic::AtomicU32::new(0);
-        let got: Option<i32> = run_isolated(fast, || {
+        let got: Option<()> = run_isolated(|| {
             calls.fetch_add(1, Ordering::Relaxed);
             panic!("always");
         });
-        assert_eq!(got, None);
-        assert_eq!(calls.load(Ordering::Relaxed), 4);
-        // Fail-fast policy: single attempt, like the pre-retry engine.
-        let calls = std::sync::atomic::AtomicU32::new(0);
-        let got: Option<i32> = run_isolated(
-            RetryPolicy {
-                max_retries: 0,
-                base_delay_ms: 0,
-                max_delay_ms: 0,
-            },
-            || {
-                calls.fetch_add(1, Ordering::Relaxed);
-                panic!("once");
-            },
-        );
-        assert_eq!(got, None);
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        assert_eq!((got, calls.into_inner()), (None, 1));
     }
 
     #[test]
@@ -1630,7 +1510,8 @@ done:
     }
 
     /// A panicking injection is isolated per-plan and recorded as an
-    /// `EngineError` instead of taking down the campaign.
+    /// `EngineError` instead of taking down the campaign, by the batched
+    /// engine and by the sequential walk alike.
     #[test]
     fn harness_panic_is_isolated_as_engine_error() {
         let p = arc(PROTECTED);
@@ -1652,6 +1533,7 @@ done:
             .violations
             .iter()
             .any(|v| v.verdict == Verdict::EngineError));
+        assert_eq!(run_plan_campaign_reference(&p, &cfg, &golden, &plans), rep);
     }
 
     #[test]
@@ -1698,7 +1580,7 @@ done:
             followups: Vec::new(),
             verdict: Verdict::Sdc,
         });
-        a.merge(b);
+        assert_eq!(a.merge(b), Some(()));
         assert_eq!(a.total, 2);
         assert_eq!(a.detected, 1);
         assert_eq!(a.sdc, 1);
@@ -1724,8 +1606,8 @@ done:
         assert_eq!(rep.violations.len(), 32);
         assert_eq!(rep.violations_truncated, 8);
         let mut merged = CampaignReport::default();
-        merged.merge(rep.clone());
-        merged.merge(rep);
+        assert_eq!(merged.merge(rep.clone()), Some(()));
+        assert_eq!(merged.merge(rep), Some(()));
         assert_eq!(merged.violations.len(), 32);
         // 8 carried per merge, plus 32 dropped when the second batch found
         // the list already full

@@ -216,78 +216,22 @@ fn run_supervised_inner(
             status: m.status(),
             strikes,
         });
-        match m.status() {
-            Status::Halted => {
-                return SupervisorReport {
-                    outcome: if restarts == 0 {
-                        SupervisorOutcome::Completed
-                    } else {
-                        SupervisorOutcome::Degraded
-                    },
-                    logical_trace: committed,
-                    restarts,
-                    total_steps,
-                    replay_mismatches,
-                    attempts,
-                };
-            }
-            _ => {
-                if restarts >= cfg.max_restarts {
-                    return SupervisorReport {
-                        outcome: SupervisorOutcome::GaveUp,
-                        logical_trace: committed,
-                        restarts,
-                        total_steps,
-                        replay_mismatches,
-                        attempts,
-                    };
-                }
-                restarts += 1;
-            }
+        let halted = m.status() == Status::Halted;
+        if halted || restarts >= cfg.max_restarts {
+            return SupervisorReport {
+                outcome: match (halted, restarts) {
+                    (true, 0) => SupervisorOutcome::Completed,
+                    (true, _) => SupervisorOutcome::Degraded,
+                    (false, _) => SupervisorOutcome::GaveUp,
+                },
+                logical_trace: committed,
+                restarts,
+                total_steps,
+                replay_mismatches,
+                attempts,
+            };
         }
-    }
-}
-
-/// Outcome of a recovering execution (legacy surface of
-/// [`run_with_recovery`]; the supervisor's [`SupervisorReport`] supersedes
-/// it).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryResult {
-    /// The deduplicated (logical) output stream the device accepted.
-    pub logical_trace: Vec<(i64, i64)>,
-    /// Restarts taken.
-    pub restarts: u32,
-    /// Total machine steps across attempts.
-    pub total_steps: u64,
-    /// Whether the run completed (vs. exhausting restarts).
-    pub completed: bool,
-    /// Whether the device ever saw a replay mismatch (must never happen for
-    /// well-typed programs — it would mean the prefix property failed).
-    pub replay_mismatch: bool,
-}
-
-/// Run with detect-and-restart recovery, injecting the planned faults — the
-/// flat-budget special case of [`run_supervised`].
-#[must_use]
-pub fn run_with_recovery(
-    program: &Arc<Program>,
-    faults: &[PlannedFault],
-    max_restarts: u32,
-    max_steps_per_attempt: u64,
-) -> RecoveryResult {
-    let cfg = SupervisorConfig {
-        max_restarts,
-        base_step_budget: max_steps_per_attempt,
-        escalation_percent: 0,
-        ..SupervisorConfig::default()
-    };
-    let rep = run_supervised(program, faults, &cfg);
-    RecoveryResult {
-        logical_trace: rep.logical_trace,
-        restarts: rep.restarts,
-        total_steps: rep.total_steps,
-        completed: rep.outcome != SupervisorOutcome::GaveUp,
-        replay_mismatch: rep.replay_mismatches > 0,
+        restarts += 1;
     }
 }
 
@@ -335,13 +279,23 @@ done:
         talft_machine::run_program(p, 100_000).trace
     }
 
+    /// `max_restarts` restarts at a flat 100,000-step budget.
+    fn flat(max_restarts: u32) -> SupervisorConfig {
+        SupervisorConfig {
+            max_restarts,
+            base_step_budget: 100_000,
+            escalation_percent: 0,
+            ..SupervisorConfig::default()
+        }
+    }
+
     #[test]
     fn no_faults_no_restarts() {
         let p = protected();
-        let r = run_with_recovery(&p, &[], 3, 100_000);
-        assert!(r.completed);
+        let r = run_supervised(&p, &[], &flat(3));
+        assert_ne!(r.outcome, SupervisorOutcome::GaveUp);
         assert_eq!(r.restarts, 0);
-        assert!(!r.replay_mismatch);
+        assert_eq!(r.replay_mismatches, 0);
         assert_eq!(r.logical_trace, golden(&p));
     }
 
@@ -356,10 +310,10 @@ done:
             site: FaultSite::Reg(Reg::r(1)),
             value: 9999,
         };
-        let r = run_with_recovery(&p, &[fault], 3, 100_000);
-        assert!(r.completed);
+        let r = run_supervised(&p, &[fault], &flat(3));
+        assert_ne!(r.outcome, SupervisorOutcome::GaveUp);
         assert!(r.restarts <= 1);
-        assert!(!r.replay_mismatch, "prefix property violated");
+        assert_eq!(r.replay_mismatches, 0, "prefix property violated");
         assert_eq!(r.logical_trace, expected);
     }
 
@@ -380,9 +334,12 @@ done:
                     site,
                     value: -7,
                 };
-                let r = run_with_recovery(&p, &[fault], 3, 100_000);
-                assert!(r.completed, "at={at} site={site}");
-                assert!(!r.replay_mismatch, "at={at} site={site}: prefix violated");
+                let r = run_supervised(&p, &[fault], &flat(3));
+                assert_ne!(r.outcome, SupervisorOutcome::GaveUp, "at={at} site={site}");
+                assert_eq!(
+                    r.replay_mismatches, 0,
+                    "at={at} site={site}: prefix violated"
+                );
                 assert_eq!(r.logical_trace, expected, "at={at} site={site}");
             }
         }
@@ -400,14 +357,14 @@ done:
                 value: 4242,
             })
             .collect();
-        let r = run_with_recovery(&p, &faults, 2, 100_000);
+        let r = run_supervised(&p, &faults, &flat(2));
         // (r1 at step 46 may be masked or detected depending on phase; only
         // assert the accounting is coherent)
         assert!(r.restarts <= 2);
-        if !r.completed {
+        if r.outcome == SupervisorOutcome::GaveUp {
             assert_eq!(r.restarts, 2);
         }
-        assert!(!r.replay_mismatch);
+        assert_eq!(r.replay_mismatches, 0);
     }
 
     /// A pc-zap on every attempt detects immediately every time: the

@@ -31,9 +31,16 @@
 //! atomically (temp file + rename), so a worker killed at *any* point —
 //! SIGKILL included — leaves either the previous or the next checkpoint on
 //! disk, never a torn one.
+//!
+//! **The shard directory.** `talftc --shards` and the `talftd` worker share
+//! one on-disk protocol: shard `i` keeps `checkpoint-<i>.json` while it runs
+//! and leaves `shard-<i>.json` (`talft.shard-report.v1`) once it completes.
+//! [`run_shard_in_dir`] is its one runner and [`read_part`] its one reader,
+//! which returns a part only if it is the part its shard should be; the
+//! front ends keep only their own policy (when to resume, when to stop).
 
 use std::ops::Range;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use talft_isa::Program;
@@ -42,7 +49,7 @@ use talft_obs::{Json, LazyCounter};
 
 use crate::wire::{self, WireError};
 use crate::{
-    run_plan_campaign, CampaignConfig, CampaignReport, FaultPlan, Golden, VIOLATIONS_KEPT,
+    first_strike_order, run_plan_campaign, CampaignConfig, CampaignReport, FaultPlan, Golden,
 };
 
 static SHARD_CHUNKS: LazyCounter = LazyCounter::new("faultsim.shard.chunks");
@@ -152,19 +159,9 @@ pub fn grid_fingerprint(golden: &Golden, plans: &[FaultPlan]) -> u64 {
     h.0
 }
 
-/// The sorted plan order shared by the engine, the shard partition, and the
-/// report's violation stream: stable sort by first-strike step.
-fn sorted_order(plans: &[FaultPlan]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..plans.len()).collect();
-    order.sort_by_key(|&i| plans[i].first_step());
-    order
-}
-
-/// The plans of one shard, in execution (sorted) order.
-#[must_use]
-pub fn shard_plans(plans: &[FaultPlan], spec: ShardSpec) -> Vec<FaultPlan> {
-    let order = sorted_order(plans);
-    order[spec.range(plans.len())]
+/// The plans of one shard, in execution (first-strike) order.
+fn shard_plans(plans: &[FaultPlan], spec: ShardSpec) -> Vec<FaultPlan> {
+    first_strike_order(plans)[spec.range(plans.len())]
         .iter()
         .map(|&i| plans[i].clone())
         .collect()
@@ -208,42 +205,23 @@ impl CampaignCheckpoint {
     /// A message naming the malformed key.
     pub fn from_json(j: &Json) -> Result<CampaignCheckpoint, WireError> {
         wire::expect_schema(j, "talft.checkpoint.v1")?;
-        let index = u32::try_from(wire::need_u64(j, "shard")?)
-            .map_err(|_| "shard index overflows u32".to_owned())?;
-        let count = u32::try_from(wire::need_u64(j, "of")?)
-            .map_err(|_| "shard count overflows u32".to_owned())?;
-        let spec = ShardSpec::new(index, count)
-            .ok_or_else(|| format!("invalid shard spec {index}/{count}"))?;
         Ok(CampaignCheckpoint {
             fingerprint: wire::need_u64(j, "fingerprint")?,
-            spec,
+            spec: spec_from_json(j)?,
             shard_plans: wire::need_u64(j, "shard_plans")?,
             done: wire::need_u64(j, "done")?,
             report: wire::report_from_json(wire::need(j, "report")?)?,
         })
     }
+}
 
-    /// Write atomically (temp file in the same directory + rename), so a
-    /// crash mid-write can never leave a torn checkpoint behind.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        atomic_write(path, &format!("{}\n", self.to_json()))
-    }
-
-    /// Load and decode a checkpoint file.
-    ///
-    /// # Errors
-    ///
-    /// I/O and decode failures, as a message.
-    pub fn load(path: &Path) -> Result<CampaignCheckpoint, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let json = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        CampaignCheckpoint::from_json(&json).map_err(|e| format!("{}: {e}", path.display()))
-    }
+/// The `shard`/`of` keys of a checkpoint or shard report.
+fn spec_from_json(j: &Json) -> Result<ShardSpec, WireError> {
+    let index = u32::try_from(wire::need_u64(j, "shard")?)
+        .map_err(|_| "shard index overflows u32".to_owned())?;
+    let count = u32::try_from(wire::need_u64(j, "of")?)
+        .map_err(|_| "shard count overflows u32".to_owned())?;
+    ShardSpec::new(index, count).ok_or_else(|| format!("invalid shard spec {index}/{count}"))
 }
 
 /// Write `text` to `path` atomically: temp file in the same directory,
@@ -270,8 +248,8 @@ pub enum ShardControl {
 /// How a shard run ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShardOutcome {
-    /// All plans of the shard executed; the shard's complete report.
-    Complete(CampaignReport),
+    /// All plans of the shard executed; the shard's complete part.
+    Complete(ShardPart),
     /// Stopped at a checkpoint on `observe`'s request; resume from here.
     Interrupted(CampaignCheckpoint),
 }
@@ -313,7 +291,7 @@ impl std::error::Error for ShardError {}
 ///
 /// [`ShardError::GatedUnsupported`] for gated configs;
 /// [`ShardError::ResumeMismatch`] when `resume` belongs to a different
-/// grid, shard, or claims an impossible watermark.
+/// grid, shard, or claims an impossible watermark or counts.
 #[allow(clippy::too_many_arguments)] // the shard tuple (spec, every, resume, observe) is the API
 pub fn run_shard_campaign(
     program: &Arc<Program>,
@@ -374,7 +352,10 @@ pub fn run_shard_campaign(
     while done < mine.len() {
         let hi = (done + every).min(mine.len());
         let chunk = run_plan_campaign(program, cfg, golden, &mine[done..hi]);
-        report.merge(chunk);
+        // Only a resumed partial report can push a count past u64::MAX.
+        report.merge(chunk).ok_or_else(|| {
+            ShardError::ResumeMismatch("partial report counts overflow u64".to_owned())
+        })?;
         done = hi;
         SHARD_CHUNKS.inc();
         if done < mine.len() {
@@ -393,7 +374,133 @@ pub fn run_shard_campaign(
     }
     // An empty shard still carries the partition's fault order = 0; the
     // merge takes the max across shards, so nothing is lost.
-    Ok(ShardOutcome::Complete(report))
+    Ok(ShardOutcome::Complete(ShardPart {
+        spec,
+        fingerprint,
+        plans: mine.len() as u64,
+        report,
+    }))
+}
+
+/// `<dir>/checkpoint-<i>.json`: shard `i`'s durable checkpoint while it runs.
+#[must_use]
+pub fn checkpoint_path(dir: &Path, spec: ShardSpec) -> PathBuf {
+    dir.join(format!("checkpoint-{}.json", spec.index))
+}
+
+/// `<dir>/shard-<i>.json`: shard `i`'s `talft.shard-report.v1` once it
+/// completes.
+#[must_use]
+pub fn part_path(dir: &Path, spec: ShardSpec) -> PathBuf {
+    dir.join(format!("shard-{}.json", spec.index))
+}
+
+/// The checkpoint shard `spec` left in `dir`, or `None` if there is none.
+///
+/// # Errors
+///
+/// A message naming the file when it cannot be read or decoded.
+pub fn load_checkpoint(dir: &Path, spec: ShardSpec) -> Result<Option<CampaignCheckpoint>, String> {
+    let path = checkpoint_path(dir, spec);
+    path.exists()
+        .then(|| read_json(&path, CampaignCheckpoint::from_json))
+        .transpose()
+}
+
+/// Run shard `spec` under the shard-directory protocol in `dir`. Each
+/// checkpoint is written atomically to [`checkpoint_path`] *before*
+/// `observe` sees it, so a process that dies inside `observe` leaves it
+/// durable. On completion the shard's [`ShardPart`] is written atomically
+/// to [`part_path`] and the checkpoint removed. `resume` (from
+/// [`load_checkpoint`]) is continued as [`run_shard_campaign`] continues it.
+///
+/// # Errors
+///
+/// [`run_shard_campaign`]'s errors, or a checkpoint or the part that cannot
+/// be written, as a message.
+#[allow(clippy::too_many_arguments)] // run_shard_campaign's arguments and the directory
+pub fn run_shard_in_dir(
+    program: &Arc<Program>,
+    cfg: &CampaignConfig,
+    golden: &Golden,
+    plans: &[FaultPlan],
+    spec: ShardSpec,
+    dir: &Path,
+    checkpoint_every: usize,
+    resume: Option<&CampaignCheckpoint>,
+    mut observe: impl FnMut(&CampaignCheckpoint) -> ShardControl,
+) -> Result<ShardOutcome, String> {
+    let cp_path = checkpoint_path(dir, spec);
+    let mut save_error = None;
+    let outcome = run_shard_campaign(
+        program,
+        cfg,
+        golden,
+        plans,
+        spec,
+        checkpoint_every,
+        resume,
+        |cp| match write_json(&cp_path, &cp.to_json()) {
+            Ok(()) => observe(cp),
+            Err(e) => {
+                save_error = Some(e);
+                ShardControl::Stop
+            }
+        },
+    )
+    .map_err(|e| e.to_string())?;
+    save_error.map_or(Ok(()), Err)?;
+    if let ShardOutcome::Complete(part) = &outcome {
+        write_json(&part_path(dir, spec), &part.to_json())?;
+        // The completed part supersedes the checkpoint.
+        let _ = std::fs::remove_file(&cp_path);
+    }
+    Ok(outcome)
+}
+
+fn write_json(path: &Path, json: &Json) -> Result<(), String> {
+    atomic_write(path, &format!("{json}\n"))
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
+fn read_json<T>(
+    path: &Path,
+    decode: impl FnOnce(&Json) -> Result<T, WireError>,
+) -> Result<T, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let json = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    decode(&json).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Read shard `spec`'s part from `dir` and return it only if it is the
+/// part that shard should be: its spec, its grid `fingerprint`, its plan
+/// count (`spec.range(total_plans).len()`) and its report's `total` all
+/// match. A part that fails must be run again, never merged.
+///
+/// # Errors
+///
+/// A message naming the file and what does not match.
+pub fn read_part(
+    dir: &Path,
+    spec: ShardSpec,
+    fingerprint: u64,
+    total_plans: usize,
+) -> Result<ShardPart, String> {
+    let path = part_path(dir, spec);
+    let part = read_json(&path, ShardPart::from_json)?;
+    let owned = spec.range(total_plans).len() as u64;
+    let (got, plans, covered) = (part.fingerprint, part.plans, part.report.total);
+    let why = if part.spec != spec {
+        format!("wrong shard {}", part.spec)
+    } else if got != fingerprint {
+        format!("fingerprint {got:016x} does not match this grid ({fingerprint:016x})")
+    } else if plans != owned || covered != owned {
+        format!("report covers {covered} of {plans} plans, but shard {spec} owns {owned}")
+    } else {
+        return Ok(part);
+    };
+    Err(format!("{}: {why}", path.display()))
 }
 
 /// One completed shard's report, as shipped between processes
@@ -431,14 +538,8 @@ impl ShardPart {
     /// A message naming the malformed key.
     pub fn from_json(j: &Json) -> Result<ShardPart, WireError> {
         wire::expect_schema(j, "talft.shard-report.v1")?;
-        let index = u32::try_from(wire::need_u64(j, "shard")?)
-            .map_err(|_| "shard index overflows u32".to_owned())?;
-        let count = u32::try_from(wire::need_u64(j, "of")?)
-            .map_err(|_| "shard count overflows u32".to_owned())?;
-        let spec = ShardSpec::new(index, count)
-            .ok_or_else(|| format!("invalid shard spec {index}/{count}"))?;
         Ok(ShardPart {
-            spec,
+            spec: spec_from_json(j)?,
             fingerprint: wire::need_u64(j, "fingerprint")?,
             plans: wire::need_u64(j, "plans")?,
             report: wire::report_from_json(wire::need(j, "report")?)?,
@@ -470,6 +571,8 @@ pub enum MergeError {
         /// Plans its report actually covers.
         covered: u64,
     },
+    /// The parts' counts sum past `u64::MAX`, which no real grid reaches.
+    Overflow,
 }
 
 impl std::fmt::Display for MergeError {
@@ -490,27 +593,25 @@ impl std::fmt::Display for MergeError {
                 f,
                 "shard {index} report covers {covered} of its {plans} plans"
             ),
+            MergeError::Overflow => write!(f, "shard report counts overflow u64"),
         }
     }
 }
 
 impl std::error::Error for MergeError {}
 
-fn validate_parts(parts: &[ShardPart], complete: bool) -> Result<(), MergeError> {
+/// Check `parts` against the partition (without allocating per shard of
+/// the claimed count) and fold them in shard order.
+fn fold_parts(parts: &[ShardPart], complete: bool) -> Result<CampaignReport, MergeError> {
     let Some(first) = parts.first() else {
         return Err(MergeError::Empty);
     };
-    let count = first.spec.count;
-    let mut seen = vec![false; count as usize];
     for p in parts {
-        if p.spec.count != count {
+        if p.spec.count != first.spec.count {
             return Err(MergeError::MixedCounts);
         }
         if p.fingerprint != first.fingerprint {
             return Err(MergeError::MixedFingerprints);
-        }
-        if std::mem::replace(&mut seen[p.spec.index as usize], true) {
-            return Err(MergeError::DuplicateShard(p.spec.index));
         }
         if p.report.total != p.plans {
             return Err(MergeError::IncompleteShard {
@@ -520,24 +621,24 @@ fn validate_parts(parts: &[ShardPart], complete: bool) -> Result<(), MergeError>
             });
         }
     }
-    if complete {
-        if let Some(missing) = seen.iter().position(|&s| !s) {
-            return Err(MergeError::MissingShard(
-                u32::try_from(missing).unwrap_or(0),
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn fold_in_shard_order(parts: &[ShardPart]) -> CampaignReport {
     let mut order: Vec<&ShardPart> = parts.iter().collect();
     order.sort_by_key(|p| p.spec.index);
+    // One count throughout, so equal specs are equal indices.
+    if let Some(w) = order.windows(2).find(|w| w[0].spec == w[1].spec) {
+        return Err(MergeError::DuplicateShard(w[0].spec.index));
+    }
+    // Indices are distinct and below the count, so the first one out of
+    // place is the first shard missing.
+    let missing =
+        (0..first.spec.count).find(|&i| order.get(i as usize).map(|p| p.spec.index) != Some(i));
+    if let (true, Some(i)) = (complete, missing) {
+        return Err(MergeError::MissingShard(i));
+    }
     let mut merged = CampaignReport::default();
     for p in order {
-        merged.merge(p.report.clone());
+        merged.merge(p.report.clone()).ok_or(MergeError::Overflow)?;
     }
-    merged
+    Ok(merged)
 }
 
 /// Merge a **complete** partition of shard reports back into the whole-grid
@@ -551,8 +652,7 @@ fn fold_in_shard_order(parts: &[ShardPart]) -> CampaignReport {
 ///
 /// [`MergeError`] describing the first partition defect found.
 pub fn merge_shard_reports(parts: &[ShardPart]) -> Result<CampaignReport, MergeError> {
-    validate_parts(parts, true)?;
-    Ok(fold_in_shard_order(parts))
+    fold_parts(parts, true)
 }
 
 /// Merge the *surviving* shards of a degraded job: same checks as
@@ -564,15 +664,11 @@ pub fn merge_shard_reports(parts: &[ShardPart]) -> Result<CampaignReport, MergeE
 ///
 /// [`MergeError`] on inconsistent survivors.
 pub fn merge_surviving_shards(parts: &[ShardPart]) -> Result<(CampaignReport, u64), MergeError> {
-    validate_parts(parts, false)?;
-    let covered = parts.iter().map(|p| p.plans).sum();
-    Ok((fold_in_shard_order(parts), covered))
-}
-
-/// How many counterexamples a report retains before counting overflow —
-/// re-exported so external validators can reason about cap-exact merges.
-pub const fn violation_cap() -> usize {
-    VIOLATIONS_KEPT
+    // Every part covers exactly its plans, so the fold's checked total is
+    // the covered count.
+    let merged = fold_parts(parts, false)?;
+    let covered = merged.total;
+    Ok((merged, covered))
 }
 
 #[cfg(test)]
@@ -658,27 +754,6 @@ main:
     }
 
     #[test]
-    fn checkpoint_save_load_is_atomic_rename() {
-        let dir = std::env::temp_dir().join(format!("talft-shard-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("checkpoint-0.json");
-        let cp = CampaignCheckpoint {
-            fingerprint: 7,
-            spec: ShardSpec::new(0, 1).unwrap(),
-            shard_plans: 10,
-            done: 0,
-            report: CampaignReport::default(),
-        };
-        cp.save(&path).unwrap();
-        assert!(
-            !path.with_extension("tmp").exists(),
-            "temp file renamed away"
-        );
-        assert_eq!(CampaignCheckpoint::load(&path).unwrap(), cp);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn sharded_run_equals_whole_grid() {
         let p = arc(PROTECTED);
         let cfg = CampaignConfig {
@@ -688,7 +763,6 @@ main:
         let golden = golden_run(&p, &cfg).expect("halts");
         let plans = single_fault_plans(&p, &cfg, &golden);
         let whole = run_plan_campaign(&p, &cfg, &golden, &plans);
-        let fingerprint = grid_fingerprint(&golden, &plans);
         for count in [1u32, 2, 4, 8] {
             let parts: Vec<ShardPart> = (0..count)
                 .map(|index| {
@@ -698,15 +772,10 @@ main:
                             ShardControl::Continue
                         })
                         .expect("runs");
-                    let ShardOutcome::Complete(report) = outcome else {
+                    let ShardOutcome::Complete(part) = outcome else {
                         panic!("an unobserved shard runs to completion");
                     };
-                    ShardPart {
-                        spec,
-                        fingerprint,
-                        plans: spec.range(plans.len()).len() as u64,
-                        report,
-                    }
+                    part
                 })
                 .collect();
             let merged = merge_shard_reports(&parts).expect("partition merges");
@@ -755,27 +824,29 @@ main:
             done: 0,
             report: CampaignReport::default(),
         };
-        let err = run_shard_campaign(&p, &cfg, &golden, &plans, spec, 0, Some(&bogus), |_| {
-            ShardControl::Continue
-        })
-        .expect_err("wrong grid");
-        assert!(matches!(err, ShardError::ResumeMismatch(_)));
+        let resume = |cp: &CampaignCheckpoint| {
+            run_shard_campaign(&p, &cfg, &golden, &plans, spec, 0, Some(cp), |_| {
+                ShardControl::Continue
+            })
+            .expect_err("refused")
+        };
+        assert!(matches!(resume(&bogus), ShardError::ResumeMismatch(_)));
         // Wrong shard.
         let mut wrong_shard = bogus.clone();
         wrong_shard.fingerprint = grid_fingerprint(&golden, &plans);
         wrong_shard.spec = ShardSpec::new(1, 2).unwrap();
-        let err = run_shard_campaign(
-            &p,
-            &cfg,
-            &golden,
-            &plans,
-            spec,
-            0,
-            Some(&wrong_shard),
-            |_| ShardControl::Continue,
-        )
-        .expect_err("wrong shard");
-        assert!(matches!(err, ShardError::ResumeMismatch(_)));
+        assert!(matches!(
+            resume(&wrong_shard),
+            ShardError::ResumeMismatch(_)
+        ));
+        // Counts that pass u64::MAX once the run goes on.
+        let mut overflowing = wrong_shard;
+        overflowing.spec = spec;
+        overflowing.report.masked = u64::MAX;
+        assert_eq!(
+            resume(&overflowing),
+            ShardError::ResumeMismatch("partial report counts overflow u64".to_owned())
+        );
     }
 
     #[test]
@@ -787,10 +858,9 @@ main:
         };
         let golden = golden_run(&p, &cfg).expect("halts");
         let plans = single_fault_plans(&p, &cfg, &golden);
-        let fingerprint = grid_fingerprint(&golden, &plans);
         let part = |index: u32| {
             let spec = ShardSpec::new(index, 2).unwrap();
-            let ShardOutcome::Complete(report) =
+            let ShardOutcome::Complete(part) =
                 run_shard_campaign(&p, &cfg, &golden, &plans, spec, 0, None, |_| {
                     ShardControl::Continue
                 })
@@ -798,12 +868,7 @@ main:
             else {
                 panic!("uninterrupted")
             };
-            ShardPart {
-                spec,
-                fingerprint,
-                plans: spec.range(plans.len()).len() as u64,
-                report,
-            }
+            part
         };
         let (a, b) = (part(0), part(1));
         assert!(merge_shard_reports(&[]).is_err());
@@ -831,6 +896,25 @@ main:
         let (partial, covered) = merge_surviving_shards(std::slice::from_ref(&a)).unwrap();
         assert_eq!(covered, a.plans);
         assert_eq!(partial.total, a.report.total);
+        // Forged counts that sum past u64::MAX are refused, not wrapped.
+        let mut forged = [a.clone(), b.clone()];
+        for p in &mut forged {
+            p.plans = 1 << 63;
+            p.report = CampaignReport {
+                total: 1 << 63,
+                masked: 1 << 63,
+                ..CampaignReport::default()
+            };
+        }
+        assert_eq!(merge_shard_reports(&forged), Err(MergeError::Overflow));
+        assert_eq!(merge_surviving_shards(&forged), Err(MergeError::Overflow));
+        // A claimed count of u32::MAX shards allocates nothing per shard.
+        let mut wide = a.clone();
+        wide.spec = ShardSpec::new(0, u32::MAX).unwrap();
+        assert_eq!(
+            merge_shard_reports(&[wide]),
+            Err(MergeError::MissingShard(1))
+        );
         // And the intact partition still merges.
         assert!(merge_shard_reports(&[b, a]).is_ok());
     }

@@ -8,6 +8,10 @@
 //! The `campaign` bench bin writes its rows in it for the same reason: its
 //! `--check` re-proves each row's reference report equal to its batched one.
 //!
+//! Decoding also holds a report to the arithmetic the engine keeps
+//! ([`report_from_json`]), so a forged or corrupted count is refused here
+//! instead of wrapping a merge downstream.
+//!
 //! Schema tags: `talft.campaign-report.v1` ([`report_to_json`]),
 //! `talft.checkpoint.v1` ([`crate::CampaignCheckpoint::to_json`]),
 //! `talft.shard-report.v1` ([`crate::ShardPart::to_json`]). Keys are only
@@ -18,7 +22,7 @@ use talft_isa::Reg;
 use talft_machine::FaultSite;
 use talft_obs::Json;
 
-use crate::{CampaignReport, Injection, LatencyHistogram, Strike, Verdict};
+use crate::{CampaignReport, Injection, LatencyHistogram, Strike, Verdict, VIOLATIONS_KEPT};
 
 /// Decode failure: a human-readable message naming the offending key.
 pub type WireError = String;
@@ -74,7 +78,12 @@ pub fn need_bool(j: &Json, key: &str) -> Result<bool, WireError> {
     }
 }
 
-fn need_array<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], WireError> {
+/// Fetch a required array field.
+///
+/// # Errors
+///
+/// A message naming the missing or mistyped key.
+pub fn need_array<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], WireError> {
     need(j, key)?
         .as_array()
         .ok_or_else(|| format!("key {key:?} is not an array"))
@@ -251,21 +260,33 @@ pub fn report_to_json(r: &CampaignReport) -> Json {
     ])
 }
 
-/// Decode a [`CampaignReport`]; inverse of [`report_to_json`].
+/// Decode a [`CampaignReport`]; inverse of [`report_to_json`]. The report
+/// must keep the engine's arithmetic: its verdict counts sum to `total`,
+/// `detection_latency` counts `detected` and its buckets sum to that count,
+/// kept plus truncated violations equal `sdc + other_violations +
+/// engine_errors`, and at most [`VIOLATIONS_KEPT`] are kept.
 ///
 /// # Errors
 ///
-/// A message naming the missing/ill-typed key on malformed documents.
+/// A message naming the missing/ill-typed key on malformed documents, or
+/// the broken sum.
 pub fn report_from_json(j: &Json) -> Result<CampaignReport, WireError> {
     expect_schema(j, "talft.campaign-report.v1")?;
-    Ok(CampaignReport {
+    let violations = need_array(j, "violations")?;
+    let kept = violations.len();
+    if kept > VIOLATIONS_KEPT {
+        return Err(format!(
+            "{kept} violations kept, more than {VIOLATIONS_KEPT}"
+        ));
+    }
+    let r = CampaignReport {
         total: need_u64(j, "total")?,
         masked: need_u64(j, "masked")?,
         detected: need_u64(j, "detected")?,
         sdc: need_u64(j, "sdc")?,
         other_violations: need_u64(j, "other_violations")?,
         engine_errors: need_u64(j, "engine_errors")?,
-        violations: need_array(j, "violations")?
+        violations: violations
             .iter()
             .map(injection_from_json)
             .collect::<Result<_, _>>()?,
@@ -275,7 +296,22 @@ pub fn report_from_json(j: &Json) -> Result<CampaignReport, WireError> {
             .map_err(|_| "fault_order overflows u32".to_owned())?,
         stopped_early: need_bool(j, "stopped_early")?,
         detection_latency: latency_from_json(need(j, "detection_latency")?)?,
-    })
+    };
+    let sum = |xs: &[u64]| xs.iter().try_fold(0u64, |a, &x| a.checked_add(x));
+    let h = &r.detection_latency;
+    let violations = sum(&[r.sdc, r.other_violations, r.engine_errors]);
+    let broken = if violations.and_then(|v| sum(&[v, r.masked, r.detected])) != Some(r.total) {
+        "verdict counts do not sum to total"
+    } else if h.count != r.detected {
+        "detection_latency.count differs from detected"
+    } else if sum(&h.buckets) != Some(h.count) {
+        "detection_latency buckets do not sum to its count"
+    } else if sum(&[kept as u64, r.violations_truncated]) != violations {
+        "kept + truncated violations differ from sdc + other_violations + engine_errors"
+    } else {
+        return Ok(r);
+    };
+    Err(broken.to_owned())
 }
 
 #[cfg(test)]
@@ -309,9 +345,10 @@ mod tests {
                     _ => Verdict::Detected,
                 },
             });
+            if i % 5 == 4 {
+                r.detection_latency.record(1 + i * 37);
+            }
         }
-        r.detection_latency.record(1);
-        r.detection_latency.record(300);
         r.incomplete_plans = 3;
         r
     }
@@ -367,5 +404,38 @@ mod tests {
         }
         let err = report_from_json(&j).expect_err("missing key");
         assert!(err.contains("total"), "{err}");
+    }
+
+    /// One case per sum the decoder holds a report to: each breaks exactly
+    /// that sum of an otherwise consistent report.
+    #[test]
+    fn decode_refuses_reports_that_break_the_engine_arithmetic() {
+        type Break = fn(&mut CampaignReport);
+        let cases: [(&str, Break); 6] = [
+            ("sum to total", |r| r.masked += 1),
+            ("sum to total", |r| {
+                r.masked = u64::MAX;
+                r.total = r.detected - 1;
+            }),
+            ("detection_latency.count", |r| {
+                r.detection_latency.count += 1;
+                r.detection_latency.buckets[0] += 1;
+            }),
+            ("buckets", |r| r.detection_latency.buckets[0] += 1),
+            ("truncated violations", |r| r.violations_truncated += 1),
+            ("more than 32", |r| {
+                let extra = 33 - r.violations.len();
+                let v = r.violations[0].clone();
+                r.violations.resize(33, v);
+                r.sdc += extra as u64;
+                r.total += extra as u64;
+            }),
+        ];
+        for (why, break_it) in cases {
+            let mut r = busy_report();
+            break_it(&mut r);
+            let err = report_from_json(&report_to_json(&r)).expect_err(why);
+            assert!(err.contains(why), "{why}: {err}");
+        }
     }
 }

@@ -12,11 +12,17 @@
 //!   `k ∈ {1, 2}`, even when the resumed run uses a *different* chunk size;
 //! * the shard layer ties to the oracle: whole grid, shard union, and
 //!   interrupt/resume land on the sequential reference's report as well
-//!   as the batched one.
+//!   as the batched one;
+//! * the shard-directory runner, stopped and resumed through its files,
+//!   leaves the in-memory part and no checkpoint, and its reader refuses a
+//!   part that is not its shard's.
 
 use std::sync::Arc;
 
 use talft_compiler::{compile, CompileOptions};
+use talft_faultsim::shard::{
+    checkpoint_path, load_checkpoint, part_path, read_part, run_shard_in_dir,
+};
 use talft_faultsim::{
     golden_run, grid_fingerprint, merge_shard_reports, multi_fault_plans, run_plan_campaign,
     run_plan_campaign_reference, run_shard_campaign, single_fault_plans, CampaignCheckpoint,
@@ -40,15 +46,10 @@ fn complete_part(
         ShardControl::Continue
     })
     .expect("shard runs");
-    let ShardOutcome::Complete(report) = outcome else {
+    let ShardOutcome::Complete(part) = outcome else {
         panic!("uninterrupted shard must complete");
     };
-    ShardPart {
-        spec,
-        fingerprint: grid_fingerprint(golden, plans),
-        plans: spec.range(plans.len()).len() as u64,
-        report,
-    }
+    part
 }
 
 /// Interrupt a shard at its `stop_after`-th checkpoint, round-trip the
@@ -66,8 +67,6 @@ fn interrupted_then_resumed_part(
     every: usize,
     stop_after: usize,
 ) -> (ShardPart, bool) {
-    let fingerprint = grid_fingerprint(golden, plans);
-    let shard_total = spec.range(plans.len()).len() as u64;
     let mut checkpoints_seen = 0usize;
     let outcome = run_shard_campaign(program, cfg, golden, plans, spec, every, None, |_| {
         checkpoints_seen += 1;
@@ -79,15 +78,7 @@ fn interrupted_then_resumed_part(
     })
     .expect("shard runs");
     match outcome {
-        ShardOutcome::Complete(report) => (
-            ShardPart {
-                spec,
-                fingerprint,
-                plans: shard_total,
-                report,
-            },
-            false,
-        ),
+        ShardOutcome::Complete(part) => (part, false),
         ShardOutcome::Interrupted(cp) => {
             assert!(cp.done > 0 && cp.done < cp.shard_plans);
             let text = cp.to_json().to_string();
@@ -105,18 +96,10 @@ fn interrupted_then_resumed_part(
                 |_| ShardControl::Continue,
             )
             .expect("resume runs");
-            let ShardOutcome::Complete(report) = resumed else {
+            let ShardOutcome::Complete(part) = resumed else {
                 panic!("resumed shard must complete");
             };
-            (
-                ShardPart {
-                    spec,
-                    fingerprint,
-                    plans: shard_total,
-                    report,
-                },
-                true,
-            )
+            (part, true)
         }
     }
 }
@@ -303,6 +286,73 @@ fn shard_paths_are_bit_identical_with_batching_on_and_off() {
         let merged2 = merged_over_shards(p, &cfg, &golden, &k2, 4);
         assert_eq!(merged2, whole2, "{}: k=2 shard union diverged", k.name);
     }
+}
+
+/// The shard-directory runner, stopped by its observer at its first
+/// checkpoint, leaves that checkpoint on disk (written atomically before the
+/// observer saw it) and no part; resumed from the file, it leaves the part
+/// the in-memory `run_shard_campaign` builds and no checkpoint. The reader
+/// refuses a part with the wrong fingerprint, the wrong spec, or a
+/// consistent report over the wrong plan count, naming the file.
+#[test]
+fn directory_runner_stops_and_resumes_to_the_in_memory_part() {
+    let k = &kernels(Scale::Tiny)[0];
+    let c = compile(&k.source, &CompileOptions::default()).expect("compiles");
+    let p = &c.protected.program;
+    let cfg = CampaignConfig {
+        stride: 127,
+        mutations_per_site: 1,
+        threads: 2,
+        ..CampaignConfig::default()
+    };
+    let golden = golden_run(p, &cfg).expect("golden halts");
+    let plans = single_fault_plans(p, &cfg, &golden);
+    let spec = ShardSpec::new(1, 2).unwrap();
+    let dir = std::env::temp_dir().join(format!("talft-shard-dir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    assert_eq!(load_checkpoint(&dir, spec), Ok(None));
+    let (cp_path, path) = (checkpoint_path(&dir, spec), part_path(&dir, spec));
+    let run = |resume, control| {
+        run_shard_in_dir(p, &cfg, &golden, &plans, spec, &dir, 4, resume, |_| {
+            assert!(cp_path.exists() && !cp_path.with_extension("tmp").exists());
+            control
+        })
+        .expect("shard runs")
+    };
+    let ShardOutcome::Interrupted(cp) = run(None, ShardControl::Stop) else {
+        panic!("the observer stops the shard at its first checkpoint");
+    };
+    assert_eq!(cp.done, 4);
+    assert_eq!(load_checkpoint(&dir, spec), Ok(Some(cp.clone())));
+    assert!(!path.exists(), "no part before completion");
+    let ShardOutcome::Complete(part) = run(Some(&cp), ShardControl::Continue) else {
+        panic!("the resumed shard completes");
+    };
+    assert!(!cp_path.exists(), "the part supersedes the checkpoint");
+    assert_eq!(part, complete_part(p, &cfg, &golden, &plans, spec, 0));
+    let read = || read_part(&dir, spec, grid_fingerprint(&golden, &plans), plans.len());
+    assert_eq!(read(), Ok(part.clone()));
+    let refused = |forged: ShardPart, why: &str| {
+        std::fs::write(&path, forged.to_json().to_string()).expect("write");
+        let err = read().expect_err(why);
+        assert!(err.contains(&*path.to_string_lossy()) && err.contains(why));
+    };
+    let mut alien = part.clone();
+    alien.fingerprint ^= 1;
+    refused(alien, "fingerprint");
+    let mut other = part.clone();
+    other.spec = ShardSpec::new(0, 2).unwrap();
+    refused(other, "wrong shard");
+    let mut short = part;
+    short.plans = 3;
+    short.report = CampaignReport {
+        total: 3,
+        masked: 3,
+        ..CampaignReport::default()
+    };
+    refused(short, "owns");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `grid_fingerprint` is the identity a `talft.checkpoint.v1` or

@@ -8,8 +8,8 @@
 //!     (completed/degraded) or DIR/failed.
 //!
 //! talftd worker --source F --kind wile|talft --shard I --of N --dir D ...
-//!     Internal: run one shard with durable checkpoints (spawned by the
-//!     daemon; resumes automatically from D/checkpoint-I.json).
+//!     Internal: run one shard with durable checkpoints in D (spawned by
+//!     the daemon; resumes automatically from the shard's checkpoint).
 //!
 //! talftd check FILE [--expect-zero-sdc]
 //!     Offline validator: re-prove FILE's merged report bit-for-bit from

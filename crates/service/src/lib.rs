@@ -20,11 +20,13 @@
 //! against the whole-grid run.
 //!
 //! The fault-tolerance ladder, mirroring the paper's own hierarchy (detect,
-//! never corrupt):
+//! never corrupt). Each failure is handled once, where it can be transient:
 //!
-//! 1. in-process harness panic → retried, then `EngineError` verdict;
-//! 2. worker crash/timeout → respawned with backoff, resumes from its
-//!    checkpoint, report provably unchanged;
+//! 1. in-process harness panic → `EngineError` verdict on its first
+//!    occurrence (the engine is deterministic, so a retry would panic
+//!    again);
+//! 2. worker crash/timeout → respawned with backoff ([`RetryPolicy`]),
+//!    resumes from its checkpoint, report provably unchanged;
 //! 3. retries exhausted → shard poisoned, job `Degraded`, surviving
 //!    coverage reported honestly (`covered/total`), never silently;
 //! 4. every shard poisoned (or the grid unbuildable) → job `Failed`.
@@ -39,12 +41,10 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use talft_faultsim::shard::atomic_write;
+use talft_faultsim::shard::{self, atomic_write};
 use talft_faultsim::{
-    golden_run_retrying, grid_fingerprint, merge_shard_reports, merge_surviving_shards,
-    multi_fault_plans, run_plan_campaign, single_fault_plans, wire, CampaignCheckpoint,
-    CampaignConfig, CampaignReport, FaultPlan, Golden, RetryPolicy, ShardControl, ShardOutcome,
-    ShardPart, ShardSpec,
+    golden_run, grid_fingerprint, merge_shard_reports, merge_surviving_shards, multi_fault_plans,
+    run_plan_campaign, wire, CampaignConfig, CampaignReport, ShardControl, ShardPart, ShardSpec,
 };
 use talft_machine::OobLoadPolicy;
 use talft_obs::{Json, LazyCounter};
@@ -134,18 +134,28 @@ pub fn build_program(kind: JobKind, source: &str) -> Result<Arc<talft_isa::Progr
     }
 }
 
-/// The plan grid for a job: exhaustive `k = 1` or sampled `k ≥ 2`.
-#[must_use]
-pub fn plans_for(
-    program: &Arc<talft_isa::Program>,
-    cfg: &CampaignConfig,
-    golden: &Golden,
-    fault_order: u32,
-) -> Vec<FaultPlan> {
-    if fault_order <= 1 {
-        single_fault_plans(program, cfg, golden)
-    } else {
-        multi_fault_plans(program, cfg, golden, fault_order)
+/// Capped exponential backoff for respawning crashed, killed or timed-out
+/// worker processes, the one failure here that can be transient. Jitterless
+/// and deterministic: a retry changes *when* a worker runs, never its report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetryPolicy {
+    /// Retries after the first attempt (0 = fail fast).
+    pub max_retries: u32,
+    /// Delay before the first retry, in milliseconds.
+    pub base_delay_ms: u64,
+    /// Ceiling on the backoff delay, in milliseconds.
+    pub max_delay_ms: u64,
+}
+
+impl RetryPolicy {
+    /// Deterministic backoff before retry `attempt` (0-based):
+    /// `min(base · 2^attempt, max)`.
+    #[must_use]
+    pub fn delay_ms(&self, attempt: u32) -> u64 {
+        let mult = 1u64.checked_shl(attempt).unwrap_or(u64::MAX);
+        self.base_delay_ms
+            .saturating_mul(mult)
+            .min(self.max_delay_ms)
     }
 }
 
@@ -160,8 +170,7 @@ pub struct ServiceConfig {
     /// Per-shard wall-clock timeout; an overdue worker is killed and the
     /// attempt counts as a transient failure (it resumes on retry).
     pub worker_timeout: Duration,
-    /// Backoff policy for respawning failed workers. Reuses the faultsim
-    /// [`RetryPolicy`] — jitterless and deterministic.
+    /// Backoff policy for respawning failed workers.
     pub retry: RetryPolicy,
     /// Fault multiplicity `k` of the grid.
     pub fault_order: u32,
@@ -206,18 +215,6 @@ impl ServiceConfig {
             None => std::env::current_exe().map_err(|e| format!("current_exe: {e}")),
         }
     }
-}
-
-/// `<dir>/checkpoint-<i>.json` — a shard worker's durable checkpoint.
-#[must_use]
-pub fn checkpoint_path(dir: &Path, shard: u32) -> PathBuf {
-    dir.join(format!("checkpoint-{shard}.json"))
-}
-
-/// `<dir>/shard-<i>.json` — a completed shard's `talft.shard-report.v1`.
-#[must_use]
-pub fn part_path(dir: &Path, shard: u32) -> PathBuf {
-    dir.join(format!("shard-{shard}.json"))
 }
 
 fn oob_arg(policy: OobLoadPolicy) -> String {
@@ -392,9 +389,9 @@ fn crash_injection(shard: u32, resuming: bool) -> Option<usize> {
         .and_then(|s| s.trim().parse().ok())
 }
 
-/// Entry point of the `talftd worker` subcommand: run one shard, checkpoint
-/// durably, resume from an existing checkpoint if one is on disk, and write
-/// the completed `talft.shard-report.v1` part atomically.
+/// Entry point of the `talftd worker` subcommand: run one shard through
+/// the shard-directory runner ([`shard::run_shard_in_dir`]), always
+/// resuming a checkpoint left in the directory.
 ///
 /// # Errors
 ///
@@ -405,30 +402,21 @@ pub fn run_worker(args: &[String]) -> Result<(), String> {
     let source = std::fs::read_to_string(&w.source)
         .map_err(|e| format!("read {}: {e}", w.source.display()))?;
     let program = build_program(w.kind, &source)?;
-    let golden = golden_run_retrying(&program, &w.campaign).map_err(|e| e.to_string())?;
-    let plans = plans_for(&program, &w.campaign, &golden, w.fault_order);
-    let cp_path = checkpoint_path(&w.dir, w.spec.index);
-    let resume = if cp_path.exists() {
-        Some(CampaignCheckpoint::load(&cp_path)?)
-    } else {
-        None
-    };
+    let golden = golden_run(&program, &w.campaign).map_err(|e| e.to_string())?;
+    let plans = multi_fault_plans(&program, &w.campaign, &golden, w.fault_order);
+    let resume = shard::load_checkpoint(&w.dir, w.spec)?;
     let crash_after = crash_injection(w.spec.index, resume.is_some());
-    let mut save_error = None;
     let mut written = 0usize;
-    let outcome = talft_faultsim::run_shard_campaign(
+    shard::run_shard_in_dir(
         &program,
         &w.campaign,
         &golden,
         &plans,
         w.spec,
+        &w.dir,
         w.every,
         resume.as_ref(),
-        |cp| {
-            if let Err(e) = cp.save(&cp_path) {
-                save_error = Some(format!("save {}: {e}", cp_path.display()));
-                return ShardControl::Stop;
-            }
+        |_| {
             written += 1;
             if crash_after == Some(written) {
                 // Deterministic crash injection: die *after* the durable
@@ -437,29 +425,9 @@ pub fn run_worker(args: &[String]) -> Result<(), String> {
             }
             ShardControl::Continue
         },
-    )
-    .map_err(|e| e.to_string())?;
-    match outcome {
-        ShardOutcome::Complete(report) => {
-            let part = ShardPart {
-                spec: w.spec,
-                fingerprint: grid_fingerprint(&golden, &plans),
-                plans: w.spec.range(plans.len()).len() as u64,
-                report,
-            };
-            atomic_write(
-                &part_path(&w.dir, w.spec.index),
-                &format!("{}\n", part.to_json()),
-            )
-            .map_err(|e| format!("write part: {e}"))?;
-            // The checkpoint is superseded by the completed part.
-            let _ = std::fs::remove_file(&cp_path);
-            Ok(())
-        }
-        ShardOutcome::Interrupted(_) => {
-            Err(save_error.unwrap_or_else(|| "shard interrupted".to_owned()))
-        }
-    }
+    )?;
+    // The observer never stops the shard, so its part is on disk.
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -575,13 +543,7 @@ impl JobReport {
     /// A message naming the malformed key.
     pub fn from_json(j: &Json) -> Result<JobReport, String> {
         wire::expect_schema(j, JOB_SCHEMA)?;
-        let arr = |key: &str| -> Result<&[Json], String> {
-            match j.get(key) {
-                Some(Json::Array(a)) => Ok(a),
-                _ => Err(format!("missing array {key:?}")),
-            }
-        };
-        let poisoned = arr("poisoned")?
+        let poisoned = wire::need_array(j, "poisoned")?
             .iter()
             .map(|v| {
                 v.as_u64()
@@ -589,7 +551,7 @@ impl JobReport {
                     .ok_or_else(|| "bad poisoned entry".to_owned())
             })
             .collect::<Result<Vec<u32>, String>>()?;
-        let parts = arr("parts")?
+        let parts = wire::need_array(j, "parts")?
             .iter()
             .map(ShardPart::from_json)
             .collect::<Result<Vec<ShardPart>, String>>()?;
@@ -617,7 +579,7 @@ impl JobReport {
 enum SlotState {
     Pending,
     Running(Child, Instant),
-    Done,
+    Done(Box<ShardPart>),
     Poisoned,
 }
 
@@ -626,7 +588,6 @@ struct Slot {
     state: SlotState,
     attempts: u32,
     next_start: Instant,
-    expected_plans: u64,
 }
 
 /// Streamed event sink: one `talft.talftd.v1` JSON object per event.
@@ -669,8 +630,8 @@ pub fn run_job(
     let text =
         std::fs::read_to_string(source).map_err(|e| format!("read {}: {e}", source.display()))?;
     let program = build_program(kind, &text)?;
-    let golden = golden_run_retrying(&program, &cfg.campaign).map_err(|e| e.to_string())?;
-    let plans = plans_for(&program, &cfg.campaign, &golden, cfg.fault_order);
+    let golden = golden_run(&program, &cfg.campaign).map_err(|e| e.to_string())?;
+    let plans = multi_fault_plans(&program, &cfg.campaign, &golden, cfg.fault_order);
     let fingerprint = grid_fingerprint(&golden, &plans);
     let shards = cfg.shards.max(1);
     event(
@@ -685,15 +646,11 @@ pub fn run_job(
     );
     let now = Instant::now();
     let mut slots: Vec<Slot> = (0..shards)
-        .map(|i| {
-            let spec = ShardSpec::new(i, shards).expect("i < shards");
-            Slot {
-                spec,
-                state: SlotState::Pending,
-                attempts: 0,
-                next_start: now,
-                expected_plans: spec.range(plans.len()).len() as u64,
-            }
+        .map(|i| Slot {
+            spec: ShardSpec::new(i, shards).expect("i < shards"),
+            state: SlotState::Pending,
+            attempts: 0,
+            next_start: now,
         })
         .collect();
     let mut attempts_total = 0u64;
@@ -701,7 +658,7 @@ pub fn run_job(
         let mut all_settled = true;
         for slot in &mut slots {
             match &mut slot.state {
-                SlotState::Done | SlotState::Poisoned => {}
+                SlotState::Done(_) | SlotState::Poisoned => {}
                 SlotState::Pending => {
                     all_settled = false;
                     if Instant::now() >= slot.next_start {
@@ -731,7 +688,7 @@ pub fn run_job(
                     let elapsed = started.elapsed();
                     match child.try_wait() {
                         Ok(Some(status)) if status.success() => {
-                            match read_part(dir, slot.spec, fingerprint, slot.expected_plans) {
+                            match shard::read_part(dir, slot.spec, fingerprint, plans.len()) {
                                 Ok(part) => {
                                     event(
                                         sink,
@@ -744,7 +701,7 @@ pub fn run_job(
                                             ("detected", Json::U64(part.report.detected)),
                                         ],
                                     );
-                                    slot.state = SlotState::Done;
+                                    slot.state = SlotState::Done(Box::new(part));
                                 }
                                 Err(e) => fail_slot(slot, cfg, sink, name, &e),
                             }
@@ -775,16 +732,14 @@ pub fn run_job(
         }
         std::thread::sleep(Duration::from_millis(10));
     }
-    let poisoned: Vec<u32> = slots
-        .iter()
-        .filter(|s| matches!(s.state, SlotState::Poisoned))
-        .map(|s| s.spec.index)
-        .collect();
-    let parts: Vec<ShardPart> = slots
-        .iter()
-        .filter(|s| matches!(s.state, SlotState::Done))
-        .map(|s| read_part(dir, s.spec, fingerprint, s.expected_plans))
-        .collect::<Result<Vec<ShardPart>, String>>()?;
+    let (mut poisoned, mut parts) = (Vec::new(), Vec::new());
+    for slot in slots {
+        match slot.state {
+            SlotState::Done(part) => parts.push(*part),
+            SlotState::Poisoned => poisoned.push(slot.spec.index),
+            SlotState::Pending | SlotState::Running(..) => {}
+        }
+    }
     let total_plans = plans.len() as u64;
     let (status, covered, merged) = if poisoned.is_empty() {
         let merged = merge_shard_reports(&parts).map_err(|e| format!("merge: {e}"))?;
@@ -855,43 +810,6 @@ fn fail_slot(slot: &mut Slot, cfg: &ServiceConfig, sink: EventSink<'_>, job: &st
         slot.next_start = Instant::now() + Duration::from_millis(delay);
         slot.state = SlotState::Pending;
     }
-}
-
-/// Read and validate one shard part: parse, fingerprint match, exact shard
-/// size, complete coverage. A part failing any check is treated as a worker
-/// failure, never silently merged.
-fn read_part(
-    dir: &Path,
-    spec: ShardSpec,
-    fingerprint: u64,
-    expected_plans: u64,
-) -> Result<ShardPart, String> {
-    let path = part_path(dir, spec.index);
-    let text =
-        std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let json = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let part = ShardPart::from_json(&json).map_err(|e| format!("{}: {e}", path.display()))?;
-    if part.spec != spec {
-        return Err(format!("{}: wrong shard {}", path.display(), part.spec));
-    }
-    if part.fingerprint != fingerprint {
-        return Err(format!(
-            "{}: fingerprint {:016x} != grid {:016x}",
-            path.display(),
-            part.fingerprint,
-            fingerprint
-        ));
-    }
-    if part.plans != expected_plans || part.report.total != part.plans {
-        return Err(format!(
-            "{}: covers {} of {} plans (shard owns {})",
-            path.display(),
-            part.report.total,
-            part.plans,
-            expected_plans
-        ));
-    }
-    Ok(part)
 }
 
 /// Re-prove a job report offline: schema, arithmetic, and — decisively —
@@ -1172,7 +1090,7 @@ pub fn smoke(out: &Path, shards: u32, sink: EventSink<'_>) -> Result<JobReport, 
     // below gates either way, and `killed` records which path ran.)
     let spec0 = ShardSpec::new(0, shards).ok_or("shards must be >= 1")?;
     let mut child = spawn_worker(&cfg, &source, JobKind::Wile, spec0, &scratch)?;
-    let cp0 = checkpoint_path(&scratch, 0);
+    let cp0 = shard::checkpoint_path(&scratch, spec0);
     let mut killed = false;
     let deadline = Instant::now() + Duration::from_secs(300);
     loop {
@@ -1207,8 +1125,8 @@ pub fn smoke(out: &Path, shards: u32, sink: EventSink<'_>) -> Result<JobReport, 
     }
     // Phase 3: the differential — whole grid, one process, no shards.
     let program = build_program(JobKind::Wile, &kernel.source)?;
-    let golden = golden_run_retrying(&program, &cfg.campaign).map_err(|e| e.to_string())?;
-    let plans = plans_for(&program, &cfg.campaign, &golden, cfg.fault_order);
+    let golden = golden_run(&program, &cfg.campaign).map_err(|e| e.to_string())?;
+    let plans = multi_fault_plans(&program, &cfg.campaign, &golden, cfg.fault_order);
     let whole = run_plan_campaign(&program, &cfg.campaign, &golden, &plans);
     if report.merged.as_ref() != Some(&whole) {
         return Err(
@@ -1236,7 +1154,7 @@ pub fn smoke(out: &Path, shards: u32, sink: EventSink<'_>) -> Result<JobReport, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use talft_faultsim::{golden_run, Verdict};
+    use talft_faultsim::{single_fault_plans, ShardOutcome, Verdict};
 
     const PROTECTED: &str = r#"
 .data
@@ -1261,11 +1179,10 @@ main:
         };
         let golden = golden_run(&p, &cfg).unwrap();
         let plans = single_fault_plans(&p, &cfg, &golden);
-        let fingerprint = grid_fingerprint(&golden, &plans);
         let parts = (0..2u32)
             .map(|i| {
                 let spec = ShardSpec::new(i, 2).unwrap();
-                let ShardOutcome::Complete(report) = talft_faultsim::run_shard_campaign(
+                let ShardOutcome::Complete(part) = talft_faultsim::run_shard_campaign(
                     &p,
                     &cfg,
                     &golden,
@@ -1278,12 +1195,7 @@ main:
                 .unwrap() else {
                     panic!("complete")
                 };
-                ShardPart {
-                    spec,
-                    fingerprint,
-                    plans: spec.range(plans.len()).len() as u64,
-                    report,
-                }
+                part
             })
             .collect();
         (parts, plans.len() as u64)
@@ -1305,6 +1217,25 @@ main:
             parts,
             merged: Some(merged),
         }
+    }
+
+    /// Capped exponential backoff is deterministic and saturates.
+    #[test]
+    fn retry_policy_backs_off_to_its_cap() {
+        let pol = RetryPolicy {
+            max_retries: 3,
+            base_delay_ms: 4,
+            max_delay_ms: 10,
+        };
+        assert_eq!(pol.delay_ms(0), 4);
+        assert_eq!(pol.delay_ms(1), 8);
+        assert_eq!(pol.delay_ms(2), 10, "capped");
+        assert_eq!(pol.delay_ms(63), 10);
+        assert_eq!(
+            pol.delay_ms(64),
+            10,
+            "shift overflow saturates, stays capped"
+        );
     }
 
     #[test]

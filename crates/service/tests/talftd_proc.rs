@@ -3,16 +3,19 @@
 //! in-process whole-grid run; a worker crashed after its first durable
 //! checkpoint is retried, resumes, and the report is provably unchanged;
 //! a permanently crashing shard poisons and degrades the job honestly; the
-//! spool claims, runs, and retires jobs; and [`check_report`] validates
-//! every artifact the service emits.
+//! spool claims, runs, and retires jobs; [`check_report`] validates
+//! every artifact the service emits; and `talftd check` refuses a forged
+//! job whose counts overflow.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use talft_faultsim::{golden_run_retrying, run_plan_campaign, CampaignConfig, RetryPolicy};
+use talft_faultsim::{
+    golden_run, multi_fault_plans, run_plan_campaign, CampaignConfig, CampaignReport,
+};
 use talft_obs::Json;
 use talft_service::{
-    build_program, check_report, plans_for, run_job, serve_once, JobKind, JobReport, JobStatus,
+    build_program, check_report, run_job, serve_once, JobKind, JobReport, JobStatus, RetryPolicy,
     ServiceConfig, Spool,
 };
 
@@ -73,8 +76,8 @@ fn write_source(dir: &Path, name: &str, text: &str) -> PathBuf {
 /// The in-process whole-grid report the service must reproduce bit for bit.
 fn whole_grid(kind: JobKind, source: &str, cfg: &ServiceConfig) -> talft_faultsim::CampaignReport {
     let program = build_program(kind, source).expect("builds");
-    let golden = golden_run_retrying(&program, &cfg.campaign).expect("golden");
-    let plans = plans_for(&program, &cfg.campaign, &golden, cfg.fault_order);
+    let golden = golden_run(&program, &cfg.campaign).expect("golden");
+    let plans = multi_fault_plans(&program, &cfg.campaign, &golden, cfg.fault_order);
     run_plan_campaign(&program, &cfg.campaign, &golden, &plans)
 }
 
@@ -198,5 +201,41 @@ fn wile_job_compiles_and_completes_through_the_spool() {
         .join("done")
         .join(format!("{}.wile", kernel.name))
         .exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A forged job whose two parts each claim 2^63 plans: the sum wraps to 0
+/// in a `u64`, which is what its empty merged report claims. `talftd
+/// check` must refuse it with exit 1, never wrap or panic.
+#[test]
+fn check_refuses_a_forged_job_whose_counts_overflow() {
+    let dir = scratch("forged");
+    let source = write_source(&dir, "job.talft", PROTECTED);
+    let mut job = run(
+        "job",
+        &source,
+        JobKind::Talft,
+        &test_cfg(2),
+        &dir.join("shards"),
+    );
+    for part in &mut job.parts {
+        part.plans = 1 << 63;
+        part.report = CampaignReport {
+            total: 1 << 63,
+            masked: 1 << 63,
+            ..CampaignReport::default()
+        };
+    }
+    (job.total_plans, job.covered_plans) = (0, 0);
+    job.merged = Some(CampaignReport::default());
+    let path = dir.join("forged.json");
+    std::fs::write(&path, format!("{}\n", job.to_json())).expect("write job");
+    let out = std::process::Command::new(worker_exe())
+        .args(["check", path.to_str().unwrap(), "--expect-zero-sdc"])
+        .output()
+        .expect("talftd runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("overflow"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
