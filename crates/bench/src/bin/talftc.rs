@@ -79,7 +79,7 @@ use talft_faultsim::{
 use talft_isa::{assemble, print_program, Program};
 use talft_logic::ExprArena;
 use talft_machine::run_program;
-use talft_sim::{simulate, MachineModel};
+use talft_sim::MachineModel;
 
 /// Exit code 6: the campaign was interrupted (signal or step budget) and
 /// can be continued, as opposed to having failed.
@@ -693,19 +693,17 @@ fn run_lint(
     (errors > 0).then(|| ExitCode::from(4))
 }
 
+/// `--time`: the program's Figure 10 row on the default model.
 fn report_timing(c: &talft_compiler::Compiled) {
-    let model = MachineModel::default();
-    let r = talft_compiler::vir::interpret(&c.vir, 200_000_000);
-    if !r.halted {
-        eprintln!("talftc: --time: reference run did not halt");
-        return;
+    match talft_bench::compiled_row("input", c, &MachineModel::default()) {
+        Ok(r) => eprintln!(
+            "talftc: cycles baseline={} talft={} ({:.3}x) talft-unordered={} ({:.3}x)",
+            r.base_cycles,
+            r.talft_cycles,
+            r.ratio_ordered(),
+            r.talft_unordered_cycles,
+            r.ratio_unordered()
+        ),
+        Err(e) => eprintln!("talftc: --time: {e}"),
     }
-    let b = simulate(&c.baseline.sched, &r.visits, &model);
-    let p = simulate(&c.protected.sched, &r.visits, &model);
-    let u = simulate(&c.protected_unordered_sched, &r.visits, &model);
-    eprintln!(
-        "talftc: cycles baseline={b} talft={p} ({:.3}x) talft-unordered={u} ({:.3}x)",
-        p as f64 / b as f64,
-        u as f64 / b as f64
-    );
 }

@@ -4,16 +4,20 @@
 //! * **E1 / Figure 10** — [`fig10_rows`]: per-benchmark execution time of
 //!   TAL-FT (ordered) and TAL-FT-without-ordering, normalized to the
 //!   unprotected baseline, plus the geometric mean (paper: 1.34× / 1.30×).
+//!   The `fig10` bin also recomputes its geomeans with one
+//!   [`CompileOptions`] field changed per row ([`fig10_row`]): the issue
+//!   width (E6), inverted loops (E9) and the optimizer (E10).
 //! * **E2–E4, E13, E16, E18 / campaigns** — the `campaign` bin: one
 //!   per-kernel loop of exhaustive-in-sites, strided-in-time single-fault
 //!   campaigns over protected and baseline binaries (protected must show
 //!   zero SDC; baseline must not), sampled k≥2 campaigns, and the
 //!   reference-engine and shard legs on the same plans.
-//! * **E6 / ablation** — [`width_sweep`]: the Figure 10 ratio as a function
-//!   of issue width.
 //! * **E14 / mutation oracle** — [`mutation_summary`]: per-operator
 //!   mutation scores of the checker against the adversarial catalog, with
 //!   the `k = 1` campaign as ground truth.
+//! * **E17, E22 / static analysis** — the `analysis` bin: one per-kernel
+//!   loop cross-validating the zap and pair analyzers against k=1 and k=2
+//!   injection grids.
 
 #![warn(missing_docs)]
 
@@ -21,7 +25,7 @@ pub mod report;
 
 use talft_compiler::{compile, vir::interpret, CompileOptions, Compiled};
 use talft_oracle::{run_oracle, MutantOutcome, MutationOp, OpScore, OracleConfig};
-use talft_sim::{simulate, BlockVisit, MachineModel};
+use talft_sim::{simulate, MachineModel};
 use talft_suite::{Kernel, Scale};
 
 /// Reference-run budget for timing replays.
@@ -54,37 +58,40 @@ impl Fig10Row {
     }
 }
 
-/// Compile a kernel and replay its dynamic block sequence through the three
-/// schedule variants.
-pub fn fig10_row(kernel: &Kernel, model: &MachineModel) -> Result<Fig10Row, String> {
-    let opts = CompileOptions {
-        model: *model,
-        ..CompileOptions::default()
-    };
-    let c = compile(&kernel.source, &opts).map_err(|e| format!("{}: {e}", kernel.name))?;
-    let visits = reference_visits(&c)?;
-    Ok(Fig10Row {
-        name: kernel.name,
-        base_cycles: simulate(&c.baseline.sched, &visits, model),
-        talft_cycles: simulate(&c.protected.sched, &visits, model),
-        talft_unordered_cycles: simulate(&c.protected_unordered_sched, &visits, model),
-    })
+/// Compile a kernel with `opts` and time it on `opts.model` ([`compiled_row`]).
+pub fn fig10_row(kernel: &Kernel, opts: &CompileOptions) -> Result<Fig10Row, String> {
+    let c = compile(&kernel.source, opts).map_err(|e| format!("{}: {e}", kernel.name))?;
+    compiled_row(kernel.name, &c, &opts.model).map_err(|e| format!("{}: {e}", kernel.name))
 }
 
-/// The dynamic block-visit sequence of a compiled kernel's reference run.
-pub fn reference_visits(c: &Compiled) -> Result<Vec<BlockVisit>, String> {
+/// Replay a compiled program's reference run (at most [`INTERP_BUDGET`]
+/// steps) through its baseline, ordered and unordered protected schedules.
+pub fn compiled_row(
+    name: &'static str,
+    c: &Compiled,
+    model: &MachineModel,
+) -> Result<Fig10Row, String> {
     let r = interpret(&c.vir, INTERP_BUDGET);
     if !r.halted {
         return Err("reference run did not halt".into());
     }
-    Ok(r.visits)
+    Ok(Fig10Row {
+        name,
+        base_cycles: simulate(&c.baseline.sched, &r.visits, model),
+        talft_cycles: simulate(&c.protected.sched, &r.visits, model),
+        talft_unordered_cycles: simulate(&c.protected_unordered_sched, &r.visits, model),
+    })
 }
 
 /// All Figure 10 rows at a scale.
 pub fn fig10_rows(scale: Scale, model: &MachineModel) -> Result<Vec<Fig10Row>, String> {
+    let opts = CompileOptions {
+        model: *model,
+        ..CompileOptions::default()
+    };
     talft_suite::kernels(scale)
         .iter()
-        .map(|k| fig10_row(k, model))
+        .map(|k| fig10_row(k, &opts))
         .collect()
 }
 
@@ -96,6 +103,14 @@ pub fn geomean(ratios: &[f64]) -> f64 {
     }
     let log_sum: f64 = ratios.iter().map(|r| r.ln()).sum();
     (log_sum / ratios.len() as f64).exp()
+}
+
+/// The ordered and unordered geomeans of a set of rows.
+#[must_use]
+pub fn geomeans(rows: &[Fig10Row]) -> (f64, f64) {
+    let ordered: Vec<f64> = rows.iter().map(Fig10Row::ratio_ordered).collect();
+    let unordered: Vec<f64> = rows.iter().map(Fig10Row::ratio_unordered).collect();
+    (geomean(&ordered), geomean(&unordered))
 }
 
 /// Render Figure 10 as a markdown table (the paper's bar chart, in rows).
@@ -122,13 +137,7 @@ pub fn render_fig10(rows: &[Fig10Row]) -> String {
         )
         .expect("write to string");
     }
-    let go = geomean(&rows.iter().map(Fig10Row::ratio_ordered).collect::<Vec<_>>());
-    let gu = geomean(
-        &rows
-            .iter()
-            .map(Fig10Row::ratio_unordered)
-            .collect::<Vec<_>>(),
-    );
+    let (go, gu) = geomeans(rows);
     writeln!(s, "| **geomean** | | | | **{go:.3}x** | **{gu:.3}x** |").expect("write to string");
     s
 }
@@ -247,27 +256,6 @@ pub fn render_mutation(s: &MutationSummary) -> String {
     out
 }
 
-/// E6: geomean overhead as a function of issue width.
-pub fn width_sweep(scale: Scale, widths: &[u32]) -> Result<Vec<(u32, f64, f64)>, String> {
-    let mut out = Vec::new();
-    for &w in widths {
-        let model = MachineModel {
-            width: w,
-            ..MachineModel::default()
-        };
-        let rows = fig10_rows(scale, &model)?;
-        let go = geomean(&rows.iter().map(Fig10Row::ratio_ordered).collect::<Vec<_>>());
-        let gu = geomean(
-            &rows
-                .iter()
-                .map(Fig10Row::ratio_unordered)
-                .collect::<Vec<_>>(),
-        );
-        out.push((w, go, gu));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,8 +270,7 @@ mod tests {
     #[test]
     fn fig10_row_shape_on_one_kernel() {
         let ks = talft_suite::kernels(Scale::Tiny);
-        let model = MachineModel::default();
-        let row = fig10_row(&ks[0], &model).expect("row");
+        let row = fig10_row(&ks[0], &CompileOptions::default()).expect("row");
         // Protected code must not be faster than baseline, and the overhead
         // must stay under 2.5× on the default 3-wide machine.
         assert!(row.talft_cycles >= row.base_cycles);

@@ -3,7 +3,7 @@
 //! document built on [`talft_obs::Json`].
 //!
 //! Schema stability contract: every report carries a top-level `"schema"`
-//! string (`"talft.<bin>.v1"`); object keys are emitted in fixed insertion
+//! string (`"talft.<bin>.v<N>"`); object keys are emitted in fixed insertion
 //! order and are only ever *added*, never renamed or removed, within a
 //! schema version. Downstream tooling (CI smoke checks, EXPERIMENTS.md
 //! regeneration) may rely on any key documented here.
@@ -138,7 +138,7 @@ pub struct Report {
 }
 
 impl Report {
-    /// Start a report with schema tag `talft.<bin>.v1`.
+    /// Start a report with schema tag `schema` (`talft.<bin>.v<N>`).
     #[must_use]
     pub fn new(schema: &str) -> Self {
         Self {
@@ -160,16 +160,10 @@ impl Report {
     }
 }
 
-/// Figure 10 rows plus geomeans (`talft.fig10.v1` payload).
+/// Figure 10 rows plus geomeans (the `data` of `talft.fig10.v2`).
 #[must_use]
 pub fn fig10_json(rows: &[Fig10Row]) -> Json {
-    let go = crate::geomean(&rows.iter().map(Fig10Row::ratio_ordered).collect::<Vec<_>>());
-    let gu = crate::geomean(
-        &rows
-            .iter()
-            .map(Fig10Row::ratio_unordered)
-            .collect::<Vec<_>>(),
-    );
+    let (go, gu) = crate::geomeans(rows);
     Json::obj([
         (
             "rows",
@@ -231,17 +225,6 @@ pub fn mutation_json(s: &MutationSummary) -> Json {
         ),
         ("campaign_only", Json::U64(s.campaign_only.len() as u64)),
         ("equivalents", Json::U64(s.equivalents.len() as u64)),
-    ])
-}
-
-/// A labeled geomean sweep row (`ablation` / `loopshape` / `optlevel`).
-#[must_use]
-pub fn sweep_row_json(label: &str, geomean: f64, base_cycles: u64, talft_cycles: u64) -> Json {
-    Json::obj([
-        ("label", Json::str(label)),
-        ("geomean", Json::F64(geomean)),
-        ("base_cycles", Json::U64(base_cycles)),
-        ("talft_cycles", Json::U64(talft_cycles)),
     ])
 }
 

@@ -10,7 +10,8 @@ use std::process::Command;
 #[test]
 fn unknown_flags_and_bad_flag_values_are_usage_errors() {
     let (campaign, fig10) = (env!("CARGO_BIN_EXE_campaign"), env!("CARGO_BIN_EXE_fig10"));
-    let cases: [(&str, &[&str], &str); 7] = [
+    let analysis = env!("CARGO_BIN_EXE_analysis");
+    let cases: [(&str, &[&str], &str); 9] = [
         (campaign, &["--stride=abc"], "`--stride`"),
         (campaign, &["--k=x"], "`--k`"),
         (campaign, &["--json", "--stride", "97"], "`--json`"),
@@ -26,6 +27,8 @@ fn unknown_flags_and_bad_flag_values_are_usage_errors() {
             "`--shards` refuses `--stop-on-violation`",
         ),
         (fig10, &["--bogus"], "unknown argument `--bogus`"),
+        (fig10, &["--scale", "tiny"], "unknown argument `--scale`"),
+        (analysis, &["--stride", "3"], "unknown argument `--stride`"),
     ];
     for (i, (bin, args, flag)) in cases.into_iter().enumerate() {
         let dir = std::env::temp_dir().join(format!("talft-flags-{}-{i}", std::process::id()));

@@ -1,4 +1,4 @@
-//! The `--check` readers (`campaign`, `lint` and `pairs`, all through
+//! The `--check` readers (`campaign` and `analysis`, both through
 //! `report::check`) turn a hostile JSON file into a typed error: exit 1
 //! with the reason on stderr, never a crash and never a pass. Every
 //! `--check`, checkpoint, shard report and `talftd` file goes through
@@ -11,14 +11,17 @@ use std::process::{Command, Output};
 use talft_obs::Json;
 
 /// Each reader with its schema tag and first required key after `schema`.
-const READERS: [(&str, &str, &str); 3] = [
+const READERS: [(&str, &str, &str); 2] = [
     (
         env!("CARGO_BIN_EXE_campaign"),
         "talft.campaign.v2",
         "stride",
     ),
-    (env!("CARGO_BIN_EXE_lint"), "talft.lint.grid.v1", "kernels"),
-    (env!("CARGO_BIN_EXE_pairs"), "talft.pairs.v2", "kernels"),
+    (
+        env!("CARGO_BIN_EXE_analysis"),
+        "talft.analysis.v1",
+        "kernels",
+    ),
 ];
 
 /// Run `bin --check` on a file holding `contents`.
@@ -179,53 +182,81 @@ fn small_campaigns_pass_their_own_check() {
     }
 }
 
-/// A one-kernel `pairs` report whose protected side classifies its six
-/// pairs as `detected` + `benign` (+ 0 vulnerable).
-fn pairs_report(detected: u64, benign: u64) -> String {
-    let n = Json::U64;
-    let side = |detected, benign| {
-        Json::obj([
-            ("cells", n(4)),
-            ("pairs", n(6)),
-            ("detected", n(detected)),
-            ("benign", n(benign)),
-            ("vulnerable", n(0)),
-            ("plans", n(2)),
-            ("checked", n(2)),
-            ("degenerate", n(0)),
-            ("mismatches", n(0)),
-        ])
+/// A one-kernel `analysis` report that passes `--check`, with the counts
+/// its gate reads. On each side the k=1 section classifies 4 cells and the
+/// k=2 section 6 pairs; the totals are that one row.
+fn analysis_report() -> Json {
+    let k1 = r#"{"cells": 4, "detected": 1, "benign": 3, "vulnerable": 0, "grid_sdc": 0,
+        "checked": 4, "mismatches": 0, "lint_errors": 0}"#;
+    let k2 = r#"{"cells": 4, "pairs": 6, "detected": 4, "benign": 2, "vulnerable": 0,
+        "plans": 2, "checked": 2, "degenerate": 0, "mismatches": 0}"#;
+    let sides = |s| format!(r#""protected": {s}, "baseline": {s}"#);
+    let section = |s| {
+        format!(
+            r#""rows": [{{"name": "k", {}}}], "totals": {{{}}}"#,
+            sides(s),
+            sides(s)
+        )
     };
-    let total = || Json::obj([("pairs", n(6)), ("mismatches", n(0))]);
-    Json::obj([
-        ("schema", Json::str("talft.pairs.v2")),
-        ("kernels", n(1)),
-        ("stride", n(17)),
-        ("samples", n(128)),
-        (
-            "rows",
-            Json::Array(vec![Json::obj([
-                ("name", Json::str("k")),
-                ("protected", side(detected, benign)),
-                ("baseline", side(6, 0)),
-            ])]),
-        ),
-        ("exhaustive", Json::Array(Vec::new())),
-        (
-            "totals",
-            Json::obj([("protected", total()), ("baseline", total())]),
-        ),
-    ])
-    .to_string()
+    let text = format!(
+        r#"{{"schema": "talft.analysis.v1", "kernels": 1,
+            "k1": {{"stride": 1, {}}},
+            "k2": {{"stride": 17, "samples": 128, {}, "exhaustive": []}}}}"#,
+        section(k1),
+        section(k2)
+    );
+    Json::parse(&text).expect("valid JSON")
 }
 
+/// Counts set at their paths in a report, and the refusal they draw.
+type Forgery<'a> = (&'a [(&'a [&'a str], u64)], &'a str);
+
+/// Protected totals that claim 5 mismatches or 7 grid SDC, a first row that
+/// claims 10^19 detected cells, a baseline total that only the row sums
+/// contradict, and pair classes whose sum wraps a `u64` to the six pairs:
+/// each forgery alone is refused naming its field, and all of them together
+/// by the first row's class sum.
 #[test]
-fn pairs_refuses_pair_classes_forged_to_wrap_the_sum() {
-    let bin = env!("CARGO_BIN_EXE_pairs");
-    let out = check(bin, "pairs-honest", &pairs_report(4, 2));
+fn analysis_refuses_forged_classes_and_totals() {
+    let bin = env!("CARGO_BIN_EXE_analysis");
+    let honest = analysis_report();
+    let out = check(bin, "analysis-honest", &honest.to_string());
     assert_eq!(out.status.code(), Some(0), "{out:?}");
-    // u64::MAX + 7 wraps a u64 sum to the six pairs.
-    let forged = pairs_report(u64::MAX, 7);
-    let reason = "kernel k (protected): detected + benign + vulnerable != pairs";
-    assert_refused(&check(bin, "pairs-forged", &forged), reason);
+    let k2_row = |key| ["k2", "rows", "0", "protected", key];
+    let forgeries: [Forgery; 5] = [
+        (
+            &[(&["k1", "rows", "0", "protected", "detected"], 10u64.pow(19))],
+            "k1 kernel k (protected): detected + benign + vulnerable != cells",
+        ),
+        (
+            &[(&["k1", "totals", "protected", "mismatches"], 5)],
+            "k1 totals (protected) reports differential mismatches",
+        ),
+        (
+            &[(&["k1", "totals", "protected", "grid_sdc"], 7)],
+            "k1 totals (protected): SDC on a protected grid",
+        ),
+        (
+            &[(&["k1", "totals", "baseline", "grid_sdc"], 9)],
+            "k1 totals (baseline): grid_sdc 9 does not equal the row sum 0",
+        ),
+        (
+            &[(&k2_row("detected"), u64::MAX), (&k2_row("benign"), 7)],
+            "k2 kernel k (protected): detected + benign + vulnerable != pairs",
+        ),
+    ];
+    let mut all = honest.clone();
+    for (i, (sets, reason)) in forgeries.into_iter().enumerate() {
+        let mut one = honest.clone();
+        for &(path, value) in sets {
+            set(&mut one, path, value);
+            set(&mut all, path, value);
+        }
+        assert_refused(
+            &check(bin, &format!("analysis-forged-{i}"), &one.to_string()),
+            reason,
+        );
+    }
+    let first = forgeries[0].1;
+    assert_refused(&check(bin, "analysis-forged-all", &all.to_string()), first);
 }

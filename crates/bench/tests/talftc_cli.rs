@@ -413,6 +413,29 @@ fn zap_report_of_a_suite_kernel_is_pinned() {
     assert_eq!(fnv(&format!("{k1} {k2}")), 0xd539_eb16_b358_63d1);
 }
 
+/// `--time` prints the program's Figure 10 row: mb_mpeg2's line is pinned,
+/// and its cycles are that kernel's E1 row (Full scale, default model).
+#[test]
+fn time_prints_the_kernels_figure_10_row() {
+    let k = talft_suite::kernels(talft_suite::Scale::Full)
+        .into_iter()
+        .find(|k| k.name == "mb_mpeg2")
+        .expect("suite kernel");
+    let p = write_temp("mb_mpeg2.wile", &k.source);
+    let out = talftc(&[p.to_str().unwrap(), "--time"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let line = "talftc: cycles baseline=2221 talft=3280 (1.477x) talft-unordered=3280 (1.477x)";
+    assert!(stderr.lines().any(|l| l == line), "{stderr}");
+    let e1 = talft_bench::fig10_rows(talft_suite::Scale::Full, &Default::default())
+        .expect("E1 rows")
+        .into_iter()
+        .find(|r| r.name == k.name)
+        .expect("an E1 row");
+    let cycles = (e1.base_cycles, e1.talft_cycles, e1.talft_unordered_cycles);
+    assert_eq!(cycles, (2221, 3280, 3280));
+}
+
 #[test]
 fn lint_is_quiet_on_protected_output() {
     let p = write_temp("ok-lint.wile", OK_WILE);

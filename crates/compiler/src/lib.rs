@@ -56,13 +56,13 @@ pub struct CompileOptions {
     /// Timing model used for scheduling priorities.
     pub model: MachineModel,
     /// Lower loops in inverted (bottom-test) form — one block per iteration
-    /// (see [`lower::lower_with`]). Off by default; the `loopshape` ablation
-    /// measures its effect on the Figure 10 ratio.
+    /// (see [`lower::lower_with`]). Off by default; the `fig10` bin's
+    /// inverted-loops row (E9) measures its effect on the Figure 10 ratio.
     pub invert_loops: bool,
     /// Run the VIR optimizer (constant folding, copy propagation, DCE)
     /// before duplication (see [`opt`]). Off by default so the published
-    /// Figure 10 numbers are measured on unoptimized lowering; the
-    /// `optlevel` ablation measures its effect.
+    /// Figure 10 numbers are measured on unoptimized lowering; the `fig10`
+    /// bin's `-O1` row (E10) measures its effect.
     pub optimize: bool,
 }
 
