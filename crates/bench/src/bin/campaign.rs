@@ -21,19 +21,16 @@
 //!   shard run and the parts merged; then shard 0 of 2 stopped at its
 //!   first checkpoint (every 64 plans), pushed through its durable JSON
 //!   form, resumed with another chunk size and merged with shard 1. Every
-//!   merge must equal the row's report bit for bit. Sharding refuses gated
-//!   configs, so `--shards --stop-on-violation` is a usage error.
+//!   merge must equal the row's report bit for bit.
 //!
 //! Usage: `cargo run --release -p talft-bench --bin campaign -- [--stride N]
 //! [--values N] [--k N] [--samples N] [--seed N] [--threads N]
-//! [--kernels N] [--baseline] [--reference] [--shards]
-//! [--stop-on-violation] [--json <path>] [--check <path>]`
+//! [--kernels N] [--baseline] [--reference] [--shards] [--json <path>]
+//! [--check <path>]`
 //!
 //! Defaults: stride 11 (`TALFT_STRIDE_SCALE` multiplies it), 3 corrupted
 //! values per site, k=1 only, 4096 plans per k≥2 campaign, seed
 //! `0x7A1F_F00D`, the machine's thread count, all 18 kernels.
-//! `--stop-on-violation` ends each campaign at its first Theorem 4
-//! violation; counts then cover the injections performed.
 //!
 //! Exit codes: 2 when a protected k=1 campaign is not fault-tolerant; 1 for
 //! a usage error, a compile or golden failure, or a report that differs
@@ -142,12 +139,7 @@ fn main() {
             "--json",
             "--check",
         ],
-        &[
-            "--baseline",
-            "--reference",
-            "--shards",
-            "--stop-on-violation",
-        ],
+        &["--baseline", "--reference", "--shards"],
     );
     if let Some(path) = arg::<String>("--check") {
         report::check(&path, SCHEMA, REQUIRED, gate);
@@ -160,16 +152,11 @@ fn main() {
         threads: arg("--threads").map_or(defaults.threads, |v: usize| v.max(1)),
         seed: arg("--seed").unwrap_or(defaults.seed),
         pair_samples: arg("--samples").unwrap_or(defaults.pair_samples),
-        stop_on_first_violation: on("--stop-on-violation"),
         ..defaults
     };
     let k: u32 = arg("--k").unwrap_or(1);
     let n_kernels = arg("--kernels").map_or(usize::MAX, |v: usize| v.max(1));
     let (baseline, reference, shards) = (on("--baseline"), on("--reference"), on("--shards"));
-    if shards && cfg.stop_on_first_violation {
-        eprintln!("campaign: `--shards` refuses `--stop-on-violation`: a gated campaign cannot be sharded");
-        std::process::exit(1);
-    }
     let json = report::json_path();
     talft_obs::set_enabled(json.is_some());
 
@@ -394,8 +381,7 @@ fn shard_legs(
     })
 }
 
-/// The E18 tables of the rows' `--shards` legs. Sharding refuses gated
-/// campaigns, so each row's report covers all its plans.
+/// The E18 tables of the rows' `--shards` legs.
 fn print_shards(rows: &[Row]) {
     println!("# every shard merge equals the row's report bit for bit");
     println!("| benchmark | binary | k | plans | whole ms | N | max shard ms | sum shard ms |");

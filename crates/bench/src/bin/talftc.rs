@@ -38,6 +38,7 @@
 //!   --max-steps=N     step budget for the golden run
 //!   --baseline        operate on the unprotected baseline instead
 //!   --time            report Figure 10-style cycles for this program
+//!                     (Wile inputs only: a .talft file has no baseline)
 //!   --profile         enable instrumentation and print the metric table
 //!                     (checker passes, solver queries, campaign verdicts)
 //!                     to stderr at exit, plus the entailment-cache hit
@@ -50,7 +51,9 @@
 //!
 //! ```text
 //!   0  success
-//!   1  usage (unknown flag, unparsable flag value) / I/O / other errors
+//!   1  usage (unknown flag, unparsable flag value, --time on a .talft
+//!      input) / I/O / other errors, among them a --time whose reference
+//!      run did not halt (no cycles to report; exits before type checking)
 //!   2  parse, assembly, or compile error
 //!   3  type error (talft_core::check_program rejected the program)
 //!   4  error-severity lint fired under --lint
@@ -114,10 +117,10 @@ struct Flags {
 const DEFAULT_STRIDE: u64 = 11;
 
 impl Flags {
-    /// Parse the arguments after the input path. An unknown flag or a value
-    /// that does not parse is a usage error: a typo must not silently skip
-    /// or reshape a campaign.
-    fn parse(args: &[String]) -> Result<Flags, String> {
+    /// Parse the arguments after the input `path`. An unknown flag, a value
+    /// that does not parse or `--time` on a `.talft` input is a usage
+    /// error: a typo must not silently skip or reshape a campaign.
+    fn parse(path: &str, args: &[String]) -> Result<Flags, String> {
         fn number<T: std::str::FromStr>(arg: &str, v: &str) -> Result<T, String> {
             v.parse()
                 .map_err(|_| format!("cannot parse the value of `{arg}`"))
@@ -157,6 +160,9 @@ impl Flags {
                 _ => return Err(format!("unrecognized argument `{arg}`")),
             }
         }
+        if f.time && path.ends_with(".talft") {
+            return Err("`--time` needs a Wile input: a .talft file has no baseline".to_owned());
+        }
         Ok(f)
     }
 }
@@ -189,7 +195,9 @@ fn install_interrupt_handlers() {}
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let parsed = match args.split_first() {
-        Some((path, rest)) if !path.starts_with("--") => Flags::parse(rest).map(|f| (path, f)),
+        Some((path, rest)) if !path.starts_with("--") => {
+            Flags::parse(path, rest).map(|f| (path, f))
+        }
         _ => Err("missing input file".to_owned()),
     };
     let (path, flags) = match parsed {
@@ -266,7 +274,10 @@ fn real_main(path: &str, flags: &Flags) -> ExitCode {
             }
         };
         if flags.time {
-            report_timing(&c);
+            if let Err(e) = report_timing(&c) {
+                eprintln!("talftc: --time: {e}");
+                return ExitCode::FAILURE;
+            }
         }
         if flags.baseline {
             (c.baseline.program, c.baseline.arena)
@@ -693,17 +704,17 @@ fn run_lint(
     (errors > 0).then(|| ExitCode::from(4))
 }
 
-/// `--time`: the program's Figure 10 row on the default model.
-fn report_timing(c: &talft_compiler::Compiled) {
-    match talft_bench::compiled_row("input", c, &MachineModel::default()) {
-        Ok(r) => eprintln!(
-            "talftc: cycles baseline={} talft={} ({:.3}x) talft-unordered={} ({:.3}x)",
-            r.base_cycles,
-            r.talft_cycles,
-            r.ratio_ordered(),
-            r.talft_unordered_cycles,
-            r.ratio_unordered()
-        ),
-        Err(e) => eprintln!("talftc: --time: {e}"),
-    }
+/// `--time`: print the program's Figure 10 row on the default model, or
+/// say why there is none (its reference run did not halt).
+fn report_timing(c: &talft_compiler::Compiled) -> Result<(), String> {
+    let r = talft_bench::compiled_row("input", c, &MachineModel::default())?;
+    eprintln!(
+        "talftc: cycles baseline={} talft={} ({:.3}x) talft-unordered={} ({:.3}x)",
+        r.base_cycles,
+        r.talft_cycles,
+        r.ratio_ordered(),
+        r.talft_unordered_cycles,
+        r.ratio_unordered()
+    );
+    Ok(())
 }

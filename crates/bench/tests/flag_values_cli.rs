@@ -1,9 +1,7 @@
 //! A bench bin refuses an argument it does not name, and a value-taking
 //! flag that has no value, is followed by another `--flag`, or has a value
 //! that does not parse: it exits 1 naming the flag, before any work and
-//! without writing a file, instead of running its default. `campaign`
-//! refuses `--shards` with `--stop-on-violation` the same way, because
-//! sharding refuses gated campaigns.
+//! without writing a file, instead of running its default.
 
 use std::process::Command;
 
@@ -11,21 +9,12 @@ use std::process::Command;
 fn unknown_flags_and_bad_flag_values_are_usage_errors() {
     let (campaign, fig10) = (env!("CARGO_BIN_EXE_campaign"), env!("CARGO_BIN_EXE_fig10"));
     let analysis = env!("CARGO_BIN_EXE_analysis");
-    let cases: [(&str, &[&str], &str); 9] = [
+    let cases: [(&str, &[&str], &str); 8] = [
         (campaign, &["--stride=abc"], "`--stride`"),
         (campaign, &["--k=x"], "`--k`"),
         (campaign, &["--json", "--stride", "97"], "`--json`"),
         (campaign, &["--strid=97"], "unknown argument `--strid`"),
-        (
-            campaign,
-            &["--stop-on-violaton"],
-            "unknown argument `--stop-on-violaton`",
-        ),
-        (
-            campaign,
-            &["--shards", "--stop-on-violation", "--json", "out.json"],
-            "`--shards` refuses `--stop-on-violation`",
-        ),
+        (campaign, &["--basline"], "unknown argument `--basline`"),
         (fig10, &["--bogus"], "unknown argument `--bogus`"),
         (fig10, &["--scale", "tiny"], "unknown argument `--scale`"),
         (analysis, &["--stride", "3"], "unknown argument `--stride`"),

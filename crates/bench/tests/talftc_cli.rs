@@ -63,19 +63,40 @@ fn exit_1_on_usage_error() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     // An unknown flag or an unparsable value must not be silently ignored:
     // each of these would otherwise skip or reshape the campaign.
+    // `--time` on a `.talft` input has no baseline to time: refused, not
+    // ignored.
     let p = write_temp("usage.wile", OK_WILE);
-    for flag in [
-        "--campaing=7",
-        "--campaign=abc",
-        "--threads=x",
-        "--solver-cache=stale.cache",
-        "--no-batch",
+    let talft = write_temp("usage.talft", UNPAIRED_TALFT);
+    for (input, flag) in [
+        (&p, "--campaing=7"),
+        (&p, "--campaign=abc"),
+        (&p, "--threads=x"),
+        (&p, "--solver-cache=stale.cache"),
+        (&p, "--no-batch"),
+        (&talft, "--time"),
     ] {
-        let out = talftc(&[p.to_str().unwrap(), flag]);
+        let out = talftc(&[input.to_str().unwrap(), flag]);
         assert_eq!(out.status.code(), Some(1), "{flag}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("usage: talftc"), "{flag}: {stderr}");
     }
+}
+
+/// `--time` on a program whose reference run never halts has no cycles to
+/// print: exit 1 before type checking, as `fig10` does.
+#[test]
+fn exit_1_when_time_has_no_cycles() {
+    let spin = "output out[1];\nfunc main() {\n  var i = 0;\n  \
+                while (i < 1) { i = i * 1; }\n  out[0] = i;\n}\n";
+    let p = write_temp("spin.wile", spin);
+    let out = talftc(&[p.to_str().unwrap(), "--time"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--time: reference run did not halt"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("type check"), "type checked: {stderr}");
 }
 
 #[test]

@@ -104,11 +104,7 @@
 //! blue-compare and settle rules are only exact against a halted golden)
 //! or one without liveness (more than 64 GPRs) — settles and admits
 //! nothing: `run_batched` checks this once, and every plan takes the
-//! whole-plan scalar route of its worker. The pass has no deterministic
-//! abort order, so it always runs whole;
-//! [`run_plan_campaign`](crate::run_plan_campaign) answers a gated
-//! (`stop_on_first_violation`) config from it and walks the prefix
-//! sequentially only when the pass holds a violation.
+//! whole-plan scalar route of its worker.
 //!
 //! **Verdict exactness is the contract**: the report — counts, retained
 //! violations, latency histogram, incomplete-plan accounting — is
@@ -335,8 +331,7 @@ fn admission_verdict(plan: &FaultPlan, golden: &Golden, num_gprs: u16) -> Option
 /// group holds only lanes that need a walk. Any golden run and plan set
 /// may be passed: a golden that is not packable (`Halted`, with liveness)
 /// settles and admits nothing, so every plan takes its worker's
-/// whole-plan scalar route. The gate is the caller's: the pass ignores
-/// `stop_on_first_violation` and always runs whole.
+/// whole-plan scalar route.
 pub(crate) fn run_batched(
     program: &Arc<Program>,
     cfg: &CampaignConfig,

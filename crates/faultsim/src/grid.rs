@@ -94,8 +94,7 @@ impl PlanGrid {
 /// (first-strike order, one monotone frontier), with the golden checkpoint
 /// ring passed for the convergence exit. Outcomes are returned in the
 /// *caller's* plan order, and verdicts agree plan by plan with
-/// [`run_plan_campaign`](crate::run_plan_campaign). A gated config does not
-/// shorten the grid.
+/// [`run_plan_campaign`](crate::run_plan_campaign).
 #[must_use]
 pub fn plan_fault_grid(
     program: &Arc<Program>,
@@ -117,7 +116,6 @@ pub fn plan_fault_grid(
                 verdict,
                 applied,
             });
-            true
         },
     );
     PlanGrid {

@@ -40,18 +40,19 @@
 //! under `catch_unwind`, so a harness panic becomes a recorded
 //! [`Verdict::EngineError`] instead of poisoning the worker (the engine is
 //! deterministic, so a retry would only panic again; retries belong to
-//! `talftd`'s worker processes, where a failure can be transient); a
-//! [`CampaignConfig::stop_on_first_violation`] knob short-circuits sweeps
-//! used as go/no-go gates; and [`golden_run`] returns a hard
-//! [`GoldenError`] when the reference run exhausts its step budget —
-//! campaigning against a truncated golden trace would silently misclassify
-//! every injection — or panics.
+//! `talftd`'s worker processes, where a failure can be transient); and
+//! [`golden_run`] returns a hard [`GoldenError`] when the reference run
+//! exhausts its step budget — campaigning against a truncated golden trace
+//! would silently misclassify every injection — or panics.
 //!
 //! For *well-typed* programs the `k = 1` campaign must report zero
 //! violations; for the unprotected baseline it measurably reports SDC — the
-//! contrast the paper's evaluation is built on. Corollary 3 (**No False
-//! Positives**) is checked by [`golden_run`]: the fault-free run of a
-//! well-typed program never signals `fault`.
+//! contrast the paper's evaluation is built on. Every campaign runs its
+//! whole plan set: Theorem 4 holds for each single-fault run on its own, so
+//! a go/no-go answer is [`CampaignReport::fault_tolerant`] and the first
+//! counterexample in first-strike order is `violations[0]`. Corollary 3
+//! (**No False Positives**) is checked by [`golden_run`]: the fault-free
+//! run of a well-typed program never signals `fault`.
 
 #![warn(missing_docs)]
 
@@ -171,11 +172,6 @@ pub struct CampaignConfig {
     pub pair_samples: usize,
     /// Window (in steps) for correlated cross-color pair search.
     pub pair_window: u64,
-    /// Report only the campaign's prefix, in first-strike order, that ends
-    /// at its first Theorem 4 violation (go/no-go mode); counts then cover
-    /// that prefix. [`run_plan_campaign`] runs the full batched pass first
-    /// and walks the prefix only when the pass holds a violation.
-    pub stop_on_first_violation: bool,
 }
 
 impl Default for CampaignConfig {
@@ -189,7 +185,6 @@ impl Default for CampaignConfig {
             seed: 0x7A1F_F00D,
             pair_samples: 4096,
             pair_window: 24,
-            stop_on_first_violation: false,
         }
     }
 }
@@ -385,9 +380,6 @@ pub struct CampaignReport {
     /// Largest fault multiplicity `k` among the executed plans (1 for the
     /// classic sweep; 0 for an empty campaign).
     pub fault_order: u32,
-    /// Whether the campaign aborted early on
-    /// [`CampaignConfig::stop_on_first_violation`].
-    pub stopped_early: bool,
     /// Steps from injection to hardware detection, over detected faults.
     pub detection_latency: LatencyHistogram,
 }
@@ -480,7 +472,6 @@ impl CampaignReport {
             *sum = sum.checked_add(add)?;
         }
         self.fault_order = self.fault_order.max(other.fault_order);
-        self.stopped_early |= other.stopped_early;
         self.detection_latency.merge(&other.detection_latency)?;
         for v in other.violations {
             self.keep(v);
@@ -680,13 +671,10 @@ fn advance_frontier(
 /// replay and runs the rest on the scalar continuation. A golden run the
 /// packed form cannot serve (one that did not halt, or no liveness: more
 /// than 64 GPRs) packs nothing, and every plan takes a worker's whole-plan
-/// scalar route. A gated config
-/// ([`CampaignConfig::stop_on_first_violation`]) runs the same full pass:
-/// with no violation in it, that report is already the gated one; with
-/// one, the sequential walk with the checkpoint ring finds the prefix that
-/// ends at the first violation in first-strike order. Reports are
-/// bit-identical at every thread count and equal
-/// [`run_plan_campaign_reference`]'s.
+/// scalar route. The report covers every plan; its retained violations are
+/// in first-strike order, so `violations[0]` is the campaign's first
+/// counterexample. Reports are bit-identical at every thread count and
+/// equal [`run_plan_campaign_reference`]'s.
 #[must_use]
 pub fn run_plan_campaign(
     program: &Arc<Program>,
@@ -694,21 +682,16 @@ pub fn run_plan_campaign(
     golden: &Golden,
     plans: &[FaultPlan],
 ) -> CampaignReport {
-    let report = batch::run_batched(program, cfg, golden, plans);
-    if cfg.stop_on_first_violation && !report.fault_tolerant() {
-        return walk_report(program, cfg, golden, plans, Some(&golden.checkpoints));
-    }
-    report
+    batch::run_batched(program, cfg, golden, plans)
 }
 
 /// The sequential **oracle** the batched engine is tested against: one
 /// frontier stepped from boot, plans in first-strike order, each
 /// continuation run to its end with no checkpoint seeking and no
-/// convergence early-exit. A gated config stops after the first violation.
-/// No threads, so the report is the definition of what
-/// [`run_plan_campaign`] must reproduce bit for bit at every thread count;
-/// the `campaign` bench bin's reference leg times it as the unoptimized
-/// baseline.
+/// convergence early-exit. No threads, so the report is the definition of
+/// what [`run_plan_campaign`] must reproduce bit for bit at every thread
+/// count; the `campaign` bench bin's reference leg times it as the
+/// unoptimized baseline.
 #[must_use]
 pub fn run_plan_campaign_reference(
     program: &Arc<Program>,
@@ -716,35 +699,18 @@ pub fn run_plan_campaign_reference(
     golden: &Golden,
     plans: &[FaultPlan],
 ) -> CampaignReport {
-    walk_report(program, cfg, golden, plans, None)
-}
-
-/// [`walk_plans`] folded into a report, stopping after the first violation
-/// under a gated config. The reference walks without a ring; a gated
-/// [`run_plan_campaign`] whose batched pass found a violation walks with
-/// golden's, which ends converged continuations early with the same
-/// verdicts.
-fn walk_report(
-    program: &Arc<Program>,
-    cfg: &CampaignConfig,
-    golden: &Golden,
-    plans: &[FaultPlan],
-    ring: Option<&CheckpointRing>,
-) -> CampaignReport {
     let mut report = CampaignReport {
         fault_order: plans.iter().map(|p| p.order() as u32).max().unwrap_or(0),
         ..CampaignReport::default()
     };
-    let mut executed = 0usize;
     walk_plans(
         program,
         cfg,
         golden,
         plans,
-        ring,
+        None,
         |i, (verdict, end_steps, applied)| {
             let plan = &plans[i];
-            executed += 1;
             if verdict == Verdict::Detected {
                 report
                     .detection_latency
@@ -754,10 +720,8 @@ fn walk_report(
                 report.incomplete_plans += 1;
             }
             report.absorb(lead_injection(plan, verdict));
-            !(cfg.stop_on_first_violation && verdict.is_violation())
         },
     );
-    report.stopped_early = executed < plans.len();
     report
 }
 
@@ -769,21 +733,19 @@ pub(crate) fn first_strike_order(plans: &[FaultPlan]) -> Vec<usize> {
     order
 }
 
-/// The sequential walk shared by [`run_plan_campaign_reference`], the
-/// gated fallback of [`run_plan_campaign`] and [`plan_fault_grid`]: plans in
-/// [`first_strike_order`], one frontier stepped monotonically from boot,
-/// each continuation a clone of it run once under `catch_unwind`
-/// ([`Verdict::EngineError`] if it panics).
-/// `visit` gets each plan's index with its `(verdict, end_steps, applied)`
-/// and returns whether to go on. `ring` enables [`execute_plan`]'s
-/// convergence exit.
+/// The sequential walk shared by [`run_plan_campaign_reference`] and
+/// [`plan_fault_grid`]: plans in [`first_strike_order`], one frontier
+/// stepped monotonically from boot, each continuation a clone of it run
+/// once under `catch_unwind` ([`Verdict::EngineError`] if it panics).
+/// `visit` gets each plan's index with its `(verdict, end_steps, applied)`.
+/// `ring` enables [`execute_plan`]'s convergence exit.
 pub(crate) fn walk_plans(
     program: &Arc<Program>,
     cfg: &CampaignConfig,
     golden: &Golden,
     plans: &[FaultPlan],
     ring: Option<&CheckpointRing>,
-    mut visit: impl FnMut(usize, (Verdict, u64, usize)) -> bool,
+    mut visit: impl FnMut(usize, (Verdict, u64, usize)),
 ) {
     let mut frontier = Machine::boot(Arc::clone(program)).with_oob_policy(cfg.oob);
     for i in first_strike_order(plans) {
@@ -796,9 +758,7 @@ pub(crate) fn walk_plans(
             let mut faulty = frontier.clone();
             execute_plan(&mut faulty, plan, golden, ring)
         });
-        if !visit(i, outcome.unwrap_or((Verdict::EngineError, first, 0))) {
-            break;
-        }
+        visit(i, outcome.unwrap_or((Verdict::EngineError, first, 0)));
     }
 }
 
@@ -1308,31 +1268,43 @@ main:
         }
     }
 
-    /// Gated (`stop_on_first_violation`) campaigns are deterministic: every
-    /// thread count reproduces the sequential prefix ending at the first
-    /// violation in first-strike order, which is where the sequential
-    /// reference stops.
+    /// The go/no-go answer without a gate: on the unprotected program every
+    /// thread count reports the whole grid as not fault-tolerant, keeps its
+    /// counterexamples in first-strike order, and leads with the first plan
+    /// in that order that the per-plan grid scores as a violation.
     #[test]
-    fn gated_engine_is_deterministic_across_threads() {
+    fn first_counterexample_is_the_first_violating_plan_in_strike_order() {
         let p = arc(UNPROTECTED);
         let base = CampaignConfig {
             threads: 1,
-            stop_on_first_violation: true,
             ..CampaignConfig::default()
         };
         let golden = golden_run(&p, &base).expect("golden halts");
         let plans = single_fault_plans(&p, &base, &golden);
-        let reference = run_plan_campaign_reference(&p, &base, &golden, &plans);
-        assert!(!reference.fault_tolerant());
+        let grid = plan_fault_grid(&p, &base, &golden, &plans);
+        let first = first_strike_order(&plans)
+            .into_iter()
+            .find(|&i| grid.outcomes[i].verdict.is_violation())
+            .expect("the unprotected grid holds a violation");
+        let expected = lead_injection(&plans[first], grid.outcomes[first].verdict);
         for threads in [1usize, 3, 8] {
             let cfg = CampaignConfig {
                 threads,
                 ..base.clone()
             };
-            let engine = run_plan_campaign(&p, &cfg, &golden, &plans);
+            let report = run_plan_campaign(&p, &cfg, &golden, &plans);
+            assert!(!report.fault_tolerant(), "threads={threads}: {report:?}");
+            assert!(
+                report
+                    .violations
+                    .windows(2)
+                    .all(|w| w[0].at_step <= w[1].at_step),
+                "threads={threads}: counterexamples out of first-strike order"
+            );
             assert_eq!(
-                engine, reference,
-                "gated engine (threads={threads}) diverged from the sequential prefix"
+                report.violations.first(),
+                Some(&expected),
+                "threads={threads}: not the first violating plan"
             );
         }
     }
@@ -1534,32 +1506,6 @@ done:
             .iter()
             .any(|v| v.verdict == Verdict::EngineError));
         assert_eq!(run_plan_campaign_reference(&p, &cfg, &golden, &plans), rep);
-    }
-
-    #[test]
-    fn stop_on_first_violation_short_circuits() {
-        let p = arc(UNPROTECTED);
-        let cfg = CampaignConfig {
-            threads: 1,
-            stop_on_first_violation: true,
-            ..CampaignConfig::default()
-        };
-        let full = run_campaign(
-            &p,
-            &CampaignConfig {
-                threads: 1,
-                ..CampaignConfig::default()
-            },
-        )
-        .expect("ok");
-        let gated = run_campaign(&p, &cfg).expect("ok");
-        assert!(!gated.fault_tolerant());
-        assert!(
-            gated.total < full.total,
-            "gated: {} full: {}",
-            gated.total,
-            full.total
-        );
     }
 
     #[test]

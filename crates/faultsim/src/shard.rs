@@ -257,9 +257,6 @@ pub enum ShardOutcome {
 /// Why a shard run refused to start.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardError {
-    /// `stop_on_first_violation` is inherently sequential-global; a gated
-    /// campaign cannot be sharded without changing its semantics.
-    GatedUnsupported,
     /// The resume checkpoint does not belong to this grid/shard.
     ResumeMismatch(String),
 }
@@ -267,9 +264,6 @@ pub enum ShardError {
 impl std::fmt::Display for ShardError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ShardError::GatedUnsupported => {
-                write!(f, "stop_on_first_violation cannot be sharded")
-            }
             ShardError::ResumeMismatch(why) => write!(f, "resume checkpoint rejected: {why}"),
         }
     }
@@ -289,7 +283,6 @@ impl std::error::Error for ShardError {}
 ///
 /// # Errors
 ///
-/// [`ShardError::GatedUnsupported`] for gated configs;
 /// [`ShardError::ResumeMismatch`] when `resume` belongs to a different
 /// grid, shard, or claims an impossible watermark or counts.
 #[allow(clippy::too_many_arguments)] // the shard tuple (spec, every, resume, observe) is the API
@@ -303,9 +296,6 @@ pub fn run_shard_campaign(
     resume: Option<&CampaignCheckpoint>,
     mut observe: impl FnMut(&CampaignCheckpoint) -> ShardControl,
 ) -> Result<ShardOutcome, ShardError> {
-    if cfg.stop_on_first_violation {
-        return Err(ShardError::GatedUnsupported);
-    }
     let mine = shard_plans(plans, spec);
     let fingerprint = grid_fingerprint(golden, plans);
     let every = if checkpoint_every == 0 {
@@ -781,30 +771,6 @@ main:
             let merged = merge_shard_reports(&parts).expect("partition merges");
             assert_eq!(merged, whole, "shard-union != whole grid at N={count}");
         }
-    }
-
-    #[test]
-    fn gated_configs_are_rejected() {
-        let p = arc(PROTECTED);
-        let cfg = CampaignConfig {
-            threads: 1,
-            stop_on_first_violation: true,
-            ..CampaignConfig::default()
-        };
-        let golden = golden_run(&p, &cfg).expect("halts");
-        let plans = single_fault_plans(&p, &cfg, &golden);
-        let err = run_shard_campaign(
-            &p,
-            &cfg,
-            &golden,
-            &plans,
-            ShardSpec::new(0, 2).unwrap(),
-            0,
-            None,
-            |_| ShardControl::Continue,
-        )
-        .expect_err("gated");
-        assert_eq!(err, ShardError::GatedUnsupported);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! ([`report_from_json`]), so a forged or corrupted count is refused here
 //! instead of wrapping a merge downstream.
 //!
-//! Schema tags: `talft.campaign-report.v1` ([`report_to_json`]),
+//! Schema tags: `talft.campaign-report.v2` ([`report_to_json`]),
 //! `talft.checkpoint.v1` ([`crate::CampaignCheckpoint::to_json`]),
 //! `talft.shard-report.v1` ([`crate::ShardPart::to_json`]). Keys are only
 //! ever added, never renamed, within a version (the same stability contract
@@ -64,18 +64,6 @@ pub fn need_str<'a>(j: &'a Json, key: &str) -> Result<&'a str, WireError> {
     need(j, key)?
         .as_str()
         .ok_or_else(|| format!("key {key:?} is not a string"))
-}
-
-/// Fetch a required bool field.
-///
-/// # Errors
-///
-/// A message naming the missing or mistyped key.
-pub fn need_bool(j: &Json, key: &str) -> Result<bool, WireError> {
-    match need(j, key)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(format!("key {key:?} is not a bool")),
-    }
 }
 
 /// Fetch a required array field.
@@ -237,11 +225,11 @@ fn latency_from_json(j: &Json) -> Result<LatencyHistogram, WireError> {
     Ok(h)
 }
 
-/// Encode a [`CampaignReport`] losslessly (`talft.campaign-report.v1`).
+/// Encode a [`CampaignReport`] losslessly (`talft.campaign-report.v2`).
 #[must_use]
 pub fn report_to_json(r: &CampaignReport) -> Json {
     Json::obj([
-        ("schema", Json::str("talft.campaign-report.v1")),
+        ("schema", Json::str("talft.campaign-report.v2")),
         ("total", Json::U64(r.total)),
         ("masked", Json::U64(r.masked)),
         ("detected", Json::U64(r.detected)),
@@ -255,7 +243,6 @@ pub fn report_to_json(r: &CampaignReport) -> Json {
         ("violations_truncated", Json::U64(r.violations_truncated)),
         ("incomplete_plans", Json::U64(r.incomplete_plans)),
         ("fault_order", Json::U64(u64::from(r.fault_order))),
-        ("stopped_early", Json::Bool(r.stopped_early)),
         ("detection_latency", latency_to_json(&r.detection_latency)),
     ])
 }
@@ -271,7 +258,7 @@ pub fn report_to_json(r: &CampaignReport) -> Json {
 /// A message naming the missing/ill-typed key on malformed documents, or
 /// the broken sum.
 pub fn report_from_json(j: &Json) -> Result<CampaignReport, WireError> {
-    expect_schema(j, "talft.campaign-report.v1")?;
+    expect_schema(j, "talft.campaign-report.v2")?;
     let violations = need_array(j, "violations")?;
     let kept = violations.len();
     if kept > VIOLATIONS_KEPT {
@@ -294,7 +281,6 @@ pub fn report_from_json(j: &Json) -> Result<CampaignReport, WireError> {
         incomplete_plans: need_u64(j, "incomplete_plans")?,
         fault_order: u32::try_from(need_u64(j, "fault_order")?)
             .map_err(|_| "fault_order overflows u32".to_owned())?,
-        stopped_early: need_bool(j, "stopped_early")?,
         detection_latency: latency_from_json(need(j, "detection_latency")?)?,
     };
     let sum = |xs: &[u64]| xs.iter().try_fold(0u64, |a, &x| a.checked_add(x));

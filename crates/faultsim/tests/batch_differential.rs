@@ -6,8 +6,8 @@
 //! guarantee per execution path" layer the batched engine ships with:
 //! verdict-exactness is a tested theorem, not a benchmark footnote.
 //! Failures shrink to a minimal Wile witness. Campaigns the packed form
-//! cannot serve (more than 64 GPRs, a golden run that faults) and gated
-//! campaigns take the same test.
+//! cannot serve (more than 64 GPRs, a golden run that faults) take the
+//! same test.
 
 mod common;
 
@@ -259,14 +259,6 @@ fn adversarial_plan_shapes_agree_across_engines() {
     // The past-termination strike and the queue-value strike on a drained
     // queue both fail to apply.
     assert_eq!(report.incomplete_plans, 2);
-    // Gated, the engine error is the only violation, and the run stops
-    // there as the reference does.
-    let gated = CampaignConfig {
-        stop_on_first_violation: true,
-        ..base_cfg()
-    };
-    let report = matches_reference(&p, &gated, &plans, &golden).expect("engines agree");
-    assert!(report.stopped_early && report.sdc == 0, "{report:?}");
     // The quiet-step fast path's corner cases (`tests/common`): lanes that
     // walk long stretches of untouched replay steps, all of one program's
     // plans sharing a lockstep group.
@@ -350,13 +342,12 @@ done:
 
 /// Campaigns the packed form cannot serve go through `run_plan_campaign`
 /// like any other and must land on the reference's report at threads 1, 3
-/// and 8, ungated and gated: the store pairs in a 200-register file (no
-/// liveness) at k=1 and sampled k=2, with strikes on registers past r63,
-/// and a program whose golden run ends `Fault`. Every plan takes its
-/// worker's whole-plan scalar route; a gated run whose batched pass holds
-/// a violation falls back to the sequential walk with the checkpoint ring.
+/// and 8: the store pairs in a 200-register file (no liveness) at k=1 and
+/// sampled k=2, with strikes on registers past r63, and a program whose
+/// golden run ends `Fault`. Every plan takes its worker's whole-plan
+/// scalar route.
 #[test]
-fn unpackable_campaigns_match_the_reference_ungated_and_gated() {
+fn unpackable_campaigns_match_the_reference() {
     use talft_isa::{assemble, Reg};
     use talft_machine::{FaultSite, Status};
     let cfg = CampaignConfig {
@@ -365,23 +356,11 @@ fn unpackable_campaigns_match_the_reference_ungated_and_gated() {
         pair_samples: 96,
         ..base_cfg()
     };
-    let gated = CampaignConfig {
-        stop_on_first_violation: true,
-        ..cfg.clone()
-    };
-    let both = |p: &Arc<Program>, plans: &[FaultPlan], golden: &Golden, what: &str| {
-        let ungated = matches_reference(p, &cfg, plans, golden)
-            .unwrap_or_else(|e| panic!("{what}, ungated: {e}"));
-        let gated = matches_reference(p, &gated, plans, golden)
-            .unwrap_or_else(|e| panic!("{what}, gated: {e}"));
-        assert_eq!(ungated.total, plans.len() as u64, "{what}");
-        if ungated.fault_tolerant() {
-            assert!(!gated.stopped_early, "{what}: nothing to stop on");
-            assert_eq!(gated, ungated, "{what}: a clean gated run is the full run");
-        } else {
-            assert!(gated.stopped_early, "{what}: the gate cut the run short");
-        }
-        ungated
+    let agree = |p: &Arc<Program>, plans: &[FaultPlan], golden: &Golden, what: &str| {
+        let report =
+            matches_reference(p, &cfg, plans, golden).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(report.total, plans.len() as u64, "{what}");
+        report
     };
     let high = |plans: &[FaultPlan]| {
         plans.iter().any(|pl| {
@@ -402,9 +381,9 @@ fn unpackable_campaigns_match_the_reference_ungated_and_gated() {
         } else {
             "unprotected"
         };
-        let rep = both(&p, &k1, &golden, &format!("{what} k=1"));
+        let rep = agree(&p, &k1, &golden, &format!("{what} k=1"));
         assert_eq!(rep.fault_tolerant(), protected, "{what} k=1: {rep:?}");
-        both(&p, &k2, &golden, &format!("{what} k=2"));
+        agree(&p, &k2, &golden, &format!("{what} k=2"));
     }
     let p = Arc::new(assemble(FAULTING).expect("assembles").program);
     let golden = golden_run(&p, &cfg).expect("golden ends");
@@ -424,6 +403,6 @@ fn unpackable_campaigns_match_the_reference_ungated_and_gated() {
         ..cfg.clone()
     };
     let plans = single_fault_plans(&p, &thinned, &golden);
-    let rep = both(&p, &plans, &golden, "faulting golden");
+    let rep = agree(&p, &plans, &golden, "faulting golden");
     assert!(rep.detected > 0 && rep.sdc > 0, "{rep:?}");
 }

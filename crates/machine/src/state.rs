@@ -13,7 +13,7 @@ use talft_isa::{CVal, Color, Gpr, Instr, Program, Reg};
 /// Appendix A.1 gives *nondeterministic* rules for this case: the hardware
 /// may signal a fault (`ldG-fail`/`ldB-fail`) or deliver an arbitrary value
 /// (`ldG-rand`/`ldB-rand`). The policy resolves the nondeterminism so runs
-/// are reproducible; campaigns exercise all branches.
+/// are reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OobLoadPolicy {
     /// Signal a hardware fault (`ld*-fail`).

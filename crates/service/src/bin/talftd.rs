@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! talftd daemon --spool DIR [--shards N] [--every M] [--k K] [--timeout-secs S]
-//!               [--max-jobs J] [--poll-ms P]
+//!               [--threads T] [--stride D] [--max-jobs J] [--poll-ms P]
 //!     Process .wile/.talft jobs dropped into DIR/incoming, streaming
 //!     talft.talftd.v1 event lines to stdout. Reports land in DIR/done
 //!     (completed/degraded) or DIR/failed.
@@ -21,8 +21,12 @@
 //!     bit-identical to a whole-grid in-process run.
 //! ```
 //!
+//! Each subcommand but the internal `worker` refuses any argument it does
+//! not name, and a value flag given no value, before any work.
+//!
 //! Exit codes: 0 ok / 1 failure / 2 usage.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -33,7 +37,7 @@ use talft_service::{check_report, serve, smoke, ServiceConfig, Spool};
 fn usage() -> ExitCode {
     eprintln!(
         "usage: talftd daemon --spool DIR [--shards N] [--every M] [--k K] \
-         [--timeout-secs S] [--max-jobs J] [--poll-ms P]\n\
+         [--timeout-secs S] [--threads T] [--stride D] [--max-jobs J] [--poll-ms P]\n\
          \x20      talftd worker --source F --kind wile|talft --shard I --of N --dir D ...\n\
          \x20      talftd check FILE [--expect-zero-sdc]\n\
          \x20      talftd smoke --out FILE [--shards N]"
@@ -41,26 +45,65 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == name {
-            return it.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(v.to_owned());
-        }
-    }
-    None
+/// A subcommand's arguments, checked against the ones it names.
+struct Args {
+    /// Value flags with their values, and switches with an empty one.
+    values: BTreeMap<String, String>,
+    files: Vec<String>,
 }
 
-fn parsed<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match flag_value(args, name) {
-        None => Ok(default),
-        Some(v) => v
-            .trim()
-            .parse::<T>()
-            .map_err(|_| format!("bad value for {name}: {v:?}")),
+impl Args {
+    /// Sort `args` into value flags (`--name V` or `--name=V`), switches
+    /// and files; `flags` and `switches` list names separated by spaces. An
+    /// argument the subcommand does not name, a value flag without its
+    /// value, a switch given one or a file too many is a usage error
+    /// naming it.
+    fn parse(args: &[String], flags: &str, switches: &str, files: usize) -> Result<Args, String> {
+        let named = |list: &str, name: &str| list.split_whitespace().any(|n| n == name);
+        let mut out = Args {
+            values: BTreeMap::new(),
+            files: Vec::new(),
+        };
+        let mut it = args.iter().peekable();
+        while let Some(arg) = it.next() {
+            let (name, value) = match arg.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_owned())),
+                None => (arg.as_str(), None),
+            };
+            if named(flags, name) {
+                let value = value
+                    .or_else(|| it.next_if(|v| !v.starts_with("--")).cloned())
+                    .filter(|v| !v.is_empty())
+                    .ok_or_else(|| format!("{name} needs a value"))?;
+                out.values.insert(name.to_owned(), value);
+            } else if named(switches, arg) {
+                out.values.insert(name.to_owned(), String::new());
+            } else if !arg.starts_with("--") && out.files.len() < files {
+                out.files.push(arg.clone());
+            } else {
+                return Err(format!("unknown argument {arg:?}"));
+            }
+        }
+        Ok(out)
+    }
+
+    fn value(&self, name: &str) -> Option<&str> {
+        self.values.get(name).map(String::as_str)
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.values.contains_key(name)
+    }
+
+    /// The value of `name` parsed as `T`; `None` when it is absent.
+    fn get<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| {
+                v.trim()
+                    .parse::<T>()
+                    .map_err(|_| format!("bad value for {name}: {v:?}"))
+            })
+            .transpose()
     }
 }
 
@@ -68,19 +111,17 @@ fn stdout_sink() -> impl FnMut(&Json) {
     |j: &Json| println!("{j}")
 }
 
-fn daemon(args: &[String]) -> Result<(), String> {
-    let spool_dir = flag_value(args, "--spool").ok_or("daemon requires --spool DIR")?;
+fn daemon(args: &Args) -> Result<(), String> {
+    let spool_dir = args.value("--spool").ok_or("daemon requires --spool DIR")?;
     let mut cfg = ServiceConfig::default();
-    cfg.shards = parsed(args, "--shards", cfg.shards)?;
-    cfg.checkpoint_every = parsed(args, "--every", cfg.checkpoint_every)?;
-    cfg.fault_order = parsed(args, "--k", cfg.fault_order)?;
-    cfg.worker_timeout = Duration::from_secs(parsed(args, "--timeout-secs", 600u64)?);
-    cfg.campaign.threads = parsed(args, "--threads", cfg.campaign.threads)?;
-    cfg.campaign.stride = parsed(args, "--stride", cfg.campaign.stride)?;
-    let max_jobs = flag_value(args, "--max-jobs")
-        .map(|v| v.trim().parse::<usize>().map_err(|_| "bad --max-jobs"))
-        .transpose()?;
-    let poll = Duration::from_millis(parsed(args, "--poll-ms", 500u64)?);
+    cfg.shards = args.get("--shards")?.unwrap_or(cfg.shards);
+    cfg.checkpoint_every = args.get("--every")?.unwrap_or(cfg.checkpoint_every);
+    cfg.fault_order = args.get("--k")?.unwrap_or(cfg.fault_order);
+    cfg.worker_timeout = Duration::from_secs(args.get("--timeout-secs")?.unwrap_or(600));
+    cfg.campaign.threads = args.get("--threads")?.unwrap_or(cfg.campaign.threads);
+    cfg.campaign.stride = args.get("--stride")?.unwrap_or(cfg.campaign.stride);
+    let max_jobs = args.get("--max-jobs")?;
+    let poll = Duration::from_millis(args.get("--poll-ms")?.unwrap_or(500));
     let spool = Spool::open(&PathBuf::from(spool_dir)).map_err(|e| format!("open spool: {e}"))?;
     let mut sink = stdout_sink();
     let served = serve(&spool, &cfg, &mut sink, poll, max_jobs)?;
@@ -88,12 +129,9 @@ fn daemon(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn check(args: &[String]) -> Result<(), String> {
-    let file = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .ok_or("check requires a report FILE")?;
-    let expect_zero = args.iter().any(|a| a == "--expect-zero-sdc");
+fn check(args: &Args) -> Result<(), String> {
+    let file = args.files.first().ok_or("check requires a report FILE")?;
+    let expect_zero = args.switch("--expect-zero-sdc");
     let text = std::fs::read_to_string(file).map_err(|e| format!("read {file}: {e}"))?;
     let json = Json::parse(&text).map_err(|e| format!("{file}: {e}"))?;
     let rep = check_report(&json, expect_zero)?;
@@ -108,9 +146,9 @@ fn check(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn run_smoke(args: &[String]) -> Result<(), String> {
-    let out = flag_value(args, "--out").ok_or("smoke requires --out FILE")?;
-    let shards = parsed(args, "--shards", 4u32)?;
+fn run_smoke(args: &Args) -> Result<(), String> {
+    let out = args.value("--out").ok_or("smoke requires --out FILE")?;
+    let shards = args.get("--shards")?.unwrap_or(4);
     let mut sink = stdout_sink();
     let rep = smoke(&PathBuf::from(out), shards, &mut sink)?;
     eprintln!(
@@ -127,17 +165,35 @@ fn main() -> ExitCode {
         return usage();
     };
     let rest = &args[1..];
-    let result = match cmd {
-        "daemon" => daemon(rest),
-        "worker" => talft_service::run_worker(rest),
-        "check" => check(rest),
-        "smoke" => run_smoke(rest),
+    // Each subcommand's value flags, switches, file count and body.
+    let (flags, switches, files, run): (&str, &str, usize, Subcommand) = match cmd {
+        "daemon" => (
+            "--spool --shards --every --k --timeout-secs --threads --stride --max-jobs --poll-ms",
+            "",
+            0,
+            daemon,
+        ),
+        "check" => ("", "--expect-zero-sdc", 1, check),
+        "smoke" => ("--out --shards", "", 0, run_smoke),
+        "worker" => return finish(cmd, talft_service::run_worker(rest)),
         "--help" | "-h" | "help" => return usage(),
         other => {
             eprintln!("talftd: unknown subcommand {other:?}");
             return usage();
         }
     };
+    match Args::parse(rest, flags, switches, files) {
+        Ok(args) => finish(cmd, run(&args)),
+        Err(e) => {
+            eprintln!("talftd {cmd}: {e}");
+            usage()
+        }
+    }
+}
+
+type Subcommand = fn(&Args) -> Result<(), String>;
+
+fn finish(cmd: &str, result: Result<(), String>) -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

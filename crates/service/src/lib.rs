@@ -312,44 +312,33 @@ fn parse_worker_args(args: &[String]) -> Result<WorkerArgs, String> {
     let mut campaign = CampaignConfig::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut val = |name: &str| -> Result<String, String> {
-            a.strip_prefix(&format!("{name}="))
-                .map(str::to_owned)
-                .or_else(|| (a == name).then(|| it.next().cloned()).flatten())
+        let (name, mut inline) = match a.split_once('=') {
+            Some((name, v)) => (name, Some(v.to_owned())),
+            None => (a.as_str(), None),
+        };
+        let mut val = || {
+            inline
+                .take()
+                .or_else(|| it.next().cloned())
                 .ok_or_else(|| format!("missing value for {name}"))
         };
-        if a == "--source" || a.starts_with("--source=") {
-            source = Some(PathBuf::from(val("--source")?));
-        } else if a == "--dir" || a.starts_with("--dir=") {
-            dir = Some(PathBuf::from(val("--dir")?));
-        } else if a.starts_with("--kind") {
-            kind = Some(JobKind::parse(&val("--kind")?)?);
-        } else if a.starts_with("--shard") {
-            shard = Some(num::<u32>(&val("--shard")?)?);
-        } else if a.starts_with("--of") {
-            of = Some(num::<u32>(&val("--of")?)?);
-        } else if a.starts_with("--every") {
-            every = num::<usize>(&val("--every")?)?;
-        } else if a.starts_with("--k") {
-            fault_order = num::<u32>(&val("--k")?)?;
-        } else if a.starts_with("--max-steps") {
-            campaign.max_steps = num::<u64>(&val("--max-steps")?)?;
-        } else if a.starts_with("--stride") {
-            campaign.stride = num::<u64>(&val("--stride")?)?;
-        } else if a.starts_with("--mutations") {
-            campaign.mutations_per_site = num::<usize>(&val("--mutations")?)?;
-        } else if a.starts_with("--seed") {
-            campaign.seed = num::<u64>(&val("--seed")?)?;
-        } else if a.starts_with("--pair-samples") {
-            campaign.pair_samples = num::<usize>(&val("--pair-samples")?)?;
-        } else if a.starts_with("--pair-window") {
-            campaign.pair_window = num::<u64>(&val("--pair-window")?)?;
-        } else if a.starts_with("--threads") {
-            campaign.threads = num::<usize>(&val("--threads")?)?;
-        } else if a.starts_with("--oob") {
-            campaign.oob = parse_oob(&val("--oob")?)?;
-        } else {
-            return Err(format!("unknown worker argument {a:?}"));
+        match name {
+            "--source" => source = Some(PathBuf::from(val()?)),
+            "--dir" => dir = Some(PathBuf::from(val()?)),
+            "--kind" => kind = Some(JobKind::parse(&val()?)?),
+            "--shard" => shard = Some(num::<u32>(&val()?)?),
+            "--of" => of = Some(num::<u32>(&val()?)?),
+            "--every" => every = num::<usize>(&val()?)?,
+            "--k" => fault_order = num::<u32>(&val()?)?,
+            "--max-steps" => campaign.max_steps = num::<u64>(&val()?)?,
+            "--stride" => campaign.stride = num::<u64>(&val()?)?,
+            "--mutations" => campaign.mutations_per_site = num::<usize>(&val()?)?,
+            "--seed" => campaign.seed = num::<u64>(&val()?)?,
+            "--pair-samples" => campaign.pair_samples = num::<usize>(&val()?)?,
+            "--pair-window" => campaign.pair_window = num::<u64>(&val()?)?,
+            "--threads" => campaign.threads = num::<usize>(&val()?)?,
+            "--oob" => campaign.oob = parse_oob(&val()?)?,
+            _ => return Err(format!("unknown worker argument {a:?}")),
         }
     }
     let spec = ShardSpec::new(shard.ok_or("missing --shard")?, of.ok_or("missing --of")?)
@@ -613,8 +602,8 @@ fn event(sink: EventSink<'_>, job: &str, kind: &str, extra: Vec<(&str, Json)>) {
 ///
 /// # Errors
 ///
-/// Only *pre-campaign* failures (unreadable source, unbuildable program,
-/// gated config) error out; worker failures degrade the job instead.
+/// Only *pre-campaign* failures (unreadable source, unbuildable program)
+/// error out; worker failures degrade the job instead.
 pub fn run_job(
     name: &str,
     source: &Path,
@@ -623,9 +612,6 @@ pub fn run_job(
     dir: &Path,
     sink: EventSink<'_>,
 ) -> Result<JobReport, String> {
-    if cfg.campaign.stop_on_first_violation {
-        return Err("stop_on_first_violation cannot be sharded".to_owned());
-    }
     std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let text =
         std::fs::read_to_string(source).map_err(|e| format!("read {}: {e}", source.display()))?;
@@ -1359,5 +1345,12 @@ main:
         assert_eq!(parse_oob("-17").unwrap(), OobLoadPolicy::Value(-17));
         assert!(parse_worker_args(&["--bogus".to_owned()]).is_err());
         assert!(parse_worker_args(&["--batch=false".to_owned()]).is_err());
+        // Names match exactly: a flag that merely starts like one is unknown.
+        for prefixed in ["--shards=2", "--kx=1", "--everyone=3", "--sourcefile=x"] {
+            let err = parse_worker_args(&[prefixed.to_owned()])
+                .err()
+                .expect("refused");
+            assert!(err.contains("unknown worker argument"), "{prefixed}: {err}");
+        }
     }
 }

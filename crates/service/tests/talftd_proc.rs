@@ -4,8 +4,9 @@
 //! checkpoint is retried, resumes, and the report is provably unchanged;
 //! a permanently crashing shard poisons and degrades the job honestly; the
 //! spool claims, runs, and retires jobs; [`check_report`] validates
-//! every artifact the service emits; and `talftd check` refuses a forged
-//! job whose counts overflow.
+//! every artifact the service emits; `talftd check` refuses a forged
+//! job whose counts overflow; and `talftd` refuses an argument its
+//! subcommand does not name with exit 2, before any work.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -33,6 +34,21 @@ main:
   mov r3, B 5
   mov r4, B 4096
   stB r4, r3
+  halt
+"#;
+
+/// One register pair feeds both halves of the store: single zaps produce
+/// SDC.
+const UNPROTECTED: &str = r#"
+.data
+region out at 4096 len 1 : int output
+.code
+main:
+  .pre { forall m:mem; mem: m; }
+  mov r1, G 5
+  mov r2, G 4096
+  stG r2, r1
+  stB r2, r1
   halt
 "#;
 
@@ -230,12 +246,69 @@ fn check_refuses_a_forged_job_whose_counts_overflow() {
     job.merged = Some(CampaignReport::default());
     let path = dir.join("forged.json");
     std::fs::write(&path, format!("{}\n", job.to_json())).expect("write job");
+    let (code, stderr) = talftd(&["check", path.to_str().unwrap(), "--expect-zero-sdc"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("overflow"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `talftd` run on `args`: its exit code and stderr.
+fn talftd(args: &[&str]) -> (Option<i32>, String) {
     let out = std::process::Command::new(worker_exe())
-        .args(["check", path.to_str().unwrap(), "--expect-zero-sdc"])
+        .args(args)
         .output()
         .expect("talftd runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("overflow"), "{stderr}");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.code(), stderr)
+}
+
+/// A misspelt `--expect-zero-sdc` is a usage error, not a check without
+/// the zero-SDC demand: the job report carries SDC, which the spelled-out
+/// flag refuses.
+#[test]
+fn check_refuses_an_unnamed_argument() {
+    let dir = scratch("check-typo");
+    let source = write_source(&dir, "job.talft", UNPROTECTED);
+    let job = run(
+        "job",
+        &source,
+        JobKind::Talft,
+        &test_cfg(2),
+        &dir.join("shards"),
+    );
+    assert!(job.merged.as_ref().is_some_and(|m| m.sdc > 0), "{job:?}");
+    let path = dir.join("job.json");
+    std::fs::write(&path, format!("{}\n", job.to_json())).expect("write job");
+    let file = path.to_str().unwrap();
+    let (code, stderr) = talftd(&["check", file, "--expect-zero-sdcc"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--expect-zero-sdcc"), "{stderr}");
+    let (code, stderr) = talftd(&["check", file, "--expect-zero-sdc"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    let (code, stderr) = talftd(&["check", file]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--shard 2` is not `--shards 2`: the daemon exits 2 naming it before it
+/// claims the waiting job, and so does a value flag with no value.
+#[test]
+fn daemon_refuses_an_unnamed_argument_before_any_work() {
+    let dir = scratch("daemon-typo");
+    let spool = Spool::open(&dir).expect("spool opens");
+    write_source(&spool.incoming(), "job.talft", UNPROTECTED);
+    let root = dir.to_str().unwrap();
+    for (args, named) in [
+        (&["--shard", "2"][..], "--shard"),
+        (&["--stride"][..], "--stride"),
+    ] {
+        let mut argv = vec!["daemon", "--spool", root, "--max-jobs", "1"];
+        argv.extend(args);
+        let (code, stderr) = talftd(&argv);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: talftd"), "{args:?}: {stderr}");
+        assert!(spool.next_job().is_some(), "{args:?}: the job was claimed");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
